@@ -2,7 +2,8 @@
 """Run every acceptance suite and print one pass/fail line per criterion.
 
 Default bounds keep this under a minute; --heavy adds the flagged paths
-(n=5 rank and primitive dimension, n=6 cells, order-3 series), which take
+(n=5 rank, primitive dimension and Steinmann span, n=6 cells, order-3
+series), which take
 minutes.
 """
 
@@ -47,6 +48,9 @@ def main() -> int:
         line("heavy: primitive dimension 150 at n=5", verify.dimension_suite(4, include5=True))
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")
+        stein5 = verify.steinmann_suite(5)
+        span_ok = stein5.passed and stein5.payload["relationSpan"] == 220
+        line("heavy: Steinmann relation span 220 at n=5", span_ok)
         line("heavy: 11292 cells at n=6", verify.cells_suite(5, include6=True))
         line("heavy: order-3 Z factorization and Bogoliubov", verify.causal_suite(2, 2, heavy_order3=True))
 

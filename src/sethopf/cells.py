@@ -23,7 +23,6 @@ from .compositions import (
     labelset,
     opposite,
     proper_splits,
-    restrict,
     set_partitions,
     two_lump_coarsenings,
     zie_dimension,
@@ -37,6 +36,7 @@ from .hopf import (
     is_primitive,
     mu,
     primitive_part_basis,
+    split_columns,
     to_h,
 )
 from .lincomb import LinComb
@@ -221,15 +221,26 @@ def enumerate_cells_with_witnesses(
 # Dynkin elements
 
 
+@lru_cache(maxsize=None)
+def _dynkin_table(ground: LabelSet) -> tuple[tuple[Composition, frozenset, QI], ...]:
+    """For each composition F of ground: the S-sides of the two-lump
+    coarsenings of opposite(F), and the coefficient of H_F in a Dynkin element."""
+    return tuple(
+        (
+            F,
+            frozenset(S for S, _ in two_lump_coarsenings(opposite(F))),
+            -QI_ONE if len(F) % 2 == 0 else QI_ONE,
+        )
+        for F in compositions_of(ground)
+    )
+
+
 def dynkin(cell: Cell) -> SigmaElem:
     """- sum over compositions F whose reversed two-lump coarsenings lie in
     the cell of (-1)^(number of lumps) H_F."""
-    terms: dict[Composition, QI] = {}
-    for F in compositions_of(cell.ground):
-        rev = opposite(F)
-        if all(S in cell.positive for S, _ in two_lump_coarsenings(rev)):
-            terms[F] = -QI_ONE if len(F) % 2 == 0 else QI_ONE
-    return SigmaElem(cell.ground, LinComb(terms), H)
+    pos = cell.positive
+    terms = {F: c for F, sides, c in _dynkin_table(cell.ground) if sides <= pos}
+    return SigmaElem(cell.ground, LinComb(terms, _trusted=True), H)
 
 
 def dynkin_tits_factorization(cell: Cell) -> SigmaElem:
@@ -560,20 +571,13 @@ def primitive_dimension_certified(n: int) -> int:
     if low != len(candidates):
         raise ArithmeticError("modular fast path failed; rerun with exact rank")
 
-    comps = list(compositions_of(ground))
-    splits = list(proper_splits(ground))
-    pair_index: dict = {}
-    rows_by_pair: dict[int, dict[int, int]] = {}
-    for j, F in enumerate(comps):
-        for S, T in splits:
-            key = ((S, T), restrict(F, S), restrict(F, T))
-            i = pair_index.setdefault(key, len(pair_index))
-            rows_by_pair.setdefault(i, {})[j] = 1
-    mat = [[0] * len(comps) for _ in range(len(pair_index))]
-    for i, row in rows_by_pair.items():
-        for j, v in row.items():
-            mat[i][j] = v
-    up = len(comps) - rank_mod_prime(mat)
+    columns = split_columns(ground)
+    row_of = {p: i for i, p in enumerate(sorted({p for _, pids in columns for p in pids}))}
+    mat = [[0] * len(columns) for _ in row_of]
+    for j, (_, pids) in enumerate(columns):
+        for p in pids:
+            mat[row_of[p]][j] = 1
+    up = len(columns) - rank_mod_prime(mat)
     if low != up:
         raise ArithmeticError("modular bounds disagree; rerun with exact rank")
     return low

@@ -3,8 +3,9 @@
 Verification subcommands emit a run report
 ``{"command", "parameters", "status", "counters", "payload"}`` and exit 0
 on pass, 1 on a verification failure; data subcommands (``cells count``,
-``dynkin rank``) emit their documented compact payloads.  Usage errors
-exit 2 (argparse's convention).
+``dynkin rank``) emit their documented compact payloads.  Usage errors,
+exceeded size bounds and bad input (a domain error, a malformed or missing
+model file) exit 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .jsonio import (
     model_from_json,
     truncseries_to_json,
 )
-from .utils import parallel_map
 from . import verify
 
 
@@ -65,10 +65,7 @@ def _report(args, command: str, parameters: dict, results) -> int:
 
 
 def _cmd_hopf_check(args) -> int:
-    suites = parallel_map(
-        lambda f: f(),
-        [lambda: verify.hopf_suite(args.n), lambda: verify.tits_suite(min(args.n, 3))],
-    )
+    suites = [verify.hopf_suite(args.n), verify.tits_suite(min(args.n, 3))]
     return _report(args, "hopf check", {"n": args.n}, suites)
 
 
@@ -136,7 +133,11 @@ def _cmd_series(args) -> int:
 
 def _load_model(path: str) -> CausalModel:
     with open(path) as fh:
-        return model_from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return model_from_json(data)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed model file {path}: {e!r}") from e
 
 
 def _cmd_toy_demo(args) -> int:
@@ -177,6 +178,13 @@ def _cmd_toy_bogoliubov(args) -> int:
     return 0 if ok else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sethopf",
@@ -188,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(p, *, n=None, order=None, model=False):
         p.add_argument("--out", help="write JSON output to a file instead of stdout")
         if n is not None:
-            p.add_argument("--n", type=int, default=n)
+            p.add_argument("--n", type=_nonnegative_int, default=n)
         if order is not None:
-            p.add_argument("--order", type=int, default=order)
+            p.add_argument("--order", type=_nonnegative_int, default=order)
         if model:
             p.add_argument("--model", required=True, help="path to a model JSON file")
         return p
@@ -237,6 +245,10 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SizeLimitError as e:
         sys.stderr.write(f"size limit: {e}\n")
+        return 2
+    except (ValueError, OSError) as e:  # DomainError is a ValueError
+        message = str(e).replace("\n", " ")
+        sys.stderr.write(f"error: {message}\n")
         return 2
 
 

@@ -9,12 +9,21 @@ form  s(H_F) = sum over refinements G of the reversed composition of
 alternating-sum formula.
 
 Mixed-basis arithmetic is rejected rather than silently converted.
+
+``delta_split`` runs on integers.  Each ground set has a split table that
+interns the coproduct terms of its compositions as pair ids, and each
+element clears its denominators once, on its first split; a split is then
+one integer scatter-add over the element's terms.  The iterated coproduct,
+the Takeuchi antipode and the Hopf powers stay on the generic path, so the
+cross-checks against them stay independent of this one.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -34,7 +43,7 @@ from .compositions import (
 from .errors import DomainError, SizeLimitError
 from .lincomb import LinComb, lincomb_sum
 from .linalg import kernel_basis
-from .scalars import QI_ONE, QI_ZERO
+from .scalars import QI, QI_ONE, QI_ZERO, as_qi
 
 H = "H"
 Q = "Q"
@@ -50,7 +59,7 @@ def _restrict_cached(F: Composition, S: tuple) -> Composition:
 class SigmaElem:
     """An element of the composition Hopf algebra over a fixed ground set."""
 
-    __slots__ = ("ground", "basis", "lc")
+    __slots__ = ("ground", "basis", "lc", "_split_form")
 
     def __init__(self, ground: Iterable[int], lc: LinComb, basis: str = H):
         ground = labelset(ground)
@@ -62,6 +71,7 @@ class SigmaElem:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "lc", lc)
+        object.__setattr__(self, "_split_form", None)  # filled by _split_form on first split
 
     def __setattr__(self, *a):
         raise AttributeError("SigmaElem is immutable")
@@ -175,30 +185,123 @@ def mu_many(parts: Sequence[SigmaElem]) -> SigmaElem:
     return out
 
 
+class _SplitTable:
+    """Integer ids for the coproduct terms of the compositions of one ground set.
+
+    A split (S, T) of the ground is its mask: bit i is set when the i-th
+    label goes to S.  A pair id names one pair (left, right) of
+    compositions of (S, T).  The row of a composition F in a basis holds,
+    for every mask, the pair id of its (S, T) term: (F|S, F|T) in the
+    H-basis, the deshuffle pair in the Q-basis, or -1 where the deshuffle
+    is undefined.  Rows are built one composition at a time, on first use.
+    """
+
+    __slots__ = ("bit", "pairs", "ids", "rows", "lock")
+
+    def __init__(self, ground: tuple):
+        self.bit = {x: 1 << i for i, x in enumerate(ground)}
+        self.pairs: list[tuple[Composition, Composition]] = []  # pair id -> pair
+        self.ids: dict[tuple, int] = {}  # (left lumps, right lumps) -> pair id
+        self.rows: dict[str, dict[Composition, tuple[int, ...]]] = {H: {}, Q: {}}
+        self.lock = threading.Lock()  # one id per pair, even under threads
+
+    def mask(self, S: Iterable[int]) -> int:
+        return sum(map(self.bit.__getitem__, S))
+
+    def row(self, F: Composition, basis: str) -> tuple[int, ...]:
+        rows = self.rows[basis]
+        row = rows.get(F)
+        if row is None:
+            with self.lock:
+                row = rows.get(F)
+                if row is None:
+                    row = rows[F] = self._build_row(F, basis)
+        return row
+
+    def _pair_id(self, left: tuple, right: tuple) -> int:
+        pid = self.ids.get((left, right))
+        if pid is None:
+            pid = self.ids[(left, right)] = len(self.pairs)
+            self.pairs.append((Composition(left), Composition(right)))
+        return pid
+
+    def _build_row(self, F: Composition, basis: str) -> tuple[int, ...]:
+        bit = self.bit
+        lumps = [(l, sum(bit[x] for x in l)) for l in F.lumps]
+        row = []
+        for m in range(1 << len(bit)):
+            if basis == H:
+                left = tuple(p for l, _ in lumps if (p := tuple(x for x in l if bit[x] & m)))
+                right = tuple(p for l, _ in lumps if (p := tuple(x for x in l if not bit[x] & m)))
+            elif all(lm & m in (0, lm) for _, lm in lumps):
+                left = tuple(l for l, lm in lumps if lm & m)
+                right = tuple(l for l, lm in lumps if not lm & m)
+            else:
+                row.append(-1)
+                continue
+            row.append(self._pair_id(left, right))
+        return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _split_table(ground: tuple) -> _SplitTable:
+    return _SplitTable(ground)
+
+
+def _split_form(a: SigmaElem) -> tuple:
+    """a with its denominators cleared, computed once per element.
+
+    Returns (split table, the split row of each term, the real numerators,
+    the imaginary numerators or None when all are zero, the common
+    denominator, each term's coefficient keyed by its numerators).
+    """
+    form = a._split_form
+    if form is not None:
+        return form
+    table = _split_table(a.ground)
+    rows, coeffs = [], []
+    for F, c in a.lc:
+        q = as_qi(c)
+        if q is NotImplemented:
+            raise DomainError(f"coefficient {c!r} is not a Gaussian rational")
+        rows.append(table.row(F, a.basis))
+        coeffs.append(q)
+    den = lcm(*(f.denominator for q in coeffs for f in (q.re, q.im)))
+    re = [q.re.numerator * (den // q.re.denominator) for q in coeffs]
+    im = [q.im.numerator * (den // q.im.denominator) for q in coeffs]
+    coeff_of = dict(zip(zip(re, im), coeffs))
+    form = (table, rows, re, im if any(im) else None, den, coeff_of)
+    object.__setattr__(a, "_split_form", form)
+    return form
+
+
+def _scatter(rows: list, m: int, nums: list[int]) -> dict[int, int]:
+    """Sum the numerators by the pair id each row gives split m."""
+    acc: dict[int, int] = {}
+    for row, c in zip(rows, nums):
+        p = row[m]
+        if p >= 0 and c:
+            acc[p] = acc.get(p, 0) + c
+    return acc
+
+
 def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
     """Delta_{S,T}(a) as a LinComb over pairs (left composition, right composition)."""
     S = labelset(S)
     T = labelset(T)
     if tuple(sorted(S + T)) != a.ground or set(S) & set(T):
         raise DomainError("(S, T) must be an ordered disjoint decomposition of the ground set")
+    table, rows, re, im, den, coeff_of = _split_form(a)
+    m = table.mask(S)
+    re_acc = _scatter(rows, m, re)
+    im_acc = _scatter(rows, m, im) if im else {}
     terms = {}
-    for F, c in a.lc:
-        if a.basis == H:
-            key = (_restrict_cached(F, S), _restrict_cached(F, T))
-        else:
-            left = deshuffle(F, S)
-            right = deshuffle(F, T)
-            if left is None or right is None:
-                continue
-            key = (left, right)
-        if key in terms:
-            w = terms[key] + c
-            if w:
-                terms[key] = w
-            else:
-                del terms[key]
-        else:
-            terms[key] = c
+    for p in {**re_acc, **im_acc}:
+        x, y = re_acc.get(p, 0), im_acc.get(p, 0)
+        if x or y:
+            # a sum equal to one of a's coefficients reuses it, as with a single term
+            c = coeff_of.get((x, y)) or QI(Fraction(x, den), Fraction(y, den))
+            terms[table.pairs[p]] = c
     return LinComb(terms, _trusted=True)
 
 
@@ -340,20 +443,35 @@ def is_primitive(a: SigmaElem) -> bool:
     return True
 
 
+def split_columns(ground: Iterable[int]) -> list[tuple[Composition, tuple[int, ...]]]:
+    """The stacked proper-split map on the H-basis of ground, as 0/1 columns.
+
+    For each composition F, the pair ids of its proper (S, T) terms (every
+    mask but the empty and the full one): the rows where column F holds a 1.
+    Distinct splits give distinct pair ids.
+    """
+    table = _split_table(labelset(ground))
+    return [(F, table.row(F, H)[1:-1]) for F in compositions_of(ground)]
+
+
 def primitive_part_basis(n: int, bound: int = PRIMITIVE_PART_BOUND) -> list[SigmaElem]:
     """Exact basis of the intersection of the kernels of all proper splits."""
     if n > bound:
         raise SizeLimitError(f"n = {n} exceeds primitive-part bound {bound}")
     ground = canonical_set(n)
-    domain = list(compositions_of(ground))
-    splits = list(proper_splits(ground))
-    mapping = []
-    for F in domain:
-        img = {}
-        for S, T in splits:
-            img[((S, T), restrict(F, S), restrict(F, T))] = QI_ONE
-        mapping.append((F, LinComb(img, _trusted=True)))
-    vectors = kernel_basis(mapping, domain)
+    columns = split_columns(ground)
+    pairs = _split_table(ground).pairs
+
+    def row_key(p: int) -> tuple:
+        # kernel_basis eliminates rows in key order; ((S, T), F|S, F|T) keeps
+        # its fill, and so its QI work, lower than pair-id order does
+        left, right = pairs[p]
+        return ((left.ground, right.ground), left, right)
+
+    mapping = [
+        (F, LinComb({row_key(p): QI_ONE for p in pids}, _trusted=True)) for F, pids in columns
+    ]
+    vectors = kernel_basis(mapping, [F for F, _ in columns])
     return [SigmaElem(ground, v, H) for v in vectors]
 
 

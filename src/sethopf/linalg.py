@@ -11,7 +11,7 @@ deterministically sortable.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -28,29 +28,31 @@ def _to_qi(v) -> QI:
     return q
 
 
-def _rows_from_vectors(vectors: Sequence[LinComb]) -> tuple[list[list[QI]], list]:
+def _integer_matrix(
+    vectors: Sequence[LinComb],
+) -> tuple[list[list[int]], list[list[int]] | None, list]:
+    """Each vector scaled to Gaussian integers by its own common denominator.
+
+    Returns (real rows, imaginary rows or None when every entry is real,
+    column keys).  Only the non-zero entries are visited.
+    """
     keys = sorted({k for v in vectors for k in v.keys()}, key=default_sort_key)
     index = {k: i for i, k in enumerate(keys)}
-    rows = []
+    re_rows, im_rows = [], []
+    is_complex = False
     for v in vectors:
-        row = [QI_ZERO] * len(keys)
-        for k, c in v:
-            row[index[k]] = _to_qi(c)
-        rows.append(row)
-    return rows, keys
-
-
-def _clear_denominators(row: list[QI]) -> list[tuple[int, int]]:
-    """Scale a QI row to Gaussian integers (re, im)."""
-    lcm = 1
-    for c in row:
-        for f in (c.re, c.im):
-            d = f.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    out = []
-    for c in row:
-        out.append((int(c.re * lcm), int(c.im * lcm)))
-    return out
+        entries = [(index[k], _to_qi(c)) for k, c in v]
+        den = lcm(*(f.denominator for _, c in entries for f in (c.re, c.im)))
+        re = [0] * len(keys)
+        im = [0] * len(keys)
+        for j, c in entries:
+            re[j] = c.re.numerator * (den // c.re.denominator)
+            if c.im:
+                im[j] = c.im.numerator * (den // c.im.denominator)
+                is_complex = True
+        re_rows.append(re)
+        im_rows.append(im)
+    return re_rows, (im_rows if is_complex else None), keys
 
 
 def _gi_mul(a, b):
@@ -150,11 +152,10 @@ def rank(vectors: Sequence[LinComb]) -> int:
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return 0
-    qrows, _ = _rows_from_vectors(vectors)
-    grows = [_clear_denominators(row) for row in qrows]
-    if all(e[1] == 0 for row in grows for e in row):
-        return _bareiss_rank_int([[e[0] for e in row] for row in grows])
-    return _bareiss_rank_gauss(grows)
+    re, im, _ = _integer_matrix(vectors)
+    if im is None:
+        return _bareiss_rank_int(re)
+    return _bareiss_rank_gauss([list(zip(r, i)) for r, i in zip(re, im)])
 
 
 def rank_mod_prime(int_rows: Sequence[Sequence[int]], p: int = 46337) -> int:
@@ -190,14 +191,10 @@ def rank_mod_prime(int_rows: Sequence[Sequence[int]], p: int = 46337) -> int:
 
 def integer_rows(vectors: Sequence[LinComb]) -> tuple[list[list[int]], list]:
     """Denominator-cleared integer row matrix for rational-valued vectors."""
-    qrows, keys = _rows_from_vectors(vectors)
-    out = []
-    for row in qrows:
-        g = _clear_denominators(row)
-        if any(e[1] for e in g):
-            raise DomainError("integer_rows requires rational (non-complex) coefficients")
-        out.append([e[0] for e in g])
-    return out, keys
+    re, im, keys = _integer_matrix(vectors)
+    if im is not None:
+        raise DomainError("integer_rows requires rational (non-complex) coefficients")
+    return re, keys
 
 
 def kernel_basis(

@@ -354,7 +354,7 @@ def steinmann_suite(n: int = 4) -> SuiteResult:
         vectors = steinmann_relation_vectors(ground)
         span = rank(vectors)
         expected = len(enumerate_cells(ground)) - zie_dimension(n)
-        res.bump("relation-span", span == expected == 6, f"span={span}")
+        res.bump("relation-span", span == expected, f"span={span}")
         res.payload["relationSpan"] = span
         # negative control: corrupt an unrelated channel of the first quadruple
         if quads:

@@ -126,6 +126,16 @@ def test_criterion_07_steinmann_suite():
     )
 
 
+@pytest.mark.heavy
+def test_criterion_07_steinmann_suite_n5():
+    res = verify.steinmann_suite(5)
+    _line(
+        "criterion 7 (heavy): Steinmann relations at n=5 span 220 = 370 - 150",
+        res.passed and res.payload["relationSpan"] == 220,
+        f"span={res.payload['relationSpan']}",
+    )
+
+
 def test_criterion_08_lie_suite():
     res = verify.lie_suite(4)
     _line(

@@ -27,10 +27,20 @@ from sethopf.cells import (
     total_retarded_dynkin,
     tree_to_primitive,
 )
-from sethopf.compositions import canonical_set, comp, zie_dimension
+from sethopf.cells import _left_normed_tree_images
+from sethopf.compositions import (
+    canonical_set,
+    comp,
+    compositions_of,
+    opposite,
+    two_lump_coarsenings,
+    zie_dimension,
+)
 from sethopf.errors import DomainError, SizeLimitError
 from sethopf.hadamard import tits
-from sethopf.hopf import basis_elem, h_elem, is_primitive, q_elem, to_h
+from sethopf.hopf import H, SigmaElem, basis_elem, h_elem, is_primitive, q_elem, to_h
+from sethopf.lincomb import LinComb
+from sethopf.scalars import QI
 from sethopf.linalg import rank
 
 
@@ -47,6 +57,15 @@ def brute_force_cells(ground):
         if ok:
             found.append(frozenset(sides))
     return found
+
+
+def closed_form_dynkin(cell):
+    """- sum over F whose reversed two-lump coarsenings all lie in the cell of (-1)^l(F) H_F."""
+    terms = {}
+    for F in compositions_of(cell.ground):
+        if all(S in cell.positive for S, _ in two_lump_coarsenings(opposite(F))):
+            terms[F] = QI(-1) if len(F) % 2 == 0 else QI(1)
+    return SigmaElem(cell.ground, LinComb(terms), H)
 
 
 class TestIsCell:
@@ -112,6 +131,28 @@ class TestDynkin:
     def test_primitive(self, n):
         for cell in enumerate_cells(canonical_set(n)):
             assert is_primitive(dynkin(cell))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_closed_form(self, n):
+        for cell in enumerate_cells(canonical_set(n)):
+            assert dynkin(cell) == closed_form_dynkin(cell)
+
+    def test_matches_closed_form_relabelled_n5(self):
+        move = {1: 9, 2: -1, 3: 4, 4: 6, 5: 2}
+        for cell in enumerate_cells(canonical_set(5)):
+            moved = Cell(move.values(), [[move[x] for x in S] for S in cell.positive])
+            assert dynkin(moved) == closed_form_dynkin(moved)
+
+    def test_perturbed_elements_not_primitive(self):
+        candidates = [dynkin(c) for c in enumerate_cells(canonical_set(4))]
+        candidates += _left_normed_tree_images(4)
+        comps = compositions_of(canonical_set(4))
+        coeffs = (QI(1), QI(-1), QI(1, 1), QI(0, -1))
+        for k, v in enumerate(candidates):
+            assert is_primitive(v)
+            bump = basis_elem(comps[k % len(comps)], H, coeffs[k % len(coeffs)])
+            assert not is_primitive(v + bump)
+            assert not is_primitive(v.scale(QI(1, 2)) - bump)
 
     def test_tits_factorization_single_factor(self):
         cell = Cell((1, 2), [(1,)])

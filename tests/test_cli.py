@@ -138,3 +138,23 @@ class TestUsageErrors:
     def test_size_limit(self):
         proc = run_cli("cells", "count", "--n", "9")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [("cells", "count", "--n", "-1"), ("series", "identities", "--order", "-1")],
+    )
+    def test_negative_size_rejected(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "must be >= 0" in proc.stderr
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"observables": 3}', "{}"])
+    def test_bad_model_file(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        if content is not None:
+            path.write_text(content)
+        proc = run_cli("toy", "demo", "--model", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sethopf.compositions import canonical_set, comp, compositions_of
+from sethopf.compositions import (
+    _compositions_cached,
+    canonical_set,
+    comp,
+    compositions_of,
+    deshuffle,
+    ordered_splits,
+    restrict,
+)
 from sethopf.errors import DomainError
 from sethopf.hopf import (
     DecoratedElem,
@@ -81,6 +89,74 @@ class TestDelta:
     def test_bad_split(self):
         with pytest.raises(DomainError):
             delta_split(h_elem((1, 2)), (1,), (1, 2))
+
+
+def reference_delta_split(a, S, T):
+    """Delta_{S,T}(a) straight from the definition, one term at a time."""
+    terms = {}
+    for F, c in a.lc:
+        if a.basis == H:
+            key = (restrict(F, S), restrict(F, T))
+        else:
+            key = (deshuffle(F, S), deshuffle(F, T))
+            if None in key:
+                continue
+        terms[key] = terms.get(key, QI(0)) + c
+    return LinComb(terms)
+
+
+# Small values make cancellations between terms likely.
+COEFFS = (
+    QI(1), QI(-1), QI(Fraction(1, 2)), QI(Fraction(-2, 3)),
+    QI(0, 1), QI(Fraction(1, 3), -1), QI(1, Fraction(-1, 4)),
+)
+
+
+def random_elem(rng, ground, basis, nterms, complex_coeffs):
+    comps = compositions_of(ground)
+    coeffs = COEFFS if complex_coeffs else COEFFS[:4]
+    terms = {comps[rng.randrange(len(comps))]: rng.choice(coeffs) for _ in range(nterms)}
+    return SigmaElem(ground, LinComb(terms), basis)
+
+
+class TestSplitTable:
+    @pytest.mark.parametrize("ground", [(1, 2, 3, 4), (3, 7, 11, 20), (-2, -1, 1, 2), (2, 5)])
+    @pytest.mark.parametrize("basis", [H, Q])
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_matches_definition(self, ground, basis, complex_coeffs):
+        import random
+
+        rng = random.Random(f"{ground}{basis}{complex_coeffs}")
+        for nterms in (1, 3, 12, 40):
+            a = random_elem(rng, ground, basis, nterms, complex_coeffs)
+            for S, T in ordered_splits(ground):  # proper and improper
+                assert delta_split(a, S, T) == reference_delta_split(a, S, T)
+
+    def test_cancelling_terms_give_zero(self):
+        # H_(1,2) and H_(12) have the same proper splits, but not the improper ones
+        a = h_elem((1,), (2,)) - h_elem((1, 2))
+        assert delta_split(a, (1,), (2,)).is_zero()
+        assert delta_split(a, (2,), (1,)).is_zero()
+        expected = {(comp(), comp((1,), (2,))): QI(1), (comp(), comp((1, 2))): QI(-1)}
+        assert delta_split(a, (), (1, 2)) == LinComb(expected)
+
+    def test_empty_ground(self):
+        pair = (comp(), comp())
+        assert delta_split(unit_elem(Q).scale(QI(0, 2)), (), ()) == LinComb({pair: QI(0, 2)})
+        assert delta_split(zero_elem(()), (), ()).is_zero()
+
+    def test_sparse_element_over_large_ground(self):
+        ground = canonical_set(7)
+        S, T = (1, 2, 3), (4, 5, 6, 7)
+        # [Q_(S), Q_(T)] is primitive; only its two terms need split rows
+        a = q_elem(S, T) - q_elem(T, S)
+        cached = _compositions_cached.cache_info().currsize
+        assert is_primitive(a)
+        assert not is_primitive(h_elem(S, T) - h_elem(T, S))
+        assert _compositions_cached.cache_info().currsize == cached
+        b = h_elem(S, T).scale(QI(Fraction(1, 3)))
+        for U, V in ordered_splits(ground):
+            assert delta_split(b, U, V) == reference_delta_split(b, U, V)
 
 
 class TestAntipode:
