@@ -2,7 +2,8 @@
 
 Verification subcommands emit a run report
 ``{"command", "parameters", "status", "counters", "payload"}`` and exit 0
-on pass, 1 on a verification failure; data subcommands (``cells count``,
+on pass, 1 on a verification failure; a run that checks no instance is a
+usage error, not a pass.  Data subcommands (``cells count``,
 ``dynkin rank``) emit their documented compact payloads.  Usage errors,
 exceeded size bounds and bad input (a domain error, a malformed or missing
 model file) exit 2 with one line on stderr.
@@ -46,6 +47,9 @@ def _report(args, command: str, parameters: dict, results) -> int:
             counters[k] = counters.get(k, 0) + v
         failures.extend(r.failures)
         payload.update(r.payload)
+    if not sum(counters.values()):
+        where = ", ".join(f"{k}={v}" for k, v in parameters.items())
+        raise ValueError(f"{command} checked no instances at {where}")
     status = "pass" if not failures else "fail"
     out = {
         "command": command,

@@ -15,80 +15,100 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 _BLAND_AFTER = 64  # pivot-rule switch that guarantees termination
 
 
 def simplex_max(
-    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    c: Sequence[int], A: Sequence[Sequence[int]], b: Sequence[int]
 ) -> tuple[Fraction, list[Fraction]]:
-    """Maximize c.x subject to A x <= b, x >= 0, where b >= 0.
+    """Maximize c.x subject to A x <= b, x >= 0, where b >= 0, on integer data.
 
     Primal simplex from the slack basis; largest-coefficient pivoting with a
     switch to Bland's rule to rule out cycling.  Returns (value, argmax).
     Raises on an unbounded program.
+
+    Integer-preserving (Edmonds / Bareiss): the tableau, objective row last,
+    is an int matrix M over one positive common divisor D, tableau = M / D.
+    A pivot at (r, s) with p = M[r][s] maps every other row to
+    (M[i][j] * p - M[i][s] * M[r][j]) // D and then sets D = p; the division
+    is exact by Sylvester's identity: D is the determinant of the current
+    basis and every entry of M a minor of the starting integer tableau.
+    Comparisons run on the integers (D > 0 throughout), so the pivot
+    sequence is that of the rational tableau.
     """
     m = len(A)
     n = len(c)
-    tab = [[Fraction(A[i][j]) for j in range(n)]
-           + [ONE if k == i else ZERO for k in range(m)]
-           + [Fraction(b[i])]
-           for i in range(m)]
-    obj = [Fraction(-c[j]) for j in range(n)] + [ZERO] * (m + 1)
+    width = n + m
+    rows = []
+    for i in range(m):
+        row = [_integer(a) for a in A[i]] + [0] * m + [_integer(b[i])]
+        row[n + i] = 1
+        rows.append(row)
+    rows.append([-_integer(cj) for cj in c] + [0] * (m + 1))
+    obj = rows[m]
     basis = [n + i for i in range(m)]
+    D = 1
 
     iteration = 0
     while True:
         iteration += 1
         enter = -1
         if iteration <= _BLAND_AFTER:
-            best_c = ZERO
-            for j in range(n + m):
+            best_c = 0
+            for j in range(width):
                 if obj[j] < best_c:
                     best_c = obj[j]
                     enter = j
         else:
-            for j in range(n + m):
+            for j in range(width):
                 if obj[j] < 0:
                     enter = j
                     break
         if enter < 0:
             break
+        # ratio test M[i][-1] / M[i][enter], compared by cross-multiplying
         leave = -1
-        best = None
         for i in range(m):
-            a = tab[i][enter]
+            a = rows[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                r = rows[i][-1]
+                if leave < 0:
+                    best_r, best_a, leave = r, a, i
+                    continue
+                lhs, rhs = r * best_a, best_r * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    best_r, best_a, leave = r, a, i
         if leave < 0:
             raise ArithmeticError("unbounded linear program")
-        piv = tab[leave][enter]
-        prow = tab[leave]
-        if piv != 1:
-            prow = [x / piv for x in prow]
-            tab[leave] = prow
-        for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                if f:
-                    row = tab[i]
-                    tab[i] = [x - f * y for x, y in zip(row, prow)]
-        f = obj[enter]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, prow)]
+        prow = rows[leave]
+        p = prow[enter]
+        for i, row in enumerate(rows):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+            elif p != D:
+                rows[i] = [x * p // D for x in row]
+        obj = rows[m]
+        D = p
         basis[leave] = enter
 
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+            x[bv] = Fraction(rows[i][-1], D)
+    return Fraction(obj[-1], D), x
+
+
+def _integer(v) -> int:
+    """v as an int; integral Fractions are accepted, anything else raises."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    if q.denominator != 1:
+        raise ValueError(f"simplex_max needs integer data, got {v!r}")
+    return q.numerator
 
 
 def strict_positive_witness(
@@ -102,26 +122,24 @@ def strict_positive_witness(
     labels = list(ground)
     n = len(labels)
     pos = {l: i for i, l in enumerate(labels)}
-    nvars = n + 1  # y_0..y_{n-1}, t
-    c = [ZERO] * n + [ONE]
+    c = [0] * n + [1]
 
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    A: list[list[int]] = []
+    b: list[int] = []
     for S in sides:
-        # t + (|S|/n) sum(y) - y(S) <= 0
-        w = Fraction(len(S), n)
-        row = [w] * n + [ONE]
+        # t + (|S|/n) sum(y) - y(S) <= 0, scaled by n to integers
+        row = [len(S)] * n + [n]
         for l in S:
-            row[pos[l]] -= 1
+            row[pos[l]] -= n
         A.append(row)
-        b.append(ZERO)
-    A.append([ONE] * n + [ZERO])  # sum(y) <= n
-    b.append(Fraction(n))
+        b.append(0)
+    A.append([1] * n + [0])  # sum(y) <= n
+    b.append(n)
 
     value, x = simplex_max(c, A, b)
     if value <= 0:
         return None
-    avg = sum(x[:n], ZERO) / n
+    avg = sum(x[:n]) / n
     return {l: x[pos[l]] - avg for l in labels}
 
 
@@ -135,23 +153,20 @@ def balanced_combination_exists(
     complement of strict feasibility, decided on a smaller tableau (rows
     scale with the ground, not with the number of sides).
     """
-    labels = list(ground)
-    n = len(labels)
-    pos = {l: i for i, l in enumerate(labels)}
+    side_sets = [set(S) for S in sides]
     k = len(sides)
-    nvars = k + 1  # w_0..w_{k-1}, c
-    obj = [ZERO] * k + [ONE]
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(n):
-        # sum_A w_A 1_A(i) - c = 0, encoded as two <= 0 rows
-        row = [ONE if labels[i] in set(S) else ZERO for S in sides] + [-ONE]
+    obj = [0] * k + [1]
+    A: list[list[int]] = []
+    b: list[int] = []
+    for label in ground:
+        # sum_A w_A 1_A(label) - c = 0, encoded as two <= 0 rows
+        row = [1 if label in s else 0 for s in side_sets] + [-1]
         A.append(row)
-        b.append(ZERO)
+        b.append(0)
         A.append([-x for x in row])
-        b.append(ZERO)
-    A.append([ONE] * k + [ZERO])  # sum w <= 1
-    b.append(ONE)
+        b.append(0)
+    A.append([1] * k + [0])  # sum w <= 1
+    b.append(1)
     value, _ = simplex_max(obj, A, b)
     return value > 0
 

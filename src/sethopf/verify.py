@@ -25,6 +25,7 @@ from .arrows import (
     u_ab,
 )
 from .compositions import (
+    COMPOSITION_ENUM_BOUND,
     Composition,
     canonical_set,
     compositions_of,
@@ -81,6 +82,7 @@ from .hopf import (
     to_q,
     unit_elem,
 )
+from .errors import SizeLimitError
 from .lincomb import LinComb
 from .linalg import rank
 from .scalars import C_QFT, QI, QI_ONE
@@ -143,6 +145,8 @@ def _pair_lincomb(left: SigmaElem, right: SigmaElem) -> LinComb:
 
 
 def hopf_suite(n: int = 4) -> SuiteResult:
+    if n > COMPOSITION_ENUM_BOUND:
+        raise SizeLimitError(f"n = {n} exceeds enumeration bound {COMPOSITION_ENUM_BOUND}")
     res = SuiteResult("hopf")
     for m in range(n + 1):
         ground = canonical_set(m)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,11 +8,22 @@ import pytest
 RUN = [sys.executable, "-m", "sethopf.cli"]
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=600):
     proc = subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=600
+        RUN + list(args), capture_output=True, text=True, timeout=timeout
     )
     return proc
+
+
+# sha256 of the stdout of `cells enumerate --n N --witnesses`. It does not
+# depend on PYTHONHASHSEED: the LP pivot sequence fixes every witness.
+WITNESS_DIGESTS = {
+    2: "ba29a380695f5562a8178aed0aa18773eadf9d0b9ebf5e9853c20827fbea7951",
+    3: "2f3a3be8d3729d08be3f9820f91af1bb04188dcaa4ba5d389c10075691b7fce5",
+    4: "8488cbc0e2769e00117eb91ac370924f0487cc0f6612e1a5000681f8b5428bb7",
+    5: "a40786ac51988e80adce4acf77bc69438dbe42a3e801db70686fecf25532a104",
+    6: "f9ac378ee567faa70476faf38d3e6cb8c41eaf19e13255d516ce54b57080cfac",
+}
 
 
 class TestDataCommands:
@@ -29,6 +41,15 @@ class TestDataCommands:
             "zieDim": 26,
             "status": "pass",
         }
+
+    @pytest.mark.parametrize(
+        "n",
+        [pytest.param(n, marks=pytest.mark.heavy) if n >= 6 else n for n in sorted(WITNESS_DIGESTS)],
+    )
+    def test_witness_output_pinned(self, n):
+        proc = run_cli("cells", "enumerate", "--n", str(n), "--witnesses")
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WITNESS_DIGESTS[n]
 
     def test_cells_enumerate_with_witnesses(self):
         proc = run_cli("cells", "enumerate", "--n", "3", "--witnesses")
@@ -138,6 +159,28 @@ class TestUsageErrors:
     def test_size_limit(self):
         proc = run_cli("cells", "count", "--n", "9")
         assert proc.returncode == 2
+
+    def test_hopf_bound_checked_before_work(self):
+        # the bound is checked before any sweep, so this returns at once
+        proc = run_cli("hopf", "check", "--n", "9", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size limit: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("steinmann", "verify", "--n", "2"),
+            ("ruelle", "verify", "--n", "0"),
+            ("glz", "verify", "--n", "1"),
+        ],
+    )
+    def test_vacuous_run_rejected(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "checked no instances" in proc.stderr
 
     @pytest.mark.parametrize(
         "args",

@@ -1,8 +1,92 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sethopf import lp
 from sethopf.lp import partition_infeasible, simplex_max, strict_positive_witness
+
+
+def reference_simplex_max(c, A, b, bland_after):
+    """The rational-tableau simplex that the integer one must reproduce:
+    same slack basis, pivot rules and tie-break, on Fraction entries."""
+    m = len(A)
+    n = len(c)
+    tab = [[Fraction(A[i][j]) for j in range(n)]
+           + [Fraction(int(k == i)) for k in range(m)]
+           + [Fraction(b[i])]
+           for i in range(m)]
+    obj = [Fraction(-c[j]) for j in range(n)] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+
+    iteration = 0
+    while True:
+        iteration += 1
+        enter = -1
+        if iteration <= bland_after:
+            best_c = Fraction(0)
+            for j in range(n + m):
+                if obj[j] < best_c:
+                    best_c = obj[j]
+                    enter = j
+        else:
+            for j in range(n + m):
+                if obj[j] < 0:
+                    enter = j
+                    break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("unbounded linear program")
+        piv = tab[leave][enter]
+        prow = tab[leave]
+        if piv != 1:
+            prow = [x / piv for x in prow]
+            tab[leave] = prow
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                if f:
+                    row = tab[i]
+                    tab[i] = [x - f * y for x, y in zip(row, prow)]
+        f = obj[enter]
+        if f:
+            obj = [x - f * y for x, y in zip(obj, prow)]
+        basis[leave] = enter
+
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][-1]
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    return value, x
+
+
+@st.composite
+def integer_lps(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    return c, A, b
+
+
+def _outcome(solve, c, A, b):
+    try:
+        return solve(c, A, b)
+    except ArithmeticError as e:
+        return str(e)
 
 
 class TestSimplex:
@@ -21,6 +105,24 @@ class TestSimplex:
             [Fraction(-1)], [[Fraction(1)]], [Fraction(5)]
         )
         assert value == 0 and x == [Fraction(0)]
+
+    def test_rejects_fractional_data(self):
+        with pytest.raises(ValueError):
+            simplex_max([1], [[Fraction(1, 2)]], [1])
+
+
+class TestAgainstRationalReference:
+    @pytest.mark.parametrize("bland_after", [lp._BLAND_AFTER, 0, 1])
+    @settings(max_examples=150, deadline=None)
+    @given(lp_data=integer_lps())
+    @example(lp_data=([2, -1, 2], [[3, -1, 2], [3, 1, 0]], [2, 2]))  # tie-break decides x
+    def test_same_value_and_argmax(self, bland_after, lp_data):
+        c, A, b = lp_data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_BLAND_AFTER", bland_after)
+            got = _outcome(simplex_max, c, A, b)
+        want = _outcome(lambda *a: reference_simplex_max(*a, bland_after), c, A, b)
+        assert got == want
 
 
 class TestStrictWitness:
