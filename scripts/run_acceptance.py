@@ -48,6 +48,8 @@ def main() -> int:
         line("heavy: primitive dimension 150 at n=5", verify.dimension_suite(4, include5=True))
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")
+        got = dynkin_rank(canonical_set(5), exact=True)
+        line("heavy: Dynkin rank (370, 150, 150) at n=5, exact", got == (370, 150, 150), f" -> {got}")
         stein5 = verify.steinmann_suite(5)
         span_ok = stein5.passed and stein5.payload["relationSpan"] == 220
         line("heavy: Steinmann relation span 220 at n=5", span_ok)

@@ -590,7 +590,7 @@ def dynkin_rank(
 
     Asserts that the rank equals both the partition-count dimension formula
     and the kernel-computed primitive dimension.  For n = 5 the default is
-    the certified modular squeeze; pass exact=True to force Bareiss.
+    the certified modular squeeze; pass exact=True to force exact elimination.
     """
     ground = labelset(I)
     n = len(ground)

@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dyn = sub.add_parser("dynkin").add_subparsers(dest="action", required=True)
     rank_p = add(dyn.add_parser("rank"), n=4)
-    rank_p.add_argument("--exact", action="store_true", help="force exact Bareiss at n=5")
+    rank_p.add_argument("--exact", action="store_true", help="force exact elimination at n=5")
     rank_p.set_defaults(fn=_cmd_dynkin_rank)
 
     st = sub.add_parser("steinmann").add_subparsers(dest="action", required=True)

@@ -460,17 +460,7 @@ def primitive_part_basis(n: int, bound: int = PRIMITIVE_PART_BOUND) -> list[Sigm
         raise SizeLimitError(f"n = {n} exceeds primitive-part bound {bound}")
     ground = canonical_set(n)
     columns = split_columns(ground)
-    pairs = _split_table(ground).pairs
-
-    def row_key(p: int) -> tuple:
-        # kernel_basis eliminates rows in key order; ((S, T), F|S, F|T) keeps
-        # its fill, and so its QI work, lower than pair-id order does
-        left, right = pairs[p]
-        return ((left.ground, right.ground), left, right)
-
-    mapping = [
-        (F, LinComb({row_key(p): QI_ONE for p in pids}, _trusted=True)) for F, pids in columns
-    ]
+    mapping = [(F, LinComb({p: QI_ONE for p in pids}, _trusted=True)) for F, pids in columns]
     vectors = kernel_basis(mapping, [F for F, _ in columns])
     return [SigmaElem(ground, v, H) for v in vectors]
 

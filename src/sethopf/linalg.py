@@ -1,9 +1,17 @@
 """Exact sparse linear algebra over arbitrary basis keys.
 
-Rank uses fraction-free (Bareiss) elimination after clearing denominators,
-which keeps intermediate entries as exact minors and avoids rational blowup
-on the large Dynkin-span computations.  Kernel bases are computed by
-Gauss-Jordan elimination over the Gaussian rationals.
+One exact elimination: integer Gauss-Jordan over one common divisor D, with
+the fraction-free pivot that ``lp.simplex_max`` also runs.  The matrix is an
+int matrix M standing for M / D.  A pivot at (r, s) with p = M[r][s] maps
+every other row to (M[i][j] * p - M[i][s] * M[r][j]) // D and then sets
+D = p; the division is exact by Sylvester's identity, so every entry stays a
+minor of the starting matrix and no Fraction is ever built.  ``rank`` counts
+the pivots; ``kernel_basis`` reads the kernel off the reduced echelon form.
+Inputs are cleared of denominators row by row and must be real: ints,
+Fractions, or QI with a zero imaginary part.
+
+``rank_mod_prime`` (GF(p)) is a fast path only; its callers certify every
+conclusion drawn from it exactly.
 
 The module never inspects key structure: keys only need to be hashable and
 deterministically sortable.
@@ -11,151 +19,89 @@ deterministically sortable.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .lincomb import LinComb, default_sort_key
-from .scalars import HbarPoly, QI, QI_ONE, QI_ZERO, as_qi
+from .scalars import QI, QI_ONE, as_qi
 
 
-def _to_qi(v) -> QI:
-    if isinstance(v, HbarPoly):
-        return v.as_qi()
-    q = as_qi(v)
-    if q is NotImplemented:
-        raise TypeError(f"cannot use coefficient {v!r} in linear algebra")
-    return q
+def _pivot(rows: list[list[int]], r: int, s: int, D: int) -> int:
+    """Fraction-free pivot of rows = M (over divisor D) at (r, s); returns p.
 
-
-def _integer_matrix(
-    vectors: Sequence[LinComb],
-) -> tuple[list[list[int]], list[list[int]] | None, list]:
-    """Each vector scaled to Gaussian integers by its own common denominator.
-
-    Returns (real rows, imaginary rows or None when every entry is real,
-    column keys).  Only the non-zero entries are visited.
+    Every row but r becomes (M[i] * p - M[i][s] * M[r]) // D with
+    p = M[r][s], rows with a zero in column s included: they still scale by
+    p / D, which keeps later divisions exact.  The new divisor is p.
     """
+    prow = rows[r]
+    p = prow[s]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[s]
+        if f:
+            rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+        elif p != D:
+            rows[i] = [x * p // D for x in row]
+    return p
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Reduce rows in place; returns (pivot columns, final divisor D).
+
+    Row k of the result has its pivot, equal to D, in column pivots[k] and a
+    zero in every other pivot column; rows past the pivots are zero.
+    """
+    pivots: list[int] = []
+    D = 1
+    for s in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][s]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        D = _pivot(rows, r, s, D)
+        pivots.append(s)
+    return pivots, D
+
+
+def _clear_denominators(
+    row_entries: Iterable[Iterable[tuple[int, object]]], ncols: int
+) -> list[list[int]]:
+    """Dense int rows from sparse (column, coefficient) rows, each scaled by
+    the lcm of its own denominators.  Raises DomainError on a non-real value."""
+    rows = []
+    for entries in row_entries:
+        fracs = []
+        for j, c in entries:
+            q = as_qi(c)
+            if q is NotImplemented or q.im:
+                raise DomainError(f"linear algebra needs real coefficients, got {c!r}")
+            fracs.append((j, q.re))
+        den = lcm(*(f.denominator for _, f in fracs))
+        row = [0] * ncols
+        for j, f in fracs:
+            row[j] = f.numerator * (den // f.denominator)
+        rows.append(row)
+    return rows
+
+
+def integer_rows(vectors: Sequence[LinComb]) -> tuple[list[list[int]], list]:
+    """Denominator-cleared integer row matrix for rational-valued vectors,
+    and its column keys."""
     keys = sorted({k for v in vectors for k in v.keys()}, key=default_sort_key)
     index = {k: i for i, k in enumerate(keys)}
-    re_rows, im_rows = [], []
-    is_complex = False
-    for v in vectors:
-        entries = [(index[k], _to_qi(c)) for k, c in v]
-        den = lcm(*(f.denominator for _, c in entries for f in (c.re, c.im)))
-        re = [0] * len(keys)
-        im = [0] * len(keys)
-        for j, c in entries:
-            re[j] = c.re.numerator * (den // c.re.denominator)
-            if c.im:
-                im[j] = c.im.numerator * (den // c.im.denominator)
-                is_complex = True
-        re_rows.append(re)
-        im_rows.append(im)
-    return re_rows, (im_rows if is_complex else None), keys
-
-
-def _gi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gi_divexact(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    return (re // n, im // n)
-
-
-def _bareiss_rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by single-step Bareiss elimination."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        prow = rows[r]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[col]
-            if f:
-                for j in range(col + 1, ncols):
-                    row[j] = (row[j] * p - f * prow[j]) // prev
-                row[col] = 0
-            else:
-                # the Sylvester update degenerates to scaling, which must
-                # still happen to keep later divisions exact
-                for j in range(col + 1, ncols):
-                    if row[j]:
-                        row[j] = row[j] * p // prev
-        prev = p
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank
-
-
-def _bareiss_rank_gauss(rows: list[list[tuple[int, int]]]) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = (1, 0)
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != (0, 0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        prow = rows[r]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[col]
-            if f != (0, 0):
-                for j in range(col + 1, ncols):
-                    row[j] = _gi_divexact(_gi_sub(_gi_mul(row[j], p), _gi_mul(f, prow[j])), prev)
-                row[col] = (0, 0)
-            else:
-                for j in range(col + 1, ncols):
-                    if row[j] != (0, 0):
-                        row[j] = _gi_divexact(_gi_mul(row[j], p), prev)
-        prev = p
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank
+    return _clear_denominators(([(index[k], c) for k, c in v] for v in vectors), len(keys)), keys
 
 
 def rank(vectors: Sequence[LinComb]) -> int:
     """Exact rank of the span of the given vectors."""
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
-        return 0
-    re, im, _ = _integer_matrix(vectors)
-    if im is None:
-        return _bareiss_rank_int(re)
-    return _bareiss_rank_gauss([list(zip(r, i)) for r, i in zip(re, im)])
+    rows, keys = integer_rows(vectors)
+    return len(_gauss_jordan(rows, len(keys))[0])
 
 
 def rank_mod_prime(int_rows: Sequence[Sequence[int]], p: int = 46337) -> int:
@@ -189,14 +135,6 @@ def rank_mod_prime(int_rows: Sequence[Sequence[int]], p: int = 46337) -> int:
     return r
 
 
-def integer_rows(vectors: Sequence[LinComb]) -> tuple[list[list[int]], list]:
-    """Denominator-cleared integer row matrix for rational-valued vectors."""
-    re, im, keys = _integer_matrix(vectors)
-    if im is not None:
-        raise DomainError("integer_rows requires rational (non-complex) coefficients")
-    return re, keys
-
-
 def kernel_basis(
     linear_map: Iterable[tuple[object, LinComb]],
     domain: Sequence[object],
@@ -212,53 +150,24 @@ def kernel_basis(
             raise DomainError(f"linear map not defined on domain key {k!r}")
     out_keys = sorted({k for v in images.values() for k in v.keys()}, key=default_sort_key)
     out_index = {k: i for i, k in enumerate(out_keys)}
-    ncols = len(domain)
-    # column j of the matrix is the image of domain[j]
-    columns: list[dict[int, QI]] = []
-    for k in domain:
-        col = {}
+    # row i is output key i; column j is the image of domain[j]
+    entries: list[list[tuple[int, object]]] = [[] for _ in out_keys]
+    for j, k in enumerate(domain):
         for ok, c in images[k]:
-            col[out_index[ok]] = _to_qi(c)
-        columns.append(col)
+            entries[out_index[ok]].append((j, c))
+    rows = _clear_denominators(entries, len(domain))
+    pivots, D = _gauss_jordan(rows, len(domain))
 
-    # Gauss-Jordan over QI, dense in the rows that actually occur.
-    nrows = len(out_keys)
-    mat = [[QI_ZERO] * ncols for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            mat[i][j] = c
-
-    pivot_cols: list[int] = []
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = QI_ONE / mat[r][j]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(j)
-        r += 1
-        if r == nrows:
-            break
-
-    pivot_set = set(pivot_cols)
+    # the reduced echelon form is rows / D, so free column j gives
+    # e_j - sum_k rows[k][j] / D * e_pivots[k]
+    pivot_set = set(pivots)
     basis = []
-    for j in range(ncols):
+    for j, key in enumerate(domain):
         if j in pivot_set:
             continue
-        vec = {domain[j]: QI_ONE}
-        for rr, pc in enumerate(pivot_cols):
-            c = mat[rr][j]
-            if c:
-                vec[domain[pc]] = -c
+        vec = {key: QI_ONE}
+        for row, pc in zip(rows, pivots):
+            if row[j]:
+                vec[domain[pc]] = QI(Fraction(-row[j], D))
         basis.append(LinComb(vec))
     return basis

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .linalg import _pivot
+
 _BLAND_AFTER = 64  # pivot-rule switch that guarantees termination
 
 
@@ -29,8 +31,9 @@ def simplex_max(
 
     Integer-preserving (Edmonds / Bareiss): the tableau, objective row last,
     is an int matrix M over one positive common divisor D, tableau = M / D.
-    A pivot at (r, s) with p = M[r][s] maps every other row to
-    (M[i][j] * p - M[i][s] * M[r][j]) // D and then sets D = p; the division
+    A pivot at (r, s) with p = M[r][s] is ``linalg._pivot``, the elimination
+    step shared with ``rank`` and ``kernel_basis``: it maps every other row
+    to (M[i][j] * p - M[i][s] * M[r][j]) // D and then D = p; the division
     is exact by Sylvester's identity: D is the determinant of the current
     basis and every entry of M a minor of the starting integer tableau.
     Comparisons run on the integers (D > 0 throughout), so the pivot
@@ -80,18 +83,8 @@ def simplex_max(
                     best_r, best_a, leave = r, a, i
         if leave < 0:
             raise ArithmeticError("unbounded linear program")
-        prow = rows[leave]
-        p = prow[enter]
-        for i, row in enumerate(rows):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
-            elif p != D:
-                rows[i] = [x * p // D for x in row]
+        D = _pivot(rows, leave, enter, D)
         obj = rows[m]
-        D = p
         basis[leave] = enter
 
     x = [Fraction(0)] * n

@@ -19,10 +19,16 @@ def _line(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_01_hopf_axioms():
+@pytest.fixture(scope="module")
+def hopf_suite_4():
+    """One hopf_suite(4) run, shared by criteria 1-3, with its wall time."""
     t0 = time.time()
     res = verify.hopf_suite(4)
-    elapsed = time.time() - t0
+    return res, time.time() - t0
+
+
+def test_criterion_01_hopf_axioms(hopf_suite_4):
+    res, elapsed = hopf_suite_4
     expected_antipode_sweeps = sum(fubini(m) for m in range(1, 5))
     _line(
         "criterion 1: Hopf axiom suite (assoc/coassoc/compat/units/antipode), n<=4",
@@ -34,8 +40,8 @@ def test_criterion_01_hopf_axioms():
     )
 
 
-def test_criterion_02_antipode_agreement():
-    res = verify.hopf_suite(4)
+def test_criterion_02_antipode_agreement(hopf_suite_4):
+    res, _ = hopf_suite_4
     total = sum(fubini(m) for m in range(5))
     _line(
         "criterion 2: closed-form antipode equals Takeuchi on all of degree <= 4",
@@ -44,8 +50,8 @@ def test_criterion_02_antipode_agreement():
     )
 
 
-def test_criterion_03_basis_change():
-    res = verify.hopf_suite(4)
+def test_criterion_03_basis_change(hopf_suite_4):
+    res, _ = hopf_suite_4
     total = sum(fubini(m) for m in range(5))
     _line(
         "criterion 3: to_h/to_q mutually inverse and Q_(I) primitive, n <= 4",
@@ -113,6 +119,19 @@ def test_criterion_06_dynkin_rank_n5():
 
     got = dynkin_rank(canonical_set(5))
     _line("criterion 6 (heavy): n=5 Dynkin rank (370, 150, 150)", got == (370, 150, 150))
+
+
+@pytest.mark.heavy
+def test_criterion_06_dynkin_rank_n5_exact():
+    from sethopf.cells import dynkin_rank
+
+    t0 = time.time()
+    got = dynkin_rank(canonical_set(5), exact=True)
+    _line(
+        "criterion 6 (heavy): n=5 Dynkin rank (370, 150, 150) by exact elimination",
+        got == (370, 150, 150),
+        f"{time.time()-t0:.1f}s",
+    )
 
 
 def test_criterion_07_steinmann_suite():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sethopf.compositions import canonical_set, compositions_of, proper_splits, restrict
 from sethopf.errors import DomainError
-from sethopf.lincomb import LinComb
+from sethopf.hopf import primitive_part_basis, split_columns
+from sethopf.lincomb import LinComb, default_sort_key
 from sethopf.linalg import kernel_basis, rank, rank_mod_prime
-from sethopf.scalars import C_QFT, HBAR_ONE, HbarPoly, QI, QI_ONE, as_hbar, as_qi
+from sethopf.scalars import C_QFT, HBAR_ONE, HbarPoly, QI, QI_ONE, QI_ZERO, as_hbar, as_qi
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -159,13 +161,13 @@ class TestRank:
         ]
         assert rank(vectors) == rank(scaled) == rank(permuted)
 
-    def test_gaussian_integer_entries(self):
-        i = QI(0, 1)
-        v1 = LinComb({"x": QI(1), "y": i})
-        v2 = LinComb({"x": i, "y": QI(-1)})  # i * v1
-        assert rank([v1, v2]) == 1
-        v3 = LinComb({"x": i, "y": QI(1)})
-        assert rank([v1, v3]) == 2
+    def test_complex_coefficient_rejected(self):
+        # elimination is over the rationals; no caller passes a value with i
+        v = LinComb({"x": QI(1), "y": QI(0, 1)})
+        with pytest.raises(DomainError):
+            rank([v])
+        with pytest.raises(DomainError):
+            kernel_basis([("a", v), ("b", LinComb({"x": QI(1)}))], ["a", "b"])
 
     def test_dynkin_span_n4(self):
         # oracle: dim of the primitive part by the partition-count formula
@@ -223,3 +225,105 @@ class TestKernel:
             for k, c in vec:
                 image = image + mapping_dict[k].scale(c)
             assert image.is_zero()
+
+
+def reference_kernel_basis(linear_map, domain):
+    """Oracle: dense Gauss-Jordan over QI, the kernel_basis the integer
+    elimination replaced.  Same contract and output form."""
+    images = dict(linear_map)
+    out_keys = sorted({k for v in images.values() for k in v.keys()}, key=default_sort_key)
+    out_index = {k: i for i, k in enumerate(out_keys)}
+    ncols = len(domain)
+    nrows = len(out_keys)
+    mat = [[QI_ZERO] * ncols for _ in range(nrows)]
+    for j, k in enumerate(domain):
+        for ok, c in images[k]:
+            mat[out_index[ok]][j] = as_qi(c)
+
+    pivot_cols = []
+    r = 0
+    for j in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = QI_ONE / mat[r][j]
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(j)
+        r += 1
+        if r == nrows:
+            break
+
+    basis = []
+    for j in range(ncols):
+        if j in pivot_cols:
+            continue
+        vec = {domain[j]: QI_ONE}
+        for rr, pc in enumerate(pivot_cols):
+            if mat[rr][j]:
+                vec[domain[pc]] = -mat[rr][j]
+        basis.append(LinComb(vec))
+    return basis
+
+
+def _terms(basis):
+    """Each vector's (key, coefficient) list in insertion order."""
+    return [list(v) for v in basis]
+
+
+# sha256 of repr(_terms(primitive_part_basis(n))), from the QI Gauss-Jordan
+# kernel; keyed by n.
+PRIMITIVE_BASIS_DIGESTS = {
+    1: "a2c7a3ba8b6c0bf4a91091aa0289f15d61ecfa6aca12965fc03111c2e379d880",
+    2: "5d71dcc0270335d34bf6709730f3110d3b4e937ee3771ae6151d31bbdc608bbc",
+    3: "0943662c736647bb6f90e33124d051be28da6d3d3e19b303a620d7b0330d25a0",
+    4: "8c2f8a516fd35960e06dc2df45809504a7c1dbc2f47aa79a19976065b3e6fdab",
+}
+
+sparse_fracs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fracs)
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(sparse_fracs, min_size=ncols, max_size=ncols), max_size=6
+            ).map(lambda mat: (ncols, mat))
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_identical_basis(self, shape, rnd):
+        ncols, mat = shape
+        domain = [f"d{j}" for j in range(ncols)]
+
+        def mapping(row_keys):
+            return [
+                (domain[j], LinComb({row_keys[i]: QI(row[j]) for i, row in enumerate(mat)}))
+                for j in range(ncols)
+            ]
+
+        rows = list(range(len(mat)))
+        expected = _terms(reference_kernel_basis(mapping(rows), domain))
+        assert _terms(kernel_basis(mapping(rows), domain)) == expected
+        # the elimination order follows the row keys; the basis must not
+        rnd.shuffle(rows)
+        got = kernel_basis(mapping(rows), domain)
+        assert _terms(got) == expected
+        assert all(type(c) is QI for v in got for _, c in v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_primitive_part_basis_matches_reference(self, n):
+        columns = split_columns(canonical_set(n))
+        mapping = [(F, LinComb({p: QI_ONE for p in pids})) for F, pids in columns]
+        expected = _terms(reference_kernel_basis(mapping, [F for F, _ in columns]))
+        assert _terms(e.lc for e in primitive_part_basis(n)) == expected
+
+    @pytest.mark.parametrize("n", sorted(PRIMITIVE_BASIS_DIGESTS))
+    def test_primitive_part_basis_pinned(self, n):
+        text = repr(_terms(e.lc for e in primitive_part_basis(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PRIMITIVE_BASIS_DIGESTS[n]
