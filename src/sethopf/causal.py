@@ -10,6 +10,7 @@ any identity verified here holds by Hopf/causal combinatorics alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition, canonical_set, labelset, one_lump, set_partitions, star_labels
@@ -141,20 +142,9 @@ def interacting_observable(
             elem = retarded_element(stars, (1,))
             dec = {**{s: S_int for s in stars}, 1: A}
             val = generalized_T(elem, dec)
-        scal = as_hbar(_c_pow(r)) * Fraction(1, _fact(r))
+        scal = as_hbar(C_QFT**r) * Fraction(1, factorial(r))
         terms[(r, 0)] = val.scale(scal)
     return TruncSeries(order, terms)
-
-
-def _fact(r: int) -> int:
-    out = 1
-    for k in range(2, r + 1):
-        out *= k
-    return out
-
-
-def _c_pow(r: int):
-    return C_QFT**r
 
 
 def smatrix(A: TimedObservable, order: int) -> TruncSeries:

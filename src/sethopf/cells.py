@@ -27,7 +27,7 @@ from .compositions import (
     two_lump_coarsenings,
     zie_dimension,
 )
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, check_size
 from .hopf import (
     H,
     Q,
@@ -49,11 +49,6 @@ from .lp import (
 )
 from .scalars import QI, QI_ONE
 from .hadamard import tits, tits_unit
-
-CELL_ENUM_BOUND = 6
-DYNKIN_RANK_BOUND = 5
-PRIMITIVE_CHECK_BOUND = 4
-
 
 # ---------------------------------------------------------------------------
 # cells
@@ -199,20 +194,16 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, dict], ...]:
     return tuple(out)
 
 
-def enumerate_cells(I: Iterable[int], bound: int = CELL_ENUM_BOUND) -> list[Cell]:
+def enumerate_cells(I: Iterable[int]) -> list[Cell]:
     """All cells over I, deterministically ordered."""
     ground = labelset(I)
-    if len(ground) > bound:
-        raise SizeLimitError(f"|I| = {len(ground)} exceeds cell enumeration bound {bound}")
+    check_size("cells", len(ground))
     return [c for c, _ in _enumerate_cells_cached(ground)]
 
 
-def enumerate_cells_with_witnesses(
-    I: Iterable[int], bound: int = CELL_ENUM_BOUND
-) -> list[tuple[Cell, dict[int, Fraction]]]:
+def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[int, Fraction]]]:
     ground = labelset(I)
-    if len(ground) > bound:
-        raise SizeLimitError(f"|I| = {len(ground)} exceeds cell enumeration bound {bound}")
+    check_size("cells", len(ground))
     # witnesses are copied so callers cannot corrupt the cache
     return [(c, dict(w)) for c, w in _enumerate_cells_cached(ground)]
 
@@ -301,13 +292,11 @@ def _crossing_channel_pairs(ground: LabelSet) -> list[tuple[LabelSet, LabelSet]]
     return out
 
 
-def steinmann_quadruples(
-    I: Iterable[int], bound: int = CELL_ENUM_BOUND
-) -> list[tuple[Cell, Cell, Cell, Cell]]:
+def steinmann_quadruples(I: Iterable[int]) -> list[tuple[Cell, Cell, Cell, Cell]]:
     """All quadruples of genuine cells differing only in the four orientation
     patterns of one fixed pair of overlapping channels."""
     ground = labelset(I)
-    cells = enumerate_cells(ground, bound)
+    cells = enumerate_cells(ground)
     present = {c.positive for c in cells}
     gset = set(ground)
     quads = []
@@ -341,10 +330,10 @@ def steinmann_relation_holds(quad: Sequence[Cell]) -> bool:
     return total.is_zero()
 
 
-def steinmann_relation_vectors(I: Iterable[int], bound: int = CELL_ENUM_BOUND) -> list[LinComb]:
+def steinmann_relation_vectors(I: Iterable[int]) -> list[LinComb]:
     """The alternating-sum vectors e1 - e2 + e3 - e4 in the span of cells."""
     out = []
-    for s1, s2, s3, s4 in steinmann_quadruples(I, bound):
+    for s1, s2, s3, s4 in steinmann_quadruples(I):
         vec = (
             LinComb.single(s1, QI_ONE)
             + LinComb.single(s2, -QI_ONE)
@@ -490,15 +479,13 @@ def ruelle_check(cell1: Cell, cell2: Cell, bridge: Cell) -> bool:
     return lhs == rhs
 
 
-def ruelle_configurations(
-    I: Iterable[int], bound: int = CELL_ENUM_BOUND
-) -> Iterator[tuple[Cell, Cell, Cell]]:
+def ruelle_configurations(I: Iterable[int]) -> Iterator[tuple[Cell, Cell, Cell]]:
     """All (cell1, cell2, bridge) triples satisfying the bridge condition."""
     ground = labelset(I)
-    all_cells = enumerate_cells(ground, bound)
+    all_cells = enumerate_cells(ground)
     for S, T in proper_splits(ground):
-        cells_s = enumerate_cells(S, bound)
-        cells_t = enumerate_cells(T, bound)
+        cells_s = enumerate_cells(S)
+        cells_t = enumerate_cells(T)
         for c1 in cells_s:
             for c2 in cells_t:
                 for bridge in all_cells:
@@ -583,9 +570,7 @@ def primitive_dimension_certified(n: int) -> int:
     return low
 
 
-def dynkin_rank(
-    I: Iterable[int], bound: int = DYNKIN_RANK_BOUND, exact: bool | None = None
-) -> tuple[int, int, int]:
+def dynkin_rank(I: Iterable[int], exact: bool | None = None) -> tuple[int, int, int]:
     """(number of cells, rank of their Dynkin span, primitive-part dimension).
 
     Asserts that the rank equals both the partition-count dimension formula
@@ -594,8 +579,7 @@ def dynkin_rank(
     """
     ground = labelset(I)
     n = len(ground)
-    if n > bound:
-        raise SizeLimitError(f"|I| = {n} exceeds dynkin rank bound {bound}")
+    check_size("dynkin rank", n)
     cells = enumerate_cells(ground)
     vectors = [dynkin(c) for c in cells]
     zdim = zie_dimension(n)
@@ -603,7 +587,7 @@ def dynkin_rank(
         exact = n <= 4
     if exact:
         r = rank([v.lc for v in vectors])
-        pdim = len(primitive_part_basis(n, bound=max(n, 5)))
+        pdim = len(primitive_part_basis(n))
     else:
         for v in vectors:
             if not is_primitive(v):

@@ -6,7 +6,9 @@ on pass, 1 on a verification failure; a run that checks no instance is a
 usage error, not a pass.  Data subcommands (``cells count``,
 ``dynkin rank``) emit their documented compact payloads.  Usage errors,
 exceeded size bounds and bad input (a domain error, a malformed or missing
-model file) exit 2 with one line on stderr.
+model file) exit 2 with one line on stderr.  Each command names the
+``errors.SIZE_BOUNDS`` entry that bounds its ``--n`` or ``--order``, and
+``run`` checks it before the command does any work.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from .causal import CausalModel
 from .compositions import canonical_set
 from .cells import dynkin_rank, enumerate_cells_with_witnesses
-from .errors import SizeLimitError
+from .errors import SizeLimitError, check_size
 from .jsonio import (
     cell_to_json,
     model_from_json,
@@ -36,41 +38,32 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _report(args, command: str, parameters: dict, results) -> int:
-    if not isinstance(results, list):
-        results = [results]
-    counters: dict = {}
-    failures: list = []
-    payload: dict = {}
-    for r in results:
-        for k, v in r.counters.items():
-            counters[k] = counters.get(k, 0) + v
-        failures.extend(r.failures)
-        payload.update(r.payload)
-    if not sum(counters.values()):
+def _report(args, command: str, parameters: dict, *results) -> int:
+    res = verify.SuiteResult.merge(command, results)
+    if not res.checked:
         where = ", ".join(f"{k}={v}" for k, v in parameters.items())
         raise ValueError(f"{command} checked no instances at {where}")
-    status = "pass" if not failures else "fail"
+    status = "pass" if res.passed else "fail"
     out = {
         "command": command,
         "parameters": parameters,
         "status": status,
         "counters": {
-            "checked": sum(counters.values()),
-            "failures": len(failures),
-            **counters,
+            "checked": res.checked,
+            "failures": len(res.failures),
+            **res.counters,
         },
-        "payload": payload,
+        "payload": res.payload,
     }
-    if failures:
-        out["failureSamples"] = failures[:10]
+    if res.failures:
+        out["failureSamples"] = res.failures[:10]
     _emit(args, out)
     return 0 if status == "pass" else 1
 
 
 def _cmd_hopf_check(args) -> int:
-    suites = [verify.hopf_suite(args.n), verify.tits_suite(min(args.n, 3))]
-    return _report(args, "hopf check", {"n": args.n}, suites)
+    suites = verify.hopf_suite(args.n), verify.tits_suite(min(args.n, 3))
+    return _report(args, "hopf check", {"n": args.n}, *suites)
 
 
 def _cmd_cells_count(args) -> int:
@@ -108,21 +101,11 @@ def _cmd_steinmann(args) -> int:
 
 
 def _cmd_ruelle(args) -> int:
-    res = verify.lie_suite(args.n)
-    keep = {k: v for k, v in res.counters.items() if k.startswith("ruelle")}
-    res.counters.clear()
-    res.counters.update(keep)
-    res.failures[:] = [f for f in res.failures if f.startswith("ruelle")]
-    return _report(args, "ruelle verify", {"n": args.n}, res)
+    return _report(args, "ruelle verify", {"n": args.n}, verify.ruelle_suite(args.n))
 
 
 def _cmd_glz(args) -> int:
-    res = verify.lie_suite(args.n)
-    keep = {k: v for k, v in res.counters.items() if k.startswith("glz")}
-    res.counters.clear()
-    res.counters.update(keep)
-    res.failures[:] = [f for f in res.failures if f.startswith("glz")]
-    return _report(args, "glz verify", {"n": args.n}, res)
+    return _report(args, "glz verify", {"n": args.n}, verify.glz_suite(args.n))
 
 
 def _cmd_arrows(args) -> int:
@@ -208,37 +191,37 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     hopf = sub.add_parser("hopf").add_subparsers(dest="action", required=True)
-    add(hopf.add_parser("check"), n=3).set_defaults(fn=_cmd_hopf_check)
+    add(hopf.add_parser("check"), n=3).set_defaults(fn=_cmd_hopf_check, limit="compositions")
 
     cells = sub.add_parser("cells").add_subparsers(dest="action", required=True)
-    add(cells.add_parser("count"), n=4).set_defaults(fn=_cmd_cells_count)
+    add(cells.add_parser("count"), n=4).set_defaults(fn=_cmd_cells_count, limit="cells")
     enum_p = add(cells.add_parser("enumerate"), n=4)
     enum_p.add_argument("--witnesses", action="store_true")
-    enum_p.set_defaults(fn=_cmd_cells_enumerate)
+    enum_p.set_defaults(fn=_cmd_cells_enumerate, limit="cells")
 
     dyn = sub.add_parser("dynkin").add_subparsers(dest="action", required=True)
     rank_p = add(dyn.add_parser("rank"), n=4)
     rank_p.add_argument("--exact", action="store_true", help="force exact elimination at n=5")
-    rank_p.set_defaults(fn=_cmd_dynkin_rank)
+    rank_p.set_defaults(fn=_cmd_dynkin_rank, limit="dynkin rank")
 
     st = sub.add_parser("steinmann").add_subparsers(dest="action", required=True)
-    add(st.add_parser("verify"), n=4).set_defaults(fn=_cmd_steinmann)
+    add(st.add_parser("verify"), n=4).set_defaults(fn=_cmd_steinmann, limit="cells")
 
     ru = sub.add_parser("ruelle").add_subparsers(dest="action", required=True)
-    add(ru.add_parser("verify"), n=3).set_defaults(fn=_cmd_ruelle)
+    add(ru.add_parser("verify"), n=3).set_defaults(fn=_cmd_ruelle, limit="cells")
 
     gl = sub.add_parser("glz").add_subparsers(dest="action", required=True)
-    add(gl.add_parser("verify"), n=3).set_defaults(fn=_cmd_glz)
+    add(gl.add_parser("verify"), n=3).set_defaults(fn=_cmd_glz, limit="cells")
 
     ar = sub.add_parser("arrows").add_subparsers(dest="action", required=True)
-    add(ar.add_parser("verify"), n=3).set_defaults(fn=_cmd_arrows)
+    add(ar.add_parser("verify"), n=3).set_defaults(fn=_cmd_arrows, limit="primitive part")
 
     se = sub.add_parser("series").add_subparsers(dest="action", required=True)
-    add(se.add_parser("identities"), order=4).set_defaults(fn=_cmd_series)
+    add(se.add_parser("identities"), order=4).set_defaults(fn=_cmd_series, limit="compositions")
 
     toy = sub.add_parser("toy").add_subparsers(dest="action", required=True)
-    add(toy.add_parser("demo"), order=2, model=True).set_defaults(fn=_cmd_toy_demo)
-    add(toy.add_parser("bogoliubov"), order=2, model=True).set_defaults(fn=_cmd_toy_bogoliubov)
+    for name, fn in (("demo", _cmd_toy_demo), ("bogoliubov", _cmd_toy_bogoliubov)):
+        add(toy.add_parser(name), order=2, model=True).set_defaults(fn=fn, limit="compositions")
     return parser
 
 
@@ -246,6 +229,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_size(args.limit, args.n if "n" in vars(args) else args.order)
         return args.fn(args)
     except SizeLimitError as e:
         sys.stderr.write(f"size limit: {e}\n")

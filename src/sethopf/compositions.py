@@ -17,11 +17,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import DomainError, OrderError, SizeLimitError
+from .errors import DomainError, OrderError, check_size
 
 LabelSet = tuple  # sorted tuple of distinct ints
-
-COMPOSITION_ENUM_BOUND = 8
 
 
 def labelset(labels: Iterable[int]) -> LabelSet:
@@ -124,11 +122,10 @@ def _compositions_cached(ground: LabelSet) -> tuple[Composition, ...]:
     return tuple(comps)
 
 
-def compositions_of(I: Iterable[int], bound: int = COMPOSITION_ENUM_BOUND) -> tuple[Composition, ...]:
+def compositions_of(I: Iterable[int]) -> tuple[Composition, ...]:
     """Every composition of I, ordered by length then lexicographically."""
     ground = labelset(I)
-    if len(ground) > bound:
-        raise SizeLimitError(f"|I| = {len(ground)} exceeds enumeration bound {bound}")
+    check_size("compositions", len(ground))
     return _compositions_cached(ground)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size bounds."""
 
 
 class DomainError(ValueError):
@@ -10,4 +10,21 @@ class OrderError(DomainError):
 
 
 class SizeLimitError(ValueError):
-    """An enumeration bound was exceeded; raise the bound explicitly to proceed."""
+    """A ground-set size exceeds its entry in SIZE_BOUNDS."""
+
+
+# The largest ground-set size n each enumeration accepts.  Every bounded
+# function checks its entry before any work, and so does every CLI command.
+SIZE_BOUNDS = {
+    "compositions": 8,
+    "cells": 6,
+    "dynkin rank": 5,
+    "primitive part": 5,
+}
+
+
+def check_size(kind: str, n: int) -> None:
+    """Raise SizeLimitError when n exceeds the SIZE_BOUNDS entry for kind."""
+    limit = SIZE_BOUNDS[kind]
+    if n > limit:
+        raise SizeLimitError(f"ground-set size {n} exceeds the {kind} bound {limit}")

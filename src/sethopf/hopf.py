@@ -40,15 +40,13 @@ from .compositions import (
     refinements,
     restrict,
 )
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, check_size
 from .lincomb import LinComb, lincomb_sum
 from .linalg import kernel_basis
 from .scalars import QI, QI_ONE, QI_ZERO, as_qi
 
 H = "H"
 Q = "Q"
-
-PRIMITIVE_PART_BOUND = 5
 
 
 @lru_cache(maxsize=None)
@@ -443,6 +441,17 @@ def is_primitive(a: SigmaElem) -> bool:
     return True
 
 
+def _tensor(left: SigmaElem, right: SigmaElem) -> LinComb:
+    """left (x) right, as a LinComb over (composition, composition) pairs."""
+    terms = {}
+    for F, a in left.lc:
+        for G, b in right.lc:
+            c = a * b
+            if c:
+                terms[(F, G)] = c
+    return LinComb(terms)
+
+
 def split_columns(ground: Iterable[int]) -> list[tuple[Composition, tuple[int, ...]]]:
     """The stacked proper-split map on the H-basis of ground, as 0/1 columns.
 
@@ -454,10 +463,9 @@ def split_columns(ground: Iterable[int]) -> list[tuple[Composition, tuple[int, .
     return [(F, table.row(F, H)[1:-1]) for F in compositions_of(ground)]
 
 
-def primitive_part_basis(n: int, bound: int = PRIMITIVE_PART_BOUND) -> list[SigmaElem]:
+def primitive_part_basis(n: int) -> list[SigmaElem]:
     """Exact basis of the intersection of the kernels of all proper splits."""
-    if n > bound:
-        raise SizeLimitError(f"n = {n} exceeds primitive-part bound {bound}")
+    check_size("primitive part", n)
     ground = canonical_set(n)
     columns = split_columns(ground)
     mapping = [(F, LinComb({p: QI_ONE for p in pids}, _trusted=True)) for F, pids in columns]

@@ -52,8 +52,10 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Reduce rows in place; returns (pivot columns, final divisor D).
 
     Row k of the result has its pivot, equal to D, in column pivots[k] and a
-    zero in every other pivot column; rows past the pivots are zero.
+    zero in every other pivot column.  Zero rows are dropped as they appear,
+    so the rows past the pivots are gone.
     """
+    rows[:] = [row for row in rows if any(row)]
     pivots: list[int] = []
     D = 1
     for s in range(ncols):
@@ -66,6 +68,7 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
         rows[r], rows[piv] = rows[piv], rows[r]
         D = _pivot(rows, r, s, D)
         pivots.append(s)
+        rows[r + 1 :] = [row for row in rows[r + 1 :] if any(row)]
     return pivots, D
 
 

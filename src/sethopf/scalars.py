@@ -135,7 +135,6 @@ def as_qi(x):
 
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
-QI_I = QI(0, 1)
 
 
 class HbarPoly:
@@ -274,7 +273,6 @@ def as_hbar(x):
     return HbarPoly.const(q)
 
 
-HBAR_ZERO = HbarPoly()
 HBAR_ONE = HbarPoly.const(1)
 # 1/(i*hbar) = -i * hbar^(-1), the coupling used by the causal constructions.
 C_QFT = HbarPoly({-1: QI(0, -1)})

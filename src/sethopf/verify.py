@@ -1,13 +1,16 @@
 """Runnable verification suites: every structural identity as a counted sweep.
 
 Each suite returns a ``SuiteResult`` with per-check counters and a list of
-failure descriptions; the CLI and the acceptance tests both run these.  The
+failure descriptions; the CLI and the acceptance tests both run these, one
+suite per CLI command (``lie_suite`` merges the Ruelle, GLZ and tree suites
+for the acceptance gate).  The
 sweeps are exhaustive over the stated bounds, and the counters let callers
 assert that the intended number of instances was actually exercised.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,12 +26,13 @@ from .arrows import (
     retarded_element,
     advanced_element,
     u_ab,
+    _subsets,
 )
 from .compositions import (
-    COMPOSITION_ENUM_BOUND,
     Composition,
     canonical_set,
     compositions_of,
+    concat,
     one_lump,
     ordered_splits,
     proper_splits,
@@ -67,9 +71,9 @@ from .hopf import (
     H,
     Q,
     SigmaElem,
+    _tensor,
     antipode,
     basis_elem,
-    counit,
     delta_split,
     is_primitive,
     mu,
@@ -82,10 +86,9 @@ from .hopf import (
     to_q,
     unit_elem,
 )
-from .errors import SizeLimitError
 from .lincomb import LinComb
 from .linalg import rank
-from .scalars import C_QFT, QI, QI_ONE
+from .scalars import C_QFT, QI, as_hbar
 from .series import (
     ProductSystem,
     SigmaSeries,
@@ -129,15 +132,17 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-
-def _pair_lincomb(left: SigmaElem, right: SigmaElem) -> LinComb:
-    terms = {}
-    for F, a in left.lc:
-        for G, b in right.lc:
-            c = a * b
-            if c:
-                terms[(F, G)] = c
-    return LinComb(terms)
+    @classmethod
+    def merge(cls, name: str, results) -> "SuiteResult":
+        """One result with the counters summed, the failures concatenated and
+        the payloads updated in the order of results."""
+        out = cls(name)
+        for r in results:
+            for k, v in r.counters.items():
+                out.counters[k] = out.counters.get(k, 0) + v
+            out.failures.extend(r.failures)
+            out.payload.update(r.payload)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +150,6 @@ def _pair_lincomb(left: SigmaElem, right: SigmaElem) -> LinComb:
 
 
 def hopf_suite(n: int = 4) -> SuiteResult:
-    if n > COMPOSITION_ENUM_BOUND:
-        raise SizeLimitError(f"n = {n} exceeds enumeration bound {COMPOSITION_ENUM_BOUND}")
     res = SuiteResult("hopf")
     for m in range(n + 1):
         ground = canonical_set(m)
@@ -197,7 +200,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                         rhs = {}
                         for (xs, xt), cx in delta_split(x, AS, AT):
                             for (ys, yt), cy in delta_split(y, BS, BT):
-                                key = (concat_pair(xs, ys), concat_pair(xt, yt))
+                                key = (concat(xs, ys), concat(xt, yt))
                                 c = cx * cy
                                 if c:
                                     rhs[key] = rhs.get(key, QI(0)) + c
@@ -207,9 +210,9 @@ def hopf_suite(n: int = 4) -> SuiteResult:
         for a in basis:
             res.bump("unit", mu(unit_elem(), a) == a and mu(a, unit_elem()) == a)
             left = delta_split(a, (), ground)
-            expected = _pair_lincomb(unit_elem(), a)
+            expected = _tensor(unit_elem(), a)
             right = delta_split(a, ground, ())
-            expected_r = _pair_lincomb(a, unit_elem())
+            expected_r = _tensor(a, unit_elem())
             res.bump("counit", left == expected and right == expected_r)
 
         # antipode convolution identities, both sides (m >= 1)
@@ -270,10 +273,6 @@ def hopf_suite(n: int = 4) -> SuiteResult:
             qi = to_h(basis_elem(one_lump(ground), Q))
             res.bump("q-top-primitive", is_primitive(qi))
     return res
-
-
-def concat_pair(F: Composition, G: Composition) -> Composition:
-    return Composition(F.lumps + G.lumps)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +394,27 @@ def _all_trees(ground: tuple) -> list:
     return out
 
 
-def lie_suite(n: int = 4) -> SuiteResult:
-    res = SuiteResult("lie")
+def ruelle_suite(n: int = 4) -> SuiteResult:
+    res = SuiteResult("ruelle")
+    for m in range(2, n + 1):
+        for c1, c2, bridge in ruelle_configurations(canonical_set(m)):
+            res.bump("ruelle", ruelle_check(c1, c2, bridge), f"{c1} {c2} {bridge}")
+    return res
+
+
+def glz_suite(n: int = 4) -> SuiteResult:
+    res = SuiteResult("glz")
     for m in range(2, n + 1):
         ground = canonical_set(m)
-        for c1, c2, bridge in ruelle_configurations(ground):
-            res.bump("ruelle", ruelle_check(c1, c2, bridge), f"{c1} {c2} {bridge}")
         for i1 in ground:
             for i2 in ground:
                 if i1 != i2:
                     res.bump("glz", glz_check(ground, i1, i2), f"{i1},{i2}")
+    return res
 
+
+def tree_suite(n: int = 4) -> SuiteResult:
+    res = SuiteResult("tree")
     # antisymmetry and the bracket homomorphism on tree images
     ground = canonical_set(min(n, 4))
     for S, T in proper_splits(ground):
@@ -430,6 +439,11 @@ def lie_suite(n: int = 4) -> SuiteResult:
                         )
                         res.bump("tree-jacobi", total.is_zero())
     return res
+
+
+def lie_suite(n: int = 4) -> SuiteResult:
+    """The Ruelle, GLZ and tree suites as one result (the acceptance gate's)."""
+    return SuiteResult.merge("lie", [ruelle_suite(n), glz_suite(n), tree_suite(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +478,13 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
             ux = u_ab(a, b, star, x)
             for S, T in ordered_splits(ground):
                 got = delta_split(ux, tuple(sorted(S + (star,))), T)
-                expected = _pair_lincomb(
+                expected = _tensor(
                     u_ab(a, b, star, basis_elem(restrict(F, S), H)),
                     basis_elem(restrict(F, T), H),
                 )
                 res.bump("biderivation-coderivation", got == expected, f"{F} {S}|{T}")
                 got_r = delta_split(ux, S, tuple(sorted(T + (star,))))
-                expected_r = _pair_lincomb(
+                expected_r = _tensor(
                     basis_elem(restrict(F, S), H),
                     u_ab(a, b, star, basis_elem(restrict(F, T), H)),
                 )
@@ -540,7 +554,7 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
                     for Y in ((-1,), (-2, -1)):
                         got = arrow_down(Y, prod)
                         expect = None
-                        for Y1 in _subsets_of(Y):
+                        for Y1 in _subsets(Y):
                             Y2 = tuple(sorted(set(Y) - set(Y1)))
                             term = mu(arrow_down(Y1, x), arrow_down(Y2, y))
                             expect = term if expect is None else expect + term
@@ -586,13 +600,6 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
         retarded_element((1,), (2,)) == total_retarded_dynkin((1, 2), 2),
     )
     return res
-
-
-def _subsets_of(Y: tuple) -> list[tuple]:
-    out = [()]
-    for y in Y:
-        out += [s + (y,) for s in out]
-    return out
 
 
 def _ordered_partitions(Y: tuple, k: int):
@@ -722,9 +729,7 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
                 dec = {**{s: S_dec for s in stars}, **{i: A_dec for i in canonical_set(nlab)}}
                 full = tuple(sorted(stars + canonical_set(nlab)))
                 val = eval_system(sys, basis_elem(one_lump(full), H), dec)
-                from .scalars import as_hbar
-
-                coeff = as_hbar(_qpow(c, k)) * Fraction(
+                coeff = as_hbar(c**k) * Fraction(
                     1, factorial(k)
                 ) * Fraction(factorial(k), factorial(r) * factorial(nlab))
                 expected_terms[(r, nlab)] = val.scale(coeff)
@@ -755,17 +760,6 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
     return res
 
 
-def _qpow(c, k: int):
-    out = QI_ONE if isinstance(c, QI) else None
-    for _ in range(k):
-        out = c if out is None else out * c
-    if out is None:
-        from .scalars import HBAR_ONE
-
-        return HBAR_ONE
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the causal model (criterion 11)
 
@@ -775,7 +769,7 @@ def causal_suite(n: int = 4, order: int = 2, heavy_order3: bool = False) -> Suit
 
     # symmetry of T under relabeling
     obs = [TimedObservable(x, t) for x, t in (("a", 0), ("b", 1), ("c", 2))]
-    for perm in _permutations3():
+    for perm in itertools.permutations(range(3)):
         permuted = [obs[i] for i in perm]
         res.bump("t-symmetry", time_ordered(permuted) == time_ordered(obs))
 
@@ -794,7 +788,7 @@ def causal_suite(n: int = 4, order: int = 2, heavy_order3: bool = False) -> Suit
                 )
         # two-lump splits for every time assignment at small m
         if m <= 3:
-            for perm in _all_perms(m):
+            for perm in itertools.permutations(range(1, m + 1)):
                 dec2 = {i: TimedObservable(f"x{i}", Fraction(perm[i - 1])) for i in ground}
                 for S, T in proper_splits(ground):
                     G = Composition((S, T))
@@ -887,16 +881,6 @@ def causal_suite(n: int = 4, order: int = 2, heavy_order3: bool = False) -> Suit
     return res
 
 
-def _permutations3():
-    return [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
-def _all_perms(m: int):
-    import itertools
-
-    return list(itertools.permutations(range(1, m + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Tits algebra checks (exercised by `hopf check` and the unit tests)
 
@@ -947,16 +931,3 @@ def tits_suite(n: int = 3, seed: int = 11) -> SuiteResult:
                     res.bump("hopf-power-kills-primitive", hopf_power(F, p).is_zero())
     return res
 
-
-ALL_SUITES = {
-    "hopf": hopf_suite,
-    "tits": tits_suite,
-    "dimensions": dimension_suite,
-    "cells": cells_suite,
-    "dynkin": dynkin_suite,
-    "steinmann": steinmann_suite,
-    "lie": lie_suite,
-    "arrows": arrows_suite,
-    "series": series_suite,
-    "causal": causal_suite,
-}

@@ -25,6 +25,34 @@ WITNESS_DIGESTS = {
     6: "f9ac378ee567faa70476faf38d3e6cb8c41eaf19e13255d516ce54b57080cfac",
 }
 
+# The stdout of `ruelle verify --n 4` and `glz verify --n 4`.
+LIE_REPORTS_N4 = {
+    "ruelle": '{"command":"ruelle verify","parameters":{"n":4},"status":"pass",'
+    '"counters":{"checked":62,"failures":0,"ruelle":62},"payload":{}}',
+    "glz": '{"command":"glz verify","parameters":{"n":4},"status":"pass",'
+    '"counters":{"checked":20,"failures":0,"glz":20},"payload":{}}',
+}
+
+# Each command one past the bound of its --n or --order.
+OVER_BOUND = [
+    ("hopf", "check", "--n", "9"),
+    ("cells", "count", "--n", "7"),
+    ("cells", "enumerate", "--n", "7"),
+    ("dynkin", "rank", "--n", "6"),
+    ("steinmann", "verify", "--n", "7"),
+    ("ruelle", "verify", "--n", "7"),
+    ("glz", "verify", "--n", "7"),
+    ("arrows", "verify", "--n", "6"),
+    ("series", "identities", "--order", "9"),
+    ("toy", "demo", "--order", "9"),
+    ("toy", "bogoliubov", "--order", "9"),
+]
+
+TOY_MODEL = {
+    "observables": [{"id": "a", "time": "1"}, {"id": "s", "time": "0"}],
+    "interaction": "s",
+}
+
 
 class TestDataCommands:
     def test_cells_count_spec_example(self):
@@ -99,22 +127,19 @@ class TestVerifyCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
 
+    @pytest.mark.parametrize("command", sorted(LIE_REPORTS_N4))
+    def test_lie_report_pinned(self, command):
+        # ruelle and glz run their own suite, not the whole Lie suite
+        proc = run_cli(command, "verify", "--n", "4")
+        assert proc.returncode == 0
+        assert proc.stdout == LIE_REPORTS_N4[command] + "\n"
+
 
 class TestToyCommands:
     @pytest.fixture
     def model_file(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "observables": [
-                        {"id": "a", "time": "1"},
-                        {"id": "s", "time": "0"},
-                    ],
-                    "interaction": "s",
-                }
-            )
-        )
+        path.write_text(json.dumps(TOY_MODEL))
         return str(path)
 
     def test_demo(self, model_file):
@@ -160,9 +185,14 @@ class TestUsageErrors:
         proc = run_cli("cells", "count", "--n", "9")
         assert proc.returncode == 2
 
-    def test_hopf_bound_checked_before_work(self):
-        # the bound is checked before any sweep, so this returns at once
-        proc = run_cli("hopf", "check", "--n", "9", timeout=60)
+    @pytest.mark.parametrize("args", OVER_BOUND, ids=lambda a: "-".join(a[:2] + a[3:]))
+    def test_bound_checked_before_work(self, tmp_path, args):
+        # the bound is checked before any work, so this returns at once
+        if args[0] == "toy":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(TOY_MODEL))
+            args += ("--model", str(path))
+        proc = run_cli(*args, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("size limit: ") and proc.stderr.count("\n") == 1
