@@ -19,13 +19,12 @@ from .cells import Cell
 from .errors import DomainError
 from .hopf import H, SigmaElem, antipode, basis_elem, mu, unit_elem
 from .lincomb import LinComb, lincomb_sum
-from .scalars import QI, as_qi
 
 
-def _insertions(F: Composition, star: int, a: QI, b: QI) -> LinComb:
-    terms: dict[Composition, QI] = {}
+def _insertions(F: Composition, star: int, a, b) -> LinComb:
+    terms: dict[Composition, object] = {}
 
-    def put(lumps: tuple, coeff: QI):
+    def put(lumps: tuple, coeff):
         if not coeff:
             return
         K = Composition(lumps)
@@ -49,8 +48,6 @@ def _insertions(F: Composition, star: int, a: QI, b: QI) -> LinComb:
 
 def u_ab(a, b, star: int, x: SigmaElem) -> SigmaElem:
     """The biderivation with u(H_(I)) = -a H_(*,I) + (a+b) H_(*I) - b H_(I,*)."""
-    a = as_qi(a)
-    b = as_qi(b)
     if x.basis != H:
         raise DomainError("u_ab expects an H-basis element")
     if star in x.ground:

@@ -47,7 +47,6 @@ from .lp import (
     strict_positive_witness,
     transfer_witness_across,
 )
-from .scalars import QI, QI_ONE
 from .hadamard import tits, tits_unit
 
 # ---------------------------------------------------------------------------
@@ -213,14 +212,14 @@ def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[in
 
 
 @lru_cache(maxsize=None)
-def _dynkin_table(ground: LabelSet) -> tuple[tuple[Composition, frozenset, QI], ...]:
+def _dynkin_table(ground: LabelSet) -> tuple[tuple[Composition, frozenset, int], ...]:
     """For each composition F of ground: the S-sides of the two-lump
     coarsenings of opposite(F), and the coefficient of H_F in a Dynkin element."""
     return tuple(
         (
             F,
             frozenset(S for S, _ in two_lump_coarsenings(opposite(F))),
-            -QI_ONE if len(F) % 2 == 0 else QI_ONE,
+            -1 if len(F) % 2 == 0 else 1,
         )
         for F in compositions_of(ground)
     )
@@ -335,10 +334,10 @@ def steinmann_relation_vectors(I: Iterable[int]) -> list[LinComb]:
     out = []
     for s1, s2, s3, s4 in steinmann_quadruples(I):
         vec = (
-            LinComb.single(s1, QI_ONE)
-            + LinComb.single(s2, -QI_ONE)
-            + LinComb.single(s3, QI_ONE)
-            + LinComb.single(s4, -QI_ONE)
+            LinComb.single(s1, 1)
+            + LinComb.single(s2, -1)
+            + LinComb.single(s3, 1)
+            + LinComb.single(s4, -1)
         )
         out.append(vec)
     return out
@@ -419,12 +418,10 @@ def _signed_debracketings(t: Tree) -> list[tuple[tuple, int]]:
 
 def tree_to_primitive(t: Tree) -> SigmaElem:
     """The alternating sum over node flips, in the Q-basis."""
-    terms: dict[Composition, QI] = {}
+    terms: dict[Composition, int] = {}
     for lumps, sign in _signed_debracketings(t):
         K = Composition(lumps)
-        c = terms.get(K)
-        s = QI_ONE if sign > 0 else -QI_ONE
-        c = s if c is None else c + s
+        c = terms.get(K, 0) + sign
         if c:
             terms[K] = c
         else:

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     hopf = sub.add_parser("hopf").add_subparsers(dest="action", required=True)
-    add(hopf.add_parser("check"), n=3).set_defaults(fn=_cmd_hopf_check, limit="compositions")
+    add(hopf.add_parser("check"), n=3).set_defaults(fn=_cmd_hopf_check, limit="hopf check")
 
     cells = sub.add_parser("cells").add_subparsers(dest="action", required=True)
     add(cells.add_parser("count"), n=4).set_defaults(fn=_cmd_cells_count, limit="cells")
@@ -217,11 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     add(ar.add_parser("verify"), n=3).set_defaults(fn=_cmd_arrows, limit="primitive part")
 
     se = sub.add_parser("series").add_subparsers(dest="action", required=True)
-    add(se.add_parser("identities"), order=4).set_defaults(fn=_cmd_series, limit="compositions")
+    add(se.add_parser("identities"), order=4).set_defaults(
+        fn=_cmd_series, limit="series identities"
+    )
 
     toy = sub.add_parser("toy").add_subparsers(dest="action", required=True)
     for name, fn in (("demo", _cmd_toy_demo), ("bogoliubov", _cmd_toy_bogoliubov)):
-        add(toy.add_parser(name), order=2, model=True).set_defaults(fn=fn, limit="compositions")
+        add(toy.add_parser(name), order=2, model=True).set_defaults(fn=fn, limit=f"toy {name}")
     return parser
 
 

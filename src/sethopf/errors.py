@@ -15,11 +15,18 @@ class SizeLimitError(ValueError):
 
 # The largest ground-set size n each enumeration accepts.  Every bounded
 # function checks its entry before any work, and so does every CLI command.
+# The command entries bound runs that enumerate far less than they compute:
+# each is the largest --n or --order whose default run took under 5 minutes
+# on a 2-core machine.
 SIZE_BOUNDS = {
     "compositions": 8,
     "cells": 6,
     "dynkin rank": 5,
     "primitive part": 5,
+    "hopf check": 5,
+    "series identities": 6,
+    "toy demo": 8,
+    "toy bogoliubov": 8,
 }
 
 

@@ -8,11 +8,14 @@ form  s(H_F) = sum over refinements G of the reversed composition of
 (-1)^(number of lumps of G) H_G,  cross-checked against Takeuchi's
 alternating-sum formula.
 
-Mixed-basis arithmetic is rejected rather than silently converted.
+Coefficients are generic: ints and Fractions throughout this module (every
+closed form here is over Q), and whole HbarPoly coefficients from the series
+layer.  Mixed-basis arithmetic is rejected rather than silently converted.
 
-``delta_split`` runs on integers.  Each ground set has a split table that
-interns the coproduct terms of its compositions as pair ids, and each
-element clears its denominators once, on its first split; a split is then
+``delta_split`` runs on integers and takes real coefficients only.  Each
+ground set has a split table that interns the coproduct terms of its
+compositions as pair ids, and each element clears its denominators once, on
+its first split, into int numerators over one denominator; a split is then
 one integer scatter-add over the element's terms.  The iterated coproduct,
 the Takeuchi antipode and the Hopf powers stay on the generic path, so the
 cross-checks against them stay independent of this one.
@@ -23,7 +26,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -42,8 +44,7 @@ from .compositions import (
 )
 from .errors import DomainError, check_size
 from .lincomb import LinComb, lincomb_sum
-from .linalg import kernel_basis
-from .scalars import QI, QI_ONE, QI_ZERO, as_qi
+from .linalg import _numerators, kernel_basis
 
 H = "H"
 Q = "Q"
@@ -119,7 +120,7 @@ class SigmaElem:
         return " + ".join(bits)
 
 
-def basis_elem(F: Composition, basis: str = H, coeff=QI_ONE) -> SigmaElem:
+def basis_elem(F: Composition, basis: str = H, coeff=1) -> SigmaElem:
     return SigmaElem(F.ground, LinComb.single(F, coeff), basis)
 
 
@@ -249,38 +250,16 @@ def _split_table(ground: tuple) -> _SplitTable:
 def _split_form(a: SigmaElem) -> tuple:
     """a with its denominators cleared, computed once per element.
 
-    Returns (split table, the split row of each term, the real numerators,
-    the imaginary numerators or None when all are zero, the common
-    denominator, each term's coefficient keyed by its numerators).
+    Returns (split table, the split row of each term, the int numerators,
+    their common denominator).  Raises DomainError on a non-real coefficient.
     """
     form = a._split_form
-    if form is not None:
-        return form
-    table = _split_table(a.ground)
-    rows, coeffs = [], []
-    for F, c in a.lc:
-        q = as_qi(c)
-        if q is NotImplemented:
-            raise DomainError(f"coefficient {c!r} is not a Gaussian rational")
-        rows.append(table.row(F, a.basis))
-        coeffs.append(q)
-    den = lcm(*(f.denominator for q in coeffs for f in (q.re, q.im)))
-    re = [q.re.numerator * (den // q.re.denominator) for q in coeffs]
-    im = [q.im.numerator * (den // q.im.denominator) for q in coeffs]
-    coeff_of = dict(zip(zip(re, im), coeffs))
-    form = (table, rows, re, im if any(im) else None, den, coeff_of)
-    object.__setattr__(a, "_split_form", form)
+    if form is None:
+        nums, den = _numerators(c for _, c in a.lc)
+        table = _split_table(a.ground)
+        form = (table, [table.row(F, a.basis) for F in a.lc.keys()], nums, den)
+        object.__setattr__(a, "_split_form", form)
     return form
-
-
-def _scatter(rows: list, m: int, nums: list[int]) -> dict[int, int]:
-    """Sum the numerators by the pair id each row gives split m."""
-    acc: dict[int, int] = {}
-    for row, c in zip(rows, nums):
-        p = row[m]
-        if p >= 0 and c:
-            acc[p] = acc.get(p, 0) + c
-    return acc
 
 
 def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
@@ -289,17 +268,15 @@ def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
     T = labelset(T)
     if tuple(sorted(S + T)) != a.ground or set(S) & set(T):
         raise DomainError("(S, T) must be an ordered disjoint decomposition of the ground set")
-    table, rows, re, im, den, coeff_of = _split_form(a)
+    table, rows, nums, den = _split_form(a)
     m = table.mask(S)
-    re_acc = _scatter(rows, m, re)
-    im_acc = _scatter(rows, m, im) if im else {}
-    terms = {}
-    for p in {**re_acc, **im_acc}:
-        x, y = re_acc.get(p, 0), im_acc.get(p, 0)
-        if x or y:
-            # a sum equal to one of a's coefficients reuses it, as with a single term
-            c = coeff_of.get((x, y)) or QI(Fraction(x, den), Fraction(y, den))
-            terms[table.pairs[p]] = c
+    acc: dict[int, int] = {}
+    for row, x in zip(rows, nums):
+        p = row[m]
+        if p >= 0:
+            acc[p] = acc.get(p, 0) + x
+    pairs = table.pairs
+    terms = {pairs[p]: x if den == 1 else Fraction(x, den) for p, x in acc.items() if x}
     return LinComb(terms, _trusted=True)
 
 
@@ -355,9 +332,9 @@ def delta_iterated(a: SigmaElem, parts: Sequence[Iterable[int]]) -> LinComb:
 def counit(a: SigmaElem):
     """The counit: the coefficient of the empty composition on the empty ground."""
     if a.ground:
-        return QI_ZERO
+        return 0
     c = a.lc.coeff(EMPTY_COMPOSITION)
-    return c if c is not None else QI_ZERO
+    return c if c is not None else 0
 
 
 @lru_cache(maxsize=None)
@@ -365,8 +342,7 @@ def _antipode_of_comp(F: Composition) -> LinComb:
     rev = opposite(F)
     terms = {}
     for G in refinements(rev):
-        sign = QI_ONE if len(G) % 2 == 0 else -QI_ONE
-        terms[G] = sign
+        terms[G] = 1 if len(G) % 2 == 0 else -1
     return LinComb(terms, _trusted=True)
 
 
@@ -386,11 +362,11 @@ def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
         return a
     terms: dict[Composition, object] = {}
     for F in compositions_of(a.ground):
-        sign = QI_ONE if len(F) % 2 == 0 else -QI_ONE
+        sign = 1 if len(F) % 2 == 0 else -1
         pieces = delta_iterated(a, F.lumps)
         for key, c in pieces:
             K = Composition(tuple(l for piece in key for l in piece.lumps))
-            w = terms.get(K, QI_ZERO) + sign * c
+            w = terms.get(K, 0) + sign * c
             if w:
                 terms[K] = w
             else:
@@ -403,7 +379,7 @@ def _h_in_q(F: Composition) -> LinComb:
     terms = {}
     for G in refinements(F):
         _, fact = quotient_stats(G, F)
-        terms[G] = QI_ONE * Fraction(1, fact)
+        terms[G] = Fraction(1, fact)
     return LinComb(terms, _trusted=True)
 
 
@@ -412,8 +388,8 @@ def _q_in_h(F: Composition) -> LinComb:
     terms = {}
     for G in refinements(F):
         length, _ = quotient_stats(G, F)
-        sign = QI_ONE if (len(G) - len(F)) % 2 == 0 else -QI_ONE
-        terms[G] = sign * Fraction(1, length)
+        sign = 1 if (len(G) - len(F)) % 2 == 0 else -1
+        terms[G] = Fraction(sign, length)
     return LinComb(terms, _trusted=True)
 
 
@@ -468,7 +444,7 @@ def primitive_part_basis(n: int) -> list[SigmaElem]:
     check_size("primitive part", n)
     ground = canonical_set(n)
     columns = split_columns(ground)
-    mapping = [(F, LinComb({p: QI_ONE for p in pids}, _trusted=True)) for F, pids in columns]
+    mapping = [(F, LinComb({p: 1 for p in pids}, _trusted=True)) for F, pids in columns]
     vectors = kernel_basis(mapping, [F for F, _ in columns])
     return [SigmaElem(ground, v, H) for v in vectors]
 

@@ -6,9 +6,11 @@ int matrix M standing for M / D.  A pivot at (r, s) with p = M[r][s] maps
 every other row to (M[i][j] * p - M[i][s] * M[r][j]) // D and then sets
 D = p; the division is exact by Sylvester's identity, so every entry stays a
 minor of the starting matrix and no Fraction is ever built.  ``rank`` counts
-the pivots; ``kernel_basis`` reads the kernel off the reduced echelon form.
-Inputs are cleared of denominators row by row and must be real: ints,
-Fractions, or QI with a zero imaginary part.
+the pivots; ``kernel_basis`` reads the kernel off the reduced echelon form,
+as int and Fraction coefficients.  Inputs are cleared of denominators row by
+row by ``_numerators``, the package's one denominator-clearing function
+(``hopf.delta_split`` uses it too); they must be real: ints, Fractions, or
+QI with a zero imaginary part.
 
 ``rank_mod_prime`` (GF(p)) is a fast path only; its callers certify every
 conclusion drawn from it exactly.
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .lincomb import LinComb, default_sort_key
-from .scalars import QI, QI_ONE, as_qi
+from .scalars import QI
 
 
 def _pivot(rows: list[list[int]], r: int, s: int, D: int) -> int:
@@ -72,23 +74,34 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, D
 
 
+def _numerators(coeffs: Iterable) -> tuple[list[int], int]:
+    """The int numerators of real coefficients over their least common
+    denominator, and that denominator.
+
+    Accepts ints, Fractions and QI with a zero imaginary part; raises
+    DomainError on anything else.
+    """
+    fracs = []
+    for c in coeffs:
+        if isinstance(c, QI) and not c.im:
+            c = c.re
+        elif not isinstance(c, (int, Fraction)):
+            raise DomainError(f"expected a real coefficient, got {c!r}")
+        fracs.append(c)
+    den = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
+
+
 def _clear_denominators(
-    row_entries: Iterable[Iterable[tuple[int, object]]], ncols: int
+    row_entries: Iterable[Sequence[tuple[int, object]]], ncols: int
 ) -> list[list[int]]:
     """Dense int rows from sparse (column, coefficient) rows, each scaled by
     the lcm of its own denominators.  Raises DomainError on a non-real value."""
     rows = []
     for entries in row_entries:
-        fracs = []
-        for j, c in entries:
-            q = as_qi(c)
-            if q is NotImplemented or q.im:
-                raise DomainError(f"linear algebra needs real coefficients, got {c!r}")
-            fracs.append((j, q.re))
-        den = lcm(*(f.denominator for _, f in fracs))
         row = [0] * ncols
-        for j, f in fracs:
-            row[j] = f.numerator * (den // f.denominator)
+        for (j, _), x in zip(entries, _numerators(c for _, c in entries)[0]):
+            row[j] = x
         rows.append(row)
     return rows
 
@@ -144,8 +157,9 @@ def kernel_basis(
 ) -> list[LinComb]:
     """Exact basis of the kernel of the map sending each domain key to its image.
 
-    The result vectors are LinCombs over the domain keys with QI coefficients,
-    echelonized against the domain order (each has a leading coefficient 1).
+    The result vectors are LinCombs over the domain keys with int and
+    Fraction coefficients, echelonized against the domain order (each has a
+    leading coefficient 1).
     """
     images = dict(linear_map)
     for k in domain:
@@ -168,9 +182,9 @@ def kernel_basis(
     for j, key in enumerate(domain):
         if j in pivot_set:
             continue
-        vec = {key: QI_ONE}
+        vec = {key: 1}
         for row, pc in zip(rows, pivots):
             if row[j]:
-                vec[domain[pc]] = QI(Fraction(-row[j], D))
+                vec[domain[pc]] = Fraction(-row[j], D)
         basis.append(LinComb(vec))
     return basis

@@ -1,8 +1,9 @@
 """Sparse exact linear combinations over an arbitrary basis-key type.
 
 Keys are opaque hashable values; coefficients are any exact ring elements
-supporting ``+``, ``*``, unary ``-``, ``==`` and truthiness as a zero test
-(Fraction, QI and HbarPoly all qualify).  Zero coefficients are never stored.
+supporting ``+``, ``*``, unary ``-``, ``==`` and truthiness as a zero test.
+The Hopf, cell and elimination layers use ints and Fractions; the series
+layer uses HbarPoly.  Zero coefficients are never stored.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
-"""Exact scalars: Gaussian rationals and Laurent polynomials in hbar.
+"""Exact scalars for the layers where i or hbar appears.
 
-Two coefficient rings are used throughout:
+The Hopf, cell and elimination layers compute over Q with ints and
+Fractions.  The imaginary unit enters only through the causal prefactor
+1/(i*hbar), so two rings serve the series and causal layers:
 
-* ``QI`` -- the field Q(i) of Gaussian rationals, the base field for all
-  Hopf-algebraic computations and for exact linear algebra.
+* ``QI`` -- the field Q(i) of Gaussian rationals: the coefficient ring of
+  ``HbarPoly`` and the JSON scalar encoding.  Functions that take real
+  coefficients also accept a QI with a zero imaginary part.
 * ``HbarPoly`` -- Laurent polynomials in the formal symbol hbar with QI
   coefficients.  Only integer powers of hbar occur (negative powers come
   from the 1/(i*hbar) prefactors of the causal constructions), so this
@@ -109,12 +112,6 @@ class QI:
             k >>= 1
         return out
 
-    def conj(self) -> "QI":
-        return QI(self.re, -self.im)
-
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __repr__(self):
         if not self.im:
             return str(self.re)
@@ -157,10 +154,6 @@ class HbarPoly:
     @staticmethod
     def const(v) -> "HbarPoly":
         return HbarPoly({0: as_qi(v)})
-
-    @staticmethod
-    def hbar(power: int = 1, coeff=1) -> "HbarPoly":
-        return HbarPoly({power: as_qi(coeff)})
 
     def __bool__(self):
         return bool(self.c)
@@ -236,17 +229,6 @@ class HbarPoly:
             raise ZeroDivisionError("only hbar-monomials are invertible")
         ((k, v),) = self.c.items()
         return HbarPoly({-k: QI_ONE / v})
-
-    def constant_term(self) -> QI:
-        return self.c.get(0, QI_ZERO)
-
-    def as_qi(self) -> QI:
-        """The value as a QI; raises if any hbar power is present."""
-        if not self.c:
-            return QI_ZERO
-        if set(self.c) != {0}:
-            raise ValueError("not a constant in hbar")
-        return self.c[0]
 
     def __repr__(self):
         if not self.c:

@@ -88,7 +88,7 @@ from .hopf import (
 )
 from .lincomb import LinComb
 from .linalg import rank
-from .scalars import C_QFT, QI, as_hbar
+from .scalars import C_QFT, as_hbar
 from .series import (
     ProductSystem,
     SigmaSeries,
@@ -176,7 +176,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                             c = cxy * cx
                             if c:
                                 key = (x1, x2, y)
-                                left[key] = left.get(key, QI(0)) + c
+                                left[key] = left.get(key, 0) + c
                     right = {}
                     for (x, y), cxy in delta_split(a, S, tuple(sorted(T + U))):
                         for (y1, y2), cy in delta_split(
@@ -185,7 +185,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                             c = cxy * cy
                             if c:
                                 key = (x, y1, y2)
-                                right[key] = right.get(key, QI(0)) + c
+                                right[key] = right.get(key, 0) + c
                     ok = LinComb(left) == LinComb(right)
                     res.bump("coassociativity", ok, f"{a} {S}|{T}|{U}")
 
@@ -203,7 +203,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                                 key = (concat(xs, ys), concat(xt, yt))
                                 c = cx * cy
                                 if c:
-                                    rhs[key] = rhs.get(key, QI(0)) + c
+                                    rhs[key] = rhs.get(key, 0) + c
                         res.bump("compatibility", lhs == LinComb(rhs), f"{x} {y} {S}|{T}")
 
         # unit and counit laws
@@ -252,7 +252,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                     for X, cx in to_q(basis_elem(x, H)).lc:
                         for Y, cy in to_q(basis_elem(y, H)).lc:
                             key = (X, Y)
-                            w = converted.get(key, QI(0)) + c * cx * cy
+                            w = converted.get(key, 0) + c * cx * cy
                             if w:
                                 converted[key] = w
                             else:
@@ -454,8 +454,8 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
     res = SuiteResult("arrows")
     rng = random.Random(seed)
     star = -1
-    a = QI(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    b = QI(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
     # biderivation: derivation law on products over disjoint grounds
     for m1 in range(0, n + 1):
@@ -626,12 +626,12 @@ def _random_invariant_series(rng: random.Random, max_n: int) -> SigmaSeries:
     terms = {}
     for m in range(max_n + 1):
         ground = canonical_set(m)
-        shape_coeff: dict[tuple, QI] = {}
+        shape_coeff: dict[tuple, Fraction] = {}
         lc = {}
         for F in compositions_of(ground):
             shape = tuple(len(l) for l in F.lumps)
             if shape not in shape_coeff:
-                shape_coeff[shape] = QI(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                shape_coeff[shape] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             c = shape_coeff[shape]
             if c:
                 lc[F] = c
@@ -656,7 +656,7 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
         )
 
     # the universal series is group-like and inverted by the antipode
-    for c in (QI(1), QI(2), QI(Fraction(1, 3))):
+    for c in (1, 2, Fraction(1, 3)):
         g = universal_series(c, order)
         res.bump("universal-group-like", is_group_like(g))
         res.bump(
@@ -696,19 +696,19 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
 
     # group-like inverse at the function level
     for sys, A in ((poly, "A"), (CAUSAL_SYSTEM, causal_dec[1])):
-        g = universal_series(QI(1), order)
+        g = universal_series(1, order)
         inv = series_antipode(g)
         prod = t_exponential(sys, g, A, order) * t_exponential(sys, inv, A, order)
         res.bump("texp-inverse", prod == TruncSeries.unit(order))
 
     # exponential splitting in the commutative system
-    g = universal_series(QI(1), order)
+    g = universal_series(1, order)
     lhs = t_exponential(poly, g, "A+B", order)
     rhs = t_exponential(poly, g, "A", order) * t_exponential(poly, g, "B", order)
     res.bump("exponential-splitting", lhs == rhs)
 
     # classical exponential recovery at <A, Phi> = 1, K = 6
-    sexp = t_exponential(poly, universal_series(QI(1), 6), "A", 6)
+    sexp = t_exponential(poly, universal_series(1, 6), "A", 6)
     ok = all(
         sexp.coeff(0, k) == WordElem.scalar(Fraction(1, factorial(k))) for k in range(7)
     )
@@ -716,7 +716,7 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
 
     # coderivation perturbation equals the binomial two-argument expansion
     for sys, S_dec, A_dec, c in (
-        (poly, "B", "A", QI(1)),
+        (poly, "B", "A", 1),
         (CAUSAL_SYSTEM, TimedObservable("s", Fraction(-1)), causal_dec[1], C_QFT),
     ):
         got = perturb_coderivation(sys, universal_series(c, 3), S_dec, A_dec, 3)

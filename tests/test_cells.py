@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -33,12 +34,26 @@ from sethopf.compositions import (
     comp,
     compositions_of,
     opposite,
+    ordered_splits,
     two_lump_coarsenings,
     zie_dimension,
 )
 from sethopf.errors import DomainError, SizeLimitError
 from sethopf.hadamard import tits
-from sethopf.hopf import H, SigmaElem, basis_elem, h_elem, is_primitive, q_elem, to_h
+from sethopf.hopf import (
+    H,
+    Q,
+    SigmaElem,
+    antipode,
+    basis_elem,
+    delta_split,
+    h_elem,
+    is_primitive,
+    primitive_part_basis,
+    q_elem,
+    to_h,
+    to_q,
+)
 from sethopf.lincomb import LinComb
 from sethopf.scalars import QI
 from sethopf.linalg import rank
@@ -147,12 +162,12 @@ class TestDynkin:
         candidates = [dynkin(c) for c in enumerate_cells(canonical_set(4))]
         candidates += _left_normed_tree_images(4)
         comps = compositions_of(canonical_set(4))
-        coeffs = (QI(1), QI(-1), QI(1, 1), QI(0, -1))
+        coeffs = (1, -1, Fraction(1, 2), -3)
         for k, v in enumerate(candidates):
             assert is_primitive(v)
             bump = basis_elem(comps[k % len(comps)], H, coeffs[k % len(coeffs)])
             assert not is_primitive(v + bump)
-            assert not is_primitive(v.scale(QI(1, 2)) - bump)
+            assert not is_primitive(v.scale(Fraction(2, 3)) - bump)
 
     def test_tits_factorization_single_factor(self):
         cell = Cell((1, 2), [(1,)])
@@ -177,6 +192,24 @@ class TestDynkin:
             d = dynkin(cell)
             for S, T in cell.channels():
                 assert tits(d, basis_elem(comp(T, S))).is_zero()
+
+
+class TestRealCoefficients:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_gaussian_rationals(self, n):
+        # the Hopf and cell layers compute over Q: ints and Fractions only
+        ground = canonical_set(n)
+        comps = compositions_of(ground)
+        elems = [dynkin(c) for c in enumerate_cells(ground)]
+        elems += primitive_part_basis(n) + _left_normed_tree_images(n)
+        elems += [antipode(basis_elem(F, H)) for F in comps]
+        elems += [to_q(basis_elem(F, H)) for F in comps]
+        elems += [to_h(basis_elem(F, Q)) for F in comps]
+        coeffs = [c for a in elems for _, c in a.lc]
+        for a in elems:
+            for S, T in ordered_splits(ground):
+                coeffs += [c for _, c in delta_split(a, S, T)]
+        assert {type(c) for c in coeffs} <= {int, Fraction}
 
 
 class TestDynkinRank:

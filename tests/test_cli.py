@@ -35,7 +35,7 @@ LIE_REPORTS_N4 = {
 
 # Each command one past the bound of its --n or --order.
 OVER_BOUND = [
-    ("hopf", "check", "--n", "9"),
+    ("hopf", "check", "--n", "6"),
     ("cells", "count", "--n", "7"),
     ("cells", "enumerate", "--n", "7"),
     ("dynkin", "rank", "--n", "6"),
@@ -43,7 +43,7 @@ OVER_BOUND = [
     ("ruelle", "verify", "--n", "7"),
     ("glz", "verify", "--n", "7"),
     ("arrows", "verify", "--n", "6"),
-    ("series", "identities", "--order", "9"),
+    ("series", "identities", "--order", "7"),
     ("toy", "demo", "--order", "9"),
     ("toy", "bogoliubov", "--order", "9"),
 ]

@@ -40,7 +40,7 @@ from sethopf.hopf import (
     zero_elem,
 )
 from sethopf.lincomb import LinComb
-from sethopf.scalars import QI
+from sethopf.scalars import C_QFT, QI
 
 
 class TestMu:
@@ -112,10 +112,9 @@ COEFFS = (
 )
 
 
-def random_elem(rng, ground, basis, nterms, complex_coeffs):
+def random_elem(rng, ground, basis, nterms):
     comps = compositions_of(ground)
-    coeffs = COEFFS if complex_coeffs else COEFFS[:4]
-    terms = {comps[rng.randrange(len(comps))]: rng.choice(coeffs) for _ in range(nterms)}
+    terms = {comps[rng.randrange(len(comps))]: rng.choice(COEFFS[:4]) for _ in range(nterms)}
     return SigmaElem(ground, LinComb(terms), basis)
 
 
@@ -126,9 +125,20 @@ class TestSplitTable:
     def test_matches_definition(self, ground, basis, complex_coeffs):
         import random
 
+        if complex_coeffs:
+            # splits are over Q: a complex or hbar coefficient is rejected
+            comps = compositions_of(ground)
+            for c in COEFFS[4:] + (C_QFT,):
+                a = SigmaElem(ground, LinComb({comps[0]: QI(1), comps[-1]: c}), basis)
+                with pytest.raises(DomainError):
+                    is_primitive(a)
+                for S, T in ordered_splits(ground):
+                    with pytest.raises(DomainError):
+                        delta_split(a, S, T)
+            return
         rng = random.Random(f"{ground}{basis}{complex_coeffs}")
         for nterms in (1, 3, 12, 40):
-            a = random_elem(rng, ground, basis, nterms, complex_coeffs)
+            a = random_elem(rng, ground, basis, nterms)
             for S, T in ordered_splits(ground):  # proper and improper
                 assert delta_split(a, S, T) == reference_delta_split(a, S, T)
 
@@ -142,8 +152,11 @@ class TestSplitTable:
 
     def test_empty_ground(self):
         pair = (comp(), comp())
-        assert delta_split(unit_elem(Q).scale(QI(0, 2)), (), ()) == LinComb({pair: QI(0, 2)})
+        c = Fraction(-2, 3)
+        assert delta_split(unit_elem(Q).scale(c), (), ()) == LinComb({pair: c})
         assert delta_split(zero_elem(()), (), ()).is_zero()
+        with pytest.raises(DomainError):
+            delta_split(unit_elem(Q).scale(QI(0, 2)), (), ())
 
     def test_sparse_element_over_large_ground(self):
         ground = canonical_set(7)
