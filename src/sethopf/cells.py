@@ -40,7 +40,7 @@ from .hopf import (
     to_h,
 )
 from .lincomb import LinComb
-from .linalg import integer_rows, rank, rank_mod_prime
+from .linalg import rank, rank_mod_prime
 from .lp import (
     balanced_combination_exists,
     partition_infeasible,
@@ -550,18 +550,12 @@ def primitive_dimension_certified(n: int) -> int:
     for v in candidates:
         if not is_primitive(v):
             raise ArithmeticError("tree image unexpectedly fails primitivity")
-    cand_rows, _ = integer_rows([v.lc for v in candidates])
-    low = rank_mod_prime(cand_rows)
+    low = rank_mod_prime([v.lc for v in candidates])
     if low != len(candidates):
         raise ArithmeticError("modular fast path failed; rerun with exact rank")
 
-    columns = split_columns(ground)
-    row_of = {p: i for i, p in enumerate(sorted({p for _, pids in columns for p in pids}))}
-    mat = [[0] * len(columns) for _ in row_of]
-    for j, (_, pids) in enumerate(columns):
-        for p in pids:
-            mat[row_of[p]][j] = 1
-    up = len(columns) - rank_mod_prime(mat)
+    columns = [LinComb({q: 1 for q in pids}, _trusted=True) for _, pids in split_columns(ground)]
+    up = len(columns) - rank_mod_prime(columns)
     if low != up:
         raise ArithmeticError("modular bounds disagree; rerun with exact rank")
     return low
@@ -590,8 +584,7 @@ def dynkin_rank(I: Iterable[int], exact: bool | None = None) -> tuple[int, int, 
             if not is_primitive(v):
                 raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
         pdim = primitive_dimension_certified(n)
-        int_rows, _ = integer_rows([v.lc for v in vectors])
-        low = rank_mod_prime(int_rows)
+        low = rank_mod_prime([v.lc for v in vectors])
         # low <= exact rank <= pdim since every Dynkin element is primitive
         if low != pdim:
             raise ArithmeticError("modular bounds disagree; rerun with exact=True")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .compositions import Composition, one_lump
 from .errors import DomainError
-from .hopf import H, SigmaElem, delta_iterated, mu_many, basis_elem
+from .hopf import H, SigmaElem, basis_elem, delta_iterated, mu_many, zero_elem
 from .lincomb import LinComb
 
 
@@ -63,8 +63,6 @@ def hopf_power(F: Composition, a: SigmaElem) -> SigmaElem:
         prod = mu_many([basis_elem(piece, H) for piece in key]).scale(c)
         out = prod if out is None else out + prod
     if out is None:
-        from .hopf import zero_elem
-
         return zero_elem(a.ground, H)
     return out
 
@@ -78,7 +76,5 @@ def hopf_power_elem(x: SigmaElem, a: SigmaElem) -> SigmaElem:
         term = hopf_power(F, a).scale(c)
         out = term if out is None else out + term
     if out is None:
-        from .hopf import zero_elem
-
         return zero_elem(a.ground, H)
     return out

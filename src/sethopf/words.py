@@ -83,10 +83,6 @@ class WordElem:
                     terms.pop(w, None)
         return WordElem(LinComb(terms, _trusted=True))
 
-    def scalar_part(self) -> HbarPoly:
-        c = self.lc.coeff(())
-        return c if c is not None else as_hbar(0)
-
     def __repr__(self):
         if self.lc.is_zero():
             return "0"

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,12 +53,13 @@ from sethopf.hopf import (
     is_primitive,
     primitive_part_basis,
     q_elem,
+    split_columns,
     to_h,
     to_q,
 )
 from sethopf.lincomb import LinComb
 from sethopf.scalars import QI
-from sethopf.linalg import rank
+from sethopf.linalg import rank, rank_mod_prime
 
 
 def brute_force_cells(ground):
@@ -218,6 +221,30 @@ class TestDynkinRank:
 
     def test_n4(self):
         assert dynkin_rank(canonical_set(4)) == (32, 26, 26)
+
+    def test_n4_modular(self):
+        assert dynkin_rank(canonical_set(4), exact=False) == (32, 26, 26)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mod_prime_rank_is_exact_rank(self, n):
+        # the two GF(p) ranks of the modular squeeze, against exact elimination
+        columns = [LinComb({q: 1 for q in pids}) for _, pids in split_columns(canonical_set(n))]
+        dynkin_rows = [dynkin(c).lc for c in enumerate_cells(canonical_set(n))]
+        for vectors in (columns, dynkin_rows):
+            assert rank_mod_prime(vectors) == rank(vectors)
+        assert len(columns) - rank(columns) == zie_dimension(n)
+
+    def test_modular_path_leaves_numpy_unloaded(self):
+        code = (
+            "import sys, sethopf.cells as c\n"
+            "assert c.dynkin_rank((1, 2, 3, 4), exact=False) == (32, 26, 26)\n"
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_bound(self):
         with pytest.raises(SizeLimitError):

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from sethopf.compositions import canonical_set, compositions_of, proper_splits, 
 from sethopf.errors import DomainError
 from sethopf.hopf import primitive_part_basis, split_columns
 from sethopf.lincomb import LinComb, default_sort_key
-from sethopf.linalg import kernel_basis, rank, rank_mod_prime
+from sethopf.linalg import P, kernel_basis, rank, rank_mod_prime
 from sethopf.scalars import C_QFT, HBAR_ONE, HbarPoly, QI, QI_ONE, QI_ZERO, as_hbar, as_qi
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -180,7 +181,75 @@ class TestRank:
 
     def test_mod_prime_agrees_on_small_int_matrices(self):
         mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert rank_mod_prime(mat) == 2
+        vectors = [LinComb({j: x for j, x in enumerate(row)}) for row in mat]
+        assert rank_mod_prime(vectors) == 2
+
+
+def reference_rank_mod_prime(vectors):
+    """Oracle: dense GF(P) elimination in column order over the sorted keys,
+    each vector scaled by the lcm of its denominators."""
+    keys = sorted({k for v in vectors for k in v.keys()}, key=default_sort_key)
+    mat = []
+    for v in vectors:
+        den = lcm(*(Fraction(c).denominator for _, c in v))
+        row = [0] * len(keys)
+        for j, k in enumerate(keys):
+            row[j] = int(Fraction(v.coeff(k) or 0) * den) % P
+        mat.append(row)
+    r = 0
+    for j in range(len(keys)):
+        piv = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][j], -1, P)
+        mat[r] = [x * inv % P for x in mat[r]]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][j]
+            if f:
+                mat[i] = [(x - f * y) % P for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+# mostly zero, sometimes a multiple of P, which vanishes mod P only
+mod_fracs = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.just(Fraction(P)),
+    st.just(Fraction(-2 * P, 3)),
+    fracs,
+)
+
+
+class TestRankModPrime:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.lists(mod_fracs, min_size=5, max_size=5), max_size=7),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_reference(self, mat, rnd):
+        vectors = []
+        for row in mat:
+            items = [(f"k{j}", x) for j, x in enumerate(row)]
+            rnd.shuffle(items)  # the key order of a row must not matter
+            vectors.append(LinComb(dict(items)))
+        got = rank_mod_prime(vectors)
+        assert got == reference_rank_mod_prime(vectors)
+        assert got <= rank(vectors)
+
+    def test_multiple_of_p_vanishes(self):
+        # the direction the modular squeeze relies on: GF(P) rank <= exact rank
+        vectors = [LinComb({"x": 46337})]
+        assert rank_mod_prime(vectors) == 0
+        assert rank(vectors) == 1
+
+    def test_complex_coefficient_rejected(self):
+        with pytest.raises(DomainError):
+            rank_mod_prime([LinComb({"x": QI(1), "y": QI(0, 1)})])
+
+    def test_empty(self):
+        assert rank_mod_prime([]) == 0
 
 
 class TestKernel:

@@ -1,4 +1,10 @@
-"""The suite results themselves: merging, and the Lie suite as three suites."""
+"""The suite results themselves: merging, the Lie suite as three suites, and
+the size bounds the suites check before work."""
+
+import subprocess
+import sys
+
+import pytest
 
 from sethopf import verify
 from sethopf.verify import SuiteResult
@@ -35,3 +41,19 @@ def test_lie_suite_is_ruelle_glz_and_tree():
     assert lie.name == "lie" and lie.passed and lie.payload == {}
     assert list(lie.counters.items()) == list(LIE_COUNTERS_N4.items())
     assert lie.counters == SuiteResult.merge("lie", parts).counters
+
+
+@pytest.mark.parametrize("call", ["hopf_suite(6)", "series_suite(7)"])
+def test_suite_checks_its_bound_before_work(call):
+    # one past the SIZE_BOUNDS entry; the sweep itself would take many minutes
+    code = (
+        "from sethopf import verify\n"
+        "from sethopf.errors import SizeLimitError\n"
+        "try:\n"
+        f"    verify.{call}\n"
+        "except SizeLimitError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
