@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -147,49 +148,59 @@ def is_cell(
     return (witness is not None), witness
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, dict], ...]:
-    reps = channel_representatives(ground)
-    gset = set(ground)
-    if not reps:
-        return ((Cell(ground, ()), {l: Fraction(0) for l in ground}),)
+def _int_witness(x: dict[int, Fraction], n: int) -> tuple[list[int], int]:
+    """An LP witness over positions 0..n-1 as (a, D), x = a / D in lowest terms."""
+    D = lcm(*(q.denominator for q in x.values()))
+    return [x[i].numerator * (D // x[i].denominator) for i in range(n)], D
 
-    # states: (oriented sides chosen so far, their frozensets, rational witness)
-    states: list[tuple[list[LabelSet], list[frozenset], dict[int, Fraction]]] = [
-        ([], [], {l: Fraction(0) for l in ground})
-    ]
+
+@lru_cache(maxsize=None)
+def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...], int], ...]:
+    """Each cell over ground with its witness (a, D), x[ground[i]] = a[i] / D.
+
+    The enumeration runs on the positions 0..n-1, whose order is the labels'
+    order, so every LP sees the rows it would see on the labels.
+    """
     n = len(ground)
-    for S in reps:
-        comp = tuple(sorted(gset - set(S)))
-        nxt: list[tuple[list[LabelSet], list[frozenset], dict[int, Fraction]]] = []
-        for sides, fsets, wit in states:
-            val = sum((wit[x] for x in S), Fraction(0))
+    pos = tuple(range(n))
+    reps = [(frozenset(S), frozenset(pos) - frozenset(S)) for S in channel_representatives(pos)]
+
+    # states: (oriented sides chosen so far, as sets of positions; witness a, D)
+    states: list[tuple[list[frozenset], list[int], int]] = [([], [0] * n, 1)]
+    for S, comp in reps:
+        nxt: list[tuple[list[frozenset], list[int], int]] = []
+        for sides, a, D in states:
+            val = sum([a[i] for i in S])
             kept, other = (S, comp) if val > 0 else (comp, S)
             if val == 0:
                 # witness sits on the new hyperplane: the chamber is split or
                 # lies on one side; find a strict witness for some side
-                w0 = strict_positive_witness(ground, sides + [kept])
+                w0 = strict_positive_witness(pos, sides + [kept])
                 if w0 is None:
                     kept, other = other, kept
-                    w0 = strict_positive_witness(ground, sides + [kept])
+                    w0 = strict_positive_witness(pos, sides + [kept])
                     if w0 is None:
                         raise ArithmeticError("chamber lost both sides of a hyperplane")
-                wit = w0
-            nxt.append((sides + [kept], fsets + [frozenset(kept)], wit))
+                a, D = _int_witness(w0, n)
+            nxt.append((sides + [kept], a, D))
             # the opposite side needs its own proof or refutation
-            if partition_infeasible(n, fsets, frozenset(other)):
+            if partition_infeasible(n, sides, other):
                 continue
-            moved = transfer_witness_across(ground, sides, wit, kept)
+            moved = transfer_witness_across(n, sides, (a, D), kept)
             if moved is None:
-                if balanced_combination_exists(ground, sides + [other]):
+                if balanced_combination_exists(pos, sides + [other]):
                     continue
-                moved = strict_positive_witness(ground, sides + [other])
-                if moved is None:
+                w1 = strict_positive_witness(pos, sides + [other])
+                if w1 is None:
                     raise ArithmeticError("LP and duality test disagree on feasibility")
-            nxt.append((sides + [other], fsets + [frozenset(other)], moved))
+                moved = _int_witness(w1, n)
+            nxt.append((sides + [other], *moved))
         states = nxt
-    out = [(Cell(ground, sides), wit) for sides, _, wit in states]
-    out.sort(key=lambda cw: cw[0].sort_key())
+    out = [
+        (Cell(ground, [[ground[i] for i in S] for S in sides]), tuple(a), D)
+        for sides, a, D in states
+    ]
+    out.sort(key=lambda c: c[0].sort_key())
     return tuple(out)
 
 
@@ -197,14 +208,17 @@ def enumerate_cells(I: Iterable[int]) -> list[Cell]:
     """All cells over I, deterministically ordered."""
     ground = labelset(I)
     check_size("cells", len(ground))
-    return [c for c, _ in _enumerate_cells_cached(ground)]
+    return [c for c, _, _ in _enumerate_cells_cached(ground)]
 
 
 def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[int, Fraction]]]:
+    """All cells over I with a strict rational witness each, as a fresh dict."""
     ground = labelset(I)
     check_size("cells", len(ground))
-    # witnesses are copied so callers cannot corrupt the cache
-    return [(c, dict(w)) for c, w in _enumerate_cells_cached(ground)]
+    return [
+        (c, {l: Fraction(x, D) for l, x in zip(ground, a)})
+        for c, a, D in _enumerate_cells_cached(ground)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +581,14 @@ def dynkin_rank(I: Iterable[int], exact: bool | None = None) -> tuple[int, int, 
     Asserts that the rank equals both the partition-count dimension formula
     and the kernel-computed primitive dimension.  For n = 5 the default is
     the certified modular squeeze; pass exact=True to force exact elimination.
+    The empty ground is rejected: its one cell's Dynkin element is the unit,
+    which is not primitive.
     """
     ground = labelset(I)
     n = len(ground)
     check_size("dynkin rank", n)
+    if n == 0:
+        raise DomainError("dynkin rank needs a nonempty ground set")
     cells = enumerate_cells(ground)
     vectors = [dynkin(c) for c in cells]
     zdim = zie_dimension(n)

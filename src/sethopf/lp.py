@@ -13,7 +13,8 @@ vector x represents the witness x - avg(x), which shrinks the tableau.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Collection, Sequence
 
 from .linalg import _pivot
 
@@ -105,7 +106,7 @@ def _integer(v) -> int:
 
 
 def strict_positive_witness(
-    ground: Sequence[int], sides: Sequence[Sequence[int]]
+    ground: Sequence[int], sides: Sequence[Collection[int]]
 ) -> dict[int, Fraction] | None:
     """A rational x with sum(x) = 0 and x(S) > 0 for every S, or None.
 
@@ -137,7 +138,7 @@ def strict_positive_witness(
 
 
 def balanced_combination_exists(
-    ground: Sequence[int], sides: Sequence[Sequence[int]]
+    ground: Sequence[int], sides: Sequence[Collection[int]]
 ) -> bool:
     """Whether some convex combination of the side indicators is constant.
 
@@ -165,45 +166,53 @@ def balanced_combination_exists(
 
 
 def transfer_witness_across(
-    ground: Sequence[int],
-    sides: Sequence[Sequence[int]],
-    witness: dict[int, Fraction],
-    new_side: Sequence[int],
-) -> dict[int, Fraction] | None:
+    n: int,
+    sides: Sequence[Collection[int]],
+    witness: tuple[Sequence[int], int],
+    new_side: Collection[int],
+) -> tuple[list[int], int] | None:
     """Try to move a strict witness to the other side of the new hyperplane.
 
-    Walks from the witness along the (centered) indicator of the new side;
-    if the segment leaves the new side's halfspace before violating any
-    prior side, the midpoint past the crossing is a valid witness for the
-    flipped orientation.  Cheap, exact and sound (the result is fully
-    re-checked); returns None when the straight walk fails.
+    Labels are the positions 0..n-1.  The witness (a, D) is x = a / D with
+    D > 0, and x(S) > 0 for every prior side S and for the new side K.  The
+    walk x(tau) = (a - tau W) / D, W = n - |K| on K and -|K| off it, leaves
+    K's halfspace at tau = a(K) / W(K); if that comes before every bound
+    a(S) / W(S) with W(S) > 0, the midpoint (twice the crossing when none
+    bounds the walk) is a witness for the flipped orientation.  All in ints,
+    with tau = p / q; the result is fully re-checked.  Returns None when the
+    straight walk fails, else the new witness in lowest terms, D > 0.
     """
-    n = len(ground)
+    a, D = witness
     size = len(new_side)
-    new_set = set(new_side)
-    w = {l: (Fraction(n - size, n) if l in new_set else Fraction(-size, n)) for l in ground}
-    val_new = sum(witness[l] for l in new_side)
-    w_new = sum(w[l] for l in new_side)  # = size (n - size) / n > 0
-    t_flip = val_new / w_new
-    t_max = None
+    W = [-size] * n
+    for i in new_side:
+        W[i] = n - size
+    a_new = sum([a[i] for i in new_side])
+    w_new = size * (n - size)  # W(K) > 0
+    p_max = q_max = 0  # the smallest bound a(S) / W(S), none while q_max == 0
     for S in sides:
-        wS = sum(w[l] for l in S)
+        wS = sum([W[i] for i in S])
         if wS > 0:
-            bound = sum(witness[l] for l in S) / wS
-            if t_max is None or bound < t_max:
-                t_max = bound
-    if t_max is not None and t_max <= t_flip:
+            aS = sum([a[i] for i in S])
+            if not q_max or aS * q_max < p_max * wS:
+                p_max, q_max = aS, wS
+    if not q_max:
+        p, q = 2 * a_new, w_new
+    elif p_max * w_new <= a_new * q_max:
         return None
-    t = t_flip * 2 if t_max is None else (t_flip + t_max) / 2
-    candidate = {l: witness[l] - t * w[l] for l in ground}
-    if sum(candidate.values()) != 0:
+    else:
+        p, q = a_new * q_max + p_max * w_new, 2 * w_new * q_max
+    c = [q * x - p * y for x, y in zip(a, W)]
+    if sum(c) != 0:
         return None
-    if sum(candidate[l] for l in new_side) >= 0:
+    if sum([c[i] for i in new_side]) >= 0:
         return None
     for S in sides:
-        if sum(candidate[l] for l in S) <= 0:
+        if sum([c[i] for i in S]) <= 0:
             return None
-    return candidate
+    E = q * D
+    g = gcd(*c, E)
+    return [x // g for x in c], E // g
 
 
 def partition_infeasible(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sethopf import cells as cells_module, verify
 from sethopf.cells import (
     Cell,
     channel_representatives,
@@ -123,6 +124,19 @@ class TestEnumerateCells:
             for S in c.positive:
                 assert sum(w[x] for x in S) > 0
 
+    def test_witnesses_are_fresh_and_keyed_by_label(self):
+        ground = (2, 5, 9, 11)
+        first = enumerate_cells_with_witnesses(ground)
+        for c, w in first:
+            assert sorted(w) == list(ground)
+            assert all(type(x) is Fraction for x in w.values())
+            assert sum(w.values()) == 0
+            assert all(sum(w[x] for x in S) > 0 for S in c.positive)
+        kept = [(c, dict(w)) for c, w in first]
+        for _, w in first:
+            w[2] += 1  # a caller's edit must not reach the cache
+        assert enumerate_cells_with_witnesses(ground) == kept
+
     def test_deterministic_order(self):
         cells = enumerate_cells(canonical_set(3))
         assert [c.sort_key() for c in cells] == sorted(c.sort_key() for c in cells)
@@ -224,6 +238,17 @@ class TestDynkinRank:
 
     def test_n4_modular(self):
         assert dynkin_rank(canonical_set(4), exact=False) == (32, 26, 26)
+
+    def test_empty_ground_rejected_before_work(self, monkeypatch):
+        # the empty cell's Dynkin element is the unit, which is not primitive
+        def no_work(ground):
+            raise AssertionError("dynkin_rank enumerated cells of the empty ground")
+
+        monkeypatch.setattr(cells_module, "enumerate_cells", no_work)
+        with pytest.raises(DomainError, match="nonempty ground"):
+            dynkin_rank(())
+        with pytest.raises(DomainError, match="nonempty ground"):
+            verify.dynkin_suite(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mod_prime_rank_is_exact_rank(self, n):

@@ -212,6 +212,13 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "checked no instances" in proc.stderr
 
+    def test_dynkin_rank_of_empty_ground_rejected(self):
+        # the unit is not primitive, so n = 0 is a usage error, not a failed identity
+        proc = run_cli("dynkin", "rank", "--n", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: dynkin rank needs a nonempty ground set\n"
+
     @pytest.mark.parametrize(
         "args",
         [("cells", "count", "--n", "-1"), ("series", "identities", "--order", "-1")],

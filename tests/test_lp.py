@@ -1,10 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sethopf import lp
-from sethopf.lp import partition_infeasible, simplex_max, strict_positive_witness
+from sethopf.cells import channel_representatives
+from sethopf.lp import (
+    partition_infeasible,
+    simplex_max,
+    strict_positive_witness,
+    transfer_witness_across,
+)
 
 
 def reference_simplex_max(c, A, b, bland_after):
@@ -172,3 +179,119 @@ class TestPartitionPrefilter:
         if partition_infeasible(4, sides, frozenset(new)):
             all_sides = [tuple(sorted(s)) for s in families] + [tuple(sorted(new))]
             assert strict_positive_witness(ground, all_sides) is None
+
+
+def reference_transfer_witness_across(ground, sides, witness, new_side):
+    """The Fraction transfer that the int one must reproduce: the same walk
+    along minus the centered indicator of the new side, on label dicts."""
+    n = len(ground)
+    size = len(new_side)
+    new_set = set(new_side)
+    w = {l: (Fraction(n - size, n) if l in new_set else Fraction(-size, n)) for l in ground}
+    val_new = sum(witness[l] for l in new_side)
+    w_new = sum(w[l] for l in new_side)  # = size (n - size) / n > 0
+    t_flip = val_new / w_new
+    t_max = None
+    for S in sides:
+        wS = sum(w[l] for l in S)
+        if wS > 0:
+            bound = sum(witness[l] for l in S) / wS
+            if t_max is None or bound < t_max:
+                t_max = bound
+    if t_max is not None and t_max <= t_flip:
+        return None
+    t = t_flip * 2 if t_max is None else (t_flip + t_max) / 2
+    candidate = {l: witness[l] - t * w[l] for l in ground}
+    if sum(candidate.values()) != 0:
+        return None
+    if sum(candidate[l] for l in new_side) >= 0:
+        return None
+    for S in sides:
+        if sum(candidate[l] for l in S) <= 0:
+            return None
+    return candidate
+
+
+def _int_form(ground, x):
+    """A label-keyed rational vector as (a, D) over positions, D the lcm."""
+    D = math.lcm(*(x[l].denominator for l in ground))
+    return [int(x[l] * D) for l in ground], D
+
+
+def _assert_same_transfer(ground, sides, x, new_side):
+    """Both transfers on one state: positions for the int one, labels for the oracle."""
+    pos = {l: i for i, l in enumerate(ground)}
+    got = transfer_witness_across(
+        len(ground),
+        [tuple(pos[l] for l in S) for S in sides],
+        _int_form(ground, x),
+        tuple(pos[l] for l in new_side),
+    )
+    want = reference_transfer_witness_across(ground, sides, x, new_side)
+    if want is None:
+        assert got is None
+        return None
+    assert got is not None
+    c, E = got
+    assert E > 0 and math.gcd(*c, E) == 1  # lowest terms, positive denominator
+    assert {l: Fraction(c[pos[l]], E) for l in ground} == want
+    return want
+
+
+@st.composite
+def transfer_states(draw):
+    """(ground, sides, a, D, new side) with x = a / D; a sums to 0 up to a small shift."""
+    n = draw(st.integers(2, 5))
+    ground = tuple(range(1, n + 1))
+    side = st.sets(st.sampled_from(ground), min_size=1, max_size=n - 1).map(sorted).map(tuple)
+    a = draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1))
+    a.append(draw(st.integers(-1, 1)) - sum(a))
+    return ground, draw(st.lists(side, max_size=6)), tuple(a), draw(st.integers(1, 12)), draw(side)
+
+
+class TestTransferAgainstFractionReference:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_states_of_the_enumeration(self, n, data):
+        # one random branch of the enumeration, hyperplanes in random order;
+        # every state on it is a strict witness of its sides
+        ground = tuple(sorted(data.draw(st.sets(st.integers(-9, 30), min_size=n, max_size=n))))
+        order = data.draw(st.permutations(channel_representatives(ground)))
+        sides = []
+        x = {l: Fraction(0) for l in ground}
+        for S in order:
+            comp = tuple(l for l in ground if l not in S)
+            val = sum(x[l] for l in S)
+            kept, other = (S, comp) if val > 0 else (comp, S)
+            if val == 0:
+                x = strict_positive_witness(ground, sides + [kept])
+                if x is None:
+                    kept, other = other, kept
+                    x = strict_positive_witness(ground, sides + [kept])
+            moved = _assert_same_transfer(ground, sides, x, kept)
+            if data.draw(st.booleans()):
+                if moved is None:
+                    moved = strict_positive_witness(ground, sides + [other])
+                if moved is not None:
+                    kept, x = other, moved
+            sides.append(kept)
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=transfer_states())
+    @example(state=((1, 2, 3, 4, 5), [(3,)], (5, -5, -4, -1, 5), 1, (1, 4)))  # side (3,) stays <= 0
+    @example(state=((1, 2, 3), [], (-1, 2, -1), 1, (1,)))  # the walk runs away from the new side
+    def test_arbitrary_states(self, state):
+        # states no enumeration reaches: x need not sum to 0 nor be positive
+        # on the sides, so each of the candidate's re-checks can decide
+        ground, sides, a, D, new_side = state
+        _assert_same_transfer(ground, sides, {l: Fraction(v, D) for l, v in zip(ground, a)}, new_side)
+
+    def test_walk_without_bound_doubles_the_crossing(self):
+        # x = (1, -1): the only side is the new one, so t = 2 t_flip
+        assert transfer_witness_across(2, [], ([1, -1], 1), (0,)) == ([-1, 1], 1)
+
+    def test_blocked_walk_misses(self):
+        # the prior side {0, 1} is crossed before the new side {0} is
+        ground = (1, 2, 3)
+        x = {1: Fraction(5), 2: Fraction(-3), 3: Fraction(-2)}
+        assert _assert_same_transfer(ground, [(1, 2)], x, (1,)) is None
