@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run every acceptance suite and print one pass/fail line per criterion.
 
-Default bounds keep this under a minute; --heavy adds the flagged paths
-(n=5 rank, primitive dimension and Steinmann span, n=6 cells, order-3
-series), which take
-minutes.
+Default bounds keep this under a minute; --heavy runs the same suites one
+step up (the exact primitive kernel and the Dynkin rank at n=5, the exact
+rank of the n=5 Dynkin rows as the oracle for the modular squeeze, the
+Steinmann span at n=5, n=6 cells, order-3 series), which takes minutes.
 """
 
 import argparse
@@ -12,8 +12,9 @@ import sys
 import time
 
 from sethopf import verify
-from sethopf.cells import dynkin_rank
+from sethopf.cells import dynkin, dynkin_rank, enumerate_cells
 from sethopf.compositions import canonical_set
+from sethopf.linalg import rank
 
 
 def main() -> int:
@@ -45,16 +46,16 @@ def main() -> int:
     line("criterion 11 : causal factorization, supports, Bogoliubov (order 2)", verify.causal_suite(4, 2))
 
     if args.heavy:
-        line("heavy: primitive dimension 150 at n=5", verify.dimension_suite(4, include5=True))
+        line("heavy: primitive dimension 150 at n=5, exact kernel", verify.dimension_suite(5))
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")
-        got = dynkin_rank(canonical_set(5), exact=True)
-        line("heavy: Dynkin rank (370, 150, 150) at n=5, exact", got == (370, 150, 150), f" -> {got}")
+        got = rank([dynkin(c).lc for c in enumerate_cells(canonical_set(5))])
+        line("heavy: exact rank of the 370 Dynkin rows at n=5 is 150", got == 150, f" -> {got}")
         stein5 = verify.steinmann_suite(5)
         span_ok = stein5.passed and stein5.payload["relationSpan"] == 220
         line("heavy: Steinmann relation span 220 at n=5", span_ok)
-        line("heavy: 11292 cells at n=6", verify.cells_suite(5, include6=True))
-        line("heavy: order-3 Z factorization and Bogoliubov", verify.causal_suite(2, 2, heavy_order3=True))
+        line("heavy: 11292 cells at n=6", verify.cells_suite(6))
+        line("heavy: order-3 Z factorization and Bogoliubov", verify.causal_suite(2, 3))
 
     print(f"total wall time: {time.time()-t0:.1f}s")
     return 1 if failures else 0

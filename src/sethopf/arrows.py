@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .compositions import Composition, labelset, one_lump
-from .cells import Cell
+from .cells import Cell, is_cell
 from .errors import DomainError
 from .hopf import H, SigmaElem, antipode, basis_elem, mu, unit_elem
 from .lincomb import LinComb, lincomb_sum
@@ -64,25 +64,24 @@ def arrow_up_single(star: int, x: SigmaElem) -> SigmaElem:
     return u_ab(0, 1, star, x)
 
 
-def arrow_down(Y: Iterable[int], x: SigmaElem) -> SigmaElem:
-    """Iterated retarded arrow over a fresh label set (order-independent)."""
+def _arrow(Y: Iterable[int], x: SigmaElem, a, b) -> SigmaElem:
     Y = labelset(Y)
     if set(Y) & set(x.ground):
         raise DomainError("arrow labels must be disjoint from the ground set")
     out = x
     for y in Y:
-        out = arrow_down_single(y, out)
+        out = u_ab(a, b, y, out)
     return out
+
+
+def arrow_down(Y: Iterable[int], x: SigmaElem) -> SigmaElem:
+    """Iterated retarded arrow over a fresh label set (order-independent)."""
+    return _arrow(Y, x, 1, 0)
 
 
 def arrow_up(Y: Iterable[int], x: SigmaElem) -> SigmaElem:
-    Y = labelset(Y)
-    if set(Y) & set(x.ground):
-        raise DomainError("arrow labels must be disjoint from the ground set")
-    out = x
-    for y in Y:
-        out = arrow_up_single(y, out)
-    return out
+    """Iterated advanced arrow over a fresh label set (order-independent)."""
+    return _arrow(Y, x, 0, 1)
 
 
 def _lump_elem(labels) -> SigmaElem:
@@ -146,7 +145,10 @@ def reverse_convolution_element(Y: Iterable[int], mirror: bool = False) -> Sigma
     return out if out is not None else unit_elem(H)
 
 
-def _arrow_cell(Y: tuple, c: Cell, down: bool) -> Cell:
+def _arrow_cell(Y: Iterable[int], c: Cell, down: bool) -> Cell:
+    Y = labelset(Y)
+    if set(Y) & set(c.ground):
+        raise DomainError("arrow labels must be disjoint from the cell ground")
     full = tuple(sorted(Y + c.ground))
     I = c.ground
     sides = set()
@@ -163,32 +165,19 @@ def _arrow_cell(Y: tuple, c: Cell, down: bool) -> Cell:
             V = tuple(sorted(Y2 + T))
             if U and V:
                 sides.add(U)
-    return Cell(full, sides)
+    out = Cell(full, sides)
+    ok, _ = is_cell(out.ground, out.positive)
+    if not ok:
+        raise RuntimeError("internal invariant violation: arrowed family is not a cell")
+    return out
 
 
 def arrow_cell_down(Y: Iterable[int], c: Cell) -> Cell:
     """The cell of the arrowed Dynkin element: adds (Y1 u S, Y2 u T) for each
     oriented channel, plus every channel with the old ground on the left."""
-    Y = labelset(Y)
-    if set(Y) & set(c.ground):
-        raise DomainError("arrow labels must be disjoint from the cell ground")
-    out = _arrow_cell(Y, c, down=True)
-    from .cells import is_cell
-
-    ok, _ = is_cell(out.ground, out.positive)
-    if not ok:
-        raise RuntimeError("internal invariant violation: arrowed family is not a cell")
-    return out
+    return _arrow_cell(Y, c, down=True)
 
 
 def arrow_cell_up(Y: Iterable[int], c: Cell) -> Cell:
-    Y = labelset(Y)
-    if set(Y) & set(c.ground):
-        raise DomainError("arrow labels must be disjoint from the cell ground")
-    out = _arrow_cell(Y, c, down=False)
-    from .cells import is_cell
-
-    ok, _ = is_cell(out.ground, out.positive)
-    if not ok:
-        raise RuntimeError("internal invariant violation: arrowed family is not a cell")
-    return out
+    """The same with every channel with the old ground on the right."""
+    return _arrow_cell(Y, c, down=False)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
+from .arrows import retarded_element
 from .compositions import Composition, canonical_set, labelset, one_lump, set_partitions, star_labels
 from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
@@ -76,7 +77,7 @@ def causal_word_system() -> ProductSystem:
             ids = ids + _sorted_ids(dec[l] for l in lump)
         return WordElem.word(ids)
 
-    return ProductSystem("causal-words", eval_comp, claims_homomorphism=True)
+    return ProductSystem("causal-words", eval_comp)
 
 
 CAUSAL_SYSTEM = causal_word_system()
@@ -119,8 +120,6 @@ def retarded_product(
     """Evaluation of the retarded element on interaction copies over Y."""
     if set(Y_dec) & set(I_dec):
         raise DomainError("interaction and observable labels must be disjoint")
-    from .arrows import retarded_element
-
     if not Y_dec:
         return generalized_T(basis_elem(one_lump(labelset(I_dec))), I_dec)
     elem = retarded_element(labelset(Y_dec), labelset(I_dec))
@@ -131,8 +130,6 @@ def interacting_observable(
     A: TimedObservable, S_int: TimedObservable, order: int
 ) -> TruncSeries:
     """sum_r (g^r / r!) (1/(i hbar))^r R_(r;1)(S^r; A), a series in g alone."""
-    from .arrows import retarded_element
-
     terms: dict[tuple[int, int], WordElem] = {}
     for r in range(order + 1):
         stars = star_labels(r)
@@ -250,4 +247,4 @@ def recompose_system(sys: ProductSystem, z_combine) -> ProductSystem:
             out = out * eval_one_lump(lump, dec)
         return out
 
-    return ProductSystem(f"{sys.name}+recomposed", eval_comp, claims_homomorphism=True)
+    return ProductSystem(f"{sys.name}+recomposed", eval_comp)

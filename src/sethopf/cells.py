@@ -36,12 +36,11 @@ from .hopf import (
     basis_elem,
     is_primitive,
     mu,
-    primitive_part_basis,
     split_columns,
     to_h,
 )
 from .lincomb import LinComb
-from .linalg import rank, rank_mod_prime
+from .linalg import rank_mod_prime
 from .lp import (
     balanced_combination_exists,
     partition_infeasible,
@@ -548,17 +547,19 @@ def _left_normed_tree_images(n: int) -> list[SigmaElem]:
 
 
 def primitive_dimension_certified(n: int) -> int:
-    """dim of the primitive part, by exact kernel for small n and by a
-    certified modular squeeze at n = 5.
+    """dim of the primitive part over [n], by a certified modular squeeze.
 
     The squeeze: explicit tree images are checked primitive exactly and
     independent over GF(p), which bounds the dimension from below; the
     GF(p) nullity of the stacked-split matrix bounds it from above (its
     kernel contains the rational kernel).  Equality of the two bounds pins
-    the exact value without large exact eliminations.
+    the exact value without an exact elimination; the exact kernel,
+    ``hopf.primitive_part_basis``, is the oracle the tests compare with.
+    The degree-0 part is 0, since the monoid is connected.
     """
-    if n <= 4:
-        return len(primitive_part_basis(n))
+    check_size("primitive part", n)
+    if n == 0:
+        return 0
     ground = canonical_set(n)
     candidates = _left_normed_tree_images(n)
     for v in candidates:
@@ -566,23 +567,25 @@ def primitive_dimension_certified(n: int) -> int:
             raise ArithmeticError("tree image unexpectedly fails primitivity")
     low = rank_mod_prime([v.lc for v in candidates])
     if low != len(candidates):
-        raise ArithmeticError("modular fast path failed; rerun with exact rank")
+        raise ArithmeticError("tree images are dependent mod p")
 
     columns = [LinComb({q: 1 for q in pids}, _trusted=True) for _, pids in split_columns(ground)]
     up = len(columns) - rank_mod_prime(columns)
     if low != up:
-        raise ArithmeticError("modular bounds disagree; rerun with exact rank")
+        raise ArithmeticError("modular bounds on the primitive dimension disagree")
     return low
 
 
-def dynkin_rank(I: Iterable[int], exact: bool | None = None) -> tuple[int, int, int]:
+def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     """(number of cells, rank of their Dynkin span, primitive-part dimension).
 
-    Asserts that the rank equals both the partition-count dimension formula
-    and the kernel-computed primitive dimension.  For n = 5 the default is
-    the certified modular squeeze; pass exact=True to force exact elimination.
-    The empty ground is rejected: its one cell's Dynkin element is the unit,
-    which is not primitive.
+    Certified by a squeeze for every n: each Dynkin element is checked
+    primitive exactly, so the rank over Q is at most the primitive
+    dimension (``primitive_dimension_certified``), and the GF(p) rank of
+    the Dynkin rows is at most the rank over Q.  When the GF(p) rank reaches
+    the dimension, all three are equal; the result must also equal the
+    partition-count dimension formula.  The empty ground is rejected: its
+    one cell's Dynkin element is the unit, which is not primitive.
     """
     ground = labelset(I)
     n = len(ground)
@@ -591,23 +594,15 @@ def dynkin_rank(I: Iterable[int], exact: bool | None = None) -> tuple[int, int, 
         raise DomainError("dynkin rank needs a nonempty ground set")
     cells = enumerate_cells(ground)
     vectors = [dynkin(c) for c in cells]
+    for v in vectors:
+        if not is_primitive(v):
+            raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
+    pdim = primitive_dimension_certified(n)
+    r = rank_mod_prime([v.lc for v in vectors])
+    if r != pdim:
+        raise ArithmeticError("modular bounds on the Dynkin rank disagree")
     zdim = zie_dimension(n)
-    if exact is None:
-        exact = n <= 4
-    if exact:
-        r = rank([v.lc for v in vectors])
-        pdim = len(primitive_part_basis(n))
-    else:
-        for v in vectors:
-            if not is_primitive(v):
-                raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
-        pdim = primitive_dimension_certified(n)
-        low = rank_mod_prime([v.lc for v in vectors])
-        # low <= exact rank <= pdim since every Dynkin element is primitive
-        if low != pdim:
-            raise ArithmeticError("modular bounds disagree; rerun with exact=True")
-        r = low
-    if r != zdim or pdim != zdim:
+    if r != zdim:
         raise ArithmeticError(
             f"rank {r} / primitive dim {pdim} do not match the dimension formula {zdim}"
         )

@@ -17,7 +17,15 @@ import argparse
 import json
 import sys
 
-from .causal import CausalModel
+from .causal import (
+    CausalModel,
+    bogoliubov_check,
+    bogoliubov_extract,
+    generating_function,
+    interacting_observable,
+    smatrix,
+    z_factorization_check,
+)
 from .compositions import canonical_set
 from .cells import dynkin_rank, enumerate_cells_with_witnesses
 from .errors import SizeLimitError, check_size
@@ -87,7 +95,7 @@ def _cmd_cells_enumerate(args) -> int:
 
 def _cmd_dynkin_rank(args) -> int:
     try:
-        cells, r, zdim = dynkin_rank(canonical_set(args.n), exact=args.exact or None)
+        cells, r, zdim = dynkin_rank(canonical_set(args.n))
         status = "pass"
     except ArithmeticError as e:
         _emit(args, {"n": args.n, "status": "fail", "error": str(e)})
@@ -128,8 +136,6 @@ def _load_model(path: str) -> CausalModel:
 
 
 def _cmd_toy_demo(args) -> int:
-    from .causal import generating_function, smatrix, z_factorization_check
-
     model = _load_model(args.model)
     A = model.first_field_observable()
     S = model.interaction_observable
@@ -146,8 +152,6 @@ def _cmd_toy_demo(args) -> int:
 
 
 def _cmd_toy_bogoliubov(args) -> int:
-    from .causal import bogoliubov_check, bogoliubov_extract, interacting_observable
-
     model = _load_model(args.model)
     A = model.first_field_observable()
     S = model.interaction_observable
@@ -200,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum_p.set_defaults(fn=_cmd_cells_enumerate, limit="cells")
 
     dyn = sub.add_parser("dynkin").add_subparsers(dest="action", required=True)
-    rank_p = add(dyn.add_parser("rank"), n=4)
-    rank_p.add_argument("--exact", action="store_true", help="force exact elimination at n=5")
-    rank_p.set_defaults(fn=_cmd_dynkin_rank, limit="dynkin rank")
+    add(dyn.add_parser("rank"), n=4).set_defaults(fn=_cmd_dynkin_rank, limit="dynkin rank")
 
     st = sub.add_parser("steinmann").add_subparsers(dest="action", required=True)
     add(st.add_parser("verify"), n=4).set_defaults(fn=_cmd_steinmann, limit="cells")

@@ -410,7 +410,12 @@ def to_h(a: SigmaElem) -> SigmaElem:
 
 
 def is_primitive(a: SigmaElem) -> bool:
-    """True iff every proper comultiplication split kills a."""
+    """True iff every proper comultiplication split kills a.
+
+    Over the empty ground only zero is primitive: the monoid is connected.
+    """
+    if not a.ground:
+        return a.is_zero()
     for S, T in proper_splits(a.ground):
         if not delta_split(a, S, T).is_zero():
             return False
@@ -440,8 +445,14 @@ def split_columns(ground: Iterable[int]) -> list[tuple[Composition, tuple[int, .
 
 
 def primitive_part_basis(n: int) -> list[SigmaElem]:
-    """Exact basis of the intersection of the kernels of all proper splits."""
+    """Exact basis of the intersection of the kernels of all proper splits.
+
+    Empty at n = 0: the monoid is connected, so its degree-0 part has no
+    primitives.
+    """
     check_size("primitive part", n)
+    if n == 0:
+        return []
     ground = canonical_set(n)
     columns = split_columns(ground)
     mapping = [(F, LinComb({p: 1 for p in pids}, _trusted=True)) for F, pids in columns]

@@ -19,6 +19,7 @@ from .arrows import advanced_element, retarded_element, reverse_convolution_elem
 from .compositions import (
     Composition,
     canonical_set,
+    compositions_of,
     one_lump,
     ordered_splits,
     proper_splits,
@@ -161,16 +162,15 @@ class ProductSystem:
 
     ``eval_comp(F, dec)`` must be linear-extension-ready: it receives a
     single composition and a decoration for every ground label, and returns
-    a WordElem.  ``claims_homomorphism`` declares whether the evaluator is
-    multiplicative (checked by homomorphism_check, not assumed).
+    a WordElem.  Whether it is multiplicative is checked by
+    homomorphism_check, not assumed.
     """
 
-    __slots__ = ("name", "eval_comp", "claims_homomorphism")
+    __slots__ = ("name", "eval_comp")
 
-    def __init__(self, name: str, eval_comp: Callable, claims_homomorphism: bool = True):
+    def __init__(self, name: str, eval_comp: Callable):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "eval_comp", eval_comp)
-        object.__setattr__(self, "claims_homomorphism", claims_homomorphism)
 
     def __setattr__(self, *a):
         raise AttributeError("ProductSystem is immutable")
@@ -193,7 +193,7 @@ def polynomial_system(pairings: Mapping[Any, object]) -> ProductSystem:
             c = c * as_hbar(pairings[dec[l]])
         return WordElem.scalar(c)
 
-    return ProductSystem("polynomial", eval_comp, claims_homomorphism=True)
+    return ProductSystem("polynomial", eval_comp)
 
 
 def eval_system(sys: ProductSystem, x: SigmaElem | DecoratedElem, dec: Mapping[int, Any] | None = None) -> WordElem:
@@ -218,8 +218,6 @@ def eval_system(sys: ProductSystem, x: SigmaElem | DecoratedElem, dec: Mapping[i
 
 def homomorphism_check(sys: ProductSystem, n: int, decorations: Mapping[int, Any]) -> bool:
     """eta(mu(x,y) (x) A_S A_T) = eta(x (x) A_S) * eta(y (x) A_T) on basis inputs."""
-    from .compositions import compositions_of
-
     ground = canonical_set(n)
     for l in ground:
         if l not in decorations:
@@ -423,16 +421,11 @@ def perturb_arrow(
     A_dec,
     order: int,
     direction: str = "down",
-    c=None,
 ) -> TruncSeries:
-    """sum g^r j^n c^(r+n) / (r! n!)  eta(R_(r;n) (x) S^r A^n)  (or A_(r;n) up).
-
-    c defaults to 1/(i hbar), the coupling of the causal constructions.
-    """
+    """sum g^r j^n c^(r+n) / (r! n!)  eta(R_(r;n) (x) S^r A^n)  (or A_(r;n) up),
+    at c = C_QFT = 1/(i hbar), the coupling of the causal constructions."""
     if direction not in ("down", "up"):
         raise DomainError("direction must be 'down' or 'up'")
-    if c is None:
-        c = C_QFT
     terms: dict[tuple[int, int], WordElem] = {}
     for r in range(order + 1):
         stars = star_labels(r)
@@ -445,6 +438,6 @@ def perturb_arrow(
             else:
                 elem = advanced_element(stars, labels)
             dec = {**_const_decoration(stars, S_dec), **_const_decoration(labels, A_dec)}
-            scal = as_hbar(c**(r + n)) * Fraction(1, factorial(r) * factorial(n))
+            scal = as_hbar(C_QFT**(r + n)) * Fraction(1, factorial(r) * factorial(n))
             terms[(r, n)] = eval_system(sys, elem, dec).scale(scal)
     return TruncSeries(order, terms)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sethopf import cells as cells_module, verify
+from sethopf import cells as cells_module, linalg as linalg_module, verify
 from sethopf.cells import (
     Cell,
     channel_representatives,
@@ -21,6 +21,7 @@ from sethopf.cells import (
     is_ruelle_bridge,
     leaf,
     node,
+    primitive_dimension_certified,
     ruelle_check,
     ruelle_configurations,
     steinmann_quadruples,
@@ -57,6 +58,8 @@ from sethopf.hopf import (
     split_columns,
     to_h,
     to_q,
+    unit_elem,
+    zero_elem,
 )
 from sethopf.lincomb import LinComb
 from sethopf.scalars import QI
@@ -236,8 +239,26 @@ class TestDynkinRank:
     def test_n4(self):
         assert dynkin_rank(canonical_set(4)) == (32, 26, 26)
 
-    def test_n4_modular(self):
-        assert dynkin_rank(canonical_set(4), exact=False) == (32, 26, 26)
+    def test_n4_modular(self, monkeypatch):
+        # the hot path is the certified squeeze: no exact elimination at all
+        def no_exact(*args):
+            raise AssertionError("dynkin_rank ran an exact elimination")
+
+        monkeypatch.setattr(linalg_module, "_gauss_jordan", no_exact)
+        assert dynkin_rank(canonical_set(4)) == (32, 26, 26)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_certified_dimension_against_exact_kernel(self, n):
+        assert primitive_dimension_certified(n) == len(primitive_part_basis(n))
+
+    def test_degree_zero_has_no_primitives(self):
+        # the monoid is connected, so P[empty] = 0, as zie_dimension(0) says
+        assert zie_dimension(0) == 0
+        assert primitive_dimension_certified(0) == 0
+        assert primitive_part_basis(0) == []
+        assert not is_primitive(unit_elem())
+        assert not is_primitive(unit_elem(Q).scale(Fraction(-2, 3)))
+        assert is_primitive(zero_elem(()))
 
     def test_empty_ground_rejected_before_work(self, monkeypatch):
         # the empty cell's Dynkin element is the unit, which is not primitive
@@ -262,7 +283,7 @@ class TestDynkinRank:
     def test_modular_path_leaves_numpy_unloaded(self):
         code = (
             "import sys, sethopf.cells as c\n"
-            "assert c.dynkin_rank((1, 2, 3, 4), exact=False) == (32, 26, 26)\n"
+            "assert c.dynkin_rank((1, 2, 3, 4)) == (32, 26, 26)\n"
             "print('numpy' in sys.modules)"
         )
         proc = subprocess.run(

@@ -33,6 +33,15 @@ LIE_REPORTS_N4 = {
     '"counters":{"checked":20,"failures":0,"glz":20},"payload":{}}',
 }
 
+# The stdout of `dynkin rank --n N`, keyed by N.
+DYNKIN_RANK_STDOUT = {
+    1: '{"cells":1,"rank":1,"zieDim":1,"status":"pass"}\n',
+    2: '{"cells":2,"rank":2,"zieDim":2,"status":"pass"}\n',
+    3: '{"cells":6,"rank":6,"zieDim":6,"status":"pass"}\n',
+    4: '{"cells":32,"rank":26,"zieDim":26,"status":"pass"}\n',
+    5: '{"cells":370,"rank":150,"zieDim":150,"status":"pass"}\n',
+}
+
 # Each command one past the bound of its --n or --order.
 OVER_BOUND = [
     ("hopf", "check", "--n", "6"),
@@ -69,6 +78,11 @@ class TestDataCommands:
             "zieDim": 26,
             "status": "pass",
         }
+
+    @pytest.mark.parametrize("n", sorted(DYNKIN_RANK_STDOUT))
+    def test_dynkin_rank_output_pinned(self, n):
+        proc = run_cli("dynkin", "rank", "--n", str(n))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, DYNKIN_RANK_STDOUT[n], "")
 
     @pytest.mark.parametrize(
         "n",
@@ -176,6 +190,13 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         proc = run_cli("cells", "count", "--bogus", "1")
         assert proc.returncode == 2
+
+    def test_dynkin_rank_has_no_exact_flag(self):
+        # one certified path: the exact elimination is a test oracle only
+        proc = run_cli("dynkin", "rank", "--exact")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --exact" in proc.stderr
 
     def test_unknown_command(self):
         proc = run_cli("frobnicate")

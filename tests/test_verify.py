@@ -1,12 +1,13 @@
-"""The suite results themselves: merging, the Lie suite as three suites, and
-the size bounds the suites check before work."""
+"""The suite results themselves: merging, the Lie suite as three suites, the
+size bounds the suites check before work, and the failure details."""
 
+import json
 import subprocess
 import sys
 
 import pytest
 
-from sethopf import verify
+from sethopf import cli, verify
 from sethopf.verify import SuiteResult
 
 # lie_suite(4) counters, in their order of first appearance.
@@ -17,6 +18,22 @@ LIE_COUNTERS_N4 = {
     "tree-bracket-homomorphism": 206,
     "tree-jacobi": 108,
 }
+
+# The failureSamples of `hopf check --n 2` when the product is scaled by
+# 1 + |ground of the left factor|: associativity, compatibility, the unit law
+# and the antipode identities fail.
+FORCED_FAILURE_SAMPLES = [
+    "associativity: (1)*H(1) (1)*H() (1)*H()",
+    "compatibility: (1)*H(1) (1)*H() ()|(1,)",
+    "compatibility: (1)*H(1) (1)*H() (1,)|()",
+    "unit",
+    "antipode-convolution: (1)*H(1)",
+    "associativity: (1)*H(1) (1)*H() (1)*H(2)",
+    "associativity: (1)*H(1) (1)*H(2) (1)*H()",
+    "associativity: (1)*H(2) (1)*H() (1)*H(1)",
+    "associativity: (1)*H(2) (1)*H(1) (1)*H()",
+    "associativity: (1)*H(12) (1)*H() (1)*H()",
+]
 
 
 def test_merge_sums_counters_and_keeps_order():
@@ -57,3 +74,34 @@ def test_suite_checks_its_bound_before_work(call):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_bump_formats_details_only_on_failure():
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("detail formatted for a passing check")
+
+    res = SuiteResult("r")
+    res.bump("k", True, Unprintable(), Unprintable())
+    res.bump("k", False, 1, (2, 3), "x|y")
+    res.bump("k", False)
+    assert res.counters == {"k": 3}
+    assert res.failures == ["k: 1 (2, 3) x|y", "k"]
+
+
+def test_failure_samples_of_a_forced_failure(monkeypatch, capsys):
+    real_mu = verify.mu
+    monkeypatch.setattr(verify, "mu", lambda a, b: real_mu(a, b).scale(1 + len(a.ground)))
+    assert cli.run(["hopf", "check", "--n", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["counters"]["failures"] == 38
+    assert out["failureSamples"] == FORCED_FAILURE_SAMPLES
+
+
+def test_failure_details_name_cell_and_channel(monkeypatch):
+    monkeypatch.setattr(verify, "tits", lambda a, b: a)
+    res = verify.dynkin_suite(2)
+    assert res.failures == [
+        "tits-annihilation: Cell[12:1] (1,)",
+        "tits-annihilation: Cell[12:2] (2,)",
+    ]
