@@ -8,6 +8,12 @@ composition type serves both colours.
 A composition of a finite label set is an ordered sequence of disjoint
 nonempty subsets ("lumps") covering it.  The empty composition ``()`` is
 the unique composition of the empty set.
+
+Input is validated once, at the boundary: ``Composition(...)``, ``comp``
+and ``one_lump`` sort the lumps and reject empty lumps and repeated labels,
+and ``concat``, ``restrict`` and ``deshuffle`` check their ground sets.
+Past those checks the operations build their results unchecked, with
+``Composition._of``, from lumps they keep sorted, disjoint and nonempty.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ def star_labels(r: int) -> LabelSet:
 class Composition:
     """An ordered sequence of disjoint nonempty label sets covering its ground."""
 
-    __slots__ = ("lumps", "_ground")
+    __slots__ = ("lumps", "ground", "_hash")
 
     def __init__(self, lumps: Iterable[Iterable[int]]):
         ls = tuple(labelset(l) for l in lumps)
@@ -55,15 +61,21 @@ class Composition:
                 if x in seen:
                     raise DomainError(f"label {x} appears in two lumps")
                 seen.add(x)
-        object.__setattr__(self, "lumps", ls)
-        object.__setattr__(self, "_ground", tuple(sorted(seen)))
+        _set_lumps(self, ls)
+        _set_ground(self, tuple(sorted(seen)))
+        _set_hash(self, hash(ls))
+
+    @classmethod
+    def _of(cls, lumps: tuple, ground: LabelSet) -> "Composition":
+        """Unchecked: lumps are sorted, disjoint, nonempty tuples, ground their sorted union."""
+        self = _new(cls)
+        _set_lumps(self, lumps)
+        _set_ground(self, ground)
+        _set_hash(self, hash(lumps))
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Composition is immutable")
-
-    @property
-    def ground(self) -> LabelSet:
-        return self._ground
 
     def __len__(self):
         return len(self.lumps)
@@ -72,7 +84,7 @@ class Composition:
         return isinstance(other, Composition) and self.lumps == other.lumps
 
     def __hash__(self):
-        return hash(self.lumps)
+        return self._hash
 
     def sort_key(self):
         return (len(self.lumps), self.lumps)
@@ -88,6 +100,11 @@ class Composition:
 
         return "(" + ",".join(lump_str(l) for l in self.lumps) + ")"
 
+
+_new = object.__new__
+_set_lumps = Composition.lumps.__set__
+_set_ground = Composition.ground.__set__
+_set_hash = Composition._hash.__set__
 
 EMPTY_COMPOSITION = Composition(())
 
@@ -117,7 +134,7 @@ def _ordered_set_partitions(items: tuple) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _compositions_cached(ground: LabelSet) -> tuple[Composition, ...]:
-    comps = [Composition(tuple(labelset(l) for l in p)) for p in _ordered_set_partitions(ground)]
+    comps = [Composition._of(p, ground) for p in _ordered_set_partitions(ground)]
     comps.sort(key=Composition.sort_key)
     return tuple(comps)
 
@@ -131,20 +148,22 @@ def compositions_of(I: Iterable[int]) -> tuple[Composition, ...]:
 
 def restrict(F: Composition, S: Iterable[int]) -> Composition:
     """(F|_S)_+ : intersect lumps with S in order and drop the empties."""
-    Sset = frozenset(labelset(S))
+    ground = labelset(S)
+    Sset = frozenset(ground)
     if not Sset <= set(F.ground):
         raise DomainError(f"{sorted(Sset)} is not a subset of the ground set")
-    return Composition(tuple(l2 for l in F.lumps if (l2 := tuple(x for x in l if x in Sset))))
+    lumps = tuple(l2 for l in F.lumps if (l2 := tuple(x for x in l if x in Sset)))
+    return Composition._of(lumps, ground)
 
 
 def concat(F: Composition, G: Composition) -> Composition:
     if set(F.ground) & set(G.ground):
         raise DomainError("concat requires disjoint ground sets")
-    return Composition(F.lumps + G.lumps)
+    return Composition._of(F.lumps + G.lumps, tuple(sorted(F.ground + G.ground)))
 
 
 def opposite(F: Composition) -> Composition:
-    return Composition(tuple(reversed(F.lumps)))
+    return Composition._of(F.lumps[::-1], F.ground)
 
 
 def coarsens(G: Composition, F: Composition) -> bool:
@@ -178,7 +197,8 @@ def quotient_stats(F: Composition, G: Composition) -> tuple[int, int]:
 
 def deshuffle(F: Composition, S: Iterable[int]) -> Composition | None:
     """F|_S when S is a union of (not necessarily contiguous) lumps of F, else None."""
-    Sset = frozenset(labelset(S))
+    ground = labelset(S)
+    Sset = frozenset(ground)
     if not Sset <= set(F.ground):
         raise DomainError(f"{sorted(Sset)} is not a subset of the ground set")
     picked = []
@@ -190,19 +210,16 @@ def deshuffle(F: Composition, S: Iterable[int]) -> Composition | None:
             covered |= ls
         elif ls & Sset:
             return None
-    if covered != set(Sset):
+    if covered != Sset:
         return None
-    return Composition(tuple(picked))
+    return Composition._of(tuple(picked), ground)
 
 
 def refinements(F: Composition) -> Iterator[Composition]:
     """All G >= F: refine each lump independently and concatenate in order."""
     per_lump = [_compositions_cached(l) for l in F.lumps]
     for choice in itertools.product(*per_lump):
-        lumps: tuple = ()
-        for c in choice:
-            lumps = lumps + c.lumps
-        yield Composition(lumps)
+        yield Composition._of(tuple(l for c in choice for l in c.lumps), F.ground)
 
 
 def two_lump_coarsenings(F: Composition) -> Iterator[tuple[LabelSet, LabelSet]]:

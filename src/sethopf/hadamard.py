@@ -15,6 +15,8 @@ from .lincomb import LinComb
 
 def _tits_basis(F: Composition, G: Composition) -> Composition:
     # (T_1 cap S_1, ..., T_kG cap S_1, ......, T_1 cap S_kF, ...)_+
+    # F and G compose one ground set, so the nonempty intersections are
+    # sorted, disjoint and cover it.
     lumps = []
     for S in F.lumps:
         Sset = set(S)
@@ -22,7 +24,7 @@ def _tits_basis(F: Composition, G: Composition) -> Composition:
             inter = tuple(x for x in T if x in Sset)
             if inter:
                 lumps.append(inter)
-    return Composition(tuple(lumps))
+    return Composition._of(tuple(lumps), G.ground)
 
 
 def tits(a: SigmaElem, b: SigmaElem) -> SigmaElem:
@@ -42,7 +44,7 @@ def tits(a: SigmaElem, b: SigmaElem) -> SigmaElem:
                 terms[K] = c
             else:
                 terms.pop(K, None)
-    return SigmaElem(a.ground, LinComb(terms), H)
+    return SigmaElem._of(a.ground, LinComb(terms, _trusted=True), H)
 
 
 def tits_unit(ground) -> SigmaElem:

@@ -19,11 +19,17 @@ its first split, into int numerators over one denominator; a split is then
 one integer scatter-add over the element's terms.  The iterated coproduct,
 the Takeuchi antipode and the Hopf powers stay on the generic path, so the
 cross-checks against them stay independent of this one.
+
+Elements are validated once, at the boundary: ``SigmaElem(...)`` and
+``zero_elem`` check the basis tag and that every term lives over the sorted
+ground, and ``basis_elem`` checks the tag.  The operations check only what
+their arguments can get wrong (the grounds, the basis, a bijective
+relabelling) and build their results unchecked, with ``SigmaElem._of`` and
+``Composition._of``, keeping every term a composition of the sorted ground.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -33,7 +39,6 @@ from .compositions import (
     EMPTY_COMPOSITION,
     canonical_set,
     compositions_of,
-    concat,
     deshuffle,
     labelset,
     opposite,
@@ -67,10 +72,20 @@ class SigmaElem:
         for F, _ in lc:
             if F.ground != ground:
                 raise DomainError(f"term {F} does not live over ground {ground}")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "lc", lc)
-        object.__setattr__(self, "_split_form", None)  # filled by _split_form on first split
+        _set_ground(self, ground)
+        _set_basis(self, basis)
+        _set_lc(self, lc)
+        _set_split_form(self, None)  # filled by _split_form on first split
+
+    @classmethod
+    def _of(cls, ground: tuple, lc: LinComb, basis: str) -> "SigmaElem":
+        """Unchecked: ground is sorted, basis is H or Q, every key of lc composes ground."""
+        self = _new(cls)
+        _set_ground(self, ground)
+        _set_basis(self, basis)
+        _set_lc(self, lc)
+        _set_split_form(self, None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("SigmaElem is immutable")
@@ -91,17 +106,17 @@ class SigmaElem:
 
     def __add__(self, other: "SigmaElem") -> "SigmaElem":
         self._check_compatible(other)
-        return SigmaElem(self.ground, self.lc + other.lc, self.basis)
+        return SigmaElem._of(self.ground, self.lc + other.lc, self.basis)
 
     def __sub__(self, other: "SigmaElem") -> "SigmaElem":
         self._check_compatible(other)
-        return SigmaElem(self.ground, self.lc - other.lc, self.basis)
+        return SigmaElem._of(self.ground, self.lc - other.lc, self.basis)
 
     def __neg__(self):
-        return SigmaElem(self.ground, -self.lc, self.basis)
+        return SigmaElem._of(self.ground, -self.lc, self.basis)
 
     def scale(self, c) -> "SigmaElem":
-        return SigmaElem(self.ground, self.lc.scale(c), self.basis)
+        return SigmaElem._of(self.ground, self.lc.scale(c), self.basis)
 
     def _check_compatible(self, other: "SigmaElem"):
         if not isinstance(other, SigmaElem):
@@ -120,8 +135,17 @@ class SigmaElem:
         return " + ".join(bits)
 
 
+_new = object.__new__
+_set_ground = SigmaElem.ground.__set__
+_set_basis = SigmaElem.basis.__set__
+_set_lc = SigmaElem.lc.__set__
+_set_split_form = SigmaElem._split_form.__set__
+
+
 def basis_elem(F: Composition, basis: str = H, coeff=1) -> SigmaElem:
-    return SigmaElem(F.ground, LinComb.single(F, coeff), basis)
+    if basis not in (H, Q):
+        raise DomainError(f"unknown basis tag {basis!r}")
+    return SigmaElem._of(F.ground, LinComb.single(F, coeff), basis)
 
 
 def h_elem(*lumps) -> SigmaElem:
@@ -151,10 +175,13 @@ def relabel(a: SigmaElem, mapping: dict[int, int]) -> SigmaElem:
     if len(set(mapping.values())) != len(mapping):
         raise DomainError("relabel mapping must be injective")
 
-    def move(F: Composition) -> Composition:
-        return Composition(tuple(tuple(sorted(mapping[x] for x in l)) for l in F.lumps))
+    ground = tuple(sorted(mapping.values()))
 
-    return SigmaElem(sorted(mapping.values()), a.lc.map_keys(move), a.basis)
+    def move(F: Composition) -> Composition:
+        lumps = tuple(tuple(sorted(mapping[x] for x in l)) for l in F.lumps)
+        return Composition._of(lumps, ground)
+
+    return SigmaElem._of(ground, a.lc.map_keys(move), a.basis)
 
 
 def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
@@ -163,10 +190,11 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
         raise DomainError("mu requires disjoint ground sets")
     if a.basis != b.basis:
         raise DomainError("mixed-basis mu; convert first")
+    ground = tuple(sorted(a.ground + b.ground))
     terms = {}
     for F, cf in a.lc:
         for G, cg in b.lc:
-            K = concat(F, G)
+            K = Composition._of(F.lumps + G.lumps, ground)
             c = cf * cg
             if K in terms:
                 c = terms[K] + c
@@ -174,7 +202,7 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
                 terms[K] = c
             else:
                 terms.pop(K, None)
-    return SigmaElem(a.ground + b.ground, LinComb(terms, _trusted=True), a.basis)
+    return SigmaElem._of(ground, LinComb(terms, _trusted=True), a.basis)
 
 
 def mu_many(parts: Sequence[SigmaElem]) -> SigmaElem:
@@ -195,14 +223,13 @@ class _SplitTable:
     is undefined.  Rows are built one composition at a time, on first use.
     """
 
-    __slots__ = ("bit", "pairs", "ids", "rows", "lock")
+    __slots__ = ("bit", "pairs", "ids", "rows")
 
     def __init__(self, ground: tuple):
         self.bit = {x: 1 << i for i, x in enumerate(ground)}
         self.pairs: list[tuple[Composition, Composition]] = []  # pair id -> pair
         self.ids: dict[tuple, int] = {}  # (left lumps, right lumps) -> pair id
         self.rows: dict[str, dict[Composition, tuple[int, ...]]] = {H: {}, Q: {}}
-        self.lock = threading.Lock()  # one id per pair, even under threads
 
     def mask(self, S: Iterable[int]) -> int:
         return sum(map(self.bit.__getitem__, S))
@@ -211,17 +238,14 @@ class _SplitTable:
         rows = self.rows[basis]
         row = rows.get(F)
         if row is None:
-            with self.lock:
-                row = rows.get(F)
-                if row is None:
-                    row = rows[F] = self._build_row(F, basis)
+            row = rows[F] = self._build_row(F, basis)
         return row
 
     def _pair_id(self, left: tuple, right: tuple) -> int:
         pid = self.ids.get((left, right))
         if pid is None:
             pid = self.ids[(left, right)] = len(self.pairs)
-            self.pairs.append((Composition(left), Composition(right)))
+            self.pairs.append((_of_lumps(left), _of_lumps(right)))
         return pid
 
     def _build_row(self, F: Composition, basis: str) -> tuple[int, ...]:
@@ -242,6 +266,11 @@ class _SplitTable:
         return tuple(row)
 
 
+def _of_lumps(lumps: tuple) -> Composition:
+    """The composition with these sorted, disjoint, nonempty lumps, unchecked."""
+    return Composition._of(lumps, tuple(sorted(x for l in lumps for x in l)))
+
+
 @lru_cache(maxsize=None)
 def _split_table(ground: tuple) -> _SplitTable:
     return _SplitTable(ground)
@@ -258,7 +287,7 @@ def _split_form(a: SigmaElem) -> tuple:
         nums, den = _numerators(c for _, c in a.lc)
         table = _split_table(a.ground)
         form = (table, [table.row(F, a.basis) for F in a.lc.keys()], nums, den)
-        object.__setattr__(a, "_split_form", form)
+        _set_split_form(a, form)
     return form
 
 
@@ -351,7 +380,7 @@ def antipode(a: SigmaElem) -> SigmaElem:
     if a.basis != H:
         raise DomainError("antipode expects the H-basis; convert first")
     parts = [_antipode_of_comp(F).scale(c) for F, c in a.lc]
-    return SigmaElem(a.ground, lincomb_sum(parts), H)
+    return SigmaElem._of(a.ground, lincomb_sum(parts), H)
 
 
 def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
@@ -365,7 +394,7 @@ def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
         sign = 1 if len(F) % 2 == 0 else -1
         pieces = delta_iterated(a, F.lumps)
         for key, c in pieces:
-            K = Composition(tuple(l for piece in key for l in piece.lumps))
+            K = Composition._of(tuple(l for piece in key for l in piece.lumps), a.ground)
             w = terms.get(K, 0) + sign * c
             if w:
                 terms[K] = w
@@ -398,7 +427,7 @@ def to_q(a: SigmaElem) -> SigmaElem:
     if a.basis == Q:
         return a
     parts = [_h_in_q(F).scale(c) for F, c in a.lc]
-    return SigmaElem(a.ground, lincomb_sum(parts), Q)
+    return SigmaElem._of(a.ground, lincomb_sum(parts), Q)
 
 
 def to_h(a: SigmaElem) -> SigmaElem:
@@ -406,7 +435,7 @@ def to_h(a: SigmaElem) -> SigmaElem:
     if a.basis == H:
         return a
     parts = [_q_in_h(F).scale(c) for F, c in a.lc]
-    return SigmaElem(a.ground, lincomb_sum(parts), H)
+    return SigmaElem._of(a.ground, lincomb_sum(parts), H)
 
 
 def is_primitive(a: SigmaElem) -> bool:

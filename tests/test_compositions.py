@@ -64,6 +64,10 @@ class TestEnumeration:
             Composition(((1,), ()))
         with pytest.raises(DomainError):
             Composition(((1, 2), (2,)))
+        with pytest.raises(DomainError):
+            Composition(((1, 1), (2,)))
+        with pytest.raises(DomainError):
+            comp((3,), (3,))
 
 
 class TestRestrict:
@@ -195,3 +199,50 @@ class TestPartitions:
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6, unique=True))
 def test_labelset_sorted(labels):
     assert labelset(labels) == tuple(sorted(labels))
+
+
+def assert_as_validated(K):
+    """K is what the validating constructor builds from K's lumps."""
+    ref = Composition(K.lumps)
+    assert (K.lumps, K.ground, hash(K)) == (ref.lumps, ref.ground, hash(ref)), K
+
+
+def subsets(ground):
+    return [S for r in range(len(ground) + 1) for S in itertools.combinations(ground, r)]
+
+
+GROUNDS = [canonical_set(n) for n in range(5)] + [(-2, 3, 7), (-3, -1, 4, 9)]
+
+
+class TestTrustedConstructions:
+    """The operations build their results unchecked; each must be a valid composition."""
+
+    def test_enumeration(self):
+        for ground in GROUNDS:
+            for F in compositions_of(ground):
+                assert_as_validated(F)
+
+    def test_restrict_and_deshuffle(self):
+        for ground in GROUNDS:
+            for F in compositions_of(ground):
+                for S in subsets(ground):
+                    assert_as_validated(restrict(F, S[::-1]))
+                    K = deshuffle(F, S[::-1])
+                    if K is not None:
+                        assert_as_validated(K)
+
+    def test_concat(self):
+        # every (S, T) split in both orders, so ground(F) + ground(G) is often unsorted
+        for ground in GROUNDS:
+            for S in subsets(ground):
+                T = tuple(x for x in ground if x not in S)
+                for F in compositions_of(S):
+                    for G in compositions_of(T):
+                        assert_as_validated(concat(F, G))
+
+    def test_opposite_and_refinements(self):
+        for ground in GROUNDS:
+            for F in compositions_of(ground):
+                assert_as_validated(opposite(F))
+                for G in refinements(F):
+                    assert_as_validated(G)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sethopf.compositions import (
+    Composition,
     _compositions_cached,
     canonical_set,
     comp,
@@ -13,7 +14,9 @@ from sethopf.compositions import (
     restrict,
 )
 from sethopf.errors import DomainError
+from sethopf.hadamard import _tits_basis, tits
 from sethopf.hopf import (
+    _split_table,
     DecoratedElem,
     H,
     Q,
@@ -340,3 +343,109 @@ class TestMisc:
     def test_ground_mismatch_add(self):
         with pytest.raises(DomainError):
             h_elem((1,)) + h_elem((2,))
+
+
+class TestBoundary:
+    def test_bad_basis_tag(self):
+        with pytest.raises(DomainError):
+            basis_elem(comp((1,)), "X")
+        with pytest.raises(DomainError):
+            SigmaElem((1,), LinComb.single(comp((1,)), 1), "X")
+
+    def test_term_off_the_ground(self):
+        with pytest.raises(DomainError):
+            SigmaElem((1, 2), LinComb.single(comp((1,)), 1), H)
+        with pytest.raises(DomainError):
+            SigmaElem((1, 1), LinComb.zero(), H)
+
+    def test_bad_relabel(self):
+        a = h_elem((1,), (2,))
+        with pytest.raises(DomainError):
+            relabel(a, {1: 5, 2: 5})
+        with pytest.raises(DomainError):
+            relabel(a, {1: 5})
+
+    def test_invalid_lumps(self):
+        with pytest.raises(DomainError):
+            h_elem((1,), (1, 2))
+        with pytest.raises(DomainError):
+            q_elem((1,), ())
+
+
+def assert_as_validated(x):
+    """x is what the validating constructors build from its ground, terms and basis."""
+    assert type(x.ground) is tuple and x.ground == tuple(sorted(x.ground)), x.ground
+    assert x == SigmaElem(x.ground, x.lc, x.basis)
+    for K in x.lc.keys():
+        ref = Composition(K.lumps)
+        assert (K.lumps, K.ground, hash(K)) == (ref.lumps, ref.ground, hash(ref)), K
+
+
+def full_elem(ground, basis, shift=0):
+    """Every basis element of ground, with distinct coefficients."""
+    comps = compositions_of(ground)
+    return SigmaElem(ground, LinComb({F: i + 1 + shift for i, F in enumerate(comps)}), basis)
+
+
+TRUSTED_GROUNDS = [canonical_set(n) for n in range(5)] + [(-2, 3, 7)]
+
+
+class TestTrustedConstructions:
+    """Every operation builds its result unchecked; each must be a valid element."""
+
+    @pytest.mark.parametrize("basis", [H, Q])
+    def test_mu(self, basis):
+        for ground in TRUSTED_GROUNDS:
+            for S, T in ordered_splits(ground):
+                a, b = full_elem(S, basis), full_elem(T, basis)
+                assert_as_validated(mu(a, b))
+                assert_as_validated(mu(b, a))
+
+    def test_tits(self):
+        for ground in TRUSTED_GROUNDS:
+            comps = compositions_of(ground)
+            for F in comps:
+                for G in comps:
+                    K = _tits_basis(F, G)
+                    assert_as_validated(basis_elem(K))
+            assert_as_validated(tits(full_elem(ground, H), full_elem(ground, H, 3)))
+
+    def test_antipode_and_basis_changes(self):
+        for ground in TRUSTED_GROUNDS:
+            for F in compositions_of(ground):
+                for x in (basis_elem(F, H), basis_elem(F, H, Fraction(-2, 3))):
+                    assert_as_validated(x)
+                    assert_as_validated(antipode(x))
+                    assert_as_validated(to_q(x))
+                    assert_as_validated(to_h(to_q(x)))
+                    assert_as_validated(to_h(basis_elem(F, Q)))
+                assert_as_validated(takeuchi_antipode(basis_elem(F, H)))
+            if len(ground) <= 3:
+                assert_as_validated(takeuchi_antipode(full_elem(ground, H)))
+
+    def test_linear_operations(self):
+        for ground in TRUSTED_GROUNDS:
+            a, b = full_elem(ground, H), full_elem(ground, H, 2)
+            for x in (a + b, a - b, a - a, -a, a.scale(Fraction(1, 2)), a.scale(0)):
+                assert_as_validated(x)
+
+    def test_relabel(self):
+        import random
+
+        rng = random.Random(7)
+        for ground in TRUSTED_GROUNDS:
+            for F in compositions_of(ground):
+                for _ in range(3):
+                    image = rng.sample([x for x in range(-9, 10) if x], len(ground))
+                    x = relabel(basis_elem(F, rng.choice((H, Q))), dict(zip(ground, image)))
+                    assert_as_validated(x)
+
+    def test_split_table_pairs(self):
+        for ground in ((1, 2, 3, 4), (-3, 2, 5, 9)):
+            table = _split_table(ground)
+            for F in compositions_of(ground):
+                table.row(F, H)
+                table.row(F, Q)
+            for left, right in table.pairs:
+                assert_as_validated(basis_elem(left))
+                assert_as_validated(basis_elem(right))
