@@ -2,9 +2,11 @@
 """Run every acceptance suite and print one pass/fail line per criterion.
 
 Default bounds keep this under a minute; --heavy runs the same suites one
-step up (the exact primitive kernel and the Dynkin rank at n=5, the exact
-rank of the n=5 Dynkin rows as the oracle for the modular squeeze, the
-Steinmann span at n=5, n=6 cells, order-3 series), which takes minutes.
+step up (the exact primitive kernel and the Dynkin rank at n=5, with two
+oracles for its certificate: every n=5 Dynkin element checked primitive
+directly, against the orbit representatives, and the exact rank of the n=5
+Dynkin rows, against the modular squeeze; the Steinmann span at n=5, n=6
+cells, order-3 series), which takes minutes.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import time
 from sethopf import verify
 from sethopf.cells import dynkin, dynkin_rank, enumerate_cells
 from sethopf.compositions import canonical_set
+from sethopf.hopf import is_primitive
 from sethopf.linalg import rank
 
 
@@ -49,7 +52,10 @@ def main() -> int:
         line("heavy: primitive dimension 150 at n=5, exact kernel", verify.dimension_suite(5))
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")
-        got = rank([dynkin(c).lc for c in enumerate_cells(canonical_set(5))])
+        dynkin5 = [dynkin(c) for c in enumerate_cells(canonical_set(5))]
+        got = sum(map(is_primitive, dynkin5))
+        line("heavy: each of the 370 Dynkin elements at n=5 is primitive", got == 370, f" -> {got}")
+        got = rank([d.lc for d in dynkin5])
         line("heavy: exact rank of the 370 Dynkin rows at n=5 is 150", got == 150, f" -> {got}")
         stein5 = verify.steinmann_suite(5)
         span_ok = stein5.passed and stein5.payload["relationSpan"] == 220

@@ -37,7 +37,6 @@ from .hopf import (
     is_primitive,
     mu,
     split_columns,
-    to_h,
 )
 from .lincomb import LinComb
 from .linalg import rank_mod_prime
@@ -542,20 +541,22 @@ def _left_normed_tree_images(n: int) -> list[SigmaElem]:
             t = leaf(first)
             for b in perm:
                 t = node(t, leaf(b))
-            out.append(to_h(tree_to_primitive(t)))
+            out.append(tree_to_primitive(t))
     return out
 
 
 def primitive_dimension_certified(n: int) -> int:
     """dim of the primitive part over [n], by a certified modular squeeze.
 
-    The squeeze: explicit tree images are checked primitive exactly and
-    independent over GF(p), which bounds the dimension from below; the
-    GF(p) nullity of the stacked-split matrix bounds it from above (its
-    kernel contains the rational kernel).  Equality of the two bounds pins
-    the exact value without an exact elimination; the exact kernel,
-    ``hopf.primitive_part_basis``, is the oracle the tests compare with.
-    The degree-0 part is 0, since the monoid is connected.
+    The squeeze: explicit tree images, kept in the Q-basis, are checked
+    primitive exactly on their deshuffle rows, and their Q-coordinates are
+    independent over GF(p); since the Q-basis is a basis, that bounds the
+    dimension from below.  The GF(p) nullity of the stacked-split matrix
+    bounds it from above (its kernel contains the rational kernel).
+    Equality of the two bounds pins the exact value without an exact
+    elimination; the exact kernel, ``hopf.primitive_part_basis``, is the
+    oracle the tests compare with.  The degree-0 part is 0, since the
+    monoid is connected.
     """
     check_size("primitive part", n)
     if n == 0:
@@ -576,14 +577,79 @@ def primitive_dimension_certified(n: int) -> int:
     return low
 
 
+def _mask_permutations(n: int) -> list[list[int]]:
+    """For each permutation p of the positions 0..n-1, the image of every
+    position mask under p: bit i of a mask moves to bit p[i]."""
+    out = []
+    for p in itertools.permutations(range(n)):
+        img = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << p[low.bit_length() - 1]
+        out.append(img)
+    return out
+
+
+def relabel_orbits(
+    ground: LabelSet, cells: Sequence[Cell], rows: Sequence[LinComb]
+) -> list[tuple[int, int]]:
+    """Split the cells over ground into S_n orbits, certifying every row as
+    the relabelling of its orbit representative's row.
+
+    rows[k] is the row of cells[k], a LinComb over compositions of ground.
+    The representatives are taken in list order, each the first cell that
+    no orbit covers yet.  For every permutation s of ground, s(rep) must be
+    one of the cells, and the row of each newly covered cell must equal s
+    applied to the representative's row, exactly.  Cells and rows are
+    compared as lump bitmasks over the positions in ground, with one table
+    of mask images per permutation.  Returns (index of the representative,
+    size of its stabiliser) per orbit, so Sum n!/|Stab| == len(cells).
+    Raises ArithmeticError when a relabelled cell is missing or a row
+    differs.
+    """
+    bit = {x: 1 << i for i, x in enumerate(ground)}
+
+    def mask(labels) -> int:
+        return sum(map(bit.__getitem__, labels))
+
+    keys = {F: tuple(map(mask, F.lumps)) for F in compositions_of(ground)}
+    sides = [frozenset(map(mask, c.positive)) for c in cells]
+    index = {s: k for k, s in enumerate(sides)}
+    perms = _mask_permutations(len(ground))
+    covered = [False] * len(cells)
+    orbits = []
+    for r, rep in enumerate(cells):
+        if covered[r]:
+            continue
+        rep_row = [(keys[F], c) for F, c in rows[r]]
+        stab = 0
+        for img in perms:
+            k = index.get(frozenset([img[m] for m in sides[r]]))
+            if k is None:
+                raise ArithmeticError(f"a relabelling of {rep} is not an enumerated cell")
+            stab += k == r
+            if covered[k]:
+                continue
+            moved = {tuple([img[m] for m in key]): c for key, c in rep_row}
+            if moved != {keys[F]: c for F, c in rows[k]}:
+                raise ArithmeticError(f"the row of {cells[k]} is not a relabelling of {rep}'s")
+            covered[k] = True
+        orbits.append((r, stab))
+    return orbits
+
+
 def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     """(number of cells, rank of their Dynkin span, primitive-part dimension).
 
-    Certified by a squeeze for every n: each Dynkin element is checked
-    primitive exactly, so the rank over Q is at most the primitive
-    dimension (``primitive_dimension_certified``), and the GF(p) rank of
-    the Dynkin rows is at most the rank over Q.  When the GF(p) rank reaches
-    the dimension, all three are equal; the result must also equal the
+    Certified by a squeeze for every n.  Every Dynkin row is primitive:
+    the element of each S_n orbit representative is checked primitive
+    exactly, and every other row is checked equal, exactly, to the
+    relabelling of its representative's row (``relabel_orbits``); the
+    coproduct commutes with relabelling, so relabelling keeps primitivity.
+    Hence the rank over Q is at most the primitive dimension
+    (``primitive_dimension_certified``), and the GF(p) rank of the Dynkin
+    rows is at most the rank over Q.  When the GF(p) rank reaches the
+    dimension, all three are equal; the result must also equal the
     partition-count dimension formula.  The empty ground is rejected: its
     one cell's Dynkin element is the unit, which is not primitive.
     """
@@ -594,11 +660,12 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
         raise DomainError("dynkin rank needs a nonempty ground set")
     cells = enumerate_cells(ground)
     vectors = [dynkin(c) for c in cells]
-    for v in vectors:
-        if not is_primitive(v):
+    rows = [v.lc for v in vectors]
+    for rep, _ in relabel_orbits(ground, cells, rows):
+        if not is_primitive(vectors[rep]):
             raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
     pdim = primitive_dimension_certified(n)
-    r = rank_mod_prime([v.lc for v in vectors])
+    r = rank_mod_prime(rows)
     if r != pdim:
         raise ArithmeticError("modular bounds on the Dynkin rank disagree")
     zdim = zie_dimension(n)

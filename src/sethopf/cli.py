@@ -27,7 +27,7 @@ from .causal import (
     z_factorization_check,
 )
 from .compositions import canonical_set
-from .cells import dynkin_rank, enumerate_cells_with_witnesses
+from .cells import dynkin_rank, enumerate_cells, enumerate_cells_with_witnesses
 from .errors import SizeLimitError, check_size
 from .jsonio import (
     cell_to_json,
@@ -75,7 +75,7 @@ def _cmd_hopf_check(args) -> int:
 
 
 def _cmd_cells_count(args) -> int:
-    cells = enumerate_cells_with_witnesses(canonical_set(args.n))
+    cells = enumerate_cells(canonical_set(args.n))
     _emit(args, {"n": args.n, "count": len(cells)})
     return 0
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from sethopf.cells import (
     leaf,
     node,
     primitive_dimension_certified,
+    relabel_orbits,
     ruelle_check,
     ruelle_configurations,
     steinmann_quadruples,
@@ -180,12 +182,16 @@ class TestDynkin:
 
     def test_perturbed_elements_not_primitive(self):
         candidates = [dynkin(c) for c in enumerate_cells(canonical_set(4))]
-        candidates += _left_normed_tree_images(4)
+        trees = _left_normed_tree_images(4)
+        assert {v.basis for v in trees} == {Q}
+        for v in trees:
+            assert is_primitive(to_h(v))
+        candidates += trees
         comps = compositions_of(canonical_set(4))
         coeffs = (1, -1, Fraction(1, 2), -3)
         for k, v in enumerate(candidates):
             assert is_primitive(v)
-            bump = basis_elem(comps[k % len(comps)], H, coeffs[k % len(coeffs)])
+            bump = basis_elem(comps[k % len(comps)], v.basis, coeffs[k % len(coeffs)])
             assert not is_primitive(v + bump)
             assert not is_primitive(v.scale(Fraction(2, 3)) - bump)
 
@@ -295,6 +301,75 @@ class TestDynkinRank:
     def test_bound(self):
         with pytest.raises(SizeLimitError):
             dynkin_rank(canonical_set(6))
+
+
+class TestRelabelOrbits:
+    @pytest.mark.parametrize(
+        "ground,orbits",
+        [((1,), 1), ((1, 2), 1), ((1, 2, 3), 2), ((1, 2, 3, 4), 4), ((-3, 2, 5, 9), 4), ((1, 2, 3, 4, 5), 12)],
+    )
+    def test_orbits_partition_the_cells(self, ground, orbits):
+        n = len(ground)
+        cells = enumerate_cells(ground)
+        found = relabel_orbits(ground, cells, [dynkin(c).lc for c in cells])
+        assert len(found) == orbits
+        assert sum(math.factorial(n) // stab for _, stab in found) == verify.CELL_COUNTS[n]
+        # the same orbits, relabelling Cell objects label by label
+        covered = set()
+        for r, stab in found:
+            assert cells[r] not in covered
+            assert all(c in covered for c in cells[:r])  # the first uncovered cell
+            orbit = set()
+            for image in itertools.permutations(ground):
+                sigma = dict(zip(ground, image))
+                orbit.add(Cell(ground, [[sigma[x] for x in S] for S in cells[r].positive]))
+            assert len(orbit) == math.factorial(n) // stab
+            covered |= orbit
+        assert covered == set(cells)
+
+    def test_relabelled_ground(self):
+        assert dynkin_rank((-3, 2, 5, 9)) == (32, 26, 26)
+
+    def test_corrupted_relabelled_row_raises(self, monkeypatch):
+        ground = canonical_set(4)
+        cells = enumerate_cells(ground)
+        reps = {r for r, _ in relabel_orbits(ground, cells, [dynkin(c).lc for c in cells])}
+        victim = cells[max(set(range(len(cells))) - reps)]
+        bump = basis_elem(compositions_of(ground)[-1], H)
+        original = cells_module.dynkin
+
+        def corrupted(cell):
+            d = original(cell)
+            return d + bump if cell == victim else d
+
+        assert not is_primitive(corrupted(victim))
+        monkeypatch.setattr(cells_module, "dynkin", corrupted)
+        with pytest.raises(ArithmeticError, match="not a relabelling"):
+            dynkin_rank(ground)
+
+    def test_non_primitive_representative_raises(self, monkeypatch):
+        # H_(I) is fixed by every relabelling, so the rows stay consistent
+        # and only the representatives' own check can fail
+        ground = canonical_set(4)
+        one_lump = basis_elem(comp(ground), H)
+        original = cells_module.dynkin
+        monkeypatch.setattr(cells_module, "dynkin", lambda cell: original(cell) + one_lump)
+        with pytest.raises(ArithmeticError, match="fails primitivity"):
+            dynkin_rank(ground)
+
+    @pytest.mark.parametrize("drop", [0, 7, 31])
+    def test_dropped_cell_raises(self, monkeypatch, drop):
+        # no cell is fixed by every relabelling (the mean of a witness's
+        # orbit would be 0), so every dropped cell is some relabelled image
+        original = cells_module.enumerate_cells
+
+        def lossy(I):
+            out = original(I)
+            return out[:drop] + out[drop + 1 :]
+
+        monkeypatch.setattr(cells_module, "enumerate_cells", lossy)
+        with pytest.raises(ArithmeticError, match="not an enumerated cell"):
+            dynkin_rank(canonical_set(4))
 
 
 class TestSteinmann:

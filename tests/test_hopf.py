@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,25 @@ class TestMisc:
         lhs = relabel(mu(a, b), sigma)
         rhs = mu(relabel(a, {1: sigma[1]}), relabel(b, {2: sigma[2], 3: sigma[3]}))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_delta_split_equivariance(self, n):
+        # the species axiom under dynkin_rank's orbit certificate: relabelling
+        # commutes with every split of the coproduct, in both bases
+        ground = canonical_set(n)
+        for image in itertools.permutations(ground):
+            sigma = dict(zip(ground, image))
+
+            def move(pair):
+                return tuple(Composition([sigma[x] for x in l] for l in F.lumps) for F in pair)
+
+            for F in compositions_of(ground):
+                for basis in (H, Q):
+                    a = basis_elem(F, basis)
+                    moved = relabel(a, sigma)
+                    for S, T in ordered_splits(ground):
+                        lhs = delta_split(moved, [sigma[x] for x in S], [sigma[x] for x in T])
+                        assert lhs == delta_split(a, S, T).map_keys(move)
 
     def test_ground_mismatch_add(self):
         with pytest.raises(DomainError):
