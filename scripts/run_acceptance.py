@@ -6,7 +6,8 @@ step up (the exact primitive kernel and the Dynkin rank at n=5, with two
 oracles for its certificate: every n=5 Dynkin element checked primitive
 directly, against the orbit representatives, and the exact rank of the n=5
 Dynkin rows, against the modular squeeze; the Steinmann span at n=5, n=6
-cells, order-3 series), which takes minutes.
+cells by insertion, and the orbit walk at n=6 against them; order-3
+series), which takes minutes.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 import time
 
 from sethopf import verify
-from sethopf.cells import dynkin, dynkin_rank, enumerate_cells
+from sethopf.cells import _cell_orbits, dynkin, dynkin_rank, enumerate_cells, enumerate_cells_with_witnesses
 from sethopf.compositions import canonical_set
 from sethopf.hopf import is_primitive
 from sethopf.linalg import rank
@@ -61,6 +62,10 @@ def main() -> int:
         span_ok = stein5.passed and stein5.payload["relationSpan"] == 220
         line("heavy: Steinmann relation span 220 at n=5", span_ok)
         line("heavy: 11292 cells at n=6", verify.cells_suite(6))
+        walked = _cell_orbits(6)
+        same = enumerate_cells(canonical_set(6)) == [c for c, _ in enumerate_cells_with_witnesses(canonical_set(6))]
+        line("heavy: 56 orbits at n=6 expand to the insertion enumeration's cells", same and len(walked) == 56,
+             f" -> {len(walked)} orbits")
         line("heavy: order-3 Z factorization and Bogoliubov", verify.causal_suite(2, 3))
 
     print(f"total wall time: {time.time()-t0:.1f}s")

@@ -4,8 +4,10 @@ Steinmann/Ruelle/GLZ identities of the primitive-part Lie algebra.
 A cell over I orients every two-lump channel (S, I\\S) so that the chosen
 positive sides are simultaneously realizable by a sum-zero rational vector
 (a maximal unbalanced family).  Realizability is decided by exact linear
-programming; enumeration inserts one channel hyperplane at a time and
-prunes infeasible sign prefixes, which is what makes n = 6 reachable.
+programming.  ``enumerate_cells`` walks the flip graph one S_n orbit at a
+time and expands the orbits by relabelling; the insertion enumeration,
+which adds one channel hyperplane at a time and prunes infeasible sign
+prefixes, keeps a witness per cell and is the oracle for the walk.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ class Cell:
             raise DomainError("family does not orient every complementary pair")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "positive", pos)
+
+    @classmethod
+    def _of(cls, ground: LabelSet, positive: frozenset) -> "Cell":
+        """Unchecked: ground is sorted, positive holds one sorted side per channel."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "positive", positive)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Cell is immutable")
@@ -154,7 +164,8 @@ def _int_witness(x: dict[int, Fraction], n: int) -> tuple[list[int], int]:
 
 @lru_cache(maxsize=None)
 def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...], int], ...]:
-    """Each cell over ground with its witness (a, D), x[ground[i]] = a[i] / D.
+    """Each cell over ground with its witness (a, D), x[ground[i]] = a[i] / D,
+    by the insertion enumeration.
 
     The enumeration runs on the positions 0..n-1, whose order is the labels'
     order, so every LP sees the rows it would see on the labels.
@@ -186,7 +197,7 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
                 continue
             moved = transfer_witness_across(n, sides, (a, D), kept)
             if moved is None:
-                if balanced_combination_exists(pos, sides + [other]):
+                if balanced_combination_exists(pos, sides + [other]) is not None:
                     continue
                 w1 = strict_positive_witness(pos, sides + [other])
                 if w1 is None:
@@ -202,11 +213,98 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
     return tuple(out)
 
 
+def _mask_permutations(n: int) -> list[list[int]]:
+    """For each permutation p of the positions 0..n-1, the image of every
+    position mask under p: bit i of a mask moves to bit p[i]."""
+    out = []
+    for p in itertools.permutations(range(n)):
+        img = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << p[low.bit_length() - 1]
+        out.append(img)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cell_orbits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+    """The cells over the positions 0..n-1 up to relabelling, one entry per
+    S_n orbit: (the representative's positive sides as sorted position
+    bitmasks, its witness a and D, x = a / D, the size of its stabiliser).
+
+    A walk over the flip graph, whose chambers are joined by wall flips,
+    one representative at a time.  It starts from the total retarded cell of
+    position 0, with the witness n - 1 at position 0 and -1 elsewhere.  Each
+    side S of each representative R is flipped; a flipped family that no
+    orbit found so far covers is decided in this order: rejected by
+    ``partition_infeasible``, accepted with ``transfer_witness_across`` from
+    R's witness, rejected by Gordan multipliers
+    (``balanced_combination_exists``, checked exactly there), accepted with
+    ``strict_positive_witness``.  An accepted family becomes a
+    representative: its witness is checked on ints to sum to 0 and to be
+    > 0 on every side, it is expanded over all n! mask permutations, and
+    its stabiliser, counted directly, must give n! / |Stab| images.  So
+    sum n! / |Stab| counts the cells.  A failed check raises
+    ArithmeticError.  Flips commute with relabelling, every flip of every
+    representative is decided, and the flip graph is connected, so the walk
+    reaches every orbit.
+    """
+    if n < 2:
+        return (((), (0,) * n, 1, 1),)
+    full = (1 << n) - 1
+    pos = tuple(range(n))
+    members = [frozenset(i for i in pos if m >> i & 1) for m in range(full + 1)]
+    perms = _mask_permutations(n)
+    covered: set[frozenset] = set()
+    reps: list[tuple[frozenset, list[int], int, int]] = []
+
+    def accept(family: frozenset, a: list[int], D: int) -> None:
+        if D <= 0 or sum(a) != 0 or any(sum([a[i] for i in members[m]]) <= 0 for m in family):
+            raise ArithmeticError("a representative's witness does not realise it")
+        images = [frozenset([img[m] for m in family]) for img in perms]
+        orbit = set(images)
+        stab = images.count(family)
+        if len(orbit) * stab != len(perms):
+            raise ArithmeticError("orbit and stabiliser sizes disagree")
+        covered.update(orbit)
+        reps.append((family, a, D, stab))
+
+    accept(frozenset(m for m in range(1, full) if m & 1), [n - 1] + [-1] * (n - 1), 1)
+    for family, a, D, _ in reps:  # grows as the walk finds new orbits
+        sides = sorted(family)
+        for S in sides:
+            flipped = family - {S} | {full ^ S}
+            if flipped in covered:
+                continue
+            rest = [members[m] for m in sides if m != S]
+            other = members[full ^ S]
+            if partition_infeasible(n, rest, other):
+                continue
+            moved = transfer_witness_across(n, rest, (a, D), members[S])
+            if moved is None:
+                if balanced_combination_exists(pos, rest + [other]) is not None:
+                    continue
+                w = strict_positive_witness(pos, rest + [other])
+                if w is None:
+                    raise ArithmeticError("LP and duality test disagree on feasibility")
+                moved = _int_witness(w, n)
+            accept(flipped, *moved)
+    return tuple((tuple(sorted(f)), tuple(a), D, stab) for f, a, D, stab in reps)
+
+
 def enumerate_cells(I: Iterable[int]) -> list[Cell]:
-    """All cells over I, deterministically ordered."""
+    """All cells over I, deterministically ordered: the orbits of
+    ``_cell_orbits`` expanded over every relabelling of the positions."""
     ground = labelset(I)
-    check_size("cells", len(ground))
-    return [c for c, _, _ in _enumerate_cells_cached(ground)]
+    n = len(ground)
+    check_size("cells", n)
+    labels = [tuple(ground[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    perms = _mask_permutations(n)
+    families = {
+        frozenset([img[m] for m in sides]) for sides, _, _, _ in _cell_orbits(n) for img in perms
+    }
+    keyed = sorted(tuple(sorted([labels[m] for m in f])) for f in families)
+    return [Cell._of(ground, frozenset(sides)) for sides in keyed]
 
 
 def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[int, Fraction]]]:
@@ -575,19 +673,6 @@ def primitive_dimension_certified(n: int) -> int:
     if low != up:
         raise ArithmeticError("modular bounds on the primitive dimension disagree")
     return low
-
-
-def _mask_permutations(n: int) -> list[list[int]]:
-    """For each permutation p of the positions 0..n-1, the image of every
-    position mask under p: bit i of a mask moves to bit p[i]."""
-    out = []
-    for p in itertools.permutations(range(n)):
-        img = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << p[low.bit_length() - 1]
-        out.append(img)
-    return out
 
 
 def relabel_orbits(

@@ -13,7 +13,7 @@ vector x represents the witness x - avg(x), which shrinks the tableau.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Collection, Sequence
 
 from .linalg import _pivot
@@ -139,13 +139,17 @@ def strict_positive_witness(
 
 def balanced_combination_exists(
     ground: Sequence[int], sides: Sequence[Collection[int]]
-) -> bool:
-    """Whether some convex combination of the side indicators is constant.
+) -> list[Fraction] | None:
+    """Gordan multipliers for the sides, or None when there are none.
 
-    By Gordan's alternative on the sum-zero subspace this holds iff the
-    strict system x(S) > 0, sum(x) = 0 is infeasible, so it is the exact
+    The multipliers are w >= 0, one per side, whose combination
+    sum_A w_A 1_A is the same positive constant on every label.  By
+    Gordan's alternative on the sum-zero subspace they exist iff the strict
+    system x(S) > 0, sum(x) = 0 is infeasible, so this is the exact
     complement of strict feasibility, decided on a smaller tableau (rows
-    scale with the ground, not with the number of sides).
+    scale with the ground, not with the number of sides).  The LP's argmax
+    is returned only after ``is_gordan_certificate`` has checked it;
+    ArithmeticError when it fails.
     """
     side_sets = [set(S) for S in sides]
     k = len(sides)
@@ -161,8 +165,39 @@ def balanced_combination_exists(
         b.append(0)
     A.append([1] * k + [0])  # sum w <= 1
     b.append(1)
-    value, _ = simplex_max(obj, A, b)
-    return value > 0
+    value, x = simplex_max(obj, A, b)
+    if value <= 0:
+        return None
+    w = x[:k]
+    if not is_gordan_certificate(ground, sides, w):
+        raise ArithmeticError("the LP's multipliers do not balance the sides")
+    return w
+
+
+def is_gordan_certificate(
+    ground: Sequence[int], sides: Sequence[Collection[int]], w: Sequence[Fraction]
+) -> bool:
+    """Whether w >= 0, one entry per side, and sum_A w_A 1_A is one positive
+    constant on every label of ground.
+
+    Then no sum-zero x has x(S) > 0 on every side S: sum_A w_A x(A) equals
+    c * sum(x) = 0, but it would be > 0, since some w_A > 0.  Checked
+    exactly, on the int numerators over the common denominator of w.
+    """
+    if len(w) != len(sides):
+        return False
+    D = lcm(*[x.denominator for x in w])
+    totals = dict.fromkeys(ground, 0)
+    for S, x in zip(sides, w):
+        u = x.numerator
+        if u < 0:
+            return False
+        if u:
+            u *= D // x.denominator
+            for label in S:
+                totals[label] += u
+    values = set(totals.values())
+    return len(values) == 1 and values.pop() > 0
 
 
 def transfer_witness_across(

@@ -112,7 +112,7 @@ from .series import (
 from .hadamard import hopf_power, hopf_power_elem, tits, tits_unit
 from .words import WordElem
 
-CELL_COUNTS = {1: 1, 2: 2, 3: 6, 4: 32, 5: 370, 6: 11292}  # OEIS A034997
+CELL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 6, 4: 32, 5: 370, 6: 11292}  # OEIS A034997
 
 
 @dataclass

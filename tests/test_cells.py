@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sethopf import cells as cells_module, linalg as linalg_module, verify
+from sethopf import cells as cells_module, linalg as linalg_module, lp as lp_module, verify
 from sethopf.cells import (
     Cell,
     channel_representatives,
@@ -34,11 +34,12 @@ from sethopf.cells import (
     total_retarded_dynkin,
     tree_to_primitive,
 )
-from sethopf.cells import _left_normed_tree_images
+from sethopf.cells import _cell_orbits, _enumerate_cells_cached, _left_normed_tree_images
 from sethopf.compositions import (
     canonical_set,
     comp,
     compositions_of,
+    labelset,
     opposite,
     ordered_splits,
     two_lump_coarsenings,
@@ -149,6 +150,91 @@ class TestEnumerateCells:
     def test_bound(self):
         with pytest.raises(SizeLimitError):
             enumerate_cells(canonical_set(7))
+
+
+@pytest.fixture
+def fresh_orbits():
+    """Run the orbit walk anew, and drop whatever a patched run left."""
+    _cell_orbits.cache_clear()
+    yield
+    _cell_orbits.cache_clear()
+
+
+def insertion_cells(ground):
+    return [c for c, _, _ in _enumerate_cells_cached(labelset(ground))]
+
+
+def rep_cell(ground, sides):
+    """A representative of _cell_orbits as a Cell over ground, validated."""
+    return Cell(ground, [[x for i, x in enumerate(ground) if m >> i & 1] for m in sides])
+
+
+class TestCellOrbits:
+    @pytest.mark.parametrize(
+        "ground",
+        [canonical_set(n) for n in range(6)] + [(-3, 2, 5, 9), (17, 203, 388, 512, 940)],
+    )
+    def test_equals_insertion_enumeration(self, ground):
+        assert enumerate_cells(ground) == insertion_cells(ground)
+
+    @pytest.mark.parametrize("n,orbits", [(0, 1), (1, 1), (2, 1), (3, 2), (4, 4), (5, 12)])
+    def test_orbit_counts(self, n, orbits):
+        found = _cell_orbits(n)
+        assert len(found) == orbits
+        assert sum(math.factorial(n) // stab for *_, stab in found) == verify.CELL_COUNTS[n]
+        for sides, a, D, _ in found:  # each representative's witness, in Fraction
+            x = [Fraction(v, D) for v in a]
+            assert sum(x) == 0
+            assert all(sum(v for i, v in enumerate(x) if m >> i & 1) > 0 for m in sides)
+
+    def test_orbits_agree_with_relabel_orbits(self):
+        ground = canonical_set(5)
+        cells = enumerate_cells(ground)
+        found = relabel_orbits(ground, cells, [dynkin(c).lc for c in cells])
+        walked = [(rep_cell(ground, sides), stab) for sides, _, _, stab in _cell_orbits(5)]
+        assert len(found) == len(walked) == 12
+        matched = set()
+        for r, stab in found:
+            orbit = set()
+            for image in itertools.permutations(ground):
+                sigma = dict(zip(ground, image))
+                orbit.add(Cell(ground, [[sigma[x] for x in S] for S in cells[r].positive]))
+            inside = [k for k, (rep, _) in enumerate(walked) if rep in orbit]
+            assert len(inside) == 1
+            assert walked[inside[0]][1] == stab
+            matched.add(inside[0])
+        assert matched == set(range(12))
+
+    def test_small_grounds_run_no_lp(self, fresh_orbits, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("an LP ran for fewer than two labels")
+
+        monkeypatch.setattr(lp_module, "simplex_max", no_lp)
+        assert enumerate_cells(()) == [Cell((), [])]
+        assert enumerate_cells((7,)) == [Cell((7,), [])]
+        assert _cell_orbits(1) == (((), (0,), 1, 1),)
+
+    def test_bogus_multipliers_raise(self, fresh_orbits, monkeypatch):
+        original = lp_module.simplex_max
+
+        def bogus(c, A, b):
+            value, x = original(c, A, b)
+            return value, [x[0] + 1] + x[1:]
+
+        monkeypatch.setattr(lp_module, "simplex_max", bogus)
+        with pytest.raises(ArithmeticError, match="do not balance"):
+            enumerate_cells(canonical_set(4))
+
+    def test_non_witness_transfer_raises(self, fresh_orbits, monkeypatch):
+        # the representative's own witness is negative on the flipped side
+        monkeypatch.setattr(cells_module, "transfer_witness_across", lambda n, s, w, k: w)
+        with pytest.raises(ArithmeticError, match="does not realise"):
+            enumerate_cells(canonical_set(4))
+
+    @pytest.mark.heavy
+    def test_n6_against_insertion_enumeration(self):
+        assert len(_cell_orbits(6)) == 56
+        assert enumerate_cells(canonical_set(6)) == insertion_cells(canonical_set(6))
 
 
 class TestDynkin:

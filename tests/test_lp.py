@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from sethopf import lp
 from sethopf.cells import channel_representatives
 from sethopf.lp import (
+    balanced_combination_exists,
+    is_gordan_certificate,
     partition_infeasible,
     simplex_max,
     strict_positive_witness,
@@ -157,6 +160,56 @@ class TestStrictWitness:
             assert sum(w.values()) == 0
             for S in sides:
                 assert sum(w[x] for x in S) > 0
+
+
+def oriented_families(ground):
+    """Every orientation of every channel over ground, as lists of sides."""
+    reps = channel_representatives(ground)
+    for bits in itertools.product((0, 1), repeat=len(reps)):
+        yield [S if bit else tuple(x for x in ground if x not in S) for S, bit in zip(reps, bits)]
+
+
+class TestGordanCertificate:
+    @pytest.mark.parametrize("ground", [(1, 2), (1, 2, 3), (1, 2, 3, 4), (-3, 2, 5, 9)])
+    def test_exactly_one_of_witness_and_multipliers(self, ground):
+        for sides in oriented_families(ground):
+            w = balanced_combination_exists(ground, sides)
+            x = strict_positive_witness(ground, sides)
+            assert (w is None) != (x is None), sides
+            if w is not None:
+                assert is_gordan_certificate(ground, sides, w)
+                assert all(type(v) is Fraction for v in w)
+
+    def test_hand_example(self):
+        # the three singletons: 1_1 + 1_2 + 1_3 is the constant 1
+        sides = [(1,), (2,), (3,)]
+        w = balanced_combination_exists((1, 2, 3), sides)
+        assert w is not None and w[0] == w[1] == w[2] > 0
+        assert is_gordan_certificate((1, 2, 3), sides, [1, 1, 1])
+        assert balanced_combination_exists((1, 2, 3), [(1,), (2,), (1, 2)]) is None
+
+    def test_corrupted_multipliers_fail(self):
+        sides = [(1,), (2,), (3,), (1, 2)]
+        w = balanced_combination_exists((1, 2, 3), sides)
+        assert w is not None and is_gordan_certificate((1, 2, 3), sides, w)
+        bumped = list(w)
+        bumped[0] += Fraction(1, 7)  # label 1 now gets more than the others
+        assert not is_gordan_certificate((1, 2, 3), sides, bumped)
+        assert not is_gordan_certificate((1, 2, 3), sides, [-x for x in w])  # negative
+        assert not is_gordan_certificate((1, 2, 3), sides, [0] * 4)  # constant 0
+        assert not is_gordan_certificate((1, 2, 3), sides, w[:3])  # one per side
+        assert not is_gordan_certificate((1, 2, 3), sides[:3], [1, 1, -1])
+
+    def test_bogus_argmax_raises(self, monkeypatch):
+        original = lp.simplex_max
+
+        def bogus(c, A, b):
+            value, x = original(c, A, b)
+            return value, [x[0] + 1] + x[1:]
+
+        monkeypatch.setattr(lp, "simplex_max", bogus)
+        with pytest.raises(ArithmeticError, match="do not balance"):
+            balanced_combination_exists((1, 2, 3), [(1,), (2,), (3,)])
 
 
 class TestPartitionPrefilter:
