@@ -14,7 +14,10 @@ layer.  Mixed-basis arithmetic is rejected rather than silently converted.
 
 ``delta_split`` runs on integers and takes real coefficients only.  Each
 ground set has a split table that interns the coproduct terms of its
-compositions as pair ids, and each element clears its denominators once, on
+compositions as pair ids.  A split depends only on which positions go to S,
+so the table works on bitmasks: it interns each pair on the lump bitmasks of
+its two sides, and builds the pair's compositions from a table of the
+sorted labels of every mask.  Each element clears its denominators once, on
 its first split, into int numerators over one denominator; a split is then
 one integer scatter-add over the element's terms.  The iterated coproduct,
 the Takeuchi antipode and the Hopf powers stay on the generic path, so the
@@ -216,19 +219,25 @@ class _SplitTable:
     """Integer ids for the coproduct terms of the compositions of one ground set.
 
     A split (S, T) of the ground is its mask: bit i is set when the i-th
-    label goes to S.  A pair id names one pair (left, right) of
-    compositions of (S, T).  The row of a composition F in a basis holds,
-    for every mask, the pair id of its (S, T) term: (F|S, F|T) in the
-    H-basis, the deshuffle pair in the Q-basis, or -1 where the deshuffle
-    is undefined.  Rows are built one composition at a time, on first use.
+    label goes to S.  labels[m] is the sorted tuple of the labels in mask m.
+    A pair id names one pair (left, right) of compositions of (S, T),
+    interned on the lump bitmasks of its two sides.  The row of a
+    composition F in a basis holds, for every mask, the pair id of its
+    (S, T) term: (F|S, F|T) in the H-basis, the deshuffle pair in the
+    Q-basis, or -1 where the deshuffle is undefined.  Rows are built one
+    composition at a time, on first use, from the lump masks of F.
     """
 
-    __slots__ = ("bit", "pairs", "ids", "rows")
+    __slots__ = ("bit", "labels", "pairs", "ids", "rows")
 
     def __init__(self, ground: tuple):
         self.bit = {x: 1 << i for i, x in enumerate(ground)}
+        labels = [()]
+        for x in ground:  # ground is sorted, so each tuple stays sorted
+            labels += [l + (x,) for l in labels]
+        self.labels: list[tuple] = labels  # mask -> its sorted labels
         self.pairs: list[tuple[Composition, Composition]] = []  # pair id -> pair
-        self.ids: dict[tuple, int] = {}  # (left lumps, right lumps) -> pair id
+        self.ids: dict[tuple, int] = {}  # (left lump masks, right lump masks) -> pair id
         self.rows: dict[str, dict[Composition, tuple[int, ...]]] = {H: {}, Q: {}}
 
     def mask(self, S: Iterable[int]) -> int:
@@ -241,34 +250,31 @@ class _SplitTable:
             row = rows[F] = self._build_row(F, basis)
         return row
 
-    def _pair_id(self, left: tuple, right: tuple) -> int:
-        pid = self.ids.get((left, right))
-        if pid is None:
-            pid = self.ids[(left, right)] = len(self.pairs)
-            self.pairs.append((_of_lumps(left), _of_lumps(right)))
-        return pid
-
     def _build_row(self, F: Composition, basis: str) -> tuple[int, ...]:
-        bit = self.bit
-        lumps = [(l, sum(bit[x] for x in l)) for l in F.lumps]
+        labels, ids, pairs = self.labels, self.ids, self.pairs
+        full = len(labels) - 1
+        lms = [self.mask(l) for l in F.lumps]
         row = []
-        for m in range(1 << len(bit)):
+        for m in range(full + 1):
             if basis == H:
-                left = tuple(p for l, _ in lumps if (p := tuple(x for x in l if bit[x] & m)))
-                right = tuple(p for l, _ in lumps if (p := tuple(x for x in l if not bit[x] & m)))
-            elif all(lm & m in (0, lm) for _, lm in lumps):
-                left = tuple(l for l, lm in lumps if lm & m)
-                right = tuple(l for l, lm in lumps if not lm & m)
+                left = tuple([x for l in lms if (x := l & m)])
+                right = tuple([x for l in lms if (x := l & ~m)])
             else:
-                row.append(-1)
-                continue
-            row.append(self._pair_id(left, right))
+                left = tuple([l for l in lms if l & m])
+                if sum(left) != m:  # a lump meets both S and T
+                    row.append(-1)
+                    continue
+                right = tuple([l for l in lms if not l & m])
+            key = (left, right)
+            pid = ids.get(key)
+            if pid is None:
+                pid = ids[key] = len(pairs)
+                pairs.append((
+                    Composition._of(tuple([labels[l] for l in left]), labels[m]),
+                    Composition._of(tuple([labels[l] for l in right]), labels[full ^ m]),
+                ))
+            row.append(pid)
         return tuple(row)
-
-
-def _of_lumps(lumps: tuple) -> Composition:
-    """The composition with these sorted, disjoint, nonempty lumps, unchecked."""
-    return Composition._of(lumps, tuple(sorted(x for l in lumps for x in l)))
 
 
 @lru_cache(maxsize=None)

@@ -81,8 +81,12 @@ def _numerators(coeffs: Iterable) -> tuple[list[int], int]:
     denominator, and that denominator.
 
     Accepts ints, Fractions and QI with a zero imaginary part; raises
-    DomainError on anything else.
+    DomainError on anything else.  All-int coefficients are returned as
+    they are, over 1.
     """
+    coeffs = list(coeffs)
+    if all(type(c) is int for c in coeffs):
+        return coeffs, 1
     fracs = []
     for c in coeffs:
         if isinstance(c, QI) and not c.im:
@@ -126,14 +130,22 @@ def rank_mod_prime(vectors: Sequence[LinComb]) -> int:
     """Rank over GF(P) of the span of the given vectors: a sound lower bound
     on the exact rank, so callers must certify what they conclude from it.
 
-    Sparse elimination on dict rows of the ``_numerators`` mod P.  Each step
-    pivots on the sparsest row, the last one on ties (on the n=5 split
-    columns that cuts the row updates from 1.06 M entries to 0.10 M), and
-    drops the rows that reduce to zero.
+    Sparse elimination on dict rows of the ``_numerators`` mod P, keyed by
+    column indices that number the keys in first-seen order, so the
+    elimination hashes ints only.  Each row keeps the key order of its
+    vector.  Each step pivots on the sparsest row, the last one on ties (on
+    the n=5 split columns that cuts the row updates from 1.06 M entries to
+    0.10 M), at that row's first column, and drops the rows that reduce to
+    zero.  The pivots, and so the rank, do not depend on the numbering.
     """
+    index: dict = {}
     rows = []
     for v in vectors:
-        row = {k: x % P for k, x in zip(v.keys(), _numerators(c for _, c in v)[0]) if x % P}
+        row = {}
+        for k, x in zip(v.keys(), _numerators(c for _, c in v)[0]):
+            x %= P
+            if x:
+                row[index.setdefault(k, len(index))] = x
         if row:
             rows.append(row)
     r = 0

@@ -17,6 +17,7 @@ from sethopf.compositions import (
 from sethopf.errors import DomainError
 from sethopf.hadamard import _tits_basis, tits
 from sethopf.hopf import (
+    _SplitTable,
     _split_table,
     DecoratedElem,
     H,
@@ -122,7 +123,56 @@ def random_elem(rng, ground, basis, nterms):
     return SigmaElem(ground, LinComb(terms), basis)
 
 
+def reference_split_row(ground, F, basis, ids, pairs):
+    """The row of F in a basis, built on label tuples, one mask at a time.
+
+    Pairs are interned in ids, keyed by their (left lumps, right lumps) as
+    label tuples, and appended to pairs in first-seen order, as the split
+    table must do on lump bitmasks.
+    """
+    bit = {x: 1 << i for i, x in enumerate(ground)}
+    lumps = [(l, sum(bit[x] for x in l)) for l in F.lumps]
+    row = []
+    for m in range(1 << len(ground)):
+        if basis == H:
+            left = tuple(p for l, _ in lumps if (p := tuple(x for x in l if bit[x] & m)))
+            right = tuple(p for l, _ in lumps if (p := tuple(x for x in l if not bit[x] & m)))
+        elif all(lm & m in (0, lm) for _, lm in lumps):
+            left = tuple(l for l, lm in lumps if lm & m)
+            right = tuple(l for l, lm in lumps if not lm & m)
+        else:
+            row.append(-1)
+            continue
+        if (left, right) not in ids:
+            ids[(left, right)] = len(pairs)
+            pairs.append((Composition(left), Composition(right)))
+        row.append(ids[(left, right)])
+    return tuple(row)
+
+
+SPLIT_GROUNDS = [canonical_set(n) for n in range(6)] + [(-3, 2, 5, 9), (-2, -1, 1, 2), (3, 7, 11, 20)]
+
+
 class TestSplitTable:
+    @pytest.mark.parametrize("ground", SPLIT_GROUNDS)
+    @pytest.mark.parametrize("order", [(H, Q), (Q, H)])
+    def test_rows_and_pairs_match_reference(self, ground, order):
+        table = _SplitTable(ground)  # fresh, not the cached table
+        ids, pairs = {}, []
+        for basis in order:
+            for F in compositions_of(ground):
+                assert table.row(F, basis) == reference_split_row(ground, F, basis, ids, pairs)
+        assert len(table.pairs) == len(pairs)
+        for (L, R), (RL, RR) in zip(table.pairs, pairs):
+            assert (L.lumps, L.ground, R.lumps, R.ground) == (RL.lumps, RL.ground, RR.lumps, RR.ground)
+
+    @pytest.mark.parametrize("ground", [(), (4,), (-3, 2, 5, 9)])
+    def test_labels_of_each_mask(self, ground):
+        labels = _SplitTable(ground).labels
+        assert len(labels) == 1 << len(ground)
+        for m, got in enumerate(labels):
+            assert got == tuple(x for i, x in enumerate(ground) if m >> i & 1)
+
     @pytest.mark.parametrize("ground", [(1, 2, 3, 4), (3, 7, 11, 20), (-2, -1, 1, 2), (2, 5)])
     @pytest.mark.parametrize("basis", [H, Q])
     @pytest.mark.parametrize("complex_coeffs", [False, True])

@@ -9,7 +9,7 @@ from sethopf.compositions import canonical_set, compositions_of, proper_splits, 
 from sethopf.errors import DomainError
 from sethopf.hopf import primitive_part_basis, split_columns
 from sethopf.lincomb import LinComb, default_sort_key
-from sethopf.linalg import P, kernel_basis, rank, rank_mod_prime
+from sethopf.linalg import P, _numerators, kernel_basis, rank, rank_mod_prime
 from sethopf.scalars import C_QFT, HBAR_ONE, HbarPoly, QI, QI_ONE, QI_ZERO, as_hbar, as_qi
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -250,6 +250,39 @@ class TestRankModPrime:
 
     def test_empty(self):
         assert rank_mod_prime([]) == 0
+
+    def test_colliding_hashes_are_distinct_columns(self):
+        assert hash(-1) == hash(-2)  # CPython reserves -1 as an error hash
+        assert rank_mod_prime([LinComb({-1: 1}), LinComb({-2: 1})]) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dynkin_rows_under_rekeying_and_reordering(self, n):
+        from sethopf.cells import dynkin, enumerate_cells
+        from sethopf.compositions import zie_dimension
+
+        ground = canonical_set(n)
+        rows = [dynkin(c).lc for c in enumerate_cells(ground)]
+        number = {F: j for j, F in enumerate(compositions_of(ground))}
+        as_ints = [LinComb({number[F]: c for F, c in v}) for v in rows]
+        reordered = [LinComb(dict(reversed(list(v)))) for v in rows]
+        r = rank_mod_prime(rows)
+        assert r == rank_mod_prime(as_ints) == rank_mod_prime(reordered) == zie_dimension(n)
+
+
+class TestNumerators:
+    def test_ints_are_returned_over_one(self):
+        assert _numerators(iter([3, -4, 0])) == ([3, -4, 0], 1)
+        assert _numerators([]) == ([], 1)
+
+    def test_fractions_and_real_qi_share_a_denominator(self):
+        assert _numerators([1, Fraction(1, 2), QI(Fraction(-2, 3))]) == ([6, 3, -4], 6)
+        assert _numerators([Fraction(4, 2), True]) == ([2, 1], 1)
+
+    def test_non_real_rejected(self):
+        with pytest.raises(DomainError, match=r"^expected a real coefficient, got "):
+            _numerators([1, QI(0, 1)])
+        with pytest.raises(DomainError, match=r"^expected a real coefficient, got "):
+            _numerators([1.5])
 
 
 class TestKernel:
