@@ -17,11 +17,15 @@ ground set has a split table that interns the coproduct terms of its
 compositions as pair ids.  A split depends only on which positions go to S,
 so the table works on bitmasks: it interns each pair on the lump bitmasks of
 its two sides, and builds the pair's compositions from a table of the
-sorted labels of every mask.  Each element clears its denominators once, on
-its first split, into int numerators over one denominator; a split is then
-one integer scatter-add over the element's terms.  The iterated coproduct,
-the Takeuchi antipode and the Hopf powers stay on the generic path, so the
-cross-checks against them stay independent of this one.
+sorted labels of every mask.  The split (S, T) itself is checked on masks:
+the label bits of S and of T must be disjoint, cover the ground, and number
+len(S) + len(T) labels, which rejects a repeated label.  A one-term element
+with an int coefficient is then one row lookup.  Any other element clears
+its denominators once, on its first split, into int numerators over one
+denominator; a split is then one integer scatter-add over the element's
+terms.  The iterated coproduct, the Takeuchi antipode and the Hopf powers
+stay on the generic path, so the cross-checks against them stay independent
+of this one.
 
 Elements are validated once, at the boundary: ``SigmaElem(...)`` and
 ``zero_elem`` check the basis tag and that every term lives over the sorted
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .compositions import (
     Composition,
@@ -189,7 +193,7 @@ def relabel(a: SigmaElem, mapping: dict[int, int]) -> SigmaElem:
 
 def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
     """Bilinear concatenation product; the same rule serves both bases."""
-    if set(a.ground) & set(b.ground):
+    if not set(a.ground).isdisjoint(b.ground):
         raise DomainError("mu requires disjoint ground sets")
     if a.basis != b.basis:
         raise DomainError("mixed-basis mu; convert first")
@@ -228,10 +232,11 @@ class _SplitTable:
     composition at a time, on first use, from the lump masks of F.
     """
 
-    __slots__ = ("bit", "labels", "pairs", "ids", "rows")
+    __slots__ = ("bit", "full", "labels", "pairs", "ids", "rows")
 
     def __init__(self, ground: tuple):
         self.bit = {x: 1 << i for i, x in enumerate(ground)}
+        self.full = (1 << len(ground)) - 1  # the mask of the whole ground
         labels = [()]
         for x in ground:  # ground is sorted, so each tuple stays sorted
             labels += [l + (x,) for l in labels]
@@ -251,8 +256,7 @@ class _SplitTable:
         return row
 
     def _build_row(self, F: Composition, basis: str) -> tuple[int, ...]:
-        labels, ids, pairs = self.labels, self.ids, self.pairs
-        full = len(labels) - 1
+        labels, ids, pairs, full = self.labels, self.ids, self.pairs, self.full
         lms = [self.mask(l) for l in F.lumps]
         row = []
         for m in range(full + 1):
@@ -282,29 +286,51 @@ def _split_table(ground: tuple) -> _SplitTable:
     return _SplitTable(ground)
 
 
-def _split_form(a: SigmaElem) -> tuple:
+def _split_form(a: SigmaElem, table: _SplitTable) -> tuple:
     """a with its denominators cleared, computed once per element.
 
-    Returns (split table, the split row of each term, the int numerators,
-    their common denominator).  Raises DomainError on a non-real coefficient.
+    Returns (the split row of each term in table, the int numerators, their
+    common denominator).  Raises DomainError on a non-real coefficient.
     """
     form = a._split_form
     if form is None:
         nums, den = _numerators(c for _, c in a.lc)
-        table = _split_table(a.ground)
-        form = (table, [table.row(F, a.basis) for F in a.lc.keys()], nums, den)
+        form = ([table.row(F, a.basis) for F in a.lc.keys()], nums, den)
         _set_split_form(a, form)
     return form
 
 
+def _bad_split(S: tuple, T: tuple) -> NoReturn:
+    """Raise the DomainError that names what is wrong with the split (S, T)."""
+    try:
+        labelset(S)
+        labelset(T)
+    except TypeError:  # labels that do not compare
+        pass
+    raise DomainError("(S, T) must be an ordered disjoint decomposition of the ground set")
+
+
 def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
     """Delta_{S,T}(a) as a LinComb over pairs (left composition, right composition)."""
-    S = labelset(S)
-    T = labelset(T)
-    if tuple(sorted(S + T)) != a.ground or set(S) & set(T):
-        raise DomainError("(S, T) must be an ordered disjoint decomposition of the ground set")
-    table, rows, nums, den = _split_form(a)
-    m = table.mask(S)
+    table = _split_table(a.ground)
+    S = tuple(S)
+    T = tuple(T)
+    bit = table.bit
+    try:
+        m = sum(map(bit.__getitem__, S))
+        mt = sum(map(bit.__getitem__, T))
+    except (KeyError, TypeError):  # a label off the ground
+        _bad_split(S, T)
+    # k label bits sum to a mask of k bits only when they are distinct, so
+    # the length test rejects a repeated label
+    if m & mt or m | mt != table.full or len(S) + len(T) != len(a.ground):
+        _bad_split(S, T)
+    if len(a.lc) == 1:
+        ((F, c),) = a.lc
+        if type(c) is int:  # the scatter-add over one term
+            p = table.row(F, a.basis)[m]
+            return LinComb({table.pairs[p]: c}, _trusted=True) if p >= 0 else LinComb()
+    rows, nums, den = _split_form(a, table)
     acc: dict[int, int] = {}
     for row, x in zip(rows, nums):
         p = row[m]

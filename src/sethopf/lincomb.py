@@ -46,7 +46,7 @@ class LinComb:
 
     @staticmethod
     def single(key, coeff) -> "LinComb":
-        return LinComb({key: coeff} if coeff else {})
+        return LinComb({key: coeff} if coeff else {}, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.t

@@ -177,18 +177,14 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                 for T, U in ordered_splits(rest):
                     left = {}
                     for (x, y), cxy in delta_split(a, tuple(sorted(S + T)), U):
-                        for (x1, x2), cx in delta_split(
-                            basis_elem(x, a.basis), S, T
-                        ).items_sorted():
+                        for (x1, x2), cx in delta_split(basis_elem(x, a.basis), S, T):
                             c = cxy * cx
                             if c:
                                 key = (x1, x2, y)
                                 left[key] = left.get(key, 0) + c
                     right = {}
                     for (x, y), cxy in delta_split(a, S, tuple(sorted(T + U))):
-                        for (y1, y2), cy in delta_split(
-                            basis_elem(y, a.basis), T, U
-                        ).items_sorted():
+                        for (y1, y2), cy in delta_split(basis_elem(y, a.basis), T, U):
                             c = cxy * cy
                             if c:
                                 key = (x, y1, y2)

@@ -95,6 +95,28 @@ class TestDelta:
         with pytest.raises(DomainError):
             delta_split(h_elem((1, 2)), (1,), (1, 2))
 
+    @pytest.mark.parametrize("ground", [canonical_set(n) for n in range(5)] + [(-3, 2, 5, 9)])
+    @pytest.mark.parametrize("basis", [H, Q])
+    def test_one_term_matches_definition(self, ground, basis):
+        # an int coefficient is one row lookup, the others the scatter-add
+        for F in compositions_of(ground):
+            for c in (1, -3, Fraction(-2, 3), QI(Fraction(1, 3))):
+                a = basis_elem(F, basis, c)
+                for S, T in ordered_splits(ground):  # proper and improper
+                    assert delta_split(a, S, T) == reference_delta_split(a, S, T)
+                if type(c) is int:
+                    assert a._split_form is None
+
+    @pytest.mark.parametrize("basis", [H, Q])
+    def test_one_term_non_real_rejected(self, basis):
+        ground = (1, 2, 3)
+        for F in compositions_of(ground):
+            for c in (QI(0, 2), QI(1, 1), C_QFT):
+                a = basis_elem(F, basis, c)
+                for S, T in ordered_splits(ground):
+                    with pytest.raises(DomainError):
+                        delta_split(a, S, T)
+
 
 def reference_delta_split(a, S, T):
     """Delta_{S,T}(a) straight from the definition, one term at a time."""
@@ -440,6 +462,36 @@ class TestBoundary:
             h_elem((1,), (1, 2))
         with pytest.raises(DomainError):
             q_elem((1,), ())
+
+    @pytest.mark.parametrize("basis", [H, Q])
+    @pytest.mark.parametrize("coeff", [1, Fraction(1, 2)])
+    @pytest.mark.parametrize(
+        "S, T, message",
+        [
+            ((1, 1), (1,), "duplicate label 1"),  # the bits sum to the split ({2}, {1})
+            ((1,), (2, 2), "duplicate label 2"),
+            ((2, 1, 1), (), "duplicate label 1"),
+            ((1, 3), (2,), "decomposition"),  # off the ground
+            ((1, 2), (2,), "decomposition"),  # overlapping sides
+            ((1,), (), "decomposition"),  # a label missing
+            ((1,), ("a",), "decomposition"),  # not a label
+            ((1,), (None,), "decomposition"),
+            ((1,), ([2],), "decomposition"),
+        ],
+    )
+    def test_bad_splits(self, basis, coeff, S, T, message):
+        a = basis_elem(comp((1,), (2,)), basis, coeff)
+        with pytest.raises(DomainError, match=message):
+            delta_split(a, S, T)
+
+    def test_split_sides_as_any_iterable(self):
+        ground = (-3, 2, 5, 9)
+        for basis in (H, Q):
+            for a in (full_elem(ground, basis), basis_elem(comp((9, -3), (5,), (2,)), basis)):
+                for S, T in ordered_splits(ground):
+                    expected = delta_split(a, S, T)
+                    assert delta_split(a, list(reversed(S)), list(reversed(T))) == expected
+                    assert delta_split(a, (x for x in S), iter(T)) == expected
 
 
 def assert_as_validated(x):
