@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over arbitrary basis keys.
 
 One exact elimination: integer Gauss-Jordan over one common divisor D, with
-the fraction-free pivot that ``lp.simplex_max`` also runs.  The matrix is an
+the fraction-free pivot that ``lp.simplex_max`` also runs, there on the
+compact simplex tableau ``[A | b]`` plus its objective row.  The matrix is an
 int matrix M standing for M / D.  A pivot at (r, s) with p = M[r][s] maps
 every other row to (M[i][j] * p - M[i][s] * M[r][j]) // D and then sets
 D = p; the division is exact by Sylvester's identity, so every entry stays a

@@ -8,11 +8,21 @@ norm bound; the system is strictly feasible iff the optimum is positive.
 
 The sum-zero condition is eliminated by centering: a nonnegative variable
 vector x represents the witness x - avg(x), which shrinks the tableau.
+Infeasibility is decided by Gordan multipliers, on a second LP over one
+variable per side whose rows equate each label's coverage with the first
+label's.
+
+Both LPs run on ``simplex_max``, an integer primal simplex on the compact
+tableau ``[A | b]``: one column per nonbasic variable, no slack identity
+block.  Its pivot is ``linalg._pivot``; after it, the pivot column takes
+the leaving variable's column, and ties are broken by variable index, so
+the pivot sequence is that of the full ``[A | I | b]`` tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Collection, Sequence
 
@@ -30,46 +40,48 @@ def simplex_max(
     switch to Bland's rule to rule out cycling.  Returns (value, argmax).
     Raises on an unbounded program.
 
-    Integer-preserving (Edmonds / Bareiss): the tableau, objective row last,
-    is an int matrix M over one positive common divisor D, tableau = M / D.
+    Variables 0..n-1 are the columns of A and n..n+m-1 the slacks.  The
+    tableau is the compact (dictionary) one: ``[A | b]`` with the objective
+    row last, one column per nonbasic variable, no identity block.  It is an
+    int matrix M over one positive common divisor D, tableau = M / D.
+    ``basis[i]`` is the variable of row i, ``nonbasic[j]`` that of column j.
     A pivot at (r, s) with p = M[r][s] is ``linalg._pivot``, the elimination
     step shared with ``rank`` and ``kernel_basis``: it maps every other row
     to (M[i][j] * p - M[i][s] * M[r][j]) // D and then D = p; the division
     is exact by Sylvester's identity: D is the determinant of the current
     basis and every entry of M a minor of the starting integer tableau.
-    Comparisons run on the integers (D > 0 throughout), so the pivot
-    sequence is that of the rational tableau.
+    Column s then takes the leaving variable, whose full-tableau column
+    would have been D e_r before the pivot: -M[i][s] in every other row and
+    the old D in row r.  So every column holds exactly what the full
+    ``[A | I | b]`` tableau holds for its variable.  Ties go to the smallest
+    variable index, entering and leaving, as in the full tableau, so the
+    pivot sequence, and every argmax, is that of the rational tableau.
+    Comparisons run on the integers (D > 0 throughout).
     """
     m = len(A)
     n = len(c)
-    width = n + m
-    rows = []
-    for i in range(m):
-        row = [_integer(a) for a in A[i]] + [0] * m + [_integer(b[i])]
-        row[n + i] = 1
-        rows.append(row)
-    rows.append([-_integer(cj) for cj in c] + [0] * (m + 1))
-    obj = rows[m]
-    basis = [n + i for i in range(m)]
+    rows = [[*A[i], b[i]] for i in range(m)]
+    rows.append([*c, 0])
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [[_integer(x) for x in row] for row in rows]
+    obj = rows[m] = [-x for x in rows[m]]
+    basis = list(range(n, n + m))
+    nonbasic = list(range(n))
     D = 1
 
     iteration = 0
     while True:
         iteration += 1
-        enter = -1
         if iteration <= _BLAND_AFTER:
-            best_c = 0
-            for j in range(width):
-                if obj[j] < best_c:
-                    best_c = obj[j]
-                    enter = j
+            best_c = min(obj[:n], default=0)
+            if best_c >= 0:
+                break
+            ties = [j for j in range(n) if obj[j] == best_c]
         else:
-            for j in range(width):
-                if obj[j] < 0:
-                    enter = j
-                    break
-        if enter < 0:
-            break
+            ties = [j for j in range(n) if obj[j] < 0]
+            if not ties:
+                break
+        enter = min(ties, key=nonbasic.__getitem__)
         # ratio test M[i][-1] / M[i][enter], compared by cross-multiplying
         leave = -1
         for i in range(m):
@@ -84,9 +96,15 @@ def simplex_max(
                     best_r, best_a, leave = r, a, i
         if leave < 0:
             raise ArithmeticError("unbounded linear program")
+        col = [row[enter] for row in rows]
+        D_old = D
         D = _pivot(rows, leave, enter, D)
+        for i, f in enumerate(col):
+            if f:
+                rows[i][enter] = -f
+        rows[leave][enter] = D_old
         obj = rows[m]
-        basis[leave] = enter
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
@@ -147,28 +165,35 @@ def balanced_combination_exists(
     Gordan's alternative on the sum-zero subspace they exist iff the strict
     system x(S) > 0, sum(x) = 0 is infeasible, so this is the exact
     complement of strict feasibility, decided on a smaller tableau (rows
-    scale with the ground, not with the number of sides).  The LP's argmax
-    is returned only after ``is_gordan_certificate`` has checked it;
-    ArithmeticError when it fails.
+    scale with the ground, not with the number of sides).  With
+    cov(l) = sum_{A containing l} w_A and l0 the first label, the LP is
+
+        maximize cov(l0)  subject to  +-(cov(l) - cov(l0)) <= 0 for l != l0,
+                                      sum(w) <= 1,  w >= 0:
+
+    2(n - 1) + 1 rows over one column per side.  The constant is cov(l0),
+    so multipliers exist iff the optimum is positive.  The LP's argmax is
+    returned only after ``is_gordan_certificate`` has checked it;
+    ArithmeticError when it fails.  An empty ground has no label to carry a
+    positive constant: None.
     """
+    labels = list(ground)
+    if not labels:
+        return None
     side_sets = [set(S) for S in sides]
-    k = len(sides)
-    obj = [0] * k + [1]
+    l0 = labels[0]
+    cov0 = [1 if l0 in s else 0 for s in side_sets]
     A: list[list[int]] = []
-    b: list[int] = []
-    for label in ground:
-        # sum_A w_A 1_A(label) - c = 0, encoded as two <= 0 rows
-        row = [1 if label in s else 0 for s in side_sets] + [-1]
+    for label in labels[1:]:
+        # cov(label) - cov(l0) = 0, encoded as two <= 0 rows
+        row = [(label in s) - u for s, u in zip(side_sets, cov0)]
         A.append(row)
-        b.append(0)
         A.append([-x for x in row])
-        b.append(0)
-    A.append([1] * k + [0])  # sum w <= 1
-    b.append(1)
-    value, x = simplex_max(obj, A, b)
+    A.append([1] * len(sides))  # sum w <= 1
+    b = [0] * (len(A) - 1) + [1]
+    value, w = simplex_max(cov0, A, b)
     if value <= 0:
         return None
-    w = x[:k]
     if not is_gordan_certificate(ground, sides, w):
         raise ArithmeticError("the LP's multipliers do not balance the sides")
     return w

@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sethopf import lp
-from sethopf.cells import channel_representatives
+from sethopf.cells import _enumerate_cells_cached, channel_representatives
 from sethopf.lp import (
     balanced_combination_exists,
     is_gordan_certificate,
@@ -92,6 +93,26 @@ def integer_lps(draw):
     return c, A, b
 
 
+@st.composite
+def degenerate_lps(draw):
+    """Up to 9 rows over up to 8 columns, most with b = 0: lone rows, +-row
+    pairs as in the Gordan encoding, and a few positive bounds."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    c = draw(row)
+    A: list = []
+    b: list = []
+    for kind in draw(st.lists(st.sampled_from(("pair", "zero", "bound")), min_size=1, max_size=9)):
+        r = draw(row)
+        if kind == "pair":
+            A += [r, [-x for x in r]]
+            b += [0, 0]
+        else:
+            A.append(r)
+            b.append(0 if kind == "zero" else draw(st.integers(1, 4)))
+    return c, A[:9], b[:9]
+
+
 def _outcome(solve, c, A, b):
     try:
         return solve(c, A, b)
@@ -133,6 +154,46 @@ class TestAgainstRationalReference:
             got = _outcome(simplex_max, c, A, b)
         want = _outcome(lambda *a: reference_simplex_max(*a, bland_after), c, A, b)
         assert got == want
+
+    @pytest.mark.parametrize("bland_after", [lp._BLAND_AFTER, 0, 1])
+    @settings(max_examples=150, deadline=None)
+    @given(lp_data=degenerate_lps())
+    # a slack in a column left of a structural variable with the same
+    # entering coefficient, where the variable index, not the column, decides:
+    # under the largest-coefficient rule, Bland's from the first pivot, and
+    # Bland's from the second
+    @example(lp_data=([2, 1, 0], [[1, 0, 0], [1, -1, 2], [1, -1, 1], [-2, 2, 0]], [1, 2, 0, 2]))
+    @example(lp_data=([1, 2, 1], [[1, -2, 2], [2, 2, 1]], [0, 2]))
+    @example(lp_data=([2, 1, 0], [[2, -1, -1], [2, 2, 2], [1, 0, -1]], [0, 2, 0]))
+    def test_degenerate_same_value_and_argmax(self, bland_after, lp_data):
+        # ties in the ratio test and in the entering column after the compact
+        # tableau has swapped variables between rows and columns
+        c, A, b = lp_data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_BLAND_AFTER", bland_after)
+            got = _outcome(simplex_max, c, A, b)
+        want = _outcome(lambda *a: reference_simplex_max(*a, bland_after), c, A, b)
+        assert got == want
+
+    def test_calls_of_the_insertion_enumeration(self, monkeypatch):
+        # every LP the insertion enumeration makes, Gordan and strict ones alike
+        calls = []
+
+        def recording(c, A, b):
+            calls.append((list(c), [list(r) for r in A], list(b)))
+            return original(c, A, b)
+
+        original = lp.simplex_max
+        monkeypatch.setattr(lp, "simplex_max", recording)
+        per_ground = []
+        for ground in [(1, 2, 3, 4), (-3, 2, 5, 9)]:
+            calls.clear()
+            _enumerate_cells_cached.__wrapped__(ground)
+            assert calls
+            for c, A, b in calls:
+                assert original(c, A, b) == reference_simplex_max(c, A, b, lp._BLAND_AFTER)
+            per_ground.append(list(calls))
+        assert per_ground[0] == per_ground[1]  # the enumeration runs on positions
 
 
 class TestStrictWitness:
@@ -179,6 +240,32 @@ class TestGordanCertificate:
             if w is not None:
                 assert is_gordan_certificate(ground, sides, w)
                 assert all(type(v) is Fraction for v in w)
+
+    @pytest.mark.parametrize("sides", [[(7,)], [(7,), (7,)]])
+    def test_one_label_ground(self, sides):
+        # sum(x) = 0 forces x = 0, so the side cannot be positive
+        w = balanced_combination_exists((7,), sides)
+        assert w is not None and is_gordan_certificate((7,), sides, w)
+        assert strict_positive_witness((7,), sides) is None
+
+    @pytest.mark.parametrize("ground", [(), (7,), (1, 2), (1, 2, 3), (-3, 2, 5, 9)])
+    def test_zero_sides_family(self, ground):
+        # no side to weigh: nothing is covered, so no positive constant
+        assert balanced_combination_exists(ground, []) is None
+
+    def test_random_families_over_five_labels(self):
+        ground = (1, 2, 3, 4, 5)
+        reps = channel_representatives(ground)
+        rng = random.Random(1873)
+        for _ in range(300):
+            chosen = rng.sample(reps, rng.randint(1, len(reps)))
+            sides = [S if rng.random() < 0.5 else tuple(x for x in ground if x not in S)
+                     for S in chosen]
+            w = balanced_combination_exists(ground, sides)
+            x = strict_positive_witness(ground, sides)
+            assert (w is None) != (x is None), sides
+            if w is not None:
+                assert is_gordan_certificate(ground, sides, w)
 
     def test_hand_example(self):
         # the three singletons: 1_1 + 1_2 + 1_3 is the constant 1
