@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every acceptance suite and print one pass/fail line per criterion.
+"""Run every acceptance suite and print one pass/fail line per criterion,
+with the wall time of that line after its status, then the total.
 
 Default bounds keep this under a minute; --heavy runs the same suites one
 step up (the exact primitive kernel and the Dynkin rank at n=5, with two
@@ -27,17 +28,21 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = 0
+    t0 = last = time.time()
 
     def line(name, res, extra=""):
-        nonlocal failures
+        # called once the line's result is computed: the time since the
+        # previous line is this line's own
+        nonlocal failures, last
+        now = time.time()
         ok = res.passed if hasattr(res, "passed") else bool(res)
         status = "PASS" if ok else "FAIL"
         detail = f" [{res.checked} checks]" if hasattr(res, "checked") else ""
-        print(f"{status}  {name}{detail}{extra}")
+        print(f"{status} {now - last:6.1f}s  {name}{detail}{extra}", flush=True)
+        last = now
         if not ok:
             failures += 1
 
-    t0 = time.time()
     line("criterion 1-3: Hopf axioms, antipode agreement, basis change (n<=4)", verify.hopf_suite(4))
     line("             : Tits algebra laws", verify.tits_suite(3))
     line("criterion 4  : primitive-part dimension ladder 1,2,6,26", verify.dimension_suite(4))

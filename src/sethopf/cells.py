@@ -4,10 +4,12 @@ Steinmann/Ruelle/GLZ identities of the primitive-part Lie algebra.
 A cell over I orients every two-lump channel (S, I\\S) so that the chosen
 positive sides are simultaneously realizable by a sum-zero rational vector
 (a maximal unbalanced family).  Realizability is decided by exact linear
-programming.  ``enumerate_cells`` walks the flip graph one S_n orbit at a
-time and expands the orbits by relabelling; the insertion enumeration,
-which adds one channel hyperplane at a time and prunes infeasible sign
-prefixes, keeps a witness per cell and is the oracle for the walk.
+programming; a rejection may reuse a Gordan certificate, re-checked exactly,
+that the same enumeration call found on a subset of the sides.
+``enumerate_cells`` walks the flip graph one S_n orbit at a time and expands
+the orbits by relabelling; the insertion enumeration, which adds one channel
+hyperplane at a time and prunes infeasible sign prefixes, keeps a witness
+per cell and is the oracle for the walk.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .lincomb import LinComb
 from .linalg import rank_mod_prime
 from .lp import (
     balanced_combination_exists,
+    is_gordan_certificate,
     partition_infeasible,
     strict_positive_witness,
     transfer_witness_across,
@@ -156,10 +159,30 @@ def is_cell(
     return (witness is not None), witness
 
 
-def _int_witness(x: dict[int, Fraction], n: int) -> tuple[list[int], int]:
+def _int_witness(x: dict[int, Fraction] | None, n: int) -> tuple[list[int], int]:
     """An LP witness over positions 0..n-1 as (a, D), x = a / D in lowest terms."""
+    if x is None:
+        raise ArithmeticError("the LP found no strict witness where one must exist")
     D = lcm(*(q.denominator for q in x.values()))
     return [x[i].numerator * (D // x[i].denominator) for i in range(n)], D
+
+
+def _refuted(memo: dict, pos: tuple[int, ...], sides: list[frozenset], other: frozenset) -> bool:
+    """Whether sides + [other] has Gordan multipliers.  sides has a strict witness,
+    so every certificate weighs other.  ``memo`` maps other to the (support,
+    weights) found so far; one whose support lies among sides is re-checked exactly."""
+    have = set(sides)
+    for support, w in memo.setdefault(other, []):
+        if have.issuperset(support):
+            if is_gordan_certificate(pos, support + [other], w):
+                return True
+            raise ArithmeticError("a stored Gordan certificate does not balance the sides")
+    w = balanced_combination_exists(pos, sides + [other])
+    if w is not None:
+        if not w[-1]:
+            raise ArithmeticError("Gordan multipliers put no weight on the new side")
+        memo[other].append(([S for S, x in zip(sides, w) if x], [x for x in w if x]))
+    return w is not None
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +191,8 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
     by the insertion enumeration.
 
     The enumeration runs on the positions 0..n-1, whose order is the labels'
-    order, so every LP sees the rows it would see on the labels.
+    order, so every LP sees the rows it would see on the labels.  Its Gordan
+    certificates are kept for this call only (``_refuted``).
     """
     n = len(ground)
     pos = tuple(range(n))
@@ -176,6 +200,7 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
 
     # states: (oriented sides chosen so far, as sets of positions; witness a, D)
     states: list[tuple[list[frozenset], list[int], int]] = [([], [0] * n, 1)]
+    memo: dict[frozenset, list] = {}  # this call's Gordan certificates, see _refuted
     for S, comp in reps:
         nxt: list[tuple[list[frozenset], list[int], int]] = []
         for sides, a, D in states:
@@ -188,8 +213,6 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
                 if w0 is None:
                     kept, other = other, kept
                     w0 = strict_positive_witness(pos, sides + [kept])
-                    if w0 is None:
-                        raise ArithmeticError("chamber lost both sides of a hyperplane")
                 a, D = _int_witness(w0, n)
             nxt.append((sides + [kept], a, D))
             # the opposite side needs its own proof or refutation
@@ -197,12 +220,9 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
                 continue
             moved = transfer_witness_across(n, sides, (a, D), kept)
             if moved is None:
-                if balanced_combination_exists(pos, sides + [other]) is not None:
+                if _refuted(memo, pos, sides, other):
                     continue
-                w1 = strict_positive_witness(pos, sides + [other])
-                if w1 is None:
-                    raise ArithmeticError("LP and duality test disagree on feasibility")
-                moved = _int_witness(w1, n)
+                moved = _int_witness(strict_positive_witness(pos, sides + [other]), n)
             nxt.append((sides + [other], *moved))
         states = nxt
     out = [
@@ -232,18 +252,18 @@ def _cell_orbits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, i
     S_n orbit: (the representative's positive sides as sorted position
     bitmasks, its witness a and D, x = a / D, the size of its stabiliser).
 
-    A walk over the flip graph, whose chambers are joined by wall flips,
-    one representative at a time.  It starts from the total retarded cell of
+    A walk over the flip graph, whose chambers are joined by wall flips, one
+    representative at a time.  It starts from the total retarded cell of
     position 0, with the witness n - 1 at position 0 and -1 elsewhere.  Each
     side S of each representative R is flipped; a flipped family that no
     orbit found so far covers is decided in this order: rejected by
     ``partition_infeasible``, accepted with ``transfer_witness_across`` from
-    R's witness, rejected by Gordan multipliers
-    (``balanced_combination_exists``, checked exactly there), accepted with
-    ``strict_positive_witness``.  An accepted family becomes a
-    representative: its witness is checked on ints to sum to 0 and to be
-    > 0 on every side, it is expanded over all n! mask permutations, and
-    its stabiliser, counted directly, must give n! / |Stab| images.  So
+    R's witness, rejected by Gordan multipliers, checked exactly
+    (``_refuted``: kept by this call for a subset of the sides, or found
+    anew), accepted with ``strict_positive_witness``.  An accepted family
+    becomes a representative: its witness is checked on ints to sum to 0 and
+    to be > 0 on every side, it is expanded over all n! mask permutations,
+    and its stabiliser, counted directly, must give n! / |Stab| images.  So
     sum n! / |Stab| counts the cells.  A failed check raises
     ArithmeticError.  Flips commute with relabelling, every flip of every
     representative is decided, and the flip graph is connected, so the walk
@@ -257,6 +277,7 @@ def _cell_orbits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, i
     perms = _mask_permutations(n)
     covered: set[frozenset] = set()
     reps: list[tuple[frozenset, list[int], int, int]] = []
+    memo: dict[frozenset, list] = {}  # this call's Gordan certificates, see _refuted
 
     def accept(family: frozenset, a: list[int], D: int) -> None:
         if D <= 0 or sum(a) != 0 or any(sum([a[i] for i in members[m]]) <= 0 for m in family):
@@ -282,12 +303,9 @@ def _cell_orbits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, i
                 continue
             moved = transfer_witness_across(n, rest, (a, D), members[S])
             if moved is None:
-                if balanced_combination_exists(pos, rest + [other]) is not None:
+                if _refuted(memo, pos, rest, other):
                     continue
-                w = strict_positive_witness(pos, rest + [other])
-                if w is None:
-                    raise ArithmeticError("LP and duality test disagree on feasibility")
-                moved = _int_witness(w, n)
+                moved = _int_witness(strict_positive_witness(pos, rest + [other]), n)
             accept(flipped, *moved)
     return tuple((tuple(sorted(f)), tuple(a), D, stab) for f, a, D, stab in reps)
 

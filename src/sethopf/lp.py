@@ -8,9 +8,9 @@ norm bound; the system is strictly feasible iff the optimum is positive.
 
 The sum-zero condition is eliminated by centering: a nonnegative variable
 vector x represents the witness x - avg(x), which shrinks the tableau.
-Infeasibility is decided by Gordan multipliers, on a second LP over one
-variable per side whose rows equate each label's coverage with the first
-label's.
+Infeasibility is decided by checked Gordan multipliers from a second LP,
+one variable per side, that equates each label's coverage with the first
+label's; ``cells`` reuses them, re-checked, within one enumeration call.
 
 Both LPs run on ``simplex_max``, an integer primal simplex on the compact
 tableau ``[A | b]``: one column per nonbasic variable, no slack identity
@@ -132,6 +132,8 @@ def strict_positive_witness(
     then maximizes the common slack t of the constraints.
     """
     labels = list(ground)
+    if not (sides and labels):  # no side: x = 0 holds; no label: every side is empty
+        return None if sides else dict.fromkeys(labels, Fraction(0))
     n = len(labels)
     pos = {l: i for i, l in enumerate(labels)}
     c = [0] * n + [1]

@@ -34,7 +34,7 @@ from sethopf.cells import (
     total_retarded_dynkin,
     tree_to_primitive,
 )
-from sethopf.cells import _cell_orbits, _enumerate_cells_cached, _left_normed_tree_images
+from sethopf.cells import _cell_orbits, _enumerate_cells_cached, _left_normed_tree_images, _refuted
 from sethopf.compositions import (
     canonical_set,
     comp,
@@ -235,6 +235,66 @@ class TestCellOrbits:
     def test_n6_against_insertion_enumeration(self):
         assert len(_cell_orbits(6)) == 56
         assert enumerate_cells(canonical_set(6)) == insertion_cells(canonical_set(6))
+
+
+def count_gordan_lps(monkeypatch):
+    """The argument lists of every balanced_combination_exists call cells makes."""
+    calls = []
+    original = cells_module.balanced_combination_exists
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cells_module, "balanced_combination_exists", counting)
+    return calls
+
+
+class TestGordanReuse:
+    def test_insertion_enumeration_reuses_certificates(self, monkeypatch):
+        calls = count_gordan_lps(monkeypatch)
+        _enumerate_cells_cached.__wrapped__(canonical_set(5))
+        assert len(calls) <= 100  # 645 with an LP per refutation
+
+    def test_orbit_walk_reuses_certificates(self, fresh_orbits, monkeypatch):
+        calls = count_gordan_lps(monkeypatch)
+        _cell_orbits(5)
+        assert len(calls) < 45
+
+    def test_certificates_live_for_one_call(self, fresh_orbits, monkeypatch):
+        # every enumeration call starts a memo of its own, empty at first use
+        first_seen = {}  # id of a memo -> (the memo, kept alive; its size then)
+        original = cells_module._refuted
+
+        def recording(memo, *args):
+            first_seen.setdefault(id(memo), (memo, len(memo)))
+            return original(memo, *args)
+
+        monkeypatch.setattr(cells_module, "_refuted", recording)
+        for _ in range(2):
+            _enumerate_cells_cached.__wrapped__(canonical_set(4))
+            _cell_orbits.cache_clear()
+            _cell_orbits(5)
+        assert [size for _, size in first_seen.values()] == [0, 0, 0, 0]
+
+    def test_failed_recheck_raises(self, fresh_orbits, monkeypatch):
+        monkeypatch.setattr(cells_module, "is_gordan_certificate", lambda *args: False)
+        with pytest.raises(ArithmeticError, match="stored Gordan certificate"):
+            _enumerate_cells_cached.__wrapped__(canonical_set(4))
+        with pytest.raises(ArithmeticError, match="stored Gordan certificate"):
+            _cell_orbits(5)
+
+    def test_certificate_without_the_new_side_raises(self, monkeypatch):
+        # the singletons balance without the new side, so the prior sides
+        # have no strict witness and the certificate refutes nothing new
+        pos = (0, 1, 2)
+        sides = [frozenset([0]), frozenset([1]), frozenset([2])]
+        other = frozenset([0, 1])
+        w = [Fraction(1, 3)] * 3 + [Fraction(0)]
+        assert lp_module.is_gordan_certificate(pos, sides + [other], w)
+        monkeypatch.setattr(cells_module, "balanced_combination_exists", lambda g, s: w)
+        with pytest.raises(ArithmeticError, match="no weight on the new side"):
+            _refuted({}, pos, sides, other)
 
 
 class TestDynkin:

@@ -211,6 +211,12 @@ class TestStrictWitness:
         w = strict_positive_witness((1, 2), [(1,)])
         assert w is not None and w[1] > 0 and w[1] + w[2] == 0
 
+    @pytest.mark.parametrize("ground", [(), (7,), (1, 2, 3)])
+    def test_no_sides(self, ground):
+        # the empty system holds at x = 0; an empty side never holds
+        assert strict_positive_witness(ground, []) == {l: Fraction(0) for l in ground}
+        assert strict_positive_witness(ground, [()]) is None
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sets(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=6))
     def test_witness_always_satisfies(self, families):
