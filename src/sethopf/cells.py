@@ -6,10 +6,12 @@ positive sides are simultaneously realizable by a sum-zero rational vector
 (a maximal unbalanced family).  Realizability is decided by exact linear
 programming; a rejection may reuse a Gordan certificate, re-checked exactly,
 that the same enumeration call found on a subset of the sides.
-``enumerate_cells`` walks the flip graph one S_n orbit at a time and expands
-the orbits by relabelling; the insertion enumeration, which adds one channel
-hyperplane at a time and prunes infeasible sign prefixes, keeps a witness
-per cell and is the oracle for the walk.
+``_cell_orbits`` walks the flip graph one S_n orbit at a time and expands
+each orbit once, keeping its members; ``enumerate_cells`` lists them and
+``dynkin_rank`` builds its rows from them.  The insertion enumeration, which
+adds one channel hyperplane at a time and prunes infeasible sign prefixes,
+keeps a witness per cell for ``enumerate_cells_with_witnesses`` and is the
+oracle for the walk.  Both decide a flipped side with ``_flip_witness``.
 """
 
 from __future__ import annotations
@@ -185,6 +187,23 @@ def _refuted(memo: dict, pos: tuple[int, ...], sides: list[frozenset], other: fr
     return w is not None
 
 
+def _flip_witness(
+    memo: dict, pos: tuple[int, ...], sides: list[frozenset], witness, kept, other
+) -> tuple[list[int], int] | None:
+    """A witness (a, D) of sides + [other], or None when that family is no
+    cell, given the witness (a, D) of sides + [kept].  Decided in this order:
+    rejected by ``partition_infeasible``, accepted with
+    ``transfer_witness_across``, rejected by Gordan multipliers (``_refuted``),
+    accepted with ``strict_positive_witness``."""
+    n = len(pos)
+    if partition_infeasible(n, sides, other):
+        return None
+    moved = transfer_witness_across(n, sides, witness, kept)
+    if moved is not None or _refuted(memo, pos, sides, other):
+        return moved
+    return _int_witness(strict_positive_witness(pos, sides + [other]), n)
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...], int], ...]:
     """Each cell over ground with its witness (a, D), x[ground[i]] = a[i] / D,
@@ -192,7 +211,8 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
 
     The enumeration runs on the positions 0..n-1, whose order is the labels'
     order, so every LP sees the rows it would see on the labels.  Its Gordan
-    certificates are kept for this call only (``_refuted``).
+    certificates are kept for this call only (``_refuted``).  Every state
+    keeps a checked witness, so its cell is built unchecked (``Cell._of``).
     """
     n = len(ground)
     pos = tuple(range(n))
@@ -216,17 +236,13 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
                 a, D = _int_witness(w0, n)
             nxt.append((sides + [kept], a, D))
             # the opposite side needs its own proof or refutation
-            if partition_infeasible(n, sides, other):
-                continue
-            moved = transfer_witness_across(n, sides, (a, D), kept)
-            if moved is None:
-                if _refuted(memo, pos, sides, other):
-                    continue
-                moved = _int_witness(strict_positive_witness(pos, sides + [other]), n)
-            nxt.append((sides + [other], *moved))
+            moved = _flip_witness(memo, pos, sides, (a, D), kept, other)
+            if moved is not None:
+                nxt.append((sides + [other], *moved))
         states = nxt
     out = [
-        (Cell(ground, [[ground[i] for i in S] for S in sides]), tuple(a), D)
+        (Cell._of(ground, frozenset([tuple([ground[i] for i in sorted(S)]) for S in sides])),
+         tuple(a), D)
         for sides, a, D in states
     ]
     out.sort(key=lambda c: c[0].sort_key())
@@ -235,7 +251,8 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
 
 def _mask_permutations(n: int) -> list[list[int]]:
     """For each permutation p of the positions 0..n-1, the image of every
-    position mask under p: bit i of a mask moves to bit p[i]."""
+    position mask under p: bit i of a mask moves to bit p[i].  The first is
+    the identity."""
     out = []
     for p in itertools.permutations(range(n)):
         img = [0] * (1 << n)
@@ -247,81 +264,82 @@ def _mask_permutations(n: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _cell_orbits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+def _cell_orbits(n: int) -> tuple[tuple, ...]:
     """The cells over the positions 0..n-1 up to relabelling, one entry per
     S_n orbit: (the representative's positive sides as sorted position
-    bitmasks, its witness a and D, x = a / D, the size of its stabiliser).
+    bitmasks, its witness a and D, x = a / D, the size of its stabiliser,
+    its members).  The members are the orbit's cells, each as (its sides as
+    sorted bitmasks, the index in ``_mask_permutations(n)`` of a permutation
+    that carries the representative onto it); the representative comes
+    first, with the identity, index 0.
 
     A walk over the flip graph, whose chambers are joined by wall flips, one
     representative at a time.  It starts from the total retarded cell of
     position 0, with the witness n - 1 at position 0 and -1 elsewhere.  Each
     side S of each representative R is flipped; a flipped family that no
-    orbit found so far covers is decided in this order: rejected by
-    ``partition_infeasible``, accepted with ``transfer_witness_across`` from
-    R's witness, rejected by Gordan multipliers, checked exactly
-    (``_refuted``: kept by this call for a subset of the sides, or found
-    anew), accepted with ``strict_positive_witness``.  An accepted family
-    becomes a representative: its witness is checked on ints to sum to 0 and
-    to be > 0 on every side, it is expanded over all n! mask permutations,
-    and its stabiliser, counted directly, must give n! / |Stab| images.  So
+    orbit found so far covers is decided by ``_flip_witness`` from R's
+    witness.  An accepted family becomes a representative: its witness is
+    checked on ints to sum to 0 and to be > 0 on every side, it is expanded
+    once over all n! mask permutations, and its stabiliser, counted
+    directly, must give n! / |Stab| distinct images, its members.  So
     sum n! / |Stab| counts the cells.  A failed check raises
     ArithmeticError.  Flips commute with relabelling, every flip of every
     representative is decided, and the flip graph is connected, so the walk
     reaches every orbit.
     """
     if n < 2:
-        return (((), (0,) * n, 1, 1),)
+        return (((), (0,) * n, 1, 1, (((), 0),)),)
     full = (1 << n) - 1
     pos = tuple(range(n))
-    members = [frozenset(i for i in pos if m >> i & 1) for m in range(full + 1)]
+    in_mask = [frozenset(i for i in pos if m >> i & 1) for m in range(full + 1)]
     perms = _mask_permutations(n)
     covered: set[frozenset] = set()
-    reps: list[tuple[frozenset, list[int], int, int]] = []
+    reps: list[tuple[frozenset, list[int], int, int, dict]] = []
     memo: dict[frozenset, list] = {}  # this call's Gordan certificates, see _refuted
 
     def accept(family: frozenset, a: list[int], D: int) -> None:
-        if D <= 0 or sum(a) != 0 or any(sum([a[i] for i in members[m]]) <= 0 for m in family):
+        if D <= 0 or sum(a) != 0 or any(sum([a[i] for i in in_mask[m]]) <= 0 for m in family):
             raise ArithmeticError("a representative's witness does not realise it")
         images = [frozenset([img[m] for m in family]) for img in perms]
-        orbit = set(images)
+        orbit: dict[frozenset, int] = {}  # each image, with the first permutation reaching it
+        for k, image in enumerate(images):
+            orbit.setdefault(image, k)
         stab = images.count(family)
         if len(orbit) * stab != len(perms):
             raise ArithmeticError("orbit and stabiliser sizes disagree")
         covered.update(orbit)
-        reps.append((family, a, D, stab))
+        reps.append((family, a, D, stab, orbit))
 
     accept(frozenset(m for m in range(1, full) if m & 1), [n - 1] + [-1] * (n - 1), 1)
-    for family, a, D, _ in reps:  # grows as the walk finds new orbits
+    for family, a, D, _, _ in reps:  # grows as the walk finds new orbits
         sides = sorted(family)
         for S in sides:
             flipped = family - {S} | {full ^ S}
             if flipped in covered:
                 continue
-            rest = [members[m] for m in sides if m != S]
-            other = members[full ^ S]
-            if partition_infeasible(n, rest, other):
-                continue
-            moved = transfer_witness_across(n, rest, (a, D), members[S])
-            if moved is None:
-                if _refuted(memo, pos, rest, other):
-                    continue
-                moved = _int_witness(strict_positive_witness(pos, rest + [other]), n)
-            accept(flipped, *moved)
-    return tuple((tuple(sorted(f)), tuple(a), D, stab) for f, a, D, stab in reps)
+            rest = [in_mask[m] for m in sides if m != S]
+            moved = _flip_witness(memo, pos, rest, (a, D), in_mask[S], in_mask[full ^ S])
+            if moved is not None:
+                accept(flipped, *moved)
+    return tuple(
+        (tuple(sorted(f)), tuple(a), D, stab,
+         tuple([(tuple(sorted(m)), k) for m, k in orbit.items()]))
+        for f, a, D, stab, orbit in reps
+    )
 
 
 def enumerate_cells(I: Iterable[int]) -> list[Cell]:
-    """All cells over I, deterministically ordered: the orbits of
-    ``_cell_orbits`` expanded over every relabelling of the positions."""
+    """All cells over I, deterministically ordered: the members of every
+    orbit of ``_cell_orbits``, on the labels of I."""
     ground = labelset(I)
     n = len(ground)
     check_size("cells", n)
     labels = [tuple(ground[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    perms = _mask_permutations(n)
-    families = {
-        frozenset([img[m] for m in sides]) for sides, _, _, _ in _cell_orbits(n) for img in perms
-    }
-    keyed = sorted(tuple(sorted([labels[m] for m in f])) for f in families)
+    keyed = sorted(
+        tuple(sorted([labels[m] for m in sides]))
+        for *_, orbit in _cell_orbits(n)
+        for sides, _ in orbit
+    )
     return [Cell._of(ground, frozenset(sides)) for sides in keyed]
 
 
@@ -358,7 +376,7 @@ def dynkin(cell: Cell) -> SigmaElem:
     the cell of (-1)^(number of lumps) H_F."""
     pos = cell.positive
     terms = {F: c for F, sides, c in _dynkin_table(cell.ground) if sides <= pos}
-    return SigmaElem(cell.ground, LinComb(terms, _trusted=True), H)
+    return SigmaElem(cell.ground, LinComb._of(terms), H)
 
 
 def dynkin_tits_factorization(cell: Cell) -> SigmaElem:
@@ -686,68 +704,21 @@ def primitive_dimension_certified(n: int) -> int:
     if low != len(candidates):
         raise ArithmeticError("tree images are dependent mod p")
 
-    columns = [LinComb({q: 1 for q in pids}, _trusted=True) for _, pids in split_columns(ground)]
+    columns = [LinComb._of({q: 1 for q in pids}) for _, pids in split_columns(ground)]
     up = len(columns) - rank_mod_prime(columns)
     if low != up:
         raise ArithmeticError("modular bounds on the primitive dimension disagree")
     return low
 
 
-def relabel_orbits(
-    ground: LabelSet, cells: Sequence[Cell], rows: Sequence[LinComb]
-) -> list[tuple[int, int]]:
-    """Split the cells over ground into S_n orbits, certifying every row as
-    the relabelling of its orbit representative's row.
-
-    rows[k] is the row of cells[k], a LinComb over compositions of ground.
-    The representatives are taken in list order, each the first cell that
-    no orbit covers yet.  For every permutation s of ground, s(rep) must be
-    one of the cells, and the row of each newly covered cell must equal s
-    applied to the representative's row, exactly.  Cells and rows are
-    compared as lump bitmasks over the positions in ground, with one table
-    of mask images per permutation.  Returns (index of the representative,
-    size of its stabiliser) per orbit, so Sum n!/|Stab| == len(cells).
-    Raises ArithmeticError when a relabelled cell is missing or a row
-    differs.
-    """
-    bit = {x: 1 << i for i, x in enumerate(ground)}
-
-    def mask(labels) -> int:
-        return sum(map(bit.__getitem__, labels))
-
-    keys = {F: tuple(map(mask, F.lumps)) for F in compositions_of(ground)}
-    sides = [frozenset(map(mask, c.positive)) for c in cells]
-    index = {s: k for k, s in enumerate(sides)}
-    perms = _mask_permutations(len(ground))
-    covered = [False] * len(cells)
-    orbits = []
-    for r, rep in enumerate(cells):
-        if covered[r]:
-            continue
-        rep_row = [(keys[F], c) for F, c in rows[r]]
-        stab = 0
-        for img in perms:
-            k = index.get(frozenset([img[m] for m in sides[r]]))
-            if k is None:
-                raise ArithmeticError(f"a relabelling of {rep} is not an enumerated cell")
-            stab += k == r
-            if covered[k]:
-                continue
-            moved = {tuple([img[m] for m in key]): c for key, c in rep_row}
-            if moved != {keys[F]: c for F, c in rows[k]}:
-                raise ArithmeticError(f"the row of {cells[k]} is not a relabelling of {rep}'s")
-            covered[k] = True
-        orbits.append((r, stab))
-    return orbits
-
-
 def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     """(number of cells, rank of their Dynkin span, primitive-part dimension).
 
-    Certified by a squeeze for every n.  Every Dynkin row is primitive:
-    the element of each S_n orbit representative is checked primitive
-    exactly, and every other row is checked equal, exactly, to the
-    relabelling of its representative's row (``relabel_orbits``); the
+    Certified by a squeeze for every n.  Every Dynkin row is primitive: the
+    rows are built orbit by orbit from ``_cell_orbits``; the element of each
+    representative is checked primitive exactly, and the row of every other
+    member is checked equal, exactly and on lump bitmasks, to the
+    representative's row moved by the member's recorded permutation.  The
     coproduct commutes with relabelling, so relabelling keeps primitivity.
     Hence the rank over Q is at most the primitive dimension
     (``primitive_dimension_certified``), and the GF(p) rank of the Dynkin
@@ -761,12 +732,28 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     check_size("dynkin rank", n)
     if n == 0:
         raise DomainError("dynkin rank needs a nonempty ground set")
-    cells = enumerate_cells(ground)
-    vectors = [dynkin(c) for c in cells]
-    rows = [v.lc for v in vectors]
-    for rep, _ in relabel_orbits(ground, cells, rows):
-        if not is_primitive(vectors[rep]):
+    labels = [tuple(ground[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    bit = {x: 1 << i for i, x in enumerate(ground)}
+    keys = {F: tuple([sum(map(bit.__getitem__, L)) for L in F.lumps])
+            for F in compositions_of(ground)}
+    perms = _mask_permutations(n)
+    rows = []
+    for *_, orbit in _cell_orbits(n):
+        (sides, _), *others = orbit  # the representative, then its images
+        rep = Cell._of(ground, frozenset([labels[m] for m in sides]))
+        d = dynkin(rep)
+        if not is_primitive(d):
             raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
+        rows.append(d.lc)
+        rep_row = [(keys[F], c) for F, c in d.lc]
+        for sides, k in others:
+            cell = Cell._of(ground, frozenset([labels[m] for m in sides]))
+            row = dynkin(cell).lc
+            img = perms[k]
+            moved = {tuple([img[m] for m in key]): c for key, c in rep_row}
+            if moved != {keys[F]: c for F, c in row}:
+                raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
+            rows.append(row)
     pdim = primitive_dimension_certified(n)
     r = rank_mod_prime(rows)
     if r != pdim:
@@ -776,4 +763,4 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
         raise ArithmeticError(
             f"rank {r} / primitive dim {pdim} do not match the dimension formula {zdim}"
         )
-    return len(cells), r, zdim
+    return len(rows), r, zdim

@@ -81,14 +81,12 @@ def _cmd_cells_count(args) -> int:
 
 
 def _cmd_cells_enumerate(args) -> int:
-    cells = enumerate_cells_with_witnesses(canonical_set(args.n))
-    payload = {
-        "n": args.n,
-        "count": len(cells),
-        "cells": [
-            cell_to_json(c, w if args.witnesses else None) for c, w in cells
-        ],
-    }
+    ground = canonical_set(args.n)
+    if args.witnesses:
+        cells = [cell_to_json(c, w) for c, w in enumerate_cells_with_witnesses(ground)]
+    else:
+        cells = [cell_to_json(c) for c in enumerate_cells(ground)]
+    payload = {"n": args.n, "count": len(cells), "cells": cells}
     _emit(args, payload)
     return 0
 

@@ -44,7 +44,7 @@ def tits(a: SigmaElem, b: SigmaElem) -> SigmaElem:
                 terms[K] = c
             else:
                 terms.pop(K, None)
-    return SigmaElem._of(a.ground, LinComb(terms, _trusted=True), H)
+    return SigmaElem._of(a.ground, LinComb._of(terms), H)
 
 
 def tits_unit(ground) -> SigmaElem:

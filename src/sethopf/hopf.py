@@ -209,7 +209,7 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
                 terms[K] = c
             else:
                 terms.pop(K, None)
-    return SigmaElem._of(ground, LinComb(terms, _trusted=True), a.basis)
+    return SigmaElem._of(ground, LinComb._of(terms), a.basis)
 
 
 def mu_many(parts: Sequence[SigmaElem]) -> SigmaElem:
@@ -329,7 +329,7 @@ def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
         ((F, c),) = a.lc
         if type(c) is int:  # the scatter-add over one term
             p = table.row(F, a.basis)[m]
-            return LinComb({table.pairs[p]: c}, _trusted=True) if p >= 0 else LinComb()
+            return LinComb._of({table.pairs[p]: c}) if p >= 0 else LinComb()
     rows, nums, den = _split_form(a, table)
     acc: dict[int, int] = {}
     for row, x in zip(rows, nums):
@@ -338,7 +338,7 @@ def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
             acc[p] = acc.get(p, 0) + x
     pairs = table.pairs
     terms = {pairs[p]: x if den == 1 else Fraction(x, den) for p, x in acc.items() if x}
-    return LinComb(terms, _trusted=True)
+    return LinComb._of(terms)
 
 
 def delta(S: Iterable[int], T: Iterable[int], a: SigmaElem) -> list[tuple[SigmaElem, SigmaElem]]:
@@ -387,7 +387,7 @@ def delta_iterated(a: SigmaElem, parts: Sequence[Iterable[int]]) -> LinComb:
                 del terms[key]
         else:
             terms[key] = c
-    return LinComb(terms, _trusted=True)
+    return LinComb._of(terms)
 
 
 def counit(a: SigmaElem):
@@ -404,7 +404,7 @@ def _antipode_of_comp(F: Composition) -> LinComb:
     terms = {}
     for G in refinements(rev):
         terms[G] = 1 if len(G) % 2 == 0 else -1
-    return LinComb(terms, _trusted=True)
+    return LinComb._of(terms)
 
 
 def antipode(a: SigmaElem) -> SigmaElem:
@@ -441,7 +441,7 @@ def _h_in_q(F: Composition) -> LinComb:
     for G in refinements(F):
         _, fact = quotient_stats(G, F)
         terms[G] = Fraction(1, fact)
-    return LinComb(terms, _trusted=True)
+    return LinComb._of(terms)
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +451,7 @@ def _q_in_h(F: Composition) -> LinComb:
         length, _ = quotient_stats(G, F)
         sign = 1 if (len(G) - len(F)) % 2 == 0 else -1
         terms[G] = Fraction(sign, length)
-    return LinComb(terms, _trusted=True)
+    return LinComb._of(terms)
 
 
 def to_q(a: SigmaElem) -> SigmaElem:
@@ -516,7 +516,7 @@ def primitive_part_basis(n: int) -> list[SigmaElem]:
         return []
     ground = canonical_set(n)
     columns = split_columns(ground)
-    mapping = [(F, LinComb({p: 1 for p in pids}, _trusted=True)) for F, pids in columns]
+    mapping = [(F, LinComb._of({p: 1 for p in pids})) for F, pids in columns]
     vectors = kernel_basis(mapping, [F for F, _ in columns])
     return [SigmaElem(ground, v, H) for v in vectors]
 

@@ -26,16 +26,20 @@ class LinComb:
 
     __slots__ = ("t",)
 
-    def __init__(self, terms: dict | None = None, _trusted: bool = False):
-        if _trusted:
-            object.__setattr__(self, "t", terms if terms is not None else {})
-            return
+    def __init__(self, terms: dict | None = None):
         t = {}
         if terms:
             for k, v in terms.items():
                 if v:
                     t[k] = v
         object.__setattr__(self, "t", t)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "LinComb":
+        """Unchecked: terms holds no zero coefficient and is owned by the result."""
+        self = _new(cls)
+        _set_t(self, terms)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("LinComb is immutable")
@@ -46,7 +50,7 @@ class LinComb:
 
     @staticmethod
     def single(key, coeff) -> "LinComb":
-        return LinComb({key: coeff} if coeff else {}, _trusted=True)
+        return LinComb._of({key: coeff} if coeff else {})
 
     def is_zero(self) -> bool:
         return not self.t
@@ -82,10 +86,10 @@ class LinComb:
                     del t[k]
             else:
                 t[k] = v
-        return LinComb(t, _trusted=True)
+        return LinComb._of(t)
 
     def __neg__(self):
-        return LinComb({k: -v for k, v in self.t.items()}, _trusted=True)
+        return LinComb._of({k: -v for k, v in self.t.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
@@ -118,7 +122,7 @@ class LinComb:
                     del t[k2]
             else:
                 t[k2] = v
-        return LinComb(t, _trusted=True)
+        return LinComb._of(t)
 
     def map_coeffs(self, f) -> "LinComb":
         return LinComb({k: f(v) for k, v in self.t.items()})
@@ -130,6 +134,10 @@ class LinComb:
         for k, v in self.items_sorted():
             bits.append(f"({v})*{k}")
         return " + ".join(bits)
+
+
+_new = object.__new__
+_set_t = LinComb.t.__set__
 
 
 def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
@@ -144,4 +152,4 @@ def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
                     del t[k]
             else:
                 t[k] = v
-    return LinComb(t, _trusted=True)
+    return LinComb._of(t)

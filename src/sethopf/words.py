@@ -81,7 +81,7 @@ class WordElem:
                     terms[w] = c
                 else:
                     terms.pop(w, None)
-        return WordElem(LinComb(terms, _trusted=True))
+        return WordElem(LinComb._of(terms))
 
     def __repr__(self):
         if self.lc.is_zero():

@@ -23,7 +23,6 @@ from sethopf.cells import (
     leaf,
     node,
     primitive_dimension_certified,
-    relabel_orbits,
     ruelle_check,
     ruelle_configurations,
     steinmann_quadruples,
@@ -34,7 +33,13 @@ from sethopf.cells import (
     total_retarded_dynkin,
     tree_to_primitive,
 )
-from sethopf.cells import _cell_orbits, _enumerate_cells_cached, _left_normed_tree_images, _refuted
+from sethopf.cells import (
+    _cell_orbits,
+    _enumerate_cells_cached,
+    _left_normed_tree_images,
+    _mask_permutations,
+    _refuted,
+)
 from sethopf.compositions import (
     canonical_set,
     comp,
@@ -165,8 +170,13 @@ def insertion_cells(ground):
 
 
 def rep_cell(ground, sides):
-    """A representative of _cell_orbits as a Cell over ground, validated."""
+    """Sides of _cell_orbits, as position bitmasks, as a Cell over ground, validated."""
     return Cell(ground, [[x for i, x in enumerate(ground) if m >> i & 1] for m in sides])
+
+
+def relabelled(cell, sigma):
+    """The cell moved label by label by the dict sigma, validated."""
+    return Cell(cell.ground, [[sigma[x] for x in S] for S in cell.positive])
 
 
 class TestCellOrbits:
@@ -181,29 +191,39 @@ class TestCellOrbits:
     def test_orbit_counts(self, n, orbits):
         found = _cell_orbits(n)
         assert len(found) == orbits
-        assert sum(math.factorial(n) // stab for *_, stab in found) == verify.CELL_COUNTS[n]
-        for sides, a, D, _ in found:  # each representative's witness, in Fraction
+        assert sum(math.factorial(n) // stab for _, _, _, stab, _ in found) == verify.CELL_COUNTS[n]
+        for sides, a, D, _, _ in found:  # each representative's witness, in Fraction
             x = [Fraction(v, D) for v in a]
             assert sum(x) == 0
             assert all(sum(v for i, v in enumerate(x) if m >> i & 1) > 0 for m in sides)
 
-    def test_orbits_agree_with_relabel_orbits(self):
-        ground = canonical_set(5)
-        cells = enumerate_cells(ground)
-        found = relabel_orbits(ground, cells, [dynkin(c).lc for c in cells])
-        walked = [(rep_cell(ground, sides), stab) for sides, _, _, stab in _cell_orbits(5)]
-        assert len(found) == len(walked) == 12
-        matched = set()
-        for r, stab in found:
-            orbit = set()
-            for image in itertools.permutations(ground):
-                sigma = dict(zip(ground, image))
-                orbit.add(Cell(ground, [[sigma[x] for x in S] for S in cells[r].positive]))
-            inside = [k for k, (rep, _) in enumerate(walked) if rep in orbit]
-            assert len(inside) == 1
-            assert walked[inside[0]][1] == stab
-            matched.add(inside[0])
-        assert matched == set(range(12))
+    @pytest.mark.parametrize("ground", [canonical_set(n) for n in range(6)] + [(-3, 2, 5, 9)])
+    def test_members_are_relabellings_of_the_representative(self, ground):
+        # the k-th of itertools.permutations is the k-th mask permutation
+        images = list(itertools.permutations(ground))
+        assert len(images) == len(_mask_permutations(len(ground)))
+        for sides, _, _, stab, members in _cell_orbits(len(ground)):
+            rep = rep_cell(ground, sides)
+            assert members[0] == (sides, 0)
+            orbit = {relabelled(rep, dict(zip(ground, image))) for image in images}
+            assert len(orbit) * stab == len(images)
+            moved = [relabelled(rep, dict(zip(ground, images[k]))) for _, k in members]
+            assert moved == [rep_cell(ground, member) for member, _ in members]
+            assert set(moved) == orbit and len(moved) == len(orbit)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_cell_passes_validation(self, n):
+        # both enumerations build their cells unchecked
+        for c in enumerate_cells(canonical_set(n)) + insertion_cells(canonical_set(n)):
+            assert Cell(c.ground, c.positive) == c
+            assert all(S == tuple(sorted(S)) for S in c.positive)
+
+    def test_orbit_size_check(self, fresh_orbits, monkeypatch):
+        # without the identity every stabiliser loses one element
+        original = cells_module._mask_permutations
+        monkeypatch.setattr(cells_module, "_mask_permutations", lambda n: original(n)[1:])
+        with pytest.raises(ArithmeticError, match="orbit and stabiliser sizes disagree"):
+            _cell_orbits(4)
 
     def test_small_grounds_run_no_lp(self, fresh_orbits, monkeypatch):
         def no_lp(*args):
@@ -212,7 +232,7 @@ class TestCellOrbits:
         monkeypatch.setattr(lp_module, "simplex_max", no_lp)
         assert enumerate_cells(()) == [Cell((), [])]
         assert enumerate_cells((7,)) == [Cell((7,), [])]
-        assert _cell_orbits(1) == (((), (0,), 1, 1),)
+        assert _cell_orbits(1) == (((), (0,), 1, 1, (((), 0),)),)
 
     def test_bogus_multipliers_raise(self, fresh_orbits, monkeypatch):
         original = lp_module.simplex_max
@@ -418,6 +438,7 @@ class TestDynkinRank:
             raise AssertionError("dynkin_rank enumerated cells of the empty ground")
 
         monkeypatch.setattr(cells_module, "enumerate_cells", no_work)
+        monkeypatch.setattr(cells_module, "_cell_orbits", no_work)
         with pytest.raises(DomainError, match="nonempty ground"):
             dynkin_rank(())
         with pytest.raises(DomainError, match="nonempty ground"):
@@ -450,37 +471,31 @@ class TestDynkinRank:
 
 
 class TestRelabelOrbits:
+    """The walk's orbit members, and the relabelling certificate of dynkin_rank."""
+
     @pytest.mark.parametrize(
         "ground,orbits",
         [((1,), 1), ((1, 2), 1), ((1, 2, 3), 2), ((1, 2, 3, 4), 4), ((-3, 2, 5, 9), 4), ((1, 2, 3, 4, 5), 12)],
     )
     def test_orbits_partition_the_cells(self, ground, orbits):
         n = len(ground)
-        cells = enumerate_cells(ground)
-        found = relabel_orbits(ground, cells, [dynkin(c).lc for c in cells])
+        found = _cell_orbits(n)
         assert len(found) == orbits
-        assert sum(math.factorial(n) // stab for _, stab in found) == verify.CELL_COUNTS[n]
-        # the same orbits, relabelling Cell objects label by label
-        covered = set()
-        for r, stab in found:
-            assert cells[r] not in covered
-            assert all(c in covered for c in cells[:r])  # the first uncovered cell
-            orbit = set()
-            for image in itertools.permutations(ground):
-                sigma = dict(zip(ground, image))
-                orbit.add(Cell(ground, [[sigma[x] for x in S] for S in cells[r].positive]))
-            assert len(orbit) == math.factorial(n) // stab
-            covered |= orbit
-        assert covered == set(cells)
+        assert sum(math.factorial(n) // stab for _, _, _, stab, _ in found) == verify.CELL_COUNTS[n]
+        covered = []
+        for _, _, _, stab, members in found:
+            assert len(members) * stab == math.factorial(n)
+            covered += [rep_cell(ground, sides) for sides, _ in members]
+        assert len(covered) == len(set(covered))  # the orbits are disjoint
+        assert sorted(covered, key=Cell.sort_key) == enumerate_cells(ground)
 
     def test_relabelled_ground(self):
         assert dynkin_rank((-3, 2, 5, 9)) == (32, 26, 26)
 
     def test_corrupted_relabelled_row_raises(self, monkeypatch):
         ground = canonical_set(4)
-        cells = enumerate_cells(ground)
-        reps = {r for r, _ in relabel_orbits(ground, cells, [dynkin(c).lc for c in cells])}
-        victim = cells[max(set(range(len(cells))) - reps)]
+        reps = {rep_cell(ground, sides) for sides, *_ in _cell_orbits(4)}
+        victim = [c for c in enumerate_cells(ground) if c not in reps][-1]
         bump = basis_elem(compositions_of(ground)[-1], H)
         original = cells_module.dynkin
 
@@ -503,19 +518,12 @@ class TestRelabelOrbits:
         with pytest.raises(ArithmeticError, match="fails primitivity"):
             dynkin_rank(ground)
 
-    @pytest.mark.parametrize("drop", [0, 7, 31])
-    def test_dropped_cell_raises(self, monkeypatch, drop):
-        # no cell is fixed by every relabelling (the mean of a witness's
-        # orbit would be 0), so every dropped cell is some relabelled image
-        original = cells_module.enumerate_cells
-
-        def lossy(I):
-            out = original(I)
-            return out[:drop] + out[drop + 1 :]
-
-        monkeypatch.setattr(cells_module, "enumerate_cells", lossy)
-        with pytest.raises(ArithmeticError, match="not an enumerated cell"):
-            dynkin_rank(canonical_set(4))
+    def test_one_dynkin_element_per_cell(self, monkeypatch):
+        calls = []
+        original = cells_module.dynkin
+        monkeypatch.setattr(cells_module, "dynkin", lambda cell: calls.append(cell) or original(cell))
+        assert dynkin_rank(canonical_set(5)) == (370, 150, 150)
+        assert sorted(calls, key=Cell.sort_key) == enumerate_cells(canonical_set(5))
 
 
 class TestSteinmann:

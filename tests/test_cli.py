@@ -25,6 +25,14 @@ WITNESS_DIGESTS = {
     6: "f9ac378ee567faa70476faf38d3e6cb8c41eaf19e13255d516ce54b57080cfac",
 }
 
+# sha256 of the stdout of `cells enumerate --n N`, without witnesses: the
+# orbit walk's cells, which must be the insertion enumeration's.
+ENUMERATE_DIGESTS = {
+    4: "de4fb9107f926903d93cad5cc4c18f2f926d822d48ef86c3c3633bfe8deb54af",
+    5: "136e532137b6c40801cf441527f5efe761bc8f9de1feaeef0234308d32104aee",
+    6: "e6b9ee8f709c3842cab5300432e092869985164ffc18744a2c99790ef4d08d8a",
+}
+
 # The stdout of `ruelle verify --n 4` and `glz verify --n 4`.
 LIE_REPORTS_N4 = {
     "ruelle": '{"command":"ruelle verify","parameters":{"n":4},"status":"pass",'
@@ -92,6 +100,26 @@ class TestDataCommands:
         proc = run_cli("cells", "enumerate", "--n", str(n), "--witnesses")
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WITNESS_DIGESTS[n]
+
+    @pytest.mark.parametrize(
+        "n",
+        [pytest.param(n, marks=pytest.mark.heavy) if n >= 6 else n for n in sorted(ENUMERATE_DIGESTS)],
+    )
+    def test_witness_free_output_pinned(self, n):
+        proc = run_cli("cells", "enumerate", "--n", str(n))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ENUMERATE_DIGESTS[n]
+
+    def test_witness_free_enumeration_runs_no_insertion(self, monkeypatch, capsys):
+        from sethopf import cli
+
+        def no_insertion(ground):
+            raise AssertionError("cells enumerate without --witnesses ran the insertion enumeration")
+
+        monkeypatch.setattr(cli, "enumerate_cells_with_witnesses", no_insertion)
+        assert cli.run(["cells", "enumerate", "--n", "4"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[4]
 
     def test_cells_enumerate_with_witnesses(self):
         proc = run_cli("cells", "enumerate", "--n", "3", "--witnesses")

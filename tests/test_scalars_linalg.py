@@ -104,6 +104,17 @@ class TestLinComb:
         b = LinComb({"x": QI(2)})
         assert (a - b) == LinComb({"y": QI(1)})
 
+    def test_public_constructor_drops_zeros_and_trusted_one_keeps_its_dict(self):
+        terms = {"x": 0, "y": Fraction(1, 2), "z": QI(0)}
+        assert LinComb(terms).t == {"y": Fraction(1, 2)} and LinComb(terms).t is not terms
+        kept = {"y": 3}
+        v = LinComb._of(kept)
+        assert type(v) is LinComb and v.t is kept and v == LinComb({"y": 3})
+        with pytest.raises(TypeError):
+            LinComb(kept, _trusted=True)  # the private keyword is gone
+        with pytest.raises(AttributeError):
+            v.t = {}
+
 
 def naive_rank(rows):
     """Independent oracle: plain rational Gaussian elimination."""
