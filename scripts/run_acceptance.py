@@ -6,7 +6,8 @@ Default bounds keep this under a minute; --heavy runs the same suites one
 step up (the exact primitive kernel and the Dynkin rank at n=5, with two
 oracles for its certificate: every n=5 Dynkin element checked primitive
 directly, against the orbit representatives, and the exact rank of the n=5
-Dynkin rows, against the modular squeeze; the Steinmann span at n=5, n=6
+Dynkin rows, against the modular squeeze; the tree-image squeeze of the
+primitive dimension at n=5; the Steinmann span at n=5, n=6
 cells by insertion, and the orbit walk at n=6 against them; order-3
 series), which takes minutes.
 """
@@ -16,7 +17,14 @@ import sys
 import time
 
 from sethopf import verify
-from sethopf.cells import _cell_orbits, dynkin, dynkin_rank, enumerate_cells, enumerate_cells_with_witnesses
+from sethopf.cells import (
+    _cell_orbits,
+    dynkin,
+    dynkin_rank,
+    enumerate_cells,
+    enumerate_cells_with_witnesses,
+    primitive_dimension_certified,
+)
 from sethopf.compositions import canonical_set
 from sethopf.hopf import is_primitive
 from sethopf.linalg import rank
@@ -58,6 +66,8 @@ def main() -> int:
         line("heavy: primitive dimension 150 at n=5, exact kernel", verify.dimension_suite(5))
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")
+        got = primitive_dimension_certified(5)
+        line("heavy: primitive dimension 150 at n=5, tree-image squeeze", got == 150, f" -> {got}")
         dynkin5 = [dynkin(c) for c in enumerate_cells(canonical_set(5))]
         got = sum(map(is_primitive, dynkin5))
         line("heavy: each of the 370 Dynkin elements at n=5 is primitive", got == 370, f" -> {got}")

@@ -45,7 +45,7 @@ from .hopf import (
     split_columns,
 )
 from .lincomb import LinComb
-from .linalg import rank_mod_prime
+from .linalg import pivot_rows_mod_prime, rank_mod_prime
 from .lp import (
     balanced_combination_exists,
     is_gordan_certificate,
@@ -679,6 +679,12 @@ def _left_normed_tree_images(n: int) -> list[SigmaElem]:
     return out
 
 
+def _split_vectors(n: int) -> list[tuple[Composition, LinComb]]:
+    """The stacked-split matrix of canonical_set(n), one vector per
+    composition: the pair ids of its proper splits, each with coefficient 1."""
+    return [(F, LinComb._of({q: 1 for q in pids})) for F, pids in split_columns(canonical_set(n))]
+
+
 def primitive_dimension_certified(n: int) -> int:
     """dim of the primitive part over [n], by a certified modular squeeze.
 
@@ -689,13 +695,13 @@ def primitive_dimension_certified(n: int) -> int:
     bounds it from above (its kernel contains the rational kernel).
     Equality of the two bounds pins the exact value without an exact
     elimination; the exact kernel, ``hopf.primitive_part_basis``, is the
-    oracle the tests compare with.  The degree-0 part is 0, since the
-    monoid is connected.
+    oracle the tests compare with.  ``dynkin_rank`` has its own lower side,
+    the Dynkin rows, and does not call this.  The degree-0 part is 0, since
+    the monoid is connected.
     """
     check_size("primitive part", n)
     if n == 0:
         return 0
-    ground = canonical_set(n)
     candidates = _left_normed_tree_images(n)
     for v in candidates:
         if not is_primitive(v):
@@ -704,7 +710,7 @@ def primitive_dimension_certified(n: int) -> int:
     if low != len(candidates):
         raise ArithmeticError("tree images are dependent mod p")
 
-    columns = [LinComb._of({q: 1 for q in pids}) for _, pids in split_columns(ground)]
+    columns = [v for _, v in _split_vectors(n)]
     up = len(columns) - rank_mod_prime(columns)
     if low != up:
         raise ArithmeticError("modular bounds on the primitive dimension disagree")
@@ -720,12 +726,21 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     member is checked equal, exactly and on lump bitmasks, to the
     representative's row moved by the member's recorded permutation.  The
     coproduct commutes with relabelling, so relabelling keeps primitivity.
-    Hence the rank over Q is at most the primitive dimension
-    (``primitive_dimension_certified``), and the GF(p) rank of the Dynkin
-    rows is at most the rank over Q.  When the GF(p) rank reaches the
-    dimension, all three are equal; the result must also equal the
-    partition-count dimension formula.  The empty ground is rejected: its
-    one cell's Dynkin element is the unit, which is not primitive.
+
+    One GF(p) elimination of the stacked-split matrix M, one vector per
+    composition, gives the upper bound up = (number of compositions) -
+    rank_p(M) on the primitive dimension, and its free compositions N: those
+    it did not pivot on, carried to the ground on lump bitmasks.  The lower
+    bound is the GF(p) rank of the Dynkin rows restricted to N, and
+    rank_p(D|N) <= rank_p(D) <= rank_Q(D) <= dim P <= up holds for any N;
+    when the ends meet, all are equal.  They meet by construction: a vector
+    the elimination zeroed was reduced by pivot vectors only, so ker_p(M)
+    has a basis e_F - sum_G lambda_G e_G, one per F in N, with G over the
+    pivots; ker_p(M) projects injectively onto the N coordinates, and every
+    primitive integer row lies in it.  A shortfall raises ArithmeticError.
+    The result must also equal the partition-count dimension formula.  The
+    empty ground is rejected: its one cell's Dynkin element is the unit,
+    which is not primitive.
     """
     ground = labelset(I)
     n = len(ground)
@@ -736,6 +751,12 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     bit = {x: 1 << i for i, x in enumerate(ground)}
     keys = {F: tuple([sum(map(bit.__getitem__, L)) for L in F.lumps])
             for F in compositions_of(ground)}
+    split = _split_vectors(n)
+    pivots = set(pivot_rows_mod_prime([v for _, v in split]))
+    up = len(split) - len(pivots)
+    # the free compositions' lump bitmasks; label x of canonical_set(n) is at position x - 1
+    free = {tuple([sum([1 << x - 1 for x in L]) for L in F.lumps])
+            for j, (F, _) in enumerate(split) if j not in pivots}
     perms = _mask_permutations(n)
     rows = []
     for *_, orbit in _cell_orbits(n):
@@ -744,23 +765,21 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
         d = dynkin(rep)
         if not is_primitive(d):
             raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
-        rows.append(d.lc)
-        rep_row = [(keys[F], c) for F, c in d.lc]
+        rep_row = {keys[F]: c for F, c in d.lc}
+        rows.append(LinComb._of({key: c for key, c in rep_row.items() if key in free}))
         for sides, k in others:
             cell = Cell._of(ground, frozenset([labels[m] for m in sides]))
-            row = dynkin(cell).lc
+            row = {keys[F]: c for F, c in dynkin(cell).lc}
             img = perms[k]
-            moved = {tuple([img[m] for m in key]): c for key, c in rep_row}
-            if moved != {keys[F]: c for F, c in row}:
+            if row != {tuple([img[m] for m in key]): c for key, c in rep_row.items()}:
                 raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
-            rows.append(row)
-    pdim = primitive_dimension_certified(n)
+            rows.append(LinComb._of({key: c for key, c in row.items() if key in free}))
     r = rank_mod_prime(rows)
-    if r != pdim:
+    if r != up:
         raise ArithmeticError("modular bounds on the Dynkin rank disagree")
     zdim = zie_dimension(n)
     if r != zdim:
         raise ArithmeticError(
-            f"rank {r} / primitive dim {pdim} do not match the dimension formula {zdim}"
+            f"rank {r} / primitive dim {up} do not match the dimension formula {zdim}"
         )
     return len(rows), r, zdim

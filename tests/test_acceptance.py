@@ -10,7 +10,7 @@ import time
 import pytest
 
 from sethopf import verify
-from sethopf.cells import dynkin, dynkin_rank, enumerate_cells
+from sethopf.cells import dynkin, dynkin_rank, enumerate_cells, primitive_dimension_certified
 from sethopf.compositions import canonical_set, fubini
 from sethopf.hopf import is_primitive
 from sethopf.linalg import rank
@@ -81,6 +81,18 @@ def test_criterion_04_dimension_ladder_n5():
     _line(
         "criterion 4 (heavy): primitive-part dimensions 1, 2, 6, 26, 150 by exact kernel",
         res.passed and res.payload["dims"] == {1: 1, 2: 2, 3: 6, 4: 26, 5: 150},
+        f"{time.time()-t0:.1f}s",
+    )
+
+
+@pytest.mark.heavy
+def test_criterion_04_certified_dimension_n5():
+    # the tree-image squeeze, which dynkin_rank no longer runs
+    t0 = time.time()
+    got = primitive_dimension_certified(5)
+    _line(
+        "criterion 4 (heavy): primitive dimension 150 at n=5 by the tree-image squeeze",
+        got == 150,
         f"{time.time()-t0:.1f}s",
     )
 

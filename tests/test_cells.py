@@ -71,7 +71,7 @@ from sethopf.hopf import (
 )
 from sethopf.lincomb import LinComb
 from sethopf.scalars import QI
-from sethopf.linalg import rank, rank_mod_prime
+from sethopf.linalg import pivot_rows_mod_prime, rank, rank_mod_prime
 
 
 def brute_force_cells(ground):
@@ -421,7 +421,51 @@ class TestDynkinRank:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_certified_dimension_against_exact_kernel(self, n):
-        assert primitive_dimension_certified(n) == len(primitive_part_basis(n))
+        got = primitive_dimension_certified(n)
+        assert type(got) is int
+        assert got == len(primitive_part_basis(n))
+
+    @pytest.mark.parametrize("ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (-3, 2, 5, 9)])
+    def test_rows_on_the_free_columns(self, ground, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cells_module, "rank_mod_prime", lambda rows: seen.append(rows) or rank_mod_prime(rows)
+        )
+        n = len(ground)
+        assert dynkin_rank(ground)[1] == zie_dimension(n)
+        (rows,) = seen
+        columns = [LinComb({q: 1 for q in pids}) for _, pids in split_columns(canonical_set(n))]
+        up = len(columns) - len(pivot_rows_mod_prime(columns))
+        assert len({k for v in rows for k in v.keys()}) <= up
+        full = [dynkin(c).lc for c in enumerate_cells(ground)]
+        assert rank(rows) == rank(full) == up
+
+    def test_lower_side_is_the_dynkin_rows_alone(self, monkeypatch):
+        checked = []
+        original = cells_module.is_primitive
+        monkeypatch.setattr(cells_module, "is_primitive", lambda a: checked.append(a) or original(a))
+        trees = []
+        original_trees = cells_module._left_normed_tree_images
+        monkeypatch.setattr(
+            cells_module, "_left_normed_tree_images", lambda n: trees.append(n) or original_trees(n)
+        )
+        assert dynkin_rank(canonical_set(5)) == (370, 150, 150)
+        assert len(checked) == 12  # one per orbit representative
+        assert trees == []
+
+    def test_lost_free_column_raises(self, monkeypatch):
+        # the pivots name the last free column in place of their first, so
+        # the rows lose that column and fall short of the unchanged upper side
+        original = cells_module.pivot_rows_mod_prime
+
+        def lossy(vectors):
+            pivots = original(vectors)
+            last_free = max(set(range(len(vectors))) - set(pivots))
+            return [last_free] + pivots[1:]
+
+        monkeypatch.setattr(cells_module, "pivot_rows_mod_prime", lossy)
+        with pytest.raises(ArithmeticError, match="modular bounds on the Dynkin rank disagree"):
+            dynkin_rank(canonical_set(4))
 
     def test_degree_zero_has_no_primitives(self):
         # the monoid is connected, so P[empty] = 0, as zie_dimension(0) says

@@ -135,6 +135,15 @@ class TestDataCommands:
         out2 = run_cli("cells", "enumerate", "--n", "3").stdout
         assert out1 == out2
 
+    def test_package_runs_as_the_cli(self):
+        args = ["dynkin", "rank", "--n", "4"]
+        via_package = subprocess.run(
+            [sys.executable, "-m", "sethopf", *args], capture_output=True, timeout=600
+        )
+        via_cli = subprocess.run(RUN + args, capture_output=True, timeout=600)
+        assert via_package.returncode == via_cli.returncode == 0
+        assert via_package.stdout == via_cli.stdout == DYNKIN_RANK_STDOUT[4].encode()
+
 
 class TestVerifyCommands:
     def test_hopf_check(self):
