@@ -12,6 +12,9 @@ each orbit once, keeping its members; ``enumerate_cells`` lists them and
 adds one channel hyperplane at a time and prunes infeasible sign prefixes,
 keeps a witness per cell for ``enumerate_cells_with_witnesses`` and is the
 oracle for the walk.  Both decide a flipped side with ``_flip_witness``.
+Dynkin elements are read from one table per n in mask form,
+``_dynkin_masks``: a cell's sides become one bitset, and its element holds
+every composition whose reversed coarsenings' sides lie in it.
 """
 
 from __future__ import annotations
@@ -328,6 +331,12 @@ def _cell_orbits(n: int) -> tuple[tuple, ...]:
     )
 
 
+def _cell_on(ground: LabelSet, sides: Iterable[int]) -> Cell:
+    """The cell over ground whose positive sides have the position bitmasks sides."""
+    return Cell._of(ground, frozenset([tuple([x for i, x in enumerate(ground) if m >> i & 1])
+                                       for m in sides]))
+
+
 def enumerate_cells(I: Iterable[int]) -> list[Cell]:
     """All cells over I, deterministically ordered: the members of every
     orbit of ``_cell_orbits``, on the labels of I."""
@@ -358,25 +367,40 @@ def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[in
 
 
 @lru_cache(maxsize=None)
-def _dynkin_table(ground: LabelSet) -> tuple[tuple[Composition, frozenset, int], ...]:
-    """For each composition F of ground: the S-sides of the two-lump
-    coarsenings of opposite(F), and the coefficient of H_F in a Dynkin element."""
-    return tuple(
-        (
-            F,
-            frozenset(S for S, _ in two_lump_coarsenings(opposite(F))),
-            -1 if len(F) % 2 == 0 else 1,
-        )
-        for F in compositions_of(ground)
-    )
+def _dynkin_masks(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The Dynkin table over the positions 0..n-1, one entry per composition
+    F in the order of ``compositions_of``: F's lump bitmasks, the bitset over
+    the 2^n side masks of the S-sides of the two-lump coarsenings of
+    opposite(F), and the coefficient of H_F in a Dynkin element.  An
+    order-preserving relabelling keeps that order, so entry j stands for the
+    j-th composition of any ground of size n."""
+    keys, sbs, coeffs = [], [], []
+    for F in compositions_of(canonical_set(n)):  # label x is at position x - 1
+        keys.append(tuple([sum([1 << x - 1 for x in L]) for L in F.lumps]))
+        sides = [sum([1 << x - 1 for x in S]) for S, _ in two_lump_coarsenings(opposite(F))]
+        sbs.append(sum([1 << m for m in sides]))
+        coeffs.append(-1 if len(F) % 2 == 0 else 1)
+    return tuple(keys), tuple(sbs), tuple(coeffs)
+
+
+def _dynkin_row(n: int, pb: int) -> dict[int, int]:
+    """The Dynkin element of the cell over the positions 0..n-1 whose
+    positive side masks are the set bits of pb, as {entry of
+    ``_dynkin_masks(n)``: coefficient}: F is a term iff its sides' bitset
+    lies in pb."""
+    _, sbs, coeffs = _dynkin_masks(n)
+    return {j: coeffs[j] for j, sb in enumerate(sbs) if sb & pb == sb}
 
 
 def dynkin(cell: Cell) -> SigmaElem:
     """- sum over compositions F whose reversed two-lump coarsenings lie in
-    the cell of (-1)^(number of lumps) H_F."""
-    pos = cell.positive
-    terms = {F: c for F, sides, c in _dynkin_table(cell.ground) if sides <= pos}
-    return SigmaElem(cell.ground, LinComb._of(terms), H)
+    the cell of (-1)^(number of lumps) H_F, read from ``_dynkin_masks``."""
+    ground = cell.ground
+    bit = {x: 1 << i for i, x in enumerate(ground)}
+    pb = sum([1 << sum(map(bit.__getitem__, S)) for S in cell.positive])
+    comps = compositions_of(ground)
+    terms = {comps[j]: c for j, c in _dynkin_row(len(ground), pb).items()}
+    return SigmaElem._of(ground, LinComb._of(terms), H)
 
 
 def dynkin_tits_factorization(cell: Cell) -> SigmaElem:
@@ -717,15 +741,71 @@ def primitive_dimension_certified(n: int) -> int:
     return low
 
 
+def _composition_permutations(n: int) -> list[list[int]]:
+    """For each permutation p of the positions 0..n-1, in the order of
+    ``_mask_permutations(n)``: the entry of ``_dynkin_masks(n)`` that each
+    entry's composition moves to under p, bit i of every lump to bit p[i].
+
+    Only the adjacent transpositions t_i = (i i+1) are moved lump by lump.
+    Any other p has a first descent i; p with its places i and i+1 swapped
+    is an earlier permutation a, and p = a t_i, so p's list is a's read
+    through t_i's.  The first is the identity.
+    """
+    keys = _dynkin_masks(n)[0]
+    index = {key: j for j, key in enumerate(keys)}
+    swaps = []
+    for i in range(n - 1):
+        img = [m & ~(3 << i) | (m >> i & 1) << i + 1 | (m >> i + 1 & 1) << i for m in range(1 << n)]
+        swaps.append([index[tuple([img[m] for m in key])] for key in keys])
+    perms = list(itertools.permutations(range(n)))
+    at = {p: k for k, p in enumerate(perms)}
+    out = [list(range(len(keys)))]
+    for p in perms[1:]:
+        i = next(i for i in range(n - 1) if p[i] > p[i + 1])
+        a = out[at[p[:i] + (p[i + 1], p[i]) + p[i + 2:]]]
+        out.append([a[x] for x in swaps[i]])
+    return out
+
+
+def _dynkin_rows(ground: LabelSet, pivots: set[int]) -> list[LinComb]:
+    """The Dynkin row of every cell over ground, orbit by orbit from
+    ``_cell_orbits``, keyed on lump bitmasks and without the entries of
+    ``_dynkin_masks`` in pivots; each certified primitive as ``dynkin_rank``
+    says.  A failed check raises ArithmeticError."""
+    n = len(ground)
+    comps = compositions_of(ground)
+    keys = _dynkin_masks(n)[0]
+    moves = _composition_permutations(n)
+    rows = []
+    for *_, orbit in _cell_orbits(n):
+        (rep_sides, _), *others = orbit  # the representative, then its images
+        rep_row = _dynkin_row(n, sum([1 << m for m in rep_sides]))
+        d = SigmaElem._of(ground, LinComb._of({comps[j]: c for j, c in rep_row.items()}), H)
+        if not is_primitive(d):
+            raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
+        rows.append(LinComb._of({keys[j]: c for j, c in rep_row.items() if j not in pivots}))
+        for sides, k in others:
+            row = _dynkin_row(n, sum([1 << m for m in sides]))
+            move = moves[k]
+            if row != {move[j]: c for j, c in rep_row.items()}:
+                cell, rep = (_cell_on(ground, s) for s in (sides, rep_sides))
+                raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
+            rows.append(LinComb._of({keys[j]: c for j, c in row.items() if j not in pivots}))
+    return rows
+
+
 def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     """(number of cells, rank of their Dynkin span, primitive-part dimension).
 
     Certified by a squeeze for every n.  Every Dynkin row is primitive: the
-    rows are built orbit by orbit from ``_cell_orbits``; the element of each
-    representative is checked primitive exactly, and the row of every other
-    member is checked equal, exactly and on lump bitmasks, to the
-    representative's row moved by the member's recorded permutation.  The
-    coproduct commutes with relabelling, so relabelling keeps primitivity.
+    rows are built orbit by orbit from ``_cell_orbits``, on ints, each by
+    ``_dynkin_row`` from its cell's side bitmasks; the element of each
+    representative is built and checked primitive exactly, and the row of
+    every other member is checked equal, exactly and coefficients included,
+    to the representative's row moved by the member's recorded permutation
+    (``_composition_permutations``).  The coproduct commutes with
+    relabelling, so relabelling keeps primitivity.  The rows reach the rank
+    keyed on lump bitmasks.
 
     One GF(p) elimination of the stacked-split matrix M, one vector per
     composition, gives the upper bound up = (number of compositions) -
@@ -747,33 +827,11 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     check_size("dynkin rank", n)
     if n == 0:
         raise DomainError("dynkin rank needs a nonempty ground set")
-    labels = [tuple(ground[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    bit = {x: 1 << i for i, x in enumerate(ground)}
-    keys = {F: tuple([sum(map(bit.__getitem__, L)) for L in F.lumps])
-            for F in compositions_of(ground)}
+    # one vector per composition, in the order of compositions_of and of _dynkin_masks
     split = _split_vectors(n)
     pivots = set(pivot_rows_mod_prime([v for _, v in split]))
     up = len(split) - len(pivots)
-    # the free compositions' lump bitmasks; label x of canonical_set(n) is at position x - 1
-    free = {tuple([sum([1 << x - 1 for x in L]) for L in F.lumps])
-            for j, (F, _) in enumerate(split) if j not in pivots}
-    perms = _mask_permutations(n)
-    rows = []
-    for *_, orbit in _cell_orbits(n):
-        (sides, _), *others = orbit  # the representative, then its images
-        rep = Cell._of(ground, frozenset([labels[m] for m in sides]))
-        d = dynkin(rep)
-        if not is_primitive(d):
-            raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
-        rep_row = {keys[F]: c for F, c in d.lc}
-        rows.append(LinComb._of({key: c for key, c in rep_row.items() if key in free}))
-        for sides, k in others:
-            cell = Cell._of(ground, frozenset([labels[m] for m in sides]))
-            row = {keys[F]: c for F, c in dynkin(cell).lc}
-            img = perms[k]
-            if row != {tuple([img[m] for m in key]): c for key, c in rep_row.items()}:
-                raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
-            rows.append(LinComb._of({key: c for key, c in row.items() if key in free}))
+    rows = _dynkin_rows(ground, pivots)  # its n! index permutations are freed before the rank
     r = rank_mod_prime(rows)
     if r != up:
         raise ArithmeticError("modular bounds on the Dynkin rank disagree")

@@ -35,6 +35,9 @@ from sethopf.cells import (
 )
 from sethopf.cells import (
     _cell_orbits,
+    _composition_permutations,
+    _dynkin_masks,
+    _dynkin_row,
     _enumerate_cells_cached,
     _left_normed_tree_images,
     _mask_permutations,
@@ -172,6 +175,12 @@ def insertion_cells(ground):
 def rep_cell(ground, sides):
     """Sides of _cell_orbits, as position bitmasks, as a Cell over ground, validated."""
     return Cell(ground, [[x for i, x in enumerate(ground) if m >> i & 1] for m in sides])
+
+
+def side_bits(cell):
+    """The positive sides of cell as one bitset over their position bitmasks."""
+    at = {x: i for i, x in enumerate(cell.ground)}
+    return sum(1 << sum(1 << at[x] for x in S) for S in cell.positive)
 
 
 def relabelled(cell, sigma):
@@ -540,15 +549,17 @@ class TestRelabelOrbits:
         ground = canonical_set(4)
         reps = {rep_cell(ground, sides) for sides, *_ in _cell_orbits(4)}
         victim = [c for c in enumerate_cells(ground) if c not in reps][-1]
-        bump = basis_elem(compositions_of(ground)[-1], H)
-        original = cells_module.dynkin
+        last = len(compositions_of(ground)) - 1
+        original = cells_module._dynkin_row
 
-        def corrupted(cell):
-            d = original(cell)
-            return d + bump if cell == victim else d
+        def corrupted(n, pb):
+            row = original(n, pb)
+            if pb == side_bits(victim):  # + H_F for the last composition F
+                row[last] = row.get(last, 0) + 1
+            return {j: c for j, c in row.items() if c}
 
-        assert not is_primitive(corrupted(victim))
-        monkeypatch.setattr(cells_module, "dynkin", corrupted)
+        monkeypatch.setattr(cells_module, "_dynkin_row", corrupted)
+        assert not is_primitive(dynkin(victim))
         with pytest.raises(ArithmeticError, match="not a relabelling"):
             dynkin_rank(ground)
 
@@ -556,18 +567,46 @@ class TestRelabelOrbits:
         # H_(I) is fixed by every relabelling, so the rows stay consistent
         # and only the representatives' own check can fail
         ground = canonical_set(4)
-        one_lump = basis_elem(comp(ground), H)
-        original = cells_module.dynkin
-        monkeypatch.setattr(cells_module, "dynkin", lambda cell: original(cell) + one_lump)
+        assert compositions_of(ground)[0] == comp(ground)
+        original = cells_module._dynkin_row
+
+        def doubled(n, pb):
+            row = original(n, pb)
+            row[0] += 1  # entry 0 is H_(I), a term of every Dynkin element
+            return row
+
+        monkeypatch.setattr(cells_module, "_dynkin_row", doubled)
+        assert not is_primitive(dynkin(total_retarded_cell(ground, 1)))
         with pytest.raises(ArithmeticError, match="fails primitivity"):
             dynkin_rank(ground)
 
     def test_one_dynkin_element_per_cell(self, monkeypatch):
         calls = []
-        original = cells_module.dynkin
-        monkeypatch.setattr(cells_module, "dynkin", lambda cell: calls.append(cell) or original(cell))
-        assert dynkin_rank(canonical_set(5)) == (370, 150, 150)
-        assert sorted(calls, key=Cell.sort_key) == enumerate_cells(canonical_set(5))
+        original = cells_module._dynkin_row
+        monkeypatch.setattr(cells_module, "_dynkin_row", lambda n, pb: calls.append(pb) or original(n, pb))
+        ground = canonical_set(5)
+        assert dynkin_rank(ground) == (370, 150, 150)
+        got = [rep_cell(ground, [m for m in range(1 << 5) if pb >> m & 1]) for pb in calls]
+        assert sorted(got, key=Cell.sort_key) == enumerate_cells(ground)
+
+    @pytest.mark.parametrize(
+        "ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5), (-3, 2, 5, 9)]
+    )
+    def test_mask_rows_are_the_dynkin_elements(self, ground):
+        n = len(ground)
+        keys = _dynkin_masks(n)[0]
+        bit = {x: 1 << i for i, x in enumerate(ground)}
+        for cell in enumerate_cells(ground):
+            want = {tuple(sum(bit[x] for x in L) for L in F.lumps): c for F, c in dynkin(cell).lc}
+            assert {keys[j]: c for j, c in _dynkin_row(n, side_bits(cell)).items()} == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_composition_permutations_move_every_lump(self, n):
+        keys = _dynkin_masks(n)[0]
+        moves = _composition_permutations(n)
+        assert len(moves) == math.factorial(n)
+        for img, move in zip(_mask_permutations(n), moves, strict=True):
+            assert [keys[j] for j in move] == [tuple(img[m] for m in key) for key in keys]
 
 
 class TestSteinmann:

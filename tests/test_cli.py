@@ -287,6 +287,17 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert "must be >= 0" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args,text",
+        [(("dynkin", "rank", "--n", "abc"), "'abc'"), (("series", "identities", "--order", "1.5"), "'1.5'")],
+    )
+    def test_non_integer_size_rejected(self, args, text):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"expected a non-negative integer, got {text}" in proc.stderr
+        assert "_nonnegative_int" not in proc.stderr
+
     @pytest.mark.parametrize("content", [None, "{not json", '{"observables": 3}', "{}"])
     def test_bad_model_file(self, tmp_path, content):
         path = tmp_path / "model.json"
