@@ -21,13 +21,14 @@ from .hopf import H, SigmaElem, antipode, basis_elem, mu, unit_elem
 from .lincomb import LinComb, lincomb_sum
 
 
-def _insertions(F: Composition, star: int, a, b) -> LinComb:
+def _insertions(F: Composition, star: int, a, b, ground: tuple) -> LinComb:
+    """Unchecked: star is off F.ground, and ground is the sorted F.ground + (star,)."""
     terms: dict[Composition, object] = {}
 
     def put(lumps: tuple, coeff):
         if not coeff:
             return
-        K = Composition(lumps)
+        K = Composition._of(lumps, ground)
         c = terms.get(K)
         c = coeff if c is None else c + coeff
         if c:
@@ -43,7 +44,7 @@ def _insertions(F: Composition, star: int, a, b) -> LinComb:
         put(before + ((star,),) + (lump,) + after, -a)
         put(before + (tuple(sorted(lump + (star,))),) + after, ab)
         put(before + (lump,) + ((star,),) + after, -b)
-    return LinComb(terms)
+    return LinComb._of(terms)
 
 
 def u_ab(a, b, star: int, x: SigmaElem) -> SigmaElem:
@@ -52,8 +53,9 @@ def u_ab(a, b, star: int, x: SigmaElem) -> SigmaElem:
         raise DomainError("u_ab expects an H-basis element")
     if star in x.ground:
         raise DomainError(f"label {star} already occurs in the ground set")
-    parts = [_insertions(F, star, a, b).scale(c) for F, c in x.lc]
-    return SigmaElem(tuple(sorted(x.ground + (star,))), lincomb_sum(parts), H)
+    ground = tuple(sorted(x.ground + (star,)))
+    parts = [_insertions(F, star, a, b, ground).scale(c) for F, c in x.lc]
+    return SigmaElem._of(ground, lincomb_sum(parts), H)
 
 
 def arrow_down_single(star: int, x: SigmaElem) -> SigmaElem:

@@ -590,13 +590,13 @@ def tree_to_primitive(t: Tree) -> SigmaElem:
     """The alternating sum over node flips, in the Q-basis."""
     terms: dict[Composition, int] = {}
     for lumps, sign in _signed_debracketings(t):
-        K = Composition(lumps)
+        K = Composition._of(lumps, t.ground)  # the tree's disjoint sorted blocks
         c = terms.get(K, 0) + sign
         if c:
             terms[K] = c
         else:
             terms.pop(K, None)
-    return SigmaElem(t.ground, LinComb(terms), Q)
+    return SigmaElem._of(t.ground, LinComb._of(terms), Q)
 
 
 def commutator(a: SigmaElem, b: SigmaElem) -> SigmaElem:

@@ -3,27 +3,45 @@
 ``tits`` implements the closed lump-intersection formula; ``hopf_power``
 composes comultiplication and multiplication explicitly, so the agreement
 of the two is a meaningful regression test rather than a tautology.
+
+The Tits kernel ``_tits_basis`` never intersects sets: it indexes the labels
+by their lump of G once, then sorts each lump S of F by (lump of G, label)
+and cuts it into runs, which are the nonempty T_j cap S in order.  It shares
+no code with ``hopf_power``, which restricts a to each lump of F through the
+iterated coproduct and concatenates the pieces with ``mu``, so the two stay
+independent.  ``hopf_power`` hands the lumps of F to the unchecked
+``hopf._delta_iterated``, since it has already checked that F composes the
+ground of a.
 """
 
 from __future__ import annotations
 
 from .compositions import Composition, one_lump
 from .errors import DomainError
-from .hopf import H, SigmaElem, basis_elem, delta_iterated, mu_many, zero_elem
+from .hopf import H, SigmaElem, _delta_iterated, basis_elem, mu_many, zero_elem
 from .lincomb import LinComb
 
 
 def _tits_basis(F: Composition, G: Composition) -> Composition:
     # (T_1 cap S_1, ..., T_kG cap S_1, ......, T_1 cap S_kF, ...)_+
-    # F and G compose one ground set, so the nonempty intersections are
-    # sorted, disjoint and cover it.
+    # F and G compose one ground set: the nonempty T_j cap S are the runs of
+    # S sorted by (j, label), and together they are disjoint and cover it.
+    where = {x: j for j, T in enumerate(G.lumps) for x in T}
     lumps = []
     for S in F.lumps:
-        Sset = set(S)
-        for T in G.lumps:
-            inter = tuple(x for x in T if x in Sset)
-            if inter:
-                lumps.append(inter)
+        if len(S) == 1:
+            lumps.append(S)
+            continue
+        keyed = sorted([(where[x], x) for x in S])
+        j0 = keyed[0][0]
+        run = []
+        for j, x in keyed:
+            if j != j0:
+                lumps.append(tuple(run))
+                run = []
+                j0 = j
+            run.append(x)
+        lumps.append(tuple(run))
     return Composition._of(tuple(lumps), G.ground)
 
 
@@ -59,7 +77,7 @@ def hopf_power(F: Composition, a: SigmaElem) -> SigmaElem:
         raise DomainError("hopf_power expects an H-basis element")
     if not F.lumps:
         return a
-    pieces = delta_iterated(a, F.lumps)
+    pieces = _delta_iterated(a, F.lumps)  # F.lumps decompose a.ground, checked above
     out = None
     for key, c in pieces:
         prod = mu_many([basis_elem(piece, H) for piece in key]).scale(c)

@@ -33,6 +33,10 @@ ground, and ``basis_elem`` checks the tag.  The operations check only what
 their arguments can get wrong (the grounds, the basis, a bijective
 relabelling) and build their results unchecked, with ``SigmaElem._of`` and
 ``Composition._of``, keeping every term a composition of the sorted ground.
+``delta_iterated`` checks that its parts decompose the ground, then calls the
+unchecked ``_delta_iterated``; the Takeuchi antipode and
+``hadamard.hopf_power`` call that directly, with the lumps of a composition
+of the ground.
 """
 
 from __future__ import annotations
@@ -123,6 +127,8 @@ class SigmaElem:
         return SigmaElem._of(self.ground, -self.lc, self.basis)
 
     def scale(self, c) -> "SigmaElem":
+        if type(c) is int and c == 1:  # immutable, so self is the product
+            return self
         return SigmaElem._of(self.ground, self.lc.scale(c), self.basis)
 
     def _check_compatible(self, other: "SigmaElem"):
@@ -213,8 +219,10 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
 
 
 def mu_many(parts: Sequence[SigmaElem]) -> SigmaElem:
-    out = unit_elem(parts[0].basis if parts else H)
-    for p in parts:
+    if not parts:
+        return unit_elem(H)
+    out = parts[0]
+    for p in parts[1:]:
         out = mu(out, p)
     return out
 
@@ -363,6 +371,11 @@ def delta_iterated(a: SigmaElem, parts: Sequence[Iterable[int]]) -> LinComb:
     flat = sorted(x for P in parts for x in P)
     if tuple(flat) != a.ground or len(set(flat)) != len(flat):
         raise DomainError("parts must decompose the ground set")
+    return _delta_iterated(a, parts)
+
+
+def _delta_iterated(a: SigmaElem, parts: Sequence[tuple]) -> LinComb:
+    """Unchecked: parts are sorted label tuples that decompose a.ground."""
     terms = {}
     for F, c in a.lc:
         if a.basis == H:
@@ -424,7 +437,7 @@ def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
     terms: dict[Composition, object] = {}
     for F in compositions_of(a.ground):
         sign = 1 if len(F) % 2 == 0 else -1
-        pieces = delta_iterated(a, F.lumps)
+        pieces = _delta_iterated(a, F.lumps)
         for key, c in pieces:
             K = Composition._of(tuple(l for piece in key for l in piece.lumps), a.ground)
             w = terms.get(K, 0) + sign * c
@@ -432,7 +445,7 @@ def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
                 terms[K] = w
             else:
                 terms.pop(K, None)
-    return SigmaElem(a.ground, LinComb(terms), H)
+    return SigmaElem._of(a.ground, LinComb._of(terms), H)
 
 
 @lru_cache(maxsize=None)

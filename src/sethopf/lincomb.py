@@ -97,6 +97,8 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
+        if type(c) is int and c == 1:  # immutable, so self is the product
+            return self
         if not c:
             return LinComb()
         return LinComb({k: c * v for k, v in self.t.items()})

@@ -906,21 +906,22 @@ def tits_suite(n: int = 3, seed: int = 11) -> SuiteResult:
                     lhs = hopf_power_elem(a, hopf_power_elem(b, c))
                     rhs = hopf_power_elem(tits(a, b), c)
                     res.bump("tits-action-compat", lhs == rhs)
-    # randomized spot checks at n = 4
-    ground = canonical_set(4)
+    # randomized spot checks one size up
+    ground = canonical_set(n + 1)
     comps = compositions_of(ground)
+    tag = f"-n{n + 1}"
     for _ in range(25):
         F = comps[rng.randrange(len(comps))]
         G = comps[rng.randrange(len(comps))]
         K = comps[rng.randrange(len(comps))]
         a, b, c = basis_elem(F, H), basis_elem(G, H), basis_elem(K, H)
-        res.bump("tits-associativity-n4", tits(tits(a, b), c) == tits(a, tits(b, c)))
-        res.bump("tits-vs-hopf-power-n4", tits(a, b) == hopf_power(F, b))
-    for F in compositions_of(ground):
+        res.bump("tits-associativity" + tag, tits(tits(a, b), c) == tits(a, tits(b, c)))
+        res.bump("tits-vs-hopf-power" + tag, tits(a, b) == hopf_power(F, b))
+    for F in comps:
         a = basis_elem(F, H)
-        res.bump("tits-idempotent-n4", tits(a, a) == a)
+        res.bump("tits-idempotent" + tag, tits(a, a) == a)
     # proper Hopf powers annihilate primitives
-    for m in range(2, 4):
+    for m in range(2, n + 1):
         for p in primitive_part_basis(m):
             for F in compositions_of(canonical_set(m)):
                 if len(F) >= 2:

@@ -65,6 +65,8 @@ class WordElem:
         return WordElem(-self.lc)
 
     def scale(self, c) -> "WordElem":
+        if type(c) is int and c == 1:  # immutable, so self is the product
+            return self
         return WordElem(self.lc.scale(as_hbar(c)))
 
     def __mul__(self, other: "WordElem") -> "WordElem":

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from sethopf.compositions import canonical_set, comp, compositions_of
+from sethopf.compositions import Composition, canonical_set, comp, compositions_of
 from sethopf.errors import DomainError
-from sethopf.hadamard import hopf_power, hopf_power_elem, tits, tits_unit
+from sethopf.hadamard import _tits_basis, hopf_power, hopf_power_elem, tits, tits_unit
 from sethopf.hopf import basis_elem, h_elem, primitive_part_basis, q_elem, sigma_basis, to_h
 
 
@@ -42,6 +42,26 @@ class TestTits:
         for _ in range(40):
             a, b, c = (basis_elem(comps[rng.randrange(len(comps))]) for _ in range(3))
             assert tits(tits(a, b), c) == tits(a, tits(b, c))
+
+
+def tits_reference(F, G):
+    """The literal formula (T_1 cap S_1, ..., T_kG cap S_1, ......, T_1 cap S_kF, ...)_+."""
+    lumps = []
+    for S in F.lumps:
+        for T in G.lumps:
+            inter = set(T) & set(S)
+            if inter:
+                lumps.append(inter)
+    return Composition(lumps)
+
+
+@pytest.mark.parametrize("ground", [canonical_set(n) for n in range(5)] + [(-3, 2, 5, 9)])
+def test_tits_kernel_is_the_lump_intersection_formula(ground):
+    comps = compositions_of(ground)
+    for F in comps:
+        for G in comps:
+            got, ref = _tits_basis(F, G), tits_reference(F, G)
+            assert (got.lumps, got.ground) == (ref.lumps, ref.ground), (F, G)
 
 
 class TestHopfPower:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sethopf.arrows import arrow_down_single, u_ab
+from sethopf.cells import Tree, tree_to_primitive
 from sethopf.compositions import (
     Composition,
     _compositions_cached,
@@ -13,9 +15,10 @@ from sethopf.compositions import (
     deshuffle,
     ordered_splits,
     restrict,
+    set_partitions,
 )
 from sethopf.errors import DomainError
-from sethopf.hadamard import _tits_basis, tits
+from sethopf.hadamard import _tits_basis, hopf_power, tits
 from sethopf.hopf import (
     _SplitTable,
     _split_table,
@@ -30,6 +33,7 @@ from sethopf.hopf import (
     decorated_delta,
     decorated_mu,
     delta,
+    delta_iterated,
     delta_split,
     h_elem,
     is_primitive,
@@ -45,7 +49,8 @@ from sethopf.hopf import (
     zero_elem,
 )
 from sethopf.lincomb import LinComb
-from sethopf.scalars import C_QFT, QI
+from sethopf.scalars import C_QFT, QI, as_hbar
+from sethopf.words import WordElem
 
 
 class TestMu:
@@ -484,6 +489,27 @@ class TestBoundary:
         with pytest.raises(DomainError, match=message):
             delta_split(a, S, T)
 
+    @pytest.mark.parametrize("basis", [H, Q])
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            ((1,),),  # label 2 missing
+            ((1,), (2,), (1,)),  # label 1 repeated
+            ((1, 2), (2,)),
+            ((1,), (2, 3)),  # label 3 off the ground
+            ((1,), (2,), (3,)),
+        ],
+    )
+    def test_bad_iterated_parts(self, basis, parts):
+        a = basis_elem(comp((1,), (2,)), basis)
+        with pytest.raises(DomainError, match="decompose"):
+            delta_iterated(a, parts)
+
+    @pytest.mark.parametrize("F", [comp((1,), (3,)), comp((1,)), comp((1,), (2,), (3,))])
+    def test_hopf_power_other_ground(self, F):
+        with pytest.raises(DomainError, match="ground"):
+            hopf_power(F, h_elem((1,), (2,)))
+
     def test_split_sides_as_any_iterable(self):
         ground = (-3, 2, 5, 9)
         for basis in (H, Q):
@@ -492,6 +518,36 @@ class TestBoundary:
                     expected = delta_split(a, S, T)
                     assert delta_split(a, list(reversed(S)), list(reversed(T))) == expected
                     assert delta_split(a, (x for x in S), iter(T)) == expected
+
+
+class TestScale:
+    """scale(1) is free: the types are immutable, so the product is an equal element."""
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(1, 2), 0])
+    def test_lincomb(self, c):
+        x = LinComb({comp((1,), (2,)): 3, comp((1, 2)): Fraction(-2, 5)})
+        assert x.scale(c) == LinComb({k: c * v for k, v in x})
+        assert LinComb().scale(c) == LinComb()
+
+    @pytest.mark.parametrize("basis", [H, Q])
+    @pytest.mark.parametrize("c", [1, -1, Fraction(1, 2), 0])
+    def test_sigma_elem(self, basis, c):
+        for x in (full_elem((-3, 2, 5), basis), zero_elem((1, 2), basis)):
+            got = x.scale(c)
+            assert (got.ground, got.basis) == (x.ground, x.basis)
+            assert got == SigmaElem(x.ground, LinComb({F: c * v for F, v in x.lc}), basis)
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(1, 2), 0])
+    def test_word_elem(self, c):
+        x = WordElem.word(("a", "b"), C_QFT) + WordElem.scalar(QI(2, -1)) + WordElem.word(("s",))
+        expected = WordElem(LinComb({w: as_hbar(c) * v for w, v in x.lc}))
+        assert x.scale(c) == expected
+        assert WordElem.zero().scale(c) == WordElem.zero()
+
+    def test_one_keeps_every_term(self):
+        x = full_elem((1, 2, 3), H)
+        assert x.scale(1) == x and x.scale(1).lc.t == x.lc.t
+        assert x.scale(Fraction(1)) == x and x.scale(QI(1)) == x
 
 
 def assert_as_validated(x):
@@ -548,8 +604,42 @@ class TestTrustedConstructions:
     def test_linear_operations(self):
         for ground in TRUSTED_GROUNDS:
             a, b = full_elem(ground, H), full_elem(ground, H, 2)
-            for x in (a + b, a - b, a - a, -a, a.scale(Fraction(1, 2)), a.scale(0)):
+            for x in (a + b, a - b, a - a, -a, a.scale(Fraction(1, 2)), a.scale(0), a.scale(1)):
                 assert_as_validated(x)
+
+    def test_arrows(self):
+        for ground in TRUSTED_GROUNDS:
+            inputs = [full_elem(ground, H)]
+            inputs += [basis_elem(F, H, Fraction(-2, 3)) for F in compositions_of(ground)]
+            for star in (-1, 5):  # below every label, and between the labels of (-2, 3, 7)
+                for x in inputs:
+                    assert_as_validated(u_ab(2, Fraction(-1, 3), star, x))
+                    assert_as_validated(u_ab(1, 1, star, x))  # a + b = 2, -a = -b
+                    assert_as_validated(arrow_down_single(star, x))
+
+    def test_tree_to_primitive(self):
+        for ground in TRUSTED_GROUNDS[1:]:
+            for blocks in set_partitions(ground):
+                # the left comb and the right comb over the blocks, in reverse order
+                left = right = None
+                for block in blocks:
+                    left = Tree(block) if left is None else Tree(left=left, right=Tree(block))
+                for block in blocks:
+                    right = Tree(block) if right is None else Tree(left=Tree(block), right=right)
+                for t in (left, right):
+                    x = tree_to_primitive(t)
+                    assert x.basis == Q and x.ground == ground
+                    assert_as_validated(x)
+
+    def test_hopf_power_and_takeuchi(self):
+        for ground in TRUSTED_GROUNDS:
+            comps = compositions_of(ground)
+            a = full_elem(ground, H)
+            for F in comps:
+                assert_as_validated(hopf_power(F, a))
+                for G in comps:
+                    assert_as_validated(hopf_power(F, basis_elem(G, H, Fraction(-2, 3))))
+                assert_as_validated(takeuchi_antipode(basis_elem(F, H, Fraction(-2, 3))))
 
     def test_relabel(self):
         import random

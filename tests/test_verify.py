@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sethopf import cli, verify
+from sethopf.compositions import fubini, zie_dimension
 from sethopf.verify import SuiteResult
 
 # lie_suite(4) counters, in their order of first appearance.
@@ -17,6 +18,19 @@ LIE_COUNTERS_N4 = {
     "tree-antisymmetry": 206,
     "tree-bracket-homomorphism": 206,
     "tree-jacobi": 108,
+}
+
+# tits_suite(3) counters, as in the gate's perfbench/expected.json.
+TITS_COUNTERS_N3 = {
+    "tits-unit": 17,
+    "tits-idempotent": 17,
+    "tits-associativity": 2225,
+    "tits-vs-hopf-power": 179,
+    "tits-action-compat": 2225,
+    "tits-associativity-n4": 25,
+    "tits-vs-hopf-power-n4": 25,
+    "tits-idempotent-n4": 75,
+    "hopf-power-kills-primitive": 76,
 }
 
 # The failureSamples of `hopf check --n 2` when the product is scaled by
@@ -58,6 +72,28 @@ def test_lie_suite_is_ruelle_glz_and_tree():
     assert lie.name == "lie" and lie.passed and lie.payload == {}
     assert list(lie.counters.items()) == list(LIE_COUNTERS_N4.items())
     assert lie.counters == SuiteResult.merge("lie", parts).counters
+
+
+def test_tits_suite_counters_at_three():
+    res = verify.tits_suite(3)
+    assert res.passed
+    assert res.counters == TITS_COUNTERS_N3
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tits_suite_follows_its_size(n):
+    # spot checks one size up, primitives in degrees 2..n
+    res = verify.tits_suite(n)
+    assert res.passed
+    up = f"-n{n + 1}"
+    assert {k for k in res.counters if k.startswith("tits-") and k[-3:-1] == "-n"} == {
+        "tits-associativity" + up,
+        "tits-vs-hopf-power" + up,
+        "tits-idempotent" + up,
+    }
+    assert res.counters["tits-idempotent" + up] == fubini(n + 1)
+    killed = sum(zie_dimension(m) * (fubini(m) - 1) for m in range(2, n + 1))
+    assert res.counters.get("hopf-power-kills-primitive", 0) == killed
 
 
 @pytest.mark.parametrize("call", ["hopf_suite(6)", "series_suite(7)"])
