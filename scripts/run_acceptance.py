@@ -8,8 +8,9 @@ oracles for its certificate: every n=5 Dynkin element checked primitive
 directly, against the orbit representatives, and the exact rank of the n=5
 Dynkin rows, against the modular squeeze; the tree-image squeeze of the
 primitive dimension at n=5; the Steinmann span at n=5, n=6
-cells by insertion, and the orbit walk at n=6 against them; order-3
-series), which takes minutes.
+cells by insertion, and the orbit walk at n=6 against them; Ruelle's
+identity on its 4822 configurations up to n=6; order-3 series), which takes
+minutes.
 """
 
 import argparse
@@ -81,6 +82,9 @@ def main() -> int:
         same = enumerate_cells(canonical_set(6)) == [c for c, _ in enumerate_cells_with_witnesses(canonical_set(6))]
         line("heavy: 56 orbits at n=6 expand to the insertion enumeration's cells", same and len(walked) == 56,
              f" -> {len(walked)} orbits")
+        ruelle6 = verify.ruelle_suite(6)
+        line("heavy: Ruelle's identity on 4822 configurations at n<=6", ruelle6.passed and ruelle6.checked == 4822,
+             f" [{ruelle6.checked} checks]")
         line("heavy: order-3 Z factorization and Bogoliubov", verify.causal_suite(2, 3))
 
     print(f"total wall time: {time.perf_counter()-t0:.1f}s")

@@ -12,9 +12,15 @@ each orbit once, keeping its members; ``enumerate_cells`` lists them and
 adds one channel hyperplane at a time and prunes infeasible sign prefixes,
 keeps a witness per cell for ``enumerate_cells_with_witnesses`` and is the
 oracle for the walk.  Both decide a flipped side with ``_flip_witness``.
+A cell is its ground and one int, its side bitset: bit m is set iff the
+side at the positions of the set bits of m, in the sorted ground, is
+positive.  The walk, the Dynkin elements, the Steinmann quadruples and the
+Ruelle bridges read and write that int.  Label tuples are made only for
+readers outside the layer (``Cell.positive``, ``channels``, ``sort_key``,
+the repr), and the validating ``Cell(...)`` takes them at the boundary.
 Dynkin elements are read from one table per n in mask form,
-``_dynkin_masks``: a cell's sides become one bitset, and its element holds
-every composition whose reversed coarsenings' sides lie in it.
+``_dynkin_masks``: a cell's element holds every composition whose reversed
+coarsenings' sides lie in its side bitset.
 """
 
 from __future__ import annotations
@@ -63,70 +69,74 @@ from .hadamard import tits, tits_unit
 
 
 class Cell:
-    """An orientation of all two-lump channels over a ground set."""
+    """An orientation of all two-lump channels over a ground set, held as one
+    int: bit m of ``bits`` is set iff the side at the positions of the set
+    bits of m, in the sorted ground, is positive.  ``Cell(...)`` validates
+    label sides; ``Cell._of`` takes the bitset unchecked."""
 
-    __slots__ = ("ground", "positive")
+    __slots__ = ("ground", "bits")
 
     def __init__(self, ground: Iterable[int], positive: Iterable[Iterable[int]]):
         ground = labelset(ground)
         pos = frozenset(labelset(S) for S in positive)
-        gset = set(ground)
-        seen = set()
-        for S in pos:
-            if not S or not set(S) < gset:
+        full = (1 << len(ground)) - 1
+        masks = {S: _side_mask(ground, S) for S in pos}
+        present = set(masks.values())
+        for S, m in masks.items():
+            if not 0 < m < full:
                 raise DomainError(f"{S} is not a proper nonempty subset of the ground")
-            comp = tuple(sorted(gset - set(S)))
-            if comp in pos:
+            if full ^ m in present:
                 raise DomainError(f"both orientations of channel {S} present")
-            seen.add(frozenset(S))
-            seen.add(frozenset(comp))
-        expected = 2 ** len(ground) - 2 if len(ground) >= 1 else 0
-        if len(seen) != expected:
+        if len(pos) != full // 2:
             raise DomainError("family does not orient every complementary pair")
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "positive", pos)
+        object.__setattr__(self, "bits", sum([1 << m for m in present]))
 
     @classmethod
-    def _of(cls, ground: LabelSet, positive: frozenset) -> "Cell":
-        """Unchecked: ground is sorted, positive holds one sorted side per channel."""
+    def _of(cls, ground: LabelSet, bits: int) -> "Cell":
+        """Unchecked: ground is sorted, bits holds one side of every channel."""
         self = object.__new__(cls)
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "bits", bits)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("Cell is immutable")
 
+    def _sides(self) -> list[LabelSet]:
+        labels = _mask_labels(self.ground)
+        return sorted([labels[m] for m in _set_bits(self.bits)])
+
+    @property
+    def positive(self) -> frozenset:
+        """The positive sides as sorted label tuples."""
+        return frozenset(self._sides())
+
     def channels(self) -> Iterator[tuple[LabelSet, LabelSet]]:
-        gset = set(self.ground)
-        for S in sorted(self.positive):
-            yield S, tuple(sorted(gset - set(S)))
+        labels = _mask_labels(self.ground)
+        full = len(labels) - 1
+        for S, m in sorted([(labels[m], m) for m in _set_bits(self.bits)]):
+            yield S, labels[full ^ m]
 
     def contains(self, S: Iterable[int]) -> bool:
-        return labelset(S) in self.positive
+        return bool(self.bits >> _side_mask(self.ground, labelset(S)) & 1)  # no cell sets bit 0 or bit full
 
     def flip(self, S: Iterable[int]) -> "Cell":
         """The family with the channel of S reoriented (may or may not be a cell)."""
         S = labelset(S)
-        comp = tuple(sorted(set(self.ground) - set(S)))
-        if S in self.positive:
-            return Cell(self.ground, (self.positive - {S}) | {comp})
-        if comp in self.positive:
-            return Cell(self.ground, (self.positive - {comp}) | {S})
-        raise DomainError(f"{S} is not a channel side of this ground set")
+        m, full = _side_mask(self.ground, S), (1 << len(self.ground)) - 1
+        if not 0 < m < full:
+            raise DomainError(f"{S} is not a channel side of this ground set")
+        return Cell._of(self.ground, self.bits ^ (1 << m | 1 << (full ^ m)))
 
     def sort_key(self):
-        return (self.ground, tuple(sorted(self.positive)))
+        return (self.ground, tuple(self._sides()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cell)
-            and self.ground == other.ground
-            and self.positive == other.positive
-        )
+        return isinstance(other, Cell) and self.ground == other.ground and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.ground, self.positive))
+        return hash((self.ground, self.bits))
 
     def __repr__(self):
         def fmt(labels):
@@ -134,23 +144,48 @@ class Cell:
                 return "".join(map(str, labels))
             return "{" + " ".join(map(str, labels)) + "}"
 
-        sides = ",".join(fmt(S) for S in sorted(self.positive))
+        sides = ",".join(fmt(S) for S in self._sides())
         return f"Cell[{fmt(self.ground)}:{sides}]"
+
+
+def _side_mask(ground: LabelSet, S: Sequence[int]) -> int:
+    """The bitmask of the positions in ground of the labels S, or 0 if one is off it."""
+    return sum([1 << ground.index(x) for x in S]) if set(S) <= set(ground) else 0
+
+
+def _mask_labels(ground: LabelSet) -> list[LabelSet]:
+    """The labels of ground at the set bits of m, as a sorted tuple, for
+    every position mask m."""
+    out = [()]
+    for x in ground:
+        out += [S + (x,) for S in out]
+    return out
+
+
+def _sort_key_order(n: int):
+    """A key on the side bitsets of cells over one ground of size n that
+    orders them as ``Cell.sort_key`` does: the sorted places of their sides
+    in the order of position tuples, which is the order of label tuples."""
+    place = [0] * (1 << n)
+    for r, m in enumerate(sorted(range(1 << n), key=_set_bits)):
+        place[m] = r
+    return lambda bits: sorted([place[m] for m in _set_bits(bits)])
+
+
+def _set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def channel_representatives(ground: LabelSet) -> list[LabelSet]:
     """One canonical side per complementary pair: the side missing max(ground)."""
-    ground = labelset(ground)
-    if len(ground) < 2:
-        return []
-    top = ground[-1]
-    rest = [x for x in ground if x != top]
-    reps = []
-    for r in range(1, len(rest) + 1):
-        for S in itertools.combinations(rest, r):
-            reps.append(tuple(S))
-    reps.sort(key=lambda S: (len(S), S))
-    return reps
+    rest = labelset(ground)[:-1]  # ordered by (size, labels)
+    return [S for r in range(1, len(rest) + 1) for S in itertools.combinations(rest, r)]
 
 
 def is_cell(
@@ -244,11 +279,11 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
                 nxt.append((sides + [other], *moved))
         states = nxt
     out = [
-        (Cell._of(ground, frozenset([tuple([ground[i] for i in sorted(S)]) for S in sides])),
-         tuple(a), D)
+        (Cell._of(ground, sum([1 << sum([1 << i for i in S]) for S in sides])), tuple(a), D)
         for sides, a, D in states
     ]
-    out.sort(key=lambda c: c[0].sort_key())
+    order = _sort_key_order(n)
+    out.sort(key=lambda c: order(c[0].bits))
     return tuple(out)
 
 
@@ -269,12 +304,12 @@ def _mask_permutations(n: int) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _cell_orbits(n: int) -> tuple[tuple, ...]:
     """The cells over the positions 0..n-1 up to relabelling, one entry per
-    S_n orbit: (the representative's positive sides as sorted position
-    bitmasks, its witness a and D, x = a / D, the size of its stabiliser,
-    its members).  The members are the orbit's cells, each as (its sides as
-    sorted bitmasks, the index in ``_mask_permutations(n)`` of a permutation
-    that carries the representative onto it); the representative comes
-    first, with the identity, index 0.
+    S_n orbit: (the representative's side bitset, as ``Cell.bits``, its
+    witness a and D, x = a / D, the size of its stabiliser, its members).
+    The members are the orbit's cells, each as (its side bitset, the index
+    in ``_mask_permutations(n)`` of a permutation that carries the
+    representative onto it); the representative comes first, with the
+    identity, index 0.
 
     A walk over the flip graph, whose chambers are joined by wall flips, one
     representative at a time.  It starts from the total retarded cell of
@@ -291,33 +326,34 @@ def _cell_orbits(n: int) -> tuple[tuple, ...]:
     reaches every orbit.
     """
     if n < 2:
-        return (((), (0,) * n, 1, 1, (((), 0),)),)
+        return ((0, (0,) * n, 1, 1, ((0, 0),)),)
     full = (1 << n) - 1
     pos = tuple(range(n))
     in_mask = [frozenset(i for i in pos if m >> i & 1) for m in range(full + 1)]
     perms = _mask_permutations(n)
-    covered: set[frozenset] = set()
-    reps: list[tuple[frozenset, list[int], int, int, dict]] = []
+    covered: set[int] = set()
+    reps: list[tuple[int, list[int], int, int, dict]] = []
     memo: dict[frozenset, list] = {}  # this call's Gordan certificates, see _refuted
 
-    def accept(family: frozenset, a: list[int], D: int) -> None:
-        if D <= 0 or sum(a) != 0 or any(sum([a[i] for i in in_mask[m]]) <= 0 for m in family):
+    def accept(bits: int, a: list[int], D: int) -> None:
+        sides = _set_bits(bits)
+        if D <= 0 or sum(a) != 0 or any(sum([a[i] for i in in_mask[m]]) <= 0 for m in sides):
             raise ArithmeticError("a representative's witness does not realise it")
-        images = [frozenset([img[m] for m in family]) for img in perms]
-        orbit: dict[frozenset, int] = {}  # each image, with the first permutation reaching it
+        images = [sum([1 << img[m] for m in sides]) for img in perms]
+        orbit: dict[int, int] = {}  # each image, with the first permutation reaching it
         for k, image in enumerate(images):
             orbit.setdefault(image, k)
-        stab = images.count(family)
+        stab = images.count(bits)
         if len(orbit) * stab != len(perms):
             raise ArithmeticError("orbit and stabiliser sizes disagree")
         covered.update(orbit)
-        reps.append((family, a, D, stab, orbit))
+        reps.append((bits, a, D, stab, orbit))
 
-    accept(frozenset(m for m in range(1, full) if m & 1), [n - 1] + [-1] * (n - 1), 1)
-    for family, a, D, _, _ in reps:  # grows as the walk finds new orbits
-        sides = sorted(family)
+    accept(sum([1 << m for m in range(1, full) if m & 1]), [n - 1] + [-1] * (n - 1), 1)
+    for bits, a, D, _, _ in reps:  # grows as the walk finds new orbits
+        sides = _set_bits(bits)
         for S in sides:
-            flipped = family - {S} | {full ^ S}
+            flipped = bits ^ (1 << S | 1 << (full ^ S))
             if flipped in covered:
                 continue
             rest = [in_mask[m] for m in sides if m != S]
@@ -325,16 +361,8 @@ def _cell_orbits(n: int) -> tuple[tuple, ...]:
             if moved is not None:
                 accept(flipped, *moved)
     return tuple(
-        (tuple(sorted(f)), tuple(a), D, stab,
-         tuple([(tuple(sorted(m)), k) for m, k in orbit.items()]))
-        for f, a, D, stab, orbit in reps
+        (bits, tuple(a), D, stab, tuple(orbit.items())) for bits, a, D, stab, orbit in reps
     )
-
-
-def _cell_on(ground: LabelSet, sides: Iterable[int]) -> Cell:
-    """The cell over ground whose positive sides have the position bitmasks sides."""
-    return Cell._of(ground, frozenset([tuple([x for i, x in enumerate(ground) if m >> i & 1])
-                                       for m in sides]))
 
 
 def enumerate_cells(I: Iterable[int]) -> list[Cell]:
@@ -343,13 +371,8 @@ def enumerate_cells(I: Iterable[int]) -> list[Cell]:
     ground = labelset(I)
     n = len(ground)
     check_size("cells", n)
-    labels = [tuple(ground[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    keyed = sorted(
-        tuple(sorted([labels[m] for m in sides]))
-        for *_, orbit in _cell_orbits(n)
-        for sides, _ in orbit
-    )
-    return [Cell._of(ground, frozenset(sides)) for sides in keyed]
+    members = [bits for *_, orbit in _cell_orbits(n) for bits, _ in orbit]
+    return [Cell._of(ground, bits) for bits in sorted(members, key=_sort_key_order(n))]
 
 
 def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[int, Fraction]]]:
@@ -395,12 +418,9 @@ def _dynkin_row(n: int, pb: int) -> dict[int, int]:
 def dynkin(cell: Cell) -> SigmaElem:
     """- sum over compositions F whose reversed two-lump coarsenings lie in
     the cell of (-1)^(number of lumps) H_F, read from ``_dynkin_masks``."""
-    ground = cell.ground
-    bit = {x: 1 << i for i, x in enumerate(ground)}
-    pb = sum([1 << sum(map(bit.__getitem__, S)) for S in cell.positive])
-    comps = compositions_of(ground)
-    terms = {comps[j]: c for j, c in _dynkin_row(len(ground), pb).items()}
-    return SigmaElem._of(ground, LinComb._of(terms), H)
+    comps = compositions_of(cell.ground)
+    terms = {comps[j]: c for j, c in _dynkin_row(len(cell.ground), cell.bits).items()}
+    return SigmaElem._of(cell.ground, LinComb._of(terms), H)
 
 
 def dynkin_tits_factorization(cell: Cell) -> SigmaElem:
@@ -418,21 +438,14 @@ def total_retarded_cell(I: Iterable[int], i: int) -> Cell:
     ground = labelset(I)
     if i not in ground:
         raise DomainError(f"label {i} not in ground set")
-    rest = [x for x in ground if x != i]
-    sides = []
-    for r in range(len(rest)):
-        for extra in itertools.combinations(rest, r):
-            side = tuple(sorted((i,) + extra))
-            if len(side) < len(ground):
-                sides.append(side)
-    return Cell(ground, sides)
+    bit, full = 1 << ground.index(i), (1 << len(ground)) - 1
+    return Cell._of(ground, sum([1 << m for m in range(1, full) if m & bit]))
 
 
 def total_advanced_cell(I: Iterable[int], i: int) -> Cell:
-    ground = labelset(I)
-    cell = total_retarded_cell(ground, i)
-    gset = set(ground)
-    return Cell(ground, [tuple(sorted(gset - set(S))) for S in cell.positive])
+    cell = total_retarded_cell(I, i)
+    full = (1 << len(cell.ground)) - 1
+    return Cell._of(cell.ground, sum([1 << (full ^ m) for m in _set_bits(cell.bits)]))
 
 
 def total_retarded_dynkin(I: Iterable[int], i: int) -> SigmaElem:
@@ -447,50 +460,32 @@ def total_advanced_dynkin(I: Iterable[int], i: int) -> SigmaElem:
 # Steinmann relations
 
 
-def _crossing_channel_pairs(ground: LabelSet) -> list[tuple[LabelSet, LabelSet]]:
-    """Unordered pairs of channels whose four mutual intersections are nonempty."""
-    reps = channel_representatives(ground)
-    gset = set(ground)
-    out = []
-    for a_idx in range(len(reps)):
-        for b_idx in range(a_idx + 1, len(reps)):
-            A = set(reps[a_idx])
-            B = set(reps[b_idx])
-            if A & B and A - B and B - A and gset - (A | B):
-                out.append((reps[a_idx], reps[b_idx]))
-    return out
-
-
 def steinmann_quadruples(I: Iterable[int]) -> list[tuple[Cell, Cell, Cell, Cell]]:
     """All quadruples of genuine cells differing only in the four orientation
-    patterns of one fixed pair of overlapping channels."""
+    patterns of one fixed pair (A, B) of crossing channels, whose four
+    mutual intersections are nonempty: A and B positive, A flipped, both
+    flipped, B flipped.  A comes before B in ``channel_representatives``
+    order.  Read on the side bitsets, and ordered as the cells are, by
+    ``Cell.sort_key``."""
     ground = labelset(I)
     cells = enumerate_cells(ground)
-    present = {c.positive for c in cells}
-    gset = set(ground)
+    index = {c.bits: k for k, c in enumerate(cells)}
+    n = len(ground)
+    full = (1 << n) - 1
+    reps = [sum([1 << i for i in S]) for S in channel_representatives(range(n))]
     quads = []
-    for A, B in _crossing_channel_pairs(ground):
-        Ac = tuple(sorted(gset - set(A)))
-        Bc = tuple(sorted(gset - set(B)))
-        for c in cells:
-            if A not in c.positive or B not in c.positive:
+    for j, a in enumerate(reps):
+        for b in reps[j + 1:]:
+            if not (a & b and a & ~b and b & ~a and full & ~(a | b)):
                 continue
-            rest = c.positive - {A, B}
-            s1 = rest | {A, B}
-            s2 = rest | {Ac, B}
-            s3 = rest | {Ac, Bc}
-            s4 = rest | {A, Bc}
-            if all(s in present for s in (s2, s3, s4)):
-                quads.append(
-                    (
-                        Cell(ground, s1),
-                        Cell(ground, s2),
-                        Cell(ground, s3),
-                        Cell(ground, s4),
-                    )
-                )
-    quads.sort(key=lambda q: tuple(c.sort_key() for c in q))
-    return quads
+            fa, fb = 1 << a | 1 << (full ^ a), 1 << b | 1 << (full ^ b)
+            for bits, k in index.items():
+                if bits >> a & 1 and bits >> b & 1:
+                    q = (k, index.get(bits ^ fa), index.get(bits ^ fa ^ fb), index.get(bits ^ fb))
+                    if None not in q:
+                        quads.append(q)
+    quads.sort()
+    return [tuple([cells[k] for k in q]) for q in quads]
 
 
 def steinmann_relation_holds(quad: Sequence[Cell]) -> bool:
@@ -499,18 +494,11 @@ def steinmann_relation_holds(quad: Sequence[Cell]) -> bool:
     return total.is_zero()
 
 
-def steinmann_relation_vectors(I: Iterable[int]) -> list[LinComb]:
-    """The alternating-sum vectors e1 - e2 + e3 - e4 in the span of cells."""
-    out = []
-    for s1, s2, s3, s4 in steinmann_quadruples(I):
-        vec = (
-            LinComb.single(s1, 1)
-            + LinComb.single(s2, -1)
-            + LinComb.single(s3, 1)
-            + LinComb.single(s4, -1)
-        )
-        out.append(vec)
-    return out
+def steinmann_relation_vectors(quads: Iterable[Sequence[Cell]]) -> list[LinComb]:
+    """The alternating-sum vectors e1 - e2 + e3 - e4 in the span of cells,
+    one per quadruple of four distinct cells, as ``steinmann_quadruples``
+    gives them."""
+    return [LinComb({s1: 1, s2: -1, s3: 1, s4: -1}) for s1, s2, s3, s4 in quads]
 
 
 # ---------------------------------------------------------------------------
@@ -608,28 +596,32 @@ def commutator(a: SigmaElem, b: SigmaElem) -> SigmaElem:
 # Ruelle's identity
 
 
+def _bridge_sides(ground: LabelSet, cell1: Cell, cell2: Cell) -> int:
+    """The bitset, over the side masks of ground, of every side U a bridge of
+    (cell1, cell2) may hold positive: each of U n S and U n T is empty, the
+    whole part, or a positive side of cell1 (for U n S) or of cell2 (for
+    U n T), lifted to ground.  S, the ground of cell1, passes."""
+    parts = []
+    for cell in (cell1, cell2):
+        whole, labels = _side_mask(ground, cell.ground), _mask_labels(cell.ground)
+        parts.append((whole, {0, whole, *[_side_mask(ground, labels[m]) for m in _set_bits(cell.bits)]}))
+    (s, ok1), (t, ok2) = parts
+    return sum([1 << u for u in range(1, s | t) if u & s in ok1 and u & t in ok2])
+
+
 def is_ruelle_bridge(cell1: Cell, cell2: Cell, bridge: Cell) -> bool:
     """Whether bridge sits over the face spanned by cell1 and cell2, on the
-    (S, T) side of the separating hyperplane."""
+    (S, T) side of the separating hyperplane: S, the ground of cell1, is
+    positive in bridge, and every positive side of bridge is allowed by
+    ``_bridge_sides``."""
     S, T = cell1.ground, cell2.ground
     if set(S) & set(T):
         raise DomainError("cell grounds must be disjoint")
     if bridge.ground != tuple(sorted(S + T)):
         raise DomainError("bridge ground must be the union of the cell grounds")
-    if S not in bridge.positive:
+    if not bridge.bits >> _side_mask(bridge.ground, S) & 1:
         return False
-    Sset, Tset = set(S), set(T)
-    for U in bridge.positive:
-        Uset = set(U)
-        if Uset == Sset:
-            continue
-        A = tuple(sorted(Uset & Sset))
-        C = tuple(sorted(Uset & Tset))
-        if A and set(A) != Sset and A not in cell1.positive:
-            return False
-        if C and set(C) != Tset and C not in cell2.positive:
-            return False
-    return True
+    return not bridge.bits & ~_bridge_sides(bridge.ground, cell1, cell2)
 
 
 def ruelle_check(cell1: Cell, cell2: Cell, bridge: Cell) -> bool:
@@ -651,12 +643,14 @@ def ruelle_configurations(I: Iterable[int]) -> Iterator[tuple[Cell, Cell, Cell]]
     ground = labelset(I)
     all_cells = enumerate_cells(ground)
     for S, T in proper_splits(ground):
-        cells_s = enumerate_cells(S)
+        s = _side_mask(ground, S)
+        over_s = [(b.bits, b) for b in all_cells if b.bits >> s & 1]
         cells_t = enumerate_cells(T)
-        for c1 in cells_s:
+        for c1 in enumerate_cells(S):
             for c2 in cells_t:
-                for bridge in all_cells:
-                    if is_ruelle_bridge(c1, c2, bridge):
+                outside = ~_bridge_sides(ground, c1, c2)
+                for bits, bridge in over_s:
+                    if not bits & outside:
                         yield c1, c2, bridge
 
 
@@ -778,17 +772,17 @@ def _dynkin_rows(ground: LabelSet, pivots: set[int]) -> list[LinComb]:
     moves = _composition_permutations(n)
     rows = []
     for *_, orbit in _cell_orbits(n):
-        (rep_sides, _), *others = orbit  # the representative, then its images
-        rep_row = _dynkin_row(n, sum([1 << m for m in rep_sides]))
+        (rep_bits, _), *others = orbit  # the representative, then its images
+        rep_row = _dynkin_row(n, rep_bits)
         d = SigmaElem._of(ground, LinComb._of({comps[j]: c for j, c in rep_row.items()}), H)
         if not is_primitive(d):
             raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
         rows.append(LinComb._of({keys[j]: c for j, c in rep_row.items() if j not in pivots}))
-        for sides, k in others:
-            row = _dynkin_row(n, sum([1 << m for m in sides]))
+        for bits, k in others:
+            row = _dynkin_row(n, bits)
             move = moves[k]
             if row != {move[j]: c for j, c in rep_row.items()}:
-                cell, rep = (_cell_on(ground, s) for s in (sides, rep_sides))
+                cell, rep = (Cell._of(ground, b) for b in (bits, rep_bits))
                 raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
             rows.append(LinComb._of({keys[j]: c for j, c in row.items() if j not in pivots}))
     return rows

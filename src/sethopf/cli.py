@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(dyn.add_parser("rank"), n=4).set_defaults(fn=_cmd_dynkin_rank, limit="dynkin rank")
 
     st = sub.add_parser("steinmann").add_subparsers(dest="action", required=True)
-    add(st.add_parser("verify"), n=4).set_defaults(fn=_cmd_steinmann, limit="cells")
+    add(st.add_parser("verify"), n=4).set_defaults(fn=_cmd_steinmann, limit="steinmann verify")
 
     ru = sub.add_parser("ruelle").add_subparsers(dest="action", required=True)
     add(ru.add_parser("verify"), n=3).set_defaults(fn=_cmd_ruelle, limit="cells")

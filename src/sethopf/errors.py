@@ -24,6 +24,7 @@ SIZE_BOUNDS = {
     "dynkin rank": 5,
     "primitive part": 5,
     "hopf check": 5,
+    "steinmann verify": 5,
     "series identities": 6,
     "toy demo": 8,
     "toy bogoliubov": 8,

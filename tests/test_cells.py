@@ -28,6 +28,7 @@ from sethopf.cells import (
     steinmann_quadruples,
     steinmann_relation_holds,
     steinmann_relation_vectors,
+    total_advanced_cell,
     total_advanced_dynkin,
     total_retarded_cell,
     total_retarded_dynkin,
@@ -50,6 +51,7 @@ from sethopf.compositions import (
     labelset,
     opposite,
     ordered_splits,
+    proper_splits,
     two_lump_coarsenings,
     zie_dimension,
 )
@@ -160,6 +162,149 @@ class TestEnumerateCells:
             enumerate_cells(canonical_set(7))
 
 
+# Label-form references: a cell as its frozenset of sorted label tuples, and
+# the label-set algebra the cells layer used before it kept side bitsets.
+
+
+def label_repr(ground, positive):
+    def fmt(labels):
+        if all(1 <= x <= 9 for x in labels):
+            return "".join(map(str, labels))
+        return "{" + " ".join(map(str, labels)) + "}"
+
+    return f"Cell[{fmt(ground)}:{','.join(fmt(S) for S in sorted(positive))}]"
+
+
+def label_channels(ground, positive):
+    return [(S, tuple(sorted(set(ground) - set(S)))) for S in sorted(positive)]
+
+
+def label_flip(ground, positive, S):
+    S = labelset(S)
+    comp = tuple(sorted(set(ground) - set(S)))
+    if S in positive:
+        return Cell(ground, (positive - {S}) | {comp})
+    if comp in positive:
+        return Cell(ground, (positive - {comp}) | {S})
+    raise DomainError(f"{S} is not a channel side of this ground set")
+
+
+def label_is_ruelle_bridge(cell1, cell2, bridge):
+    S, T = cell1.ground, cell2.ground
+    positive1, positive2 = cell1.positive, cell2.positive
+    if S not in bridge.positive:
+        return False
+    Sset, Tset = set(S), set(T)
+    for U in bridge.positive:
+        Uset = set(U)
+        if Uset == Sset:
+            continue
+        A = tuple(sorted(Uset & Sset))
+        C = tuple(sorted(Uset & Tset))
+        if A and set(A) != Sset and A not in positive1:
+            return False
+        if C and set(C) != Tset and C not in positive2:
+            return False
+    return True
+
+
+def label_ruelle_configurations(ground):
+    bridges = enumerate_cells(ground)
+    for S, T in proper_splits(ground):
+        for c1 in enumerate_cells(S):
+            for c2 in enumerate_cells(T):
+                for bridge in bridges:
+                    if label_is_ruelle_bridge(c1, c2, bridge):
+                        yield c1, c2, bridge
+
+
+def label_steinmann_quadruples(ground):
+    cells = enumerate_cells(ground)
+    present = {c.positive for c in cells}
+    gset = set(ground)
+    reps = channel_representatives(ground)
+    quads = []
+    for i, A in enumerate(reps):
+        for B in reps[i + 1:]:
+            if not (set(A) & set(B) and set(A) - set(B) and set(B) - set(A) and gset - set(A + B)):
+                continue
+            Ac = tuple(sorted(gset - set(A)))
+            Bc = tuple(sorted(gset - set(B)))
+            for c in cells:
+                if A not in c.positive or B not in c.positive:
+                    continue
+                rest = c.positive - {A, B}
+                s2, s3, s4 = rest | {Ac, B}, rest | {Ac, Bc}, rest | {A, Bc}
+                if all(x in present for x in (s2, s3, s4)):
+                    quads.append((c, Cell(ground, s2), Cell(ground, s3), Cell(ground, s4)))
+    quads.sort(key=lambda q: tuple(c.sort_key() for c in q))
+    return quads
+
+
+BIT_GROUNDS = [canonical_set(n) for n in range(6)] + [(-3, 2, 5, 9)]
+
+
+class TestCellBits:
+    """A cell is its ground and one side bitset; the label form is read from it."""
+
+    @pytest.mark.parametrize("ground", BIT_GROUNDS)
+    def test_round_trip_and_label_queries(self, ground):
+        full = (1 << len(ground)) - 1
+        subsets = [tuple(x for i, x in enumerate(ground) if m >> i & 1) for m in range(full + 1)]
+        off = min(ground, default=1) - 1
+        off_ground = [(off,), (off,) + ground[:1]]
+        for c in enumerate_cells(ground) + insertion_cells(ground):
+            positive = c.positive
+            assert positive == frozenset(subsets[m] for m in masks(c.bits))
+            assert c.bits == side_bits(c)
+            again = Cell(c.ground, positive)
+            assert again == c and hash(again) == hash(c) and again.bits == c.bits
+            assert list(c.channels()) == label_channels(ground, positive)
+            assert c.sort_key() == (ground, tuple(sorted(positive)))
+            assert repr(c) == label_repr(ground, positive)
+            for S in subsets + off_ground:
+                assert c.contains(S) is (S in positive)
+                if 0 < len(S) < len(ground) and set(S) <= set(ground):
+                    assert c.flip(S) == label_flip(ground, positive, S)
+                else:
+                    with pytest.raises(DomainError, match="is not a channel side"):
+                        c.flip(S)
+
+    @pytest.mark.parametrize("ground", BIT_GROUNDS)
+    def test_enumerations_in_sort_key_order(self, ground):
+        for cells in (enumerate_cells(ground), insertion_cells(ground)):
+            keys = [c.sort_key() for c in cells]
+            assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize(
+        "ground,positive,message",
+        [
+            ((1, 2, 3), [(1,), (2,), (1, 2), (1, 2, 3)], "is not a proper nonempty subset"),
+            ((1, 2, 3), [(1,), (2,), ()], "is not a proper nonempty subset"),
+            ((1, 2, 3), [(1,), (2,), (4,)], "is not a proper nonempty subset"),
+            ((1, 2), [(1,), (2,)], "both orientations of channel"),
+            ((1, 2, 3), [(1,), (2,)], "does not orient every complementary pair"),
+            ((1, 2, 3), [(1,), (2,), (1, 1)], "duplicate label 1"),
+            ((1, 1, 2), [(1,)], "duplicate label 1"),
+        ],
+    )
+    def test_validation_messages(self, ground, positive, message):
+        with pytest.raises(DomainError, match=message):
+            Cell(ground, positive)
+
+    def test_contains_rejects_repeated_labels(self):
+        with pytest.raises(DomainError, match="duplicate label 1"):
+            Cell((1, 2), [(1,)]).contains((1, 1))
+
+    @pytest.mark.parametrize("ground", [(1,), (1, 2), (1, 2, 3), (-3, 2, 5, 9), canonical_set(5)])
+    def test_total_cells_equal_their_validated_families(self, ground):
+        sides = [S for r in range(1, len(ground)) for S in itertools.combinations(ground, r)]
+        for i in ground:
+            retarded = total_retarded_cell(ground, i)
+            assert retarded == Cell(ground, [S for S in sides if i in S])
+            assert total_advanced_cell(ground, i) == Cell(ground, [S for S in sides if i not in S])
+
+
 @pytest.fixture
 def fresh_orbits():
     """Run the orbit walk anew, and drop whatever a patched run left."""
@@ -172,9 +317,14 @@ def insertion_cells(ground):
     return [c for c, _, _ in _enumerate_cells_cached(labelset(ground))]
 
 
-def rep_cell(ground, sides):
-    """Sides of _cell_orbits, as position bitmasks, as a Cell over ground, validated."""
-    return Cell(ground, [[x for i, x in enumerate(ground) if m >> i & 1] for m in sides])
+def masks(bits):
+    """The set bits of a side bitset: the position masks of its sides."""
+    return [m for m in range(bits.bit_length()) if bits >> m & 1]
+
+
+def rep_cell(ground, bits):
+    """A side bitset of _cell_orbits as a Cell over ground, validated."""
+    return Cell(ground, [[x for i, x in enumerate(ground) if m >> i & 1] for m in masks(bits)])
 
 
 def side_bits(cell):
@@ -201,19 +351,20 @@ class TestCellOrbits:
         found = _cell_orbits(n)
         assert len(found) == orbits
         assert sum(math.factorial(n) // stab for _, _, _, stab, _ in found) == verify.CELL_COUNTS[n]
-        for sides, a, D, _, _ in found:  # each representative's witness, in Fraction
+        for bits, a, D, _, _ in found:  # each representative's witness, in Fraction
             x = [Fraction(v, D) for v in a]
             assert sum(x) == 0
-            assert all(sum(v for i, v in enumerate(x) if m >> i & 1) > 0 for m in sides)
+            assert len(masks(bits)) == 2 ** n // 2 - 1 if n else bits == 0
+            assert all(sum(v for i, v in enumerate(x) if m >> i & 1) > 0 for m in masks(bits))
 
     @pytest.mark.parametrize("ground", [canonical_set(n) for n in range(6)] + [(-3, 2, 5, 9)])
     def test_members_are_relabellings_of_the_representative(self, ground):
         # the k-th of itertools.permutations is the k-th mask permutation
         images = list(itertools.permutations(ground))
         assert len(images) == len(_mask_permutations(len(ground)))
-        for sides, _, _, stab, members in _cell_orbits(len(ground)):
-            rep = rep_cell(ground, sides)
-            assert members[0] == (sides, 0)
+        for bits, _, _, stab, members in _cell_orbits(len(ground)):
+            rep = rep_cell(ground, bits)
+            assert members[0] == (bits, 0)
             orbit = {relabelled(rep, dict(zip(ground, image))) for image in images}
             assert len(orbit) * stab == len(images)
             moved = [relabelled(rep, dict(zip(ground, images[k]))) for _, k in members]
@@ -241,7 +392,7 @@ class TestCellOrbits:
         monkeypatch.setattr(lp_module, "simplex_max", no_lp)
         assert enumerate_cells(()) == [Cell((), [])]
         assert enumerate_cells((7,)) == [Cell((7,), [])]
-        assert _cell_orbits(1) == (((), (0,), 1, 1, (((), 0),)),)
+        assert _cell_orbits(1) == ((0, (0,), 1, 1, ((0, 0),)),)
 
     def test_bogus_multipliers_raise(self, fresh_orbits, monkeypatch):
         original = lp_module.simplex_max
@@ -538,7 +689,7 @@ class TestRelabelOrbits:
         covered = []
         for _, _, _, stab, members in found:
             assert len(members) * stab == math.factorial(n)
-            covered += [rep_cell(ground, sides) for sides, _ in members]
+            covered += [rep_cell(ground, bits) for bits, _ in members]
         assert len(covered) == len(set(covered))  # the orbits are disjoint
         assert sorted(covered, key=Cell.sort_key) == enumerate_cells(ground)
 
@@ -547,7 +698,7 @@ class TestRelabelOrbits:
 
     def test_corrupted_relabelled_row_raises(self, monkeypatch):
         ground = canonical_set(4)
-        reps = {rep_cell(ground, sides) for sides, *_ in _cell_orbits(4)}
+        reps = {rep_cell(ground, bits) for bits, *_ in _cell_orbits(4)}
         victim = [c for c in enumerate_cells(ground) if c not in reps][-1]
         last = len(compositions_of(ground)) - 1
         original = cells_module._dynkin_row
@@ -586,7 +737,7 @@ class TestRelabelOrbits:
         monkeypatch.setattr(cells_module, "_dynkin_row", lambda n, pb: calls.append(pb) or original(n, pb))
         ground = canonical_set(5)
         assert dynkin_rank(ground) == (370, 150, 150)
-        got = [rep_cell(ground, [m for m in range(1 << 5) if pb >> m & 1]) for pb in calls]
+        got = [rep_cell(ground, pb) for pb in calls]
         assert sorted(got, key=Cell.sort_key) == enumerate_cells(ground)
 
     @pytest.mark.parametrize(
@@ -610,6 +761,13 @@ class TestRelabelOrbits:
 
 
 class TestSteinmann:
+    @pytest.mark.parametrize(
+        "ground", [canonical_set(n) for n in range(5)] + [(-3, 2, 5, 9)]
+        + [pytest.param(canonical_set(5), marks=pytest.mark.heavy)],
+    )
+    def test_equals_label_form(self, ground):
+        assert steinmann_quadruples(ground) == label_steinmann_quadruples(ground)
+
     def test_n3_empty(self):
         assert steinmann_quadruples(canonical_set(3)) == []
 
@@ -637,7 +795,11 @@ class TestSteinmann:
             assert steinmann_relation_holds(q)
 
     def test_relation_span_dimension(self):
-        vectors = steinmann_relation_vectors(canonical_set(4))
+        quads = steinmann_quadruples(canonical_set(4))
+        vectors = steinmann_relation_vectors(quads)
+        assert vectors == [
+            LinComb({s1: 1, s2: -1, s3: 1, s4: -1}) for s1, s2, s3, s4 in label_steinmann_quadruples(canonical_set(4))
+        ]
         cells = len(enumerate_cells(canonical_set(4)))
         assert rank(vectors) == cells - zie_dimension(4) == 6
 
@@ -719,6 +881,27 @@ class TestCommutator:
 
 
 class TestRuelle:
+    @pytest.mark.parametrize(
+        "ground", [canonical_set(n) for n in range(5)] + [(-3, 2, 5, 9)]
+        + [pytest.param(canonical_set(5), marks=pytest.mark.heavy)],
+    )
+    def test_equals_label_form(self, ground):
+        assert list(ruelle_configurations(ground)) == list(label_ruelle_configurations(ground))
+        bridges = enumerate_cells(ground)
+        for S, T in proper_splits(ground):
+            for c1 in enumerate_cells(S):
+                for c2 in enumerate_cells(T):
+                    for bridge in bridges:
+                        want = label_is_ruelle_bridge(c1, c2, bridge)
+                        assert is_ruelle_bridge(c1, c2, bridge) is want
+
+    def test_bridge_preconditions(self):
+        c1, c2 = Cell((1, 2), [(1,)]), Cell((3,), [])
+        with pytest.raises(DomainError, match="disjoint"):
+            is_ruelle_bridge(c1, Cell((2,), []), Cell((1, 2), [(1,)]))
+        with pytest.raises(DomainError, match="union"):
+            is_ruelle_bridge(c1, c2, Cell((1, 2, 4), [(1, 2), (1,), (1, 4)]))
+
     def test_singleton_example(self):
         c1 = Cell((1,), [])
         c2 = Cell((2,), [])

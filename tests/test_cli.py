@@ -41,6 +41,14 @@ LIE_REPORTS_N4 = {
     '"counters":{"checked":20,"failures":0,"glz":20},"payload":{}}',
 }
 
+# The stdout of `ruelle verify --n N`, keyed by N.
+RUELLE_STDOUT = {
+    5: '{"command":"ruelle verify","parameters":{"n":5},"status":"pass",'
+    '"counters":{"checked":382,"failures":0,"ruelle":382},"payload":{}}',
+    6: '{"command":"ruelle verify","parameters":{"n":6},"status":"pass",'
+    '"counters":{"checked":4822,"failures":0,"ruelle":4822},"payload":{}}',
+}
+
 # The stdout of `dynkin rank --n N`, keyed by N.
 DYNKIN_RANK_STDOUT = {
     1: '{"cells":1,"rank":1,"zieDim":1,"status":"pass"}\n',
@@ -56,7 +64,7 @@ OVER_BOUND = [
     ("cells", "count", "--n", "7"),
     ("cells", "enumerate", "--n", "7"),
     ("dynkin", "rank", "--n", "6"),
-    ("steinmann", "verify", "--n", "7"),
+    ("steinmann", "verify", "--n", "6"),
     ("ruelle", "verify", "--n", "7"),
     ("glz", "verify", "--n", "7"),
     ("arrows", "verify", "--n", "6"),
@@ -177,6 +185,11 @@ class TestVerifyCommands:
         proc = run_cli("arrows", "verify", "--n", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
+
+    @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.heavy)])
+    def test_ruelle_report_pinned(self, n):
+        proc = run_cli("ruelle", "verify", "--n", str(n))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, RUELLE_STDOUT[n] + "\n", "")
 
     @pytest.mark.parametrize("command", sorted(LIE_REPORTS_N4))
     def test_lie_report_pinned(self, command):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from sethopf import cli, verify
+from sethopf import cells as cells_module, cli, verify
 from sethopf.compositions import fubini, zie_dimension
 from sethopf.verify import SuiteResult
 
@@ -31,6 +31,23 @@ TITS_COUNTERS_N3 = {
     "tits-vs-hopf-power-n4": 25,
     "tits-idempotent-n4": 75,
     "hopf-power-kills-primitive": 76,
+}
+
+# hopf_suite(3) counters, in their order of first appearance.
+HOPF_COUNTERS_N3 = {
+    "associativity": 118,
+    "coassociativity": 382,
+    "compatibility": 389,
+    "unit": 18,
+    "counit": 18,
+    "cocommutativity": 119,
+    "antipode-takeuchi": 18,
+    "h-q-roundtrip": 18,
+    "q-h-roundtrip": 18,
+    "antipode-convolution": 17,
+    "q-top-primitive": 3,
+    "q-product": 20,
+    "q-coproduct": 84,
 }
 
 # The failureSamples of `hopf check --n 2` when the product is scaled by
@@ -78,6 +95,29 @@ def test_tits_suite_counters_at_three():
     res = verify.tits_suite(3)
     assert res.passed
     assert res.counters == TITS_COUNTERS_N3
+
+
+def test_hopf_suite_counters_at_three():
+    res = verify.hopf_suite(3)
+    assert res.passed
+    assert list(res.counters.items()) == list(HOPF_COUNTERS_N3.items())
+
+
+def test_steinmann_suite_finds_the_quadruples_once(monkeypatch):
+    calls = []
+    original = cells_module.steinmann_quadruples
+
+    def counting(ground):
+        calls.append(ground)
+        return original(ground)
+
+    monkeypatch.setattr(verify, "steinmann_quadruples", counting)
+    monkeypatch.setattr(cells_module, "steinmann_quadruples", counting)
+    res = verify.steinmann_suite(4)
+    assert calls == [(1, 2, 3, 4)]
+    assert res.passed
+    assert res.counters == {"steinmann-relation": 6, "relation-span": 1, "negative-control": 1}
+    assert res.payload == {"quadruples": 6, "relationSpan": 6}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
