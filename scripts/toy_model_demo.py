@@ -23,9 +23,16 @@ from sethopf.causal import (
 from sethopf.jsonio import truncseries_to_json
 
 
+def _order(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"Bogoliubov's formula needs order >= 1, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--order", type=int, default=2)
+    parser.add_argument("--order", type=_order, default=2)
     parser.add_argument("--interaction-time", default="0")
     parser.add_argument("--observable-time", default="1")
     args = parser.parse_args()

@@ -6,6 +6,12 @@ retarded arrow is u_{1,0}, the advanced arrow u_{0,1}.  Iterating over a
 set of fresh labels is order-independent (a tested property), which is
 what makes the arrows an action of the exponential species.
 
+The retarded, advanced and reverse-convolution elements are one split sum,
+``_split_sum``: over the splits Y1 | Y2 of the interaction labels Y, of
+s(H_(Y1)) H_(Y2 u I), or H_(Y1 u I) s(H_(Y2)) for the advanced side.  With
+I empty it is the reverse convolution, so ``series.perturb_arrow`` builds
+every coefficient of the generating function from it.
+
 Fresh labels are always chosen by the caller (negative integers by
 convention); no operation invents names.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .compositions import Composition, labelset, one_lump
+from .compositions import Composition, labelset, one_lump, ordered_splits
 from .cells import Cell, is_cell
 from .errors import DomainError
 from .hopf import H, SigmaElem, antipode, basis_elem, mu, unit_elem
@@ -90,61 +96,43 @@ def _lump_elem(labels) -> SigmaElem:
     return basis_elem(one_lump(labels), H) if labels else unit_elem(H)
 
 
-def _subsets(Y: tuple) -> list[tuple]:
-    out = [()]
-    for y in Y:
-        out += [s + (y,) for s in out]
+def _split_sum(Y: tuple, I: tuple, advanced: bool) -> SigmaElem:
+    """The sum over the splits Y1 | Y2 of Y of  s(H_(Y1)) H_(Y2 u I), or of
+    H_(Y1 u I) s(H_(Y2)) when advanced, with Y1 in position-mask order.
+    Y and I are sorted label sets; they must be disjoint.  The retarded,
+    advanced and reverse-convolution elements are all this one sum."""
+    if set(Y) & set(I):
+        raise DomainError("Y and I must be disjoint")
+    out = None
+    for Y1, Y2 in ordered_splits(Y):
+        if advanced:
+            term = mu(_lump_elem(tuple(sorted(Y1 + I))), antipode(_lump_elem(Y2)))
+        else:
+            term = mu(antipode(_lump_elem(Y1)), _lump_elem(tuple(sorted(Y2 + I))))
+        out = term if out is None else out + term
     return out
 
 
 def retarded_element(Y: Iterable[int], I: Iterable[int]) -> SigmaElem:
     """R_(Y;I) = sum over splits Y1 | Y2 of Y of  s(H_(Y1)) H_(Y2 u I)."""
-    Y = labelset(Y)
-    I = labelset(I)
-    if set(Y) & set(I):
-        raise DomainError("Y and I must be disjoint")
+    Y, I = labelset(Y), labelset(I)
     if not I:
         raise DomainError("retarded elements need a nonempty observable set")
-    out = None
-    yset = set(Y)
-    for Y1 in _subsets(Y):
-        Y2 = tuple(sorted(yset - set(Y1)))
-        term = mu(antipode(_lump_elem(Y1)), _lump_elem(tuple(sorted(Y2 + I))))
-        out = term if out is None else out + term
-    return out
+    return _split_sum(Y, I, advanced=False)
 
 
 def advanced_element(Y: Iterable[int], I: Iterable[int]) -> SigmaElem:
     """A_(Y;I) = sum over splits Y1 | Y2 of Y of  H_(Y1 u I) s(H_(Y2))."""
-    Y = labelset(Y)
-    I = labelset(I)
-    if set(Y) & set(I):
-        raise DomainError("Y and I must be disjoint")
+    Y, I = labelset(Y), labelset(I)
     if not I:
         raise DomainError("advanced elements need a nonempty observable set")
-    out = None
-    yset = set(Y)
-    for Y1 in _subsets(Y):
-        Y2 = tuple(sorted(yset - set(Y1)))
-        term = mu(_lump_elem(tuple(sorted(Y1 + I))), antipode(_lump_elem(Y2)))
-        out = term if out is None else out + term
-    return out
+    return _split_sum(Y, I, advanced=True)
 
 
 def reverse_convolution_element(Y: Iterable[int], mirror: bool = False) -> SigmaElem:
     """sum over splits of  s(H_(Y1)) H_(Y2)  (H_(Y1) s(H_(Y2)) when mirrored);
     the unit for Y empty, zero otherwise by the antipode axiom."""
-    Y = labelset(Y)
-    out = None
-    yset = set(Y)
-    for Y1 in _subsets(Y):
-        Y2 = tuple(sorted(yset - set(Y1)))
-        if mirror:
-            term = mu(_lump_elem(Y1), antipode(_lump_elem(Y2)))
-        else:
-            term = mu(antipode(_lump_elem(Y1)), _lump_elem(Y2))
-        out = term if out is None else out + term
-    return out if out is not None else unit_elem(H)
+    return _split_sum(labelset(Y), (), advanced=mirror)
 
 
 def _arrow_cell(Y: Iterable[int], c: Cell, down: bool) -> Cell:
@@ -159,9 +147,7 @@ def _arrow_cell(Y: Iterable[int], c: Cell, down: bool) -> Cell:
         channels.append((I, ()))
     else:
         channels.append(((), I))
-    yset = set(Y)
-    for Y1 in _subsets(Y):
-        Y2 = tuple(sorted(yset - set(Y1)))
+    for Y1, Y2 in ordered_splits(Y):
         for S, T in channels:
             U = tuple(sorted(Y1 + S))
             V = tuple(sorted(Y2 + T))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .arrows import retarded_element
@@ -60,7 +61,11 @@ class TimedObservable:
 
 
 def _sorted_ids(obs: Iterable[TimedObservable]) -> tuple[str, ...]:
-    return tuple(o.id for o in sorted(obs, key=lambda o: (-o.time, o.id)))
+    """Ids by decreasing time, ties by ascending id: two stable sorts, so no
+    negated time is built per comparison key."""
+    ordered = sorted(obs, key=attrgetter("id"))
+    ordered.sort(key=attrgetter("time"), reverse=True)
+    return tuple(o.id for o in ordered)
 
 
 def time_ordered(observables: Sequence[TimedObservable]) -> WordElem:
@@ -133,12 +138,7 @@ def interacting_observable(
     terms: dict[tuple[int, int], WordElem] = {}
     for r in range(order + 1):
         stars = star_labels(r)
-        if r == 0:
-            val = time_ordered([A])
-        else:
-            elem = retarded_element(stars, (1,))
-            dec = {**{s: S_int for s in stars}, 1: A}
-            val = generalized_T(elem, dec)
+        val = generalized_T(retarded_element(stars, (1,)), {**dict.fromkeys(stars, S_int), 1: A})
         scal = as_hbar(C_QFT**r) * Fraction(1, factorial(r))
         terms[(r, 0)] = val.scale(scal)
     return TruncSeries(order, terms)
@@ -178,7 +178,12 @@ def z_factorization_check(A: TimedObservable, S_int: TimedObservable, order: int
 
 
 def bogoliubov_extract(A: TimedObservable, S_int: TimedObservable, order: int) -> TruncSeries:
-    """i hbar * d/dj at j = 0 of the generating function."""
+    """i hbar * d/dj at j = 0 of the generating function, to order - 1.
+
+    Below order 1 the generating function has no j-term, so there is nothing
+    to extract and the formula says nothing: a DomainError."""
+    if order < 1:
+        raise DomainError(f"Bogoliubov's formula needs order >= 1, got {order}")
     z = generating_function(A, S_int, order, "down")
     return formal_diff(z, "j").at_j_zero().scale(I_HBAR)
 
@@ -186,8 +191,7 @@ def bogoliubov_extract(A: TimedObservable, S_int: TimedObservable, order: int) -
 def bogoliubov_check(A: TimedObservable, S_int: TimedObservable, order: int) -> bool:
     """Bogoliubov's formula: the extraction equals the interacting series."""
     lhs = bogoliubov_extract(A, S_int, order)
-    rhs = interacting_observable(A, S_int, max(order - 1, 0))
-    return lhs == rhs
+    return lhs == interacting_observable(A, S_int, order - 1)
 
 
 class CausalModel:

@@ -40,6 +40,7 @@ from .compositions import (
     opposite,
     proper_splits,
     set_partitions,
+    subsets_by_mask,
     two_lump_coarsenings,
     zie_dimension,
 )
@@ -104,7 +105,7 @@ class Cell:
         raise AttributeError("Cell is immutable")
 
     def _sides(self) -> list[LabelSet]:
-        labels = _mask_labels(self.ground)
+        labels = subsets_by_mask(self.ground)
         return sorted([labels[m] for m in _set_bits(self.bits)])
 
     @property
@@ -113,7 +114,7 @@ class Cell:
         return frozenset(self._sides())
 
     def channels(self) -> Iterator[tuple[LabelSet, LabelSet]]:
-        labels = _mask_labels(self.ground)
+        labels = subsets_by_mask(self.ground)
         full = len(labels) - 1
         for S, m in sorted([(labels[m], m) for m in _set_bits(self.bits)]):
             yield S, labels[full ^ m]
@@ -151,15 +152,6 @@ class Cell:
 def _side_mask(ground: LabelSet, S: Sequence[int]) -> int:
     """The bitmask of the positions in ground of the labels S, or 0 if one is off it."""
     return sum([1 << ground.index(x) for x in S]) if set(S) <= set(ground) else 0
-
-
-def _mask_labels(ground: LabelSet) -> list[LabelSet]:
-    """The labels of ground at the set bits of m, as a sorted tuple, for
-    every position mask m."""
-    out = [()]
-    for x in ground:
-        out += [S + (x,) for S in out]
-    return out
 
 
 def _sort_key_order(n: int):
@@ -603,7 +595,7 @@ def _bridge_sides(ground: LabelSet, cell1: Cell, cell2: Cell) -> int:
     U n T), lifted to ground.  S, the ground of cell1, passes."""
     parts = []
     for cell in (cell1, cell2):
-        whole, labels = _side_mask(ground, cell.ground), _mask_labels(cell.ground)
+        whole, labels = _side_mask(ground, cell.ground), subsets_by_mask(cell.ground)
         parts.append((whole, {0, whole, *[_side_mask(ground, labels[m]) for m in _set_bits(cell.bits)]}))
     (s, ok1), (t, ok2) = parts
     return sum([1 << u for u in range(1, s | t) if u & s in ok1 and u & t in ok2])

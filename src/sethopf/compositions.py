@@ -230,14 +230,22 @@ def two_lump_coarsenings(F: Composition) -> Iterator[tuple[LabelSet, LabelSet]]:
         yield (S, T)
 
 
+def subsets_by_mask(ground: LabelSet) -> list[LabelSet]:
+    """The labels of the sorted ground at the set bits of m, as a sorted
+    tuple, for every position mask m (bit i is the i-th label)."""
+    out = [()]
+    for x in ground:
+        out += [S + (x,) for S in out]
+    return out
+
+
 def ordered_splits(I: Iterable[int]) -> Iterator[tuple[LabelSet, LabelSet]]:
-    """All ordered pairs (S, T) with S disjoint-union T = I (empties allowed)."""
-    ground = labelset(I)
-    n = len(ground)
-    for mask in range(1 << n):
-        S = tuple(ground[i] for i in range(n) if mask >> i & 1)
-        T = tuple(ground[i] for i in range(n) if not mask >> i & 1)
-        yield (S, T)
+    """All ordered pairs (S, T) with S disjoint-union T = I (empties allowed),
+    S in position-mask order."""
+    labels = subsets_by_mask(labelset(I))
+    full = len(labels) - 1
+    for m in range(full + 1):
+        yield (labels[m], labels[full ^ m])
 
 
 def proper_splits(I: Iterable[int]) -> Iterator[tuple[LabelSet, LabelSet]]:

@@ -57,6 +57,7 @@ from .compositions import (
     quotient_stats,
     refinements,
     restrict,
+    subsets_by_mask,
 )
 from .errors import DomainError, check_size
 from .lincomb import LinComb, lincomb_sum
@@ -203,6 +204,9 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
         raise DomainError("mu requires disjoint ground sets")
     if a.basis != b.basis:
         raise DomainError("mixed-basis mu; convert first")
+    if not a.ground or not b.ground:  # one factor is c times the unit: scale the other
+        unit, x = (a, b) if not a.ground else (b, a)
+        return x.scale(unit.lc.coeff(EMPTY_COMPOSITION) or 0)
     ground = tuple(sorted(a.ground + b.ground))
     terms = {}
     for F, cf in a.lc:
@@ -245,10 +249,7 @@ class _SplitTable:
     def __init__(self, ground: tuple):
         self.bit = {x: 1 << i for i, x in enumerate(ground)}
         self.full = (1 << len(ground)) - 1  # the mask of the whole ground
-        labels = [()]
-        for x in ground:  # ground is sorted, so each tuple stays sorted
-            labels += [l + (x,) for l in labels]
-        self.labels: list[tuple] = labels  # mask -> its sorted labels
+        self.labels: list[tuple] = subsets_by_mask(ground)  # mask -> its sorted labels
         self.pairs: list[tuple[Composition, Composition]] = []  # pair id -> pair
         self.ids: dict[tuple, int] = {}  # (left lump masks, right lump masks) -> pair id
         self.rows: dict[str, dict[Composition, tuple[int, ...]]] = {H: {}, Q: {}}

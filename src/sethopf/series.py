@@ -6,16 +6,19 @@ concatenation products over ordered splits.  A ``ProductSystem`` evaluates
 basis compositions with one decoration per label into the word algebra.
 T-exponentials and their coderivation/arrow perturbations assemble those
 evaluations into truncated formal power series in the symbols g and j with
-hbar-Laurent coefficients.
+hbar-Laurent coefficients.  Each g^r j^n coefficient of each of them is one
+``_gj_term``: an element over r interaction labels and n observable labels,
+evaluated with S on the first and A on the second and scaled by
+c^(r+n) / (r! n!).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
-from .arrows import advanced_element, retarded_element, reverse_convolution_element
+from .arrows import _split_sum
 from .compositions import (
     Composition,
     canonical_set,
@@ -52,12 +55,15 @@ def _order_embedding(k: int, target: tuple) -> dict[int, int]:
 
 
 class SigmaSeries:
-    """Degreewise elements over [n], 0 <= n <= max_n, H-basis, S_n-invariant."""
+    """Degreewise elements over [n], 0 <= n <= max_n, H-basis, S_n-invariant.
+
+    ``SigmaSeries(...)`` checks every term, relabeling invariance included;
+    the builders here, whose terms are invariant by construction, use the
+    unchecked ``SigmaSeries._of``.  Zero terms are not stored."""
 
     __slots__ = ("terms", "max_n")
 
-    def __init__(self, terms: Mapping[int, SigmaElem], max_n: int, validate: bool = True):
-        store: dict[int, SigmaElem] = {}
+    def __init__(self, terms: Mapping[int, SigmaElem], max_n: int):
         for n, elem in terms.items():
             if n < 0 or n > max_n:
                 raise DomainError(f"degree {n} outside truncation 0..{max_n}")
@@ -65,16 +71,22 @@ class SigmaSeries:
                 raise DomainError("series terms must be in the H-basis")
             if elem.ground != canonical_set(n):
                 raise DomainError(f"degree-{n} term must live over [{n}]")
-            if not elem.is_zero():
-                store[n] = elem
-        if validate:
-            for n, elem in store.items():
-                for i in range(1, n):
-                    swap = {j: j for j in elem.ground}
-                    swap[i], swap[i + 1] = i + 1, i
-                    if relabel(elem, swap) != elem:
-                        raise DomainError(f"degree-{n} term is not relabeling-invariant")
-        object.__setattr__(self, "terms", store)
+            for i in range(1, n):
+                swap = {j: j for j in elem.ground}
+                swap[i], swap[i + 1] = i + 1, i
+                if relabel(elem, swap) != elem:
+                    raise DomainError(f"degree-{n} term is not relabeling-invariant")
+        self._store(terms, max_n)
+
+    @classmethod
+    def _of(cls, terms: Mapping[int, SigmaElem], max_n: int) -> "SigmaSeries":
+        """Unchecked: each term is an S_n-invariant H-basis element over [n], n <= max_n."""
+        self = object.__new__(cls)
+        self._store(terms, max_n)
+        return self
+
+    def _store(self, terms: Mapping[int, SigmaElem], max_n: int) -> None:
+        object.__setattr__(self, "terms", {n: t for n, t in terms.items() if not t.is_zero()})
         object.__setattr__(self, "max_n", max_n)
 
     def __setattr__(self, *a):
@@ -93,14 +105,14 @@ class SigmaSeries:
         )
 
     def map_terms(self, f: Callable[[SigmaElem], SigmaElem]) -> "SigmaSeries":
-        return SigmaSeries({n: f(t) for n, t in self.terms.items()}, self.max_n, validate=False)
+        return SigmaSeries._of({n: f(t) for n, t in self.terms.items()}, self.max_n)
 
     def __repr__(self):
         return "SigmaSeries{" + ", ".join(f"{n}: {t}" for n, t in sorted(self.terms.items())) + "}"
 
 
 def unit_series(max_n: int) -> SigmaSeries:
-    return SigmaSeries({0: unit_elem(H)}, max_n, validate=False)
+    return SigmaSeries._of({0: unit_elem(H)}, max_n)
 
 
 def universal_series(c, max_n: int) -> SigmaSeries:
@@ -108,7 +120,7 @@ def universal_series(c, max_n: int) -> SigmaSeries:
     terms = {}
     for n in range(max_n + 1):
         terms[n] = basis_elem(one_lump(canonical_set(n)), H, c**n)
-    return SigmaSeries(terms, max_n, validate=False)
+    return SigmaSeries._of(terms, max_n)
 
 
 def series_antipode(s: SigmaSeries) -> SigmaSeries:
@@ -133,9 +145,9 @@ def convolve(s: SigmaSeries, t: SigmaSeries) -> SigmaSeries:
                 relabel(right, _order_embedding(len(T), T)),
             )
             acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
+        if acc is not None:
             out[n] = acc
-    return SigmaSeries(out, s.max_n, validate=False)
+    return SigmaSeries._of(out, s.max_n)
 
 
 def is_group_like(s: SigmaSeries) -> bool:
@@ -352,21 +364,27 @@ def formal_diff(ts: TruncSeries, symbol: str) -> TruncSeries:
 # T-exponentials and perturbations
 
 
-def _const_decoration(labels: Iterable[int], value) -> dict:
-    return {l: value for l in labels}
+def _gj_term(
+    sys: ProductSystem, x: SigmaElem, stars: tuple, labels: tuple, S_dec, A_dec, c
+) -> WordElem:
+    """c^(r+n) / (r! n!)  eta(x (x) S^r A^n), r = |stars|, n = |labels|: the
+    evaluation of x with S_dec on the stars and A_dec on the labels, scaled.
+    Every g^r j^n coefficient built below is one such term."""
+    r, n = len(stars), len(labels)
+    dec = {**dict.fromkeys(stars, S_dec), **dict.fromkeys(labels, A_dec)}
+    scal = as_hbar(c ** (r + n)) * Fraction(1, factorial(r) * factorial(n))
+    return eval_system(sys, x, dec).scale(scal)
 
 
 def t_exponential(sys: ProductSystem, s: SigmaSeries, A, order: int) -> TruncSeries:
-    """sum_n j^n / n!  eta(s_n (x) A^n), truncated at the given order."""
+    """sum_n j^n / n!  eta(s_n (x) A^n), truncated at the given order; the
+    coupling, if any, is inside the series."""
     if s.max_n < order:
         raise DomainError("series truncation is below the requested order")
-    terms: dict[tuple[int, int], WordElem] = {}
-    for n in range(order + 1):
-        sn = s.term(n)
-        if sn.is_zero():
-            continue
-        dec = _const_decoration(canonical_set(n), A)
-        terms[(0, n)] = eval_system(sys, sn, dec).scale(Fraction(1, factorial(n)))
+    terms = {
+        (0, n): _gj_term(sys, s.term(n), (), canonical_set(n), None, A, 1)
+        for n in range(order + 1)
+    }
     return TruncSeries(order, terms)
 
 
@@ -395,11 +413,9 @@ def perturb_coderivation(
     for r in range(order + 1):
         stars = star_labels(r)
         for n in range(order + 1 - r):
-            ground = tuple(sorted(stars + canonical_set(n)))
-            dec = {**_const_decoration(stars, S_dec), **_const_decoration(canonical_set(n), A_dec)}
-            val = sys.eval_comp(one_lump(ground), dec)
-            scal = as_hbar(c**(r + n)) * Fraction(1, factorial(r) * factorial(n))
-            terms[(r, n)] = val.scale(scal)
+            labels = canonical_set(n)
+            x = basis_elem(one_lump(stars + labels), H)
+            terms[(r, n)] = _gj_term(sys, x, stars, labels, S_dec, A_dec, c)
     return TruncSeries(order, terms)
 
 
@@ -408,10 +424,8 @@ def reverse_exponential(sys: ProductSystem, c, S_dec, order: int) -> TruncSeries
     terms: dict[tuple[int, int], WordElem] = {}
     for r in range(order + 1):
         stars = star_labels(r)
-        elem = antipode(basis_elem(one_lump(stars), H)) if stars else unit_elem(H)
-        dec = _const_decoration(stars, S_dec)
-        scal = as_hbar(c**r) * Fraction(1, factorial(r))
-        terms[(r, 0)] = eval_system(sys, elem, dec).scale(scal)
+        x = antipode(basis_elem(one_lump(stars), H))
+        terms[(r, 0)] = _gj_term(sys, x, stars, (), S_dec, None, c)
     return TruncSeries(order, terms)
 
 
@@ -423,7 +437,8 @@ def perturb_arrow(
     direction: str = "down",
 ) -> TruncSeries:
     """sum g^r j^n c^(r+n) / (r! n!)  eta(R_(r;n) (x) S^r A^n)  (or A_(r;n) up),
-    at c = C_QFT = 1/(i hbar), the coupling of the causal constructions."""
+    at c = C_QFT = 1/(i hbar), the coupling of the causal constructions.
+    At n = 0 the split sum is the reverse convolution element of the stars."""
     if direction not in ("down", "up"):
         raise DomainError("direction must be 'down' or 'up'")
     terms: dict[tuple[int, int], WordElem] = {}
@@ -431,13 +446,6 @@ def perturb_arrow(
         stars = star_labels(r)
         for n in range(order + 1 - r):
             labels = canonical_set(n)
-            if n == 0:
-                elem = reverse_convolution_element(stars, mirror=(direction == "up"))
-            elif direction == "down":
-                elem = retarded_element(stars, labels)
-            else:
-                elem = advanced_element(stars, labels)
-            dec = {**_const_decoration(stars, S_dec), **_const_decoration(labels, A_dec)}
-            scal = as_hbar(C_QFT**(r + n)) * Fraction(1, factorial(r) * factorial(n))
-            terms[(r, n)] = eval_system(sys, elem, dec).scale(scal)
+            x = _split_sum(stars, labels, advanced=direction == "up")
+            terms[(r, n)] = _gj_term(sys, x, stars, labels, S_dec, A_dec, C_QFT)
     return TruncSeries(order, terms)

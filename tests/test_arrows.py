@@ -16,7 +16,7 @@ from sethopf.cells import Cell, commutator, dynkin, enumerate_cells, is_cell, to
 from sethopf.compositions import canonical_set, compositions_of, one_lump
 
 from sethopf.errors import DomainError
-from sethopf.hopf import basis_elem, h_elem, is_primitive, sigma_basis, unit_elem
+from sethopf.hopf import H, antipode, basis_elem, h_elem, is_primitive, mu, sigma_basis, unit_elem
 from sethopf.scalars import QI
 
 
@@ -85,6 +85,51 @@ class TestArrows:
             arrow_down((1,), h_elem((1, 2)))
 
 
+# The split sums of the retarded, advanced and reverse elements, each as its
+# own loop over the splits Y1 | Y2 of Y, kept as references.
+
+
+def subsets(Y):
+    out = [()]
+    for y in Y:
+        out += [s + (y,) for s in out]
+    return out
+
+
+def lump(labels):
+    return basis_elem(one_lump(labels), H) if labels else unit_elem(H)
+
+
+def loop_retarded(Y, I):
+    out = None
+    for Y1 in subsets(Y):
+        Y2 = tuple(sorted(set(Y) - set(Y1)))
+        term = mu(antipode(lump(Y1)), lump(tuple(sorted(Y2 + I))))
+        out = term if out is None else out + term
+    return out
+
+
+def loop_advanced(Y, I):
+    out = None
+    for Y1 in subsets(Y):
+        Y2 = tuple(sorted(set(Y) - set(Y1)))
+        term = mu(lump(tuple(sorted(Y1 + I))), antipode(lump(Y2)))
+        out = term if out is None else out + term
+    return out
+
+
+def loop_reverse(Y, mirror):
+    out = None
+    for Y1 in subsets(Y):
+        Y2 = tuple(sorted(set(Y) - set(Y1)))
+        if mirror:
+            term = mu(lump(Y1), antipode(lump(Y2)))
+        else:
+            term = mu(antipode(lump(Y1)), lump(Y2))
+        out = term if out is None else out + term
+    return out if out is not None else unit_elem(H)
+
+
 class TestRetardedAdvanced:
     def test_spec_examples(self):
         assert retarded_element((-1,), (1,)) == h_elem((-1, 1)) - h_elem((-1,), (1,))
@@ -105,6 +150,19 @@ class TestRetardedAdvanced:
             retarded_element((1,), (1, 2))
         with pytest.raises(DomainError):
             retarded_element((-1,), ())
+        with pytest.raises(DomainError, match="disjoint"):
+            advanced_element((1,), (1, 2))
+        with pytest.raises(DomainError, match="nonempty"):
+            advanced_element((-1,), ())
+
+    @pytest.mark.parametrize("Y", subsets((-3, -2, -1)))
+    def test_equal_the_split_loops(self, Y):
+        # the one split sum against the three loops it replaced
+        for I in subsets((1, 2, 3))[1:]:
+            assert retarded_element(Y, I) == loop_retarded(Y, I)
+            assert advanced_element(Y, I) == loop_advanced(Y, I)
+        for mirror in (False, True):
+            assert reverse_convolution_element(Y, mirror) == loop_reverse(Y, mirror)
 
 
 class TestCellArrows:

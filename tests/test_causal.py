@@ -205,6 +205,17 @@ class TestGeneratingFunction:
         rhs = interacting_observable(A0, s, 1)
         assert lhs == rhs
 
+    def test_bogoliubov_needs_order_one(self):
+        # at order 0 the generating function has no j-term to extract
+        s = TimedObservable("s", Fraction(-1))
+        for order in (0, -1):
+            with pytest.raises(DomainError, match="order >= 1"):
+                bogoliubov_extract(A0, s, order)
+            with pytest.raises(DomainError, match="order >= 1"):
+                bogoliubov_check(A0, s, order)
+        assert bogoliubov_check(A0, s, 1)
+        assert bogoliubov_extract(A0, s, 1) == interacting_observable(A0, s, 0)
+
     def test_reverse_product_inverse(self):
         for n in (1, 2, 3):
             ground = canonical_set(n)

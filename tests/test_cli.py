@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,51 @@ DYNKIN_RANK_STDOUT = {
     4: '{"cells":32,"rank":26,"zieDim":26,"status":"pass"}\n',
     5: '{"cells":370,"rank":150,"zieDim":150,"status":"pass"}\n',
 }
+
+# sha256 of the stdout of `toy demo` and `toy bogoliubov --order N` on
+# TOY_MODEL, keyed by N. They do not depend on PYTHONHASHSEED: every series
+# is printed in sorted order.
+TOY_DIGESTS = {
+    "demo": {
+        0: "129be5034e8ebb17c4ab94d77e83dd5d7ba430053c051f880a0889688b748422",
+        1: "f6be979528c66ad1143fb4a41898760ca06ee2d3452caf5d390d3d6f4cee1e85",
+        2: "a95eabd507ea595457fadac6145a8e9ad05a6f7ae6e26de6afeb447c6cc369fd",
+        3: "a9ac79b4730fe1a19e0d16405389681893efc6bad38f94a4c3bed80d63ef679c",
+        4: "efb249a2a3400dfb6228f4f2295af78f2a39fd8d8784e4c962d39818983fa610",
+        5: "ee731ad5ae6d8b76a36489fd119e175b9a7f7c62f09be60ac1a4c7508c2ecafe",
+        6: "50f90759b4fed70ae456901927f2307fe7d36572c7507f71d7c0c68fd19e3b7e",
+        7: "f9b0bbdf1e61da05ce4e41c3a804de566e8fb0996a439c068764a87781223e4e",
+    },
+    "bogoliubov": {
+        1: "b3e0b6afd4f290d78563c3dae7e0e81c7e1325ae82d2aae74f967811076de5e9",
+        2: "5e495e988184ed2506cb9719ce71fb72c2845a4e5a7569b7172633896e7a64f2",
+        3: "5a31a06230a9ac802dec292d0610d02af9a76aa583388dc0a6faa5f2fcdea59a",
+        4: "f55cab723e469884fb7f0ea335bf0041a06381dfc96668eefcc317dcd6cacb84",
+        5: "ffef74d712965f20c414fa9dd86bf8266fc05056b304ca0efdb3f4a604df9a97",
+        6: "2d0011aee8f2d10b2d2d41fa32abe5ef38130dd19caf16ffccc75cb51e93e1e9",
+        7: "6edf36b5029de25c59138f2e8a92ab660f21b502e30ff353dfe2791136a3a46d",
+    },
+}
+
+# The stdout of `series identities --order 4` and `arrows verify --n 3`.
+SERIES_STDOUT_ORDER_4 = (
+    '{"command":"series identities","parameters":{"order":4},"status":"pass",'
+    '"counters":{"checked":34,"failures":0,"convolution-unit":6,"convolution-associativity":3,'
+    '"universal-group-like":3,"universal-antipode-inverse":3,"unit-group-like":1,'
+    '"primitive-series-not-group-like":1,"polynomial-homomorphism":1,"causal-homomorphism":1,'
+    '"broken-system-detected":1,"texp-homomorphism":2,"texp-unit":2,"texp-inverse":2,'
+    '"exponential-splitting":1,"classical-exponential":1,"coderivation-vs-binomial":2,'
+    '"coderivation-g0-slice":2,"arrow-g0-slice":1,"formal-diff":1},"payload":{}}\n'
+)
+ARROWS_STDOUT_N3 = (
+    '{"command":"arrows verify","parameters":{"n":3},"status":"pass",'
+    '"counters":{"checked":524,"failures":0,"biderivation-derivation":42,'
+    '"biderivation-coderivation":118,"biderivation-coderivation-right":118,'
+    '"arrow-order-independence":36,"arrow-updown-commutator":18,"arrow-preserves-primitive":18,'
+    '"arrow-bracket-derivation":9,"arrow-dynkin-down":18,"arrow-dynkin-up":18,'
+    '"arrow-product-law":58,"retarded-expansion":34,"advanced-expansion":34,'
+    '"retarded-instance":1,"advanced-instance":1,"retarded-is-total-dynkin":1},"payload":{}}\n'
+)
 
 # Each command one past the bound of its --n or --order.
 OVER_BOUND = [
@@ -129,6 +175,21 @@ class TestDataCommands:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[4]
 
+    def test_cells_count_builds_no_cell(self, monkeypatch, capsys):
+        # the count is the number of orbit members of an uncached walk, with
+        # no Cell built and no enumeration sorted
+        from sethopf import cells, cli
+
+        def no_cell(*args):
+            raise AssertionError("cells count built a Cell")
+
+        monkeypatch.setattr(cells.Cell, "__init__", no_cell)
+        monkeypatch.setattr(cells.Cell, "_of", no_cell)
+        monkeypatch.setattr(cli, "enumerate_cells", no_cell)
+        monkeypatch.setattr(cli, "_cell_orbits", cells._cell_orbits.__wrapped__)
+        assert cli.run(["cells", "count", "--n", "5"]) == 0
+        assert capsys.readouterr().out == '{"n":5,"count":370}\n'
+
     def test_cells_enumerate_with_witnesses(self):
         proc = run_cli("cells", "enumerate", "--n", "3", "--witnesses")
         assert proc.returncode == 0
@@ -181,10 +242,18 @@ class TestVerifyCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
 
+    def test_series_report_pinned(self):
+        proc = run_cli("series", "identities", "--order", "4")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, SERIES_STDOUT_ORDER_4, "")
+
     def test_arrows_verify(self):
         proc = run_cli("arrows", "verify", "--n", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
+
+    def test_arrows_report_pinned(self):
+        proc = run_cli("arrows", "verify", "--n", "3")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, ARROWS_STDOUT_N3, "")
 
     @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.heavy)])
     def test_ruelle_report_pinned(self, n):
@@ -228,6 +297,36 @@ class TestToyCommands:
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["bogoliubovHolds"] is True
+
+    @pytest.mark.parametrize(
+        "command, order",
+        [
+            pytest.param(c, o, marks=pytest.mark.heavy) if o >= 7 else (c, o)
+            for c in sorted(TOY_DIGESTS)
+            for o in sorted(TOY_DIGESTS[c])
+        ],
+    )
+    def test_output_pinned(self, model_file, command, order):
+        proc = run_cli("toy", command, "--model", model_file, "--order", str(order))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == TOY_DIGESTS[command][order]
+
+    def test_bogoliubov_order_zero_rejected(self, model_file):
+        # the generating function has no j-term at order 0: a usage error,
+        # not a failed identity
+        proc = run_cli("toy", "bogoliubov", "--model", model_file, "--order", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: Bogoliubov's formula needs order >= 1, got 0\n"
+
+    def test_demo_script_rejects_order_zero(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "toy_model_demo.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--order", "0"], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "needs order >= 1, got 0" in proc.stderr
 
     def test_out_file(self, model_file, tmp_path):
         out = tmp_path / "report.json"

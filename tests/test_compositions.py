@@ -18,7 +18,9 @@ from sethopf.compositions import (
     quotient_stats,
     refinements,
     restrict,
+    ordered_splits,
     set_partitions,
+    subsets_by_mask,
     two_lump_coarsenings,
     zie_dimension,
 )
@@ -193,6 +195,18 @@ class TestPartitions:
     @pytest.mark.parametrize("n,dim", [(1, 1), (2, 2), (3, 6), (4, 26), (5, 150)])
     def test_zie_dimension_formula(self, n, dim):
         assert zie_dimension(n) == dim
+
+
+@pytest.mark.parametrize("ground", [canonical_set(n) for n in range(5)] + [(-3, -1, 4, 9)])
+def test_subsets_by_mask(ground):
+    # entry m holds the labels at the set bits of m, sorted; ordered_splits
+    # walks the masks in order, with T the complement of S
+    def at(m, bit):
+        return tuple(x for i, x in enumerate(ground) if (m >> i & 1) == bit)
+
+    masks = range(1 << len(ground))
+    assert subsets_by_mask(ground) == [at(m, 1) for m in masks]
+    assert list(ordered_splits(ground)) == [(at(m, 1), at(m, 0)) for m in masks]
 
 
 @settings(max_examples=50, deadline=None)

@@ -64,6 +64,21 @@ class TestMu:
         a = h_elem((1,)).scale(QI(2)) + h_elem((1,)).scale(QI(3))
         assert mu(a, h_elem((2,))) == h_elem((1,), (2,)).scale(QI(5))
 
+    @pytest.mark.parametrize("basis", [H, Q])
+    def test_unit_multiples(self, basis):
+        # a factor over the empty ground is c times the unit: the product is
+        # the other factor scaled by c, in both orders, with its own ground
+        x = basis_elem(comp((2,), (1, 3)), basis, Fraction(-2, 3)) + basis_elem(comp((1, 2, 3)), basis, 5)
+        for c in (1, 3, Fraction(1, 2), QI(0, 1), C_QFT):
+            u = unit_elem(basis).scale(c)
+            for got in (mu(u, x), mu(x, u)):
+                assert got == x.scale(c) and got.ground == x.ground and got.basis == basis
+        assert mu(zero_elem((), basis), x) == zero_elem(x.ground, basis)
+        assert mu(x, zero_elem((), basis)).is_zero()
+        assert mu(unit_elem(basis).scale(3), unit_elem(basis).scale(QI(2))) == unit_elem(basis).scale(6)
+        with pytest.raises(DomainError):
+            mu(unit_elem(H), q_elem((1,)))
+
     def test_overlap_rejected(self):
         with pytest.raises(DomainError):
             mu(h_elem((1,)), h_elem((1, 2)))

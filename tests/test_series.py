@@ -42,6 +42,14 @@ class TestSigmaSeries:
         with pytest.raises(DomainError):
             SigmaSeries({2: bad}, 2)
 
+    def test_zero_degrees_not_stored(self):
+        # the unchecked builders drop zero terms as the constructor does
+        z = universal_series(0, 3)
+        assert z.terms == {0: unit_elem()}
+        assert z == SigmaSeries({0: unit_elem(), 1: h_elem((1,)).scale(0)}, 3)
+        assert SigmaSeries._of({0: unit_elem(), 2: h_elem((1, 2)).scale(0)}, 2).terms == {0: unit_elem()}
+        assert series_antipode(universal_series(QI(0), 2)) == unit_series(2)
+
     def test_antipode_composition(self):
         g = universal_series(QI(2), 3)
         sg = series_antipode(g)
