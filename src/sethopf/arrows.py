@@ -24,33 +24,21 @@ from .compositions import Composition, labelset, one_lump, ordered_splits
 from .cells import Cell, is_cell
 from .errors import DomainError
 from .hopf import H, SigmaElem, antipode, basis_elem, mu, unit_elem
-from .lincomb import LinComb, lincomb_sum
+from .lincomb import LinComb, lincomb_sum, sparse_sum
 
 
 def _insertions(F: Composition, star: int, a, b, ground: tuple) -> LinComb:
     """Unchecked: star is off F.ground, and ground is the sorted F.ground + (star,)."""
-    terms: dict[Composition, object] = {}
-
-    def put(lumps: tuple, coeff):
-        if not coeff:
-            return
-        K = Composition._of(lumps, ground)
-        c = terms.get(K)
-        c = coeff if c is None else c + coeff
-        if c:
-            terms[K] = c
-        else:
-            terms.pop(K, None)
-
-    ab = a + b
-    for m in range(len(F.lumps)):
-        before = F.lumps[:m]
-        lump = F.lumps[m]
-        after = F.lumps[m + 1 :]
-        put(before + ((star,),) + (lump,) + after, -a)
-        put(before + (tuple(sorted(lump + (star,))),) + after, ab)
-        put(before + (lump,) + ((star,),) + after, -b)
-    return LinComb._of(terms)
+    lumps, ab = F.lumps, a + b
+    pairs = []
+    for m, lump in enumerate(lumps):
+        before, after = lumps[:m], lumps[m + 1 :]
+        pairs += [
+            (before + ((star,), lump) + after, -a),
+            (before + (tuple(sorted(lump + (star,))),) + after, ab),
+            (before + (lump, (star,)) + after, -b),
+        ]
+    return sparse_sum((Composition._of(K, ground), c) for K, c in pairs if c)
 
 
 def u_ab(a, b, star: int, x: SigmaElem) -> SigmaElem:

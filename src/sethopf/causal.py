@@ -170,7 +170,12 @@ def generating_function(
 
 def z_factorization_check(A: TimedObservable, S_int: TimedObservable, order: int) -> bool:
     """Z = S^(-1)(gS) * S(gS + jA)  and the advanced mirror, exactly."""
-    z = generating_function(A, S_int, order, "down")
+    return _z_factorization_holds(generating_function(A, S_int, order, "down"), A, S_int, order)
+
+
+def _z_factorization_holds(z: TruncSeries, A: TimedObservable, S_int: TimedObservable, order: int) -> bool:
+    """``z_factorization_check`` on z, the retarded generating function at
+    this order, already built."""
     w = generating_function(A, S_int, order, "up")
     sinv = smatrix_inverse_of_interaction(S_int, order)
     stwo = smatrix_two_arg(A, S_int, order)

@@ -54,7 +54,7 @@ from .hopf import (
     mu,
     split_columns,
 )
-from .lincomb import LinComb
+from .lincomb import LinComb, sparse_sum
 from .linalg import pivot_rows_mod_prime, rank_mod_prime
 from .lp import (
     balanced_combination_exists,
@@ -568,15 +568,9 @@ def _signed_debracketings(t: Tree) -> list[tuple[tuple, int]]:
 
 def tree_to_primitive(t: Tree) -> SigmaElem:
     """The alternating sum over node flips, in the Q-basis."""
-    terms: dict[Composition, int] = {}
-    for lumps, sign in _signed_debracketings(t):
-        K = Composition._of(lumps, t.ground)  # the tree's disjoint sorted blocks
-        c = terms.get(K, 0) + sign
-        if c:
-            terms[K] = c
-        else:
-            terms.pop(K, None)
-    return SigmaElem._of(t.ground, LinComb._of(terms), Q)
+    # the debracketings concatenate the tree's disjoint sorted blocks
+    lc = sparse_sum((Composition._of(lumps, t.ground), sign) for lumps, sign in _signed_debracketings(t))
+    return SigmaElem._of(t.ground, lc, Q)
 
 
 def commutator(a: SigmaElem, b: SigmaElem) -> SigmaElem:

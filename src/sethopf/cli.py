@@ -19,11 +19,11 @@ import sys
 
 from .causal import (
     CausalModel,
+    _z_factorization_holds,
     bogoliubov_extract,
     generating_function,
     interacting_observable,
     smatrix,
-    z_factorization_check,
 )
 from .compositions import canonical_set
 from .cells import _cell_orbits, dynkin_rank, enumerate_cells, enumerate_cells_with_witnesses
@@ -142,7 +142,7 @@ def _cmd_toy_demo(args) -> int:
         "order": args.order,
         "smatrix": truncseries_to_json(smatrix(A, args.order)),
         "generatingFunction": truncseries_to_json(z),
-        "factorizationHolds": z_factorization_check(A, S, args.order),
+        "factorizationHolds": _z_factorization_holds(z, A, S, args.order),
     }
     _emit(args, payload)
     return 0 if payload["factorizationHolds"] else 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .compositions import Composition, one_lump
 from .errors import DomainError
 from .hopf import H, SigmaElem, _delta_iterated, basis_elem, mu_many, zero_elem
-from .lincomb import LinComb
+from .lincomb import sparse_sum
 
 
 def _tits_basis(F: Composition, G: Composition) -> Composition:
@@ -51,18 +51,8 @@ def tits(a: SigmaElem, b: SigmaElem) -> SigmaElem:
         raise DomainError("tits requires equal ground sets")
     if a.basis != H or b.basis != H:
         raise DomainError("tits expects H-basis elements")
-    terms: dict[Composition, object] = {}
-    for F, cf in a.lc:
-        for G, cg in b.lc:
-            K = _tits_basis(F, G)
-            c = cf * cg
-            if K in terms:
-                c = terms[K] + c
-            if c:
-                terms[K] = c
-            else:
-                terms.pop(K, None)
-    return SigmaElem._of(a.ground, LinComb._of(terms), H)
+    lc = sparse_sum((_tits_basis(F, G), cf * cg) for F, cf in a.lc for G, cg in b.lc)
+    return SigmaElem._of(a.ground, lc, H)
 
 
 def tits_unit(ground) -> SigmaElem:

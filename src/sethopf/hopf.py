@@ -60,7 +60,7 @@ from .compositions import (
     subsets_by_mask,
 )
 from .errors import DomainError, check_size
-from .lincomb import LinComb, lincomb_sum
+from .lincomb import LinComb, lincomb_sum, sparse_sum
 from .linalg import _numerators, kernel_basis
 
 H = "H"
@@ -208,18 +208,10 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
         unit, x = (a, b) if not a.ground else (b, a)
         return x.scale(unit.lc.coeff(EMPTY_COMPOSITION) or 0)
     ground = tuple(sorted(a.ground + b.ground))
-    terms = {}
-    for F, cf in a.lc:
-        for G, cg in b.lc:
-            K = Composition._of(F.lumps + G.lumps, ground)
-            c = cf * cg
-            if K in terms:
-                c = terms[K] + c
-            if c:
-                terms[K] = c
-            else:
-                terms.pop(K, None)
-    return SigmaElem._of(ground, LinComb._of(terms), a.basis)
+    lc = sparse_sum(
+        (Composition._of(F.lumps + G.lumps, ground), cf * cg) for F, cf in a.lc for G, cg in b.lc
+    )
+    return SigmaElem._of(ground, lc, a.basis)
 
 
 def mu_many(parts: Sequence[SigmaElem]) -> SigmaElem:
@@ -377,31 +369,10 @@ def delta_iterated(a: SigmaElem, parts: Sequence[Iterable[int]]) -> LinComb:
 
 def _delta_iterated(a: SigmaElem, parts: Sequence[tuple]) -> LinComb:
     """Unchecked: parts are sorted label tuples that decompose a.ground."""
-    terms = {}
-    for F, c in a.lc:
-        if a.basis == H:
-            key = tuple(_restrict_cached(F, P) for P in parts)
-        else:
-            factors = []
-            ok = True
-            for P in parts:
-                piece = deshuffle(F, P)
-                if piece is None:
-                    ok = False
-                    break
-                factors.append(piece)
-            if not ok:
-                continue
-            key = tuple(factors)
-        if key in terms:
-            w = terms[key] + c
-            if w:
-                terms[key] = w
-            else:
-                del terms[key]
-        else:
-            terms[key] = c
-    return LinComb._of(terms)
+    if a.basis == H:
+        return sparse_sum((tuple(_restrict_cached(F, P) for P in parts), c) for F, c in a.lc)
+    keyed = ((tuple(deshuffle(F, P) for P in parts), c) for F, c in a.lc)
+    return sparse_sum((key, c) for key, c in keyed if None not in key)
 
 
 def counit(a: SigmaElem):
@@ -435,18 +406,12 @@ def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
         raise DomainError("takeuchi_antipode expects the H-basis; convert first")
     if not a.ground:
         return a
-    terms: dict[Composition, object] = {}
-    for F in compositions_of(a.ground):
-        sign = 1 if len(F) % 2 == 0 else -1
-        pieces = _delta_iterated(a, F.lumps)
-        for key, c in pieces:
-            K = Composition._of(tuple(l for piece in key for l in piece.lumps), a.ground)
-            w = terms.get(K, 0) + sign * c
-            if w:
-                terms[K] = w
-            else:
-                terms.pop(K, None)
-    return SigmaElem._of(a.ground, LinComb._of(terms), H)
+    pairs = (
+        (Composition._of(tuple(l for piece in key for l in piece.lumps), a.ground), -c if len(F) % 2 else c)
+        for F in compositions_of(a.ground)
+        for key, c in _delta_iterated(a, F.lumps)
+    )
+    return SigmaElem._of(a.ground, sparse_sum(pairs), H)
 
 
 @lru_cache(maxsize=None)

@@ -4,10 +4,25 @@ Keys are opaque hashable values; coefficients are any exact ring elements
 supporting ``+``, ``*``, unary ``-``, ``==`` and truthiness as a zero test.
 The Hopf, cell and elimination layers use ints and Fractions; the series
 layer uses HbarPoly.  Zero coefficients are never stored.
+
+Every linear extension of a map on basis keys -- the sum and ``map_keys``
+here, the products ``mu``, ``tits`` and the word product, the iterated
+coproduct, the Takeuchi antipode, the arrows' insertions and the tree
+images -- sums its images through ``sparse_sum``: equal keys merge, zero
+sums drop, and keys keep the order of their first insertion (a key that
+cancels and comes back goes to the end).  That order is part of the
+contract: the first key of a row picks its GF(p) pivot.
+
+Four sums stay apart on purpose: ``HbarPoly`` arithmetic, a coefficient
+ring below this module; the GF(p) row update of ``linalg._pivot_rows``,
+which reduces mod P; ``hopf.delta_split``'s int scatter-add over pair ids;
+and the expected sides that ``verify.hopf_suite`` builds by hand, which
+keep its checks independent of the code they check.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 
@@ -76,17 +91,7 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        t = dict(self.t)
-        for k, v in other.t.items():
-            if k in t:
-                w = t[k] + v
-                if w:
-                    t[k] = w
-                else:
-                    del t[k]
-            else:
-                t[k] = v
-        return LinComb._of(t)
+        return sparse_sum(other.t.items(), dict(self.t))
 
     def __neg__(self):
         return LinComb._of({k: -v for k, v in self.t.items()})
@@ -113,18 +118,7 @@ class LinComb:
 
     def map_keys(self, f: Callable[[Any], Any]) -> "LinComb":
         """Apply an injective key transform; colliding images are summed."""
-        t: dict = {}
-        for k, v in self.t.items():
-            k2 = f(k)
-            if k2 in t:
-                w = t[k2] + v
-                if w:
-                    t[k2] = w
-                else:
-                    del t[k2]
-            else:
-                t[k2] = v
-        return LinComb._of(t)
+        return sparse_sum((f(k), v) for k, v in self.t.items())
 
     def map_coeffs(self, f) -> "LinComb":
         return LinComb({k: f(v) for k, v in self.t.items()})
@@ -142,16 +136,22 @@ _new = object.__new__
 _set_t = LinComb.t.__set__
 
 
-def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
-    t: dict = {}
-    for p in parts:
-        for k, v in p.t.items():
-            if k in t:
-                w = t[k] + v
-                if w:
-                    t[k] = w
-                else:
-                    del t[k]
-            else:
-                t[k] = v
+def sparse_sum(pairs: Iterable[tuple], terms: dict | None = None) -> LinComb:
+    """Add the (key, coefficient) pairs into terms, or into a new dict, and
+    return the LinComb that owns it.  Zero sums are dropped and zero inputs
+    never stored; terms must hold no zero and is not copied."""
+    t = {} if terms is None else terms
+    get = t.get
+    for k, v in pairs:
+        w = get(k)
+        if w is not None:
+            v = w + v
+        if v:
+            t[k] = v
+        elif w is not None:
+            del t[k]
     return LinComb._of(t)
+
+
+def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
+    return sparse_sum(chain.from_iterable(p.t.items() for p in parts))

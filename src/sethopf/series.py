@@ -15,7 +15,7 @@ c^(r+n) / (r! n!).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Any, Callable, Mapping
 
 from .arrows import _split_sum
@@ -42,7 +42,7 @@ from .hopf import (
     unit_elem,
     zero_elem,
 )
-from .scalars import C_QFT, HBAR_ONE, as_hbar
+from .scalars import C_QFT, as_hbar
 from .words import WordElem
 
 
@@ -50,8 +50,14 @@ from .words import WordElem
 # series of the composition algebra
 
 
-def _order_embedding(k: int, target: tuple) -> dict[int, int]:
-    return {i + 1: target[i] for i in range(k)}
+def _onto(x: SigmaElem, side: tuple) -> SigmaElem:
+    """Unchecked: x is an H-basis element over [k] and side a sorted k-tuple.
+    Moves x onto side by the order embedding i -> side[i - 1], which keeps
+    every lump sorted."""
+    def move(F: Composition) -> Composition:
+        return Composition._of(tuple(tuple(side[i - 1] for i in l) for l in F.lumps), side)
+
+    return SigmaElem._of(side, x.lc.map_keys(move), H)
 
 
 class SigmaSeries:
@@ -140,10 +146,7 @@ def convolve(s: SigmaSeries, t: SigmaSeries) -> SigmaSeries:
             right = t.term(len(T))
             if left.is_zero() or right.is_zero():
                 continue
-            piece = mu(
-                relabel(left, _order_embedding(len(S), S)),
-                relabel(right, _order_embedding(len(T), T)),
-            )
+            piece = mu(_onto(left, S), _onto(right, T))
             acc = piece if acc is None else acc + piece
         if acc is not None:
             out[n] = acc
@@ -158,9 +161,7 @@ def is_group_like(s: SigmaSeries) -> bool:
         ground = canonical_set(n)
         sn = s.term(n)
         for S, T in proper_splits(ground):
-            left = relabel(s.term(len(S)), _order_embedding(len(S), S))
-            right = relabel(s.term(len(T)), _order_embedding(len(T), T))
-            if delta_split(sn, S, T) != _tensor(left, right):
+            if delta_split(sn, S, T) != _tensor(_onto(s.term(len(S)), S), _onto(s.term(len(T)), T)):
                 return False
     return True
 
@@ -195,15 +196,14 @@ def polynomial_system(pairings: Mapping[Any, object]) -> ProductSystem:
     """Pointwise products of linear functionals evaluated at a fixed point.
 
     ``pairings`` maps decoration symbols to the exact value of their pairing
-    with the chosen point; evaluation multiplies the values of all labels,
-    so the target is commutative and the system is algebraic.
+    with the chosen point (an int, Fraction, QI or HbarPoly); evaluation
+    multiplies the values of all labels in their own ring and lifts the
+    product to a scalar word once, so the target is commutative and the
+    system is algebraic.
     """
 
     def eval_comp(F: Composition, dec: Mapping[int, Any]) -> WordElem:
-        c = HBAR_ONE
-        for l in F.ground:
-            c = c * as_hbar(pairings[dec[l]])
-        return WordElem.scalar(c)
+        return WordElem.scalar(prod(pairings[dec[l]] for l in F.ground))
 
     return ProductSystem("polynomial", eval_comp)
 

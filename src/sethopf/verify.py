@@ -347,6 +347,7 @@ def dynkin_suite(n: int = 4) -> SuiteResult:
 
 
 def steinmann_suite(n: int = 4) -> SuiteResult:
+    check_size("steinmann verify", n)
     res = SuiteResult("steinmann")
     ground = canonical_set(n)
     quads = steinmann_quadruples(ground)
@@ -387,6 +388,7 @@ def _all_trees(ground: tuple) -> list:
 
 
 def ruelle_suite(n: int = 4) -> SuiteResult:
+    check_size("cells", n)
     res = SuiteResult("ruelle")
     for m in range(2, n + 1):
         for c1, c2, bridge in ruelle_configurations(canonical_set(m)):
@@ -395,6 +397,7 @@ def ruelle_suite(n: int = 4) -> SuiteResult:
 
 
 def glz_suite(n: int = 4) -> SuiteResult:
+    check_size("cells", n)
     res = SuiteResult("glz")
     for m in range(2, n + 1):
         ground = canonical_set(m)
@@ -443,6 +446,7 @@ def lie_suite(n: int = 4) -> SuiteResult:
 
 
 def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
+    check_size("primitive part", n)
     res = SuiteResult("arrows")
     rng = random.Random(seed)
     star = -1

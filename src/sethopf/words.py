@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lincomb import LinComb
-from .scalars import HBAR_ONE, HbarPoly, as_hbar
+from .lincomb import LinComb, sparse_sum
+from .scalars import HBAR_ONE, as_hbar
 
 
 class WordElem:
@@ -72,18 +72,7 @@ class WordElem:
     def __mul__(self, other: "WordElem") -> "WordElem":
         if not isinstance(other, WordElem):
             return NotImplemented
-        terms: dict[tuple, HbarPoly] = {}
-        for w1, c1 in self.lc:
-            for w2, c2 in other.lc:
-                w = w1 + w2
-                c = c1 * c2
-                if w in terms:
-                    c = terms[w] + c
-                if c:
-                    terms[w] = c
-                else:
-                    terms.pop(w, None)
-        return WordElem(LinComb._of(terms))
+        return WordElem(sparse_sum((w1 + w2, c1 * c2) for w1, c1 in self.lc for w2, c2 in other.lc))
 
     def __repr__(self):
         if self.lc.is_zero():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sethopf.compositions import canonical_set, compositions_of, proper_splits, restrict
 from sethopf.errors import DomainError
 from sethopf.hopf import primitive_part_basis, split_columns
-from sethopf.lincomb import LinComb, default_sort_key
+from sethopf.lincomb import LinComb, default_sort_key, sparse_sum
 from sethopf.linalg import P, _numerators, kernel_basis, pivot_rows_mod_prime, rank, rank_mod_prime
 from sethopf.scalars import C_QFT, HBAR_ONE, HbarPoly, QI, QI_ONE, QI_ZERO, as_hbar, as_qi
 
@@ -114,6 +114,45 @@ class TestLinComb:
             LinComb(kept, _trusted=True)  # the private keyword is gone
         with pytest.raises(AttributeError):
             v.t = {}
+
+    def test_sparse_sum_drops_zero_sums_and_zero_inputs(self):
+        v = sparse_sum([("x", 2), ("y", 0), ("x", -2), ("z", Fraction(1, 2)), ("z", 0)])
+        assert v.t == {"z": Fraction(1, 2)}
+        assert sparse_sum([("x", 0), ("y", QI_ZERO)]).t == {}
+
+    @staticmethod
+    def loop_sum(pairs):
+        """The zero-dropping loop that mu, tits and the word product used to copy."""
+        terms = {}
+        for k, c in pairs:
+            if k in terms:
+                c = terms[k] + c
+            if c:
+                terms[k] = c
+            else:
+                terms.pop(k, None)
+        return terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-2, 2)), max_size=30))
+    def test_sparse_sum_keeps_the_loops_insertion_order(self, pairs):
+        assert list(sparse_sum(pairs).t.items()) == list(self.loop_sum(pairs).items())
+
+    def test_sparse_sum_cancelled_key_comes_back_last(self):
+        pairs = [("a", 1), ("b", 1), ("a", -1), ("c", 1), ("a", 3)]
+        assert list(sparse_sum(pairs).t.items()) == [("b", 1), ("c", 1), ("a", 3)]
+        assert list(self.loop_sum(pairs).items()) == [("b", 1), ("c", 1), ("a", 3)]
+
+    def test_sparse_sum_owns_the_dict_handed_to_it(self):
+        start = {"x": 1, "y": 2}
+        v = sparse_sum([("y", -2), ("z", 5), ("x", 1)], start)
+        assert v.t is start and list(start.items()) == [("x", 2), ("z", 5)]
+
+    def test_sparse_sum_of_hbar_polys(self):
+        h = HbarPoly({1: QI(0, 1)})
+        v = sparse_sum([((), HBAR_ONE), (("a",), h), ((), -HBAR_ONE), (("a",), C_QFT), (("a",), h)])
+        assert v.t == {("a",): h + h + C_QFT}
+        assert sparse_sum([(("a",), h), (("a",), -h)]).is_zero()
 
 
 def naive_rank(rows):

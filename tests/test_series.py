@@ -4,10 +4,10 @@ from math import factorial
 
 import pytest
 
-from sethopf.compositions import canonical_set
+from sethopf.compositions import canonical_set, compositions_of, ordered_splits, proper_splits
 from sethopf.errors import DomainError
-from sethopf.hopf import antipode, h_elem, q_elem, to_h, unit_elem
-from sethopf.scalars import C_QFT, QI
+from sethopf.hopf import _tensor, antipode, delta_split, h_elem, mu, q_elem, relabel, to_h, unit_elem
+from sethopf.scalars import C_QFT, HBAR_ONE, QI, HbarPoly, as_hbar
 from sethopf.series import (
     ProductSystem,
     SigmaSeries,
@@ -27,7 +27,41 @@ from sethopf.series import (
     universal_series,
 )
 from sethopf.causal import CAUSAL_SYSTEM, TimedObservable
+from sethopf.verify import _random_invariant_series
 from sethopf.words import WordElem
+
+
+def _embedding(side):
+    return {i + 1: x for i, x in enumerate(side)}
+
+
+def relabel_convolve(s, t):
+    """Reference: convolution that relabels each factor onto its split side."""
+    out = {}
+    for n in range(s.max_n + 1):
+        acc = None
+        for S, T in ordered_splits(canonical_set(n)):
+            left, right = s.term(len(S)), t.term(len(T))
+            if left.is_zero() or right.is_zero():
+                continue
+            piece = mu(relabel(left, _embedding(S)), relabel(right, _embedding(T)))
+            acc = piece if acc is None else acc + piece
+        if acc is not None:
+            out[n] = acc
+    return SigmaSeries(out, s.max_n)
+
+
+def relabel_is_group_like(s):
+    """Reference: the group-like test through relabelled factors."""
+    if s.term(0) != unit_elem():
+        return False
+    for n in range(1, s.max_n + 1):
+        for S, T in proper_splits(canonical_set(n)):
+            left = relabel(s.term(len(S)), _embedding(S))
+            right = relabel(s.term(len(T)), _embedding(T))
+            if delta_split(s.term(n), S, T) != _tensor(left, right):
+                return False
+    return True
 
 
 class TestSigmaSeries:
@@ -77,6 +111,15 @@ class TestConvolve:
         with pytest.raises(DomainError):
             convolve(unit_series(2), unit_series(3))
 
+    @pytest.mark.parametrize("order", range(5))
+    def test_equals_the_relabel_convolution(self, order):
+        rng = random.Random(order)
+        for _ in range(3):
+            s, t = _random_invariant_series(rng, order), _random_invariant_series(rng, order)
+            got, want = convolve(s, t), relabel_convolve(s, t)
+            assert got == want
+            assert all(list(got.term(n).lc.t) == list(want.term(n).lc.t) for n in range(order + 1))
+
 
 class TestGroupLike:
     def test_universal_is_group_like(self):
@@ -89,6 +132,18 @@ class TestGroupLike:
         s = SigmaSeries({n: to_h(q_elem(canonical_set(n))) for n in (1, 2)}, 2)
         assert not is_group_like(s)
 
+    @pytest.mark.parametrize("order", range(5))
+    def test_equals_the_relabel_test(self, order):
+        rng = random.Random(100 + order)
+        g = universal_series(Fraction(2, 3), order)
+        bent = g.map_terms(lambda x: x.scale(2) if len(x.ground) == order > 0 else x)
+        cases = [g, bent, unit_series(order)]
+        cases += [_random_invariant_series(rng, order) for _ in range(3)]
+        cases += [convolve(unit_series(order), c) for c in cases[3:]]
+        for s in cases:
+            assert is_group_like(s) == relabel_is_group_like(s)
+        assert is_group_like(g) and is_group_like(bent) == (order < 2)
+
 
 class TestEvalSystem:
     def test_polynomial_spec_example(self):
@@ -99,6 +154,24 @@ class TestEvalSystem:
     def test_unit(self):
         sys = polynomial_system({})
         assert eval_system(sys, unit_elem(), {}) == WordElem.unit()
+
+    @pytest.mark.parametrize("values", [
+        {"A": 2, "B": -3},
+        {"A": Fraction(2, 3), "B": Fraction(-5, 7)},
+        {"A": QI(1, 2), "B": QI(Fraction(1, 3), -1)},
+        {"A": C_QFT, "B": HbarPoly({0: QI(1), 2: QI(0, 3)})},
+        {"A": QI(0, 1), "B": C_QFT},
+        {"A": Fraction(1, 2), "B": 0},
+    ])
+    def test_polynomial_equals_the_per_label_lift(self, values):
+        sys = polynomial_system(values)
+        for n in range(4):
+            dec = {l: "AB"[l % 2] for l in canonical_set(n)}
+            lifted = HBAR_ONE
+            for l in canonical_set(n):
+                lifted = lifted * as_hbar(values[dec[l]])
+            for F in compositions_of(canonical_set(n)):
+                assert sys.eval_comp(F, dec) == WordElem.scalar(lifted)
 
     def test_causal_word(self):
         a = TimedObservable("a", 0)

@@ -136,12 +136,21 @@ def test_tits_suite_follows_its_size(n):
     assert res.counters.get("hopf-power-kills-primitive", 0) == killed
 
 
-@pytest.mark.parametrize("call", ["hopf_suite(6)", "series_suite(7)"])
+@pytest.mark.parametrize(
+    "call",
+    ["hopf_suite(6)", "series_suite(7)", "steinmann_suite(6)", "ruelle_suite(7)",
+     "glz_suite(7)", "arrows_suite(6)"],
+)
 def test_suite_checks_its_bound_before_work(call):
-    # one past the SIZE_BOUNDS entry; the sweep itself would take many minutes
+    # one past the SIZE_BOUNDS entry of the suite's CLI command; the sweep
+    # itself would take many minutes.  Every suite's work starts by building
+    # a ground set, so a canonical_set that raises proves nothing ran first.
     code = (
         "from sethopf import verify\n"
         "from sethopf.errors import SizeLimitError\n"
+        "def no_work(n):\n"
+        "    raise AssertionError(f'work started on [{n}] before the size check')\n"
+        "verify.canonical_set = no_work\n"
         "try:\n"
         f"    verify.{call}\n"
         "except SizeLimitError:\n"
