@@ -20,6 +20,7 @@ from sethopf.causal import (
     smatrix,
     z_factorization_check,
 )
+from sethopf.errors import SizeLimitError, check_size
 from sethopf.jsonio import truncseries_to_json
 
 
@@ -30,15 +31,26 @@ def _order(text: str) -> int:
     return value
 
 
+def _time(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational time, got {text!r}") from None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=_order, default=2)
-    parser.add_argument("--interaction-time", default="0")
-    parser.add_argument("--observable-time", default="1")
+    parser.add_argument("--interaction-time", type=_time, default="0")
+    parser.add_argument("--observable-time", type=_time, default="1")
     args = parser.parse_args()
+    try:
+        check_size("toy demo", args.order)
+    except SizeLimitError as e:
+        parser.exit(2, f"size limit: {e}\n")
 
-    s = TimedObservable("s", Fraction(args.interaction_time))
-    a = TimedObservable("a", Fraction(args.observable_time))
+    s = TimedObservable("s", args.interaction_time)
+    a = TimedObservable("a", args.observable_time)
 
     print(f"# model: interaction {s}, observable {a}, order {args.order}\n")
 

@@ -91,14 +91,13 @@ def _split_sum(Y: tuple, I: tuple, advanced: bool) -> SigmaElem:
     advanced and reverse-convolution elements are all this one sum."""
     if set(Y) & set(I):
         raise DomainError("Y and I must be disjoint")
-    out = None
-    for Y1, Y2 in ordered_splits(Y):
-        if advanced:
-            term = mu(_lump_elem(tuple(sorted(Y1 + I))), antipode(_lump_elem(Y2)))
-        else:
-            term = mu(antipode(_lump_elem(Y1)), _lump_elem(tuple(sorted(Y2 + I))))
-        out = term if out is None else out + term
-    return out
+    terms = (
+        mu(_lump_elem(tuple(sorted(Y1 + I))), antipode(_lump_elem(Y2)))
+        if advanced
+        else mu(antipode(_lump_elem(Y1)), _lump_elem(tuple(sorted(Y2 + I))))
+        for Y1, Y2 in ordered_splits(Y)
+    )
+    return SigmaElem._of(tuple(sorted(Y + I)), lincomb_sum(t.lc for t in terms), H)
 
 
 def retarded_element(Y: Iterable[int], I: Iterable[int]) -> SigmaElem:

@@ -18,6 +18,7 @@ from .arrows import retarded_element
 from .compositions import Composition, canonical_set, labelset, one_lump, set_partitions, star_labels
 from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
+from .lincomb import lincomb_sum
 from .scalars import C_QFT, I_HBAR, as_hbar
 from .series import (
     ProductSystem,
@@ -149,18 +150,6 @@ def smatrix(A: TimedObservable, order: int) -> TruncSeries:
     return t_exponential(CAUSAL_SYSTEM, universal_series(C_QFT, order), A, order)
 
 
-def smatrix_two_arg(A: TimedObservable, S_int: TimedObservable, order: int) -> TruncSeries:
-    """S(g S + j A), expanded exactly as a (g, j) double series."""
-    return perturb_coderivation(
-        CAUSAL_SYSTEM, universal_series(C_QFT, order), S_int, A, order
-    )
-
-
-def smatrix_inverse_of_interaction(S_int: TimedObservable, order: int) -> TruncSeries:
-    """S^(-1)(g S): the reverse T-exponential of the interaction alone."""
-    return reverse_exponential(CAUSAL_SYSTEM, C_QFT, S_int, order)
-
-
 def generating_function(
     A: TimedObservable, S_int: TimedObservable, order: int, direction: str = "down"
 ) -> TruncSeries:
@@ -177,8 +166,10 @@ def _z_factorization_holds(z: TruncSeries, A: TimedObservable, S_int: TimedObser
     """``z_factorization_check`` on z, the retarded generating function at
     this order, already built."""
     w = generating_function(A, S_int, order, "up")
-    sinv = smatrix_inverse_of_interaction(S_int, order)
-    stwo = smatrix_two_arg(A, S_int, order)
+    # S^(-1)(gS), the reverse T-exponential of the interaction alone, and
+    # S(gS + jA), expanded exactly as a (g, j) double series
+    sinv = reverse_exponential(CAUSAL_SYSTEM, C_QFT, S_int, order)
+    stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(C_QFT, order), S_int, A, order)
     return z == sinv * stwo and w == stwo * sinv
 
 
@@ -241,14 +232,13 @@ def recompose_system(sys: ProductSystem, z_combine) -> ProductSystem:
     """
 
     def eval_one_lump(labels: tuple, dec: Mapping) -> WordElem:
-        out = WordElem.zero()
-        for P in set_partitions(labels):
-            values = [z_combine(block, dec) for block in P]
-            if any(v is None for v in values):
-                continue
-            fresh = {i + 1: v for i, v in enumerate(values)}
-            out = out + sys.eval_comp(one_lump(canonical_set(len(values))), fresh)
-        return out
+        blocks = ([z_combine(block, dec) for block in P] for P in set_partitions(labels))
+        parts = (
+            sys.eval_comp(one_lump(canonical_set(len(values))), dict(enumerate(values, 1))).lc
+            for values in blocks
+            if all(v is not None for v in values)
+        )
+        return WordElem(lincomb_sum(parts))
 
     def eval_comp(F: Composition, dec: Mapping) -> WordElem:
         out = WordElem.unit()

@@ -54,7 +54,7 @@ from .hopf import (
     mu,
     split_columns,
 )
-from .lincomb import LinComb, sparse_sum
+from .lincomb import LinComb, lincomb_sum, sparse_sum
 from .linalg import pivot_rows_mod_prime, rank_mod_prime
 from .lp import (
     balanced_combination_exists,
@@ -651,12 +651,12 @@ def glz_check(I: Iterable[int], i1: int, i2: int) -> bool:
     if i1 not in ground or i2 not in ground or i1 == i2:
         raise DomainError("need two distinct labels inside the ground set")
     lhs = total_retarded_dynkin(ground, i1) - total_retarded_dynkin(ground, i2)
-    rhs = None
-    for S, T in proper_splits(ground):
-        if i1 in S and i2 in T:
-            term = commutator(total_retarded_dynkin(S, i1), total_retarded_dynkin(T, i2))
-            rhs = term if rhs is None else rhs + term
-    return rhs is not None and lhs == rhs
+    rhs = lincomb_sum(
+        commutator(total_retarded_dynkin(S, i1), total_retarded_dynkin(T, i2)).lc
+        for S, T in proper_splits(ground)
+        if i1 in S and i2 in T
+    )
+    return lhs.lc == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +681,6 @@ def _left_normed_tree_images(n: int) -> list[SigmaElem]:
                 t = node(t, leaf(b))
             out.append(tree_to_primitive(t))
     return out
-
-
-def _split_vectors(n: int) -> list[tuple[Composition, LinComb]]:
-    """The stacked-split matrix of canonical_set(n), one vector per
-    composition: the pair ids of its proper splits, each with coefficient 1."""
-    return [(F, LinComb._of({q: 1 for q in pids})) for F, pids in split_columns(canonical_set(n))]
 
 
 def primitive_dimension_certified(n: int) -> int:
@@ -714,7 +708,7 @@ def primitive_dimension_certified(n: int) -> int:
     if low != len(candidates):
         raise ArithmeticError("tree images are dependent mod p")
 
-    columns = [v for _, v in _split_vectors(n)]
+    columns = [v for _, v in split_columns(canonical_set(n))]
     up = len(columns) - rank_mod_prime(columns)
     if low != up:
         raise ArithmeticError("modular bounds on the primitive dimension disagree")
@@ -808,7 +802,7 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     if n == 0:
         raise DomainError("dynkin rank needs a nonempty ground set")
     # one vector per composition, in the order of compositions_of and of _dynkin_masks
-    split = _split_vectors(n)
+    split = split_columns(canonical_set(n))
     pivots = set(pivot_rows_mod_prime([v for _, v in split]))
     up = len(split) - len(pivots)
     rows = _dynkin_rows(ground, pivots)  # its n! index permutations are freed before the rank

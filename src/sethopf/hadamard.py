@@ -68,6 +68,7 @@ def hopf_power(F: Composition, a: SigmaElem) -> SigmaElem:
     if not F.lumps:
         return a
     pieces = _delta_iterated(a, F.lumps)  # F.lumps decompose a.ground, checked above
+    # a fold, as in hopf_power_elem: tits_suite's one-term inputs build no sum (lincomb_sum was slower)
     out = None
     for key, c in pieces:
         prod = mu_many([basis_elem(piece, H) for piece in key]).scale(c)

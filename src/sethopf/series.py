@@ -42,6 +42,7 @@ from .hopf import (
     unit_elem,
     zero_elem,
 )
+from .lincomb import lincomb_sum
 from .scalars import C_QFT, as_hbar
 from .words import WordElem
 
@@ -140,16 +141,12 @@ def convolve(s: SigmaSeries, t: SigmaSeries) -> SigmaSeries:
     out: dict[int, SigmaElem] = {}
     for n in range(s.max_n + 1):
         ground = canonical_set(n)
-        acc = None
-        for S, T in ordered_splits(ground):
-            left = s.term(len(S))
-            right = t.term(len(T))
-            if left.is_zero() or right.is_zero():
-                continue
-            piece = mu(_onto(left, S), _onto(right, T))
-            acc = piece if acc is None else acc + piece
-        if acc is not None:
-            out[n] = acc
+        pieces = (
+            mu(_onto(s.terms[len(S)], S), _onto(t.terms[len(T)], T)).lc
+            for S, T in ordered_splits(ground)
+            if len(S) in s.terms and len(T) in t.terms
+        )
+        out[n] = SigmaElem._of(ground, lincomb_sum(pieces), H)
     return SigmaSeries._of(out, s.max_n)
 
 
@@ -222,10 +219,7 @@ def eval_system(sys: ProductSystem, x: SigmaElem | DecoratedElem, dec: Mapping[i
     missing = [l for l in x.ground if l not in dec]
     if missing:
         raise DomainError(f"decoration missing for labels {missing}")
-    out = WordElem.zero()
-    for F, c in x.lc:
-        out = out + sys.eval_comp(F, dec).scale(c)
-    return out
+    return WordElem(lincomb_sum(sys.eval_comp(F, dec).lc.scale(c) for F, c in x.lc))
 
 
 def homomorphism_check(sys: ProductSystem, n: int, decorations: Mapping[int, Any]) -> bool:
@@ -326,11 +320,6 @@ class TruncSeries:
 
     def scale(self, c) -> "TruncSeries":
         return TruncSeries(self.order, {k: v.scale(c) for k, v in self.terms.items()})
-
-    def truncate(self, order: int) -> "TruncSeries":
-        return TruncSeries(
-            order, {k: v for k, v in self.terms.items() if k[0] + k[1] <= order}
-        )
 
     def at_g_zero(self) -> "TruncSeries":
         return TruncSeries(self.order, {k: v for k, v in self.terms.items() if k[0] == 0})

@@ -79,6 +79,7 @@ from .hopf import (
     delta_split,
     is_primitive,
     mu,
+    mu_many,
     primitive_part_basis,
     q_elem,
     relabel,
@@ -88,7 +89,7 @@ from .hopf import (
     to_q,
     unit_elem,
 )
-from .lincomb import LinComb
+from .lincomb import LinComb, lincomb_sum
 from .linalg import rank
 from .scalars import C_QFT, as_hbar
 from .series import (
@@ -224,15 +225,11 @@ def hopf_suite(n: int = 4) -> SuiteResult:
         # antipode convolution identities, both sides (m >= 1)
         if m >= 1:
             for a in basis:
-                acc_l = None
-                acc_r = None
-                for S, T in splits:
-                    for (x, y), c in delta_split(a, S, T):
-                        l_term = mu(basis_elem(x, H), antipode(basis_elem(y, H))).scale(c)
-                        r_term = mu(antipode(basis_elem(x, H)), basis_elem(y, H)).scale(c)
-                        acc_l = l_term if acc_l is None else acc_l + l_term
-                        acc_r = r_term if acc_r is None else acc_r + r_term
-                res.bump("antipode-convolution", acc_l.is_zero() and acc_r.is_zero(), a)
+                terms = [(basis_elem(x, H), basis_elem(y, H), c)
+                         for S, T in splits for (x, y), c in delta_split(a, S, T)]
+                left = lincomb_sum(mu(x, antipode(y)).lc.scale(c) for x, y, c in terms)
+                right = lincomb_sum(mu(antipode(x), y).lc.scale(c) for x, y, c in terms)
+                res.bump("antipode-convolution", not left and not right, a)
 
         # cocommutativity
         for a in basis:
@@ -550,12 +547,11 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
                     x, y = basis_elem(F, H), basis_elem(G, H)
                     prod = mu(x, y)
                     for Y in ((-1,), (-2, -1)):
-                        got = arrow_down(Y, prod)
-                        expect = None
-                        for Y1, Y2 in ordered_splits(Y):
-                            term = mu(arrow_down(Y1, x), arrow_down(Y2, y))
-                            expect = term if expect is None else expect + term
-                        res.bump("arrow-product-law", got == expect, F, G, Y)
+                        expect = lincomb_sum(
+                            mu(arrow_down(Y1, x), arrow_down(Y2, y)).lc
+                            for Y1, Y2 in ordered_splits(Y)
+                        )
+                        res.bump("arrow-product-law", arrow_down(Y, prod).lc == expect, F, G, Y)
 
     # factorized expansion of iterated arrows into retarded/advanced elements
     for m in range(1, n + 1):
@@ -563,23 +559,16 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
         for Y in ((-1,), (-2, -1)):
             for F in compositions_of(ground):
                 x = basis_elem(F, H)
-                got_down = arrow_down(Y, x)
-                got_up = arrow_up(Y, x)
-                expect_down = None
-                expect_up = None
-                for assignment in _ordered_partitions(Y, len(F.lumps)):
-                    term_d = None
-                    term_u = None
-                    for Yi, lump in zip(assignment, F.lumps):
-                        fd = retarded_element(Yi, lump) if Yi else basis_elem(one_lump(lump), H)
-                        fu = advanced_element(Yi, lump) if Yi else basis_elem(one_lump(lump), H)
-                        term_d = fd if term_d is None else mu(term_d, fd)
-                        term_u = fu if term_u is None else mu(term_u, fu)
-                    if term_d is not None:
-                        expect_down = term_d if expect_down is None else expect_down + term_d
-                        expect_up = term_u if expect_up is None else expect_up + term_u
-                res.bump("retarded-expansion", got_down == expect_down, F, Y)
-                res.bump("advanced-expansion", got_up == expect_up, F, Y)
+                for name, arrow, element in (
+                    ("retarded-expansion", arrow_down, retarded_element),
+                    ("advanced-expansion", arrow_up, advanced_element),
+                ):
+                    products = (
+                        mu_many([element(Yi, lump) if Yi else basis_elem(one_lump(lump), H)
+                                 for Yi, lump in zip(assignment, F.lumps)])
+                        for assignment in _ordered_partitions(Y, len(F.lumps))
+                    )
+                    res.bump(name, arrow(Y, x).lc == lincomb_sum(p.lc for p in products), F, Y)
 
     # pinned instances of the retarded/advanced elements
     res.bump(
@@ -732,11 +721,8 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
                 expected_terms[(r, nlab)] = val.scale(coeff)
         res.bump("coderivation-vs-binomial", got == TruncSeries(3, expected_terms))
         # the g^0 slice is the plain T-exponential
-        res.bump(
-            "coderivation-g0-slice",
-            got.at_g_zero()
-            == t_exponential(sys, universal_series(c, 3), A_dec, 3).truncate(3),
-        )
+        g0 = t_exponential(sys, universal_series(c, 3), A_dec, 3)
+        res.bump("coderivation-g0-slice", got.at_g_zero() == g0)
 
     # arrow perturbation: g^0 slice recovers the T-exponential
     s_obs = TimedObservable("s", Fraction(-1))
@@ -840,12 +826,12 @@ def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
         ground = canonical_set(m)
         dec = {i: TimedObservable(f"x{i}", Fraction(i)) for i in ground}
         for F in compositions_of(ground):
-            acc = WordElem.zero()
-            for S, T in ordered_splits(ground):
-                left = generalized_T(basis_elem(restrict(F, S), H), {i: dec[i] for i in S})
-                right = reverse_T(basis_elem(restrict(F, T), H), {i: dec[i] for i in T})
-                acc = acc + left * right
-            res.bump("reverse-product-inverse", acc.is_zero(), F)
+            products = (
+                generalized_T(basis_elem(restrict(F, S), H), {i: dec[i] for i in S})
+                * reverse_T(basis_elem(restrict(F, T), H), {i: dec[i] for i in T})
+                for S, T in ordered_splits(ground)
+            )
+            res.bump("reverse-product-inverse", not lincomb_sum(p.lc for p in products), F)
 
     # GLZ at the evaluated level
     for m in range(2, min(n, 3) + 1):
@@ -858,14 +844,14 @@ def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
                 lhs = generalized_T(
                     total_retarded_dynkin(ground, i1) - total_retarded_dynkin(ground, i2), dec
                 )
-                acc = WordElem.zero()
-                for S, T in proper_splits(ground):
-                    if i1 in S and i2 in T:
-                        br = commutator(
-                            total_retarded_dynkin(S, i1), total_retarded_dynkin(T, i2)
-                        )
-                        acc = acc + generalized_T(br, dec)
-                res.bump("glz-evaluated", lhs == acc, f"{i1},{i2}")
+                acc = lincomb_sum(
+                    generalized_T(
+                        commutator(total_retarded_dynkin(S, i1), total_retarded_dynkin(T, i2)), dec
+                    ).lc
+                    for S, T in proper_splits(ground)
+                    if i1 in S and i2 in T
+                )
+                res.bump("glz-evaluated", lhs.lc == acc, f"{i1},{i2}")
 
     # generating function factorization and Bogoliubov at the stated order
     a_obs = TimedObservable("a", Fraction(1))

@@ -74,7 +74,7 @@ from sethopf.hopf import (
     unit_elem,
     zero_elem,
 )
-from sethopf.lincomb import LinComb
+from sethopf.lincomb import LinComb, lincomb_sum
 from sethopf.scalars import QI
 from sethopf.linalg import pivot_rows_mod_prime, rank, rank_mod_prime
 
@@ -594,7 +594,7 @@ class TestDynkinRank:
         n = len(ground)
         assert dynkin_rank(ground)[1] == zie_dimension(n)
         (rows,) = seen
-        columns = [LinComb({q: 1 for q in pids}) for _, pids in split_columns(canonical_set(n))]
+        columns = [v for _, v in split_columns(canonical_set(n))]
         up = len(columns) - len(pivot_rows_mod_prime(columns))
         assert len({k for v in rows for k in v.keys()}) <= up
         full = [dynkin(c).lc for c in enumerate_cells(ground)]
@@ -651,7 +651,7 @@ class TestDynkinRank:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mod_prime_rank_is_exact_rank(self, n):
         # the two GF(p) ranks of the modular squeeze, against exact elimination
-        columns = [LinComb({q: 1 for q in pids}) for _, pids in split_columns(canonical_set(n))]
+        columns = [v for _, v in split_columns(canonical_set(n))]
         dynkin_rows = [dynkin(c).lc for c in enumerate_cells(canonical_set(n))]
         for vectors in (columns, dynkin_rows):
             assert rank_mod_prime(vectors) == rank(vectors)
@@ -933,9 +933,32 @@ class TestRuelle:
         assert count > 0
 
 
+def fold_glz_rhs(ground, i1, i2):
+    """Reference: the right side of the GLZ relation as a fold of ``+``."""
+    rhs = None
+    for S, T in proper_splits(ground):
+        if i1 in S and i2 in T:
+            term = commutator(total_retarded_dynkin(S, i1), total_retarded_dynkin(T, i2))
+            rhs = term if rhs is None else rhs + term
+    return rhs
+
+
 class TestGLZ:
     def test_n2(self):
         assert glz_check((1, 2), 1, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_right_side_equals_the_fold_in_key_order(self, n, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cells_module, "lincomb_sum", lambda parts: seen.append(lincomb_sum(parts)) or seen[-1]
+        )
+        ground = canonical_set(n)
+        for i1, i2 in itertools.permutations(ground, 2):
+            assert glz_check(ground, i1, i2)
+            want = fold_glz_rhs(ground, i1, i2).lc
+            assert seen[-1] == want and list(seen[-1].keys()) == list(want.keys())
+        assert len(seen) == n * (n - 1)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_all_pairs(self, n):

@@ -328,6 +328,19 @@ class TestToyCommands:
         assert proc.stdout == ""
         assert "needs order >= 1, got 0" in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--order", "9"], "size limit: ground-set size 9 exceeds the toy demo bound 8\n"),
+        (["--interaction-time", "x"], "expected a rational time, got 'x'\n"),
+        (["--observable-time", "1/0"], "expected a rational time, got '1/0'\n"),
+    ])
+    def test_demo_script_rejects_bad_input_before_work(self, argv, message):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "toy_model_demo.py"
+        # order 9 would run for many minutes: the bound is checked before any work
+        proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.endswith(message) and "Traceback" not in proc.stderr
+
     def test_out_file(self, model_file, tmp_path):
         out = tmp_path / "report.json"
         proc = run_cli("toy", "bogoliubov", "--model", model_file, "--out", str(out))

@@ -313,7 +313,8 @@ class TestRankModPrime:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pivot_rows_of_split_columns(self, n):
-        columns = [LinComb({q: 1 for q in pids}) for _, pids in split_columns(canonical_set(n))]
+        columns = [v for _, v in split_columns(canonical_set(n))]
+        assert all(type(k) is int and c == 1 for v in columns for k, c in v)  # pair ids
         pivots = pivot_rows_mod_prime(columns)
         basis = [columns[i] for i in pivots]
         # the pivot vectors are independent, and span every column: adding
@@ -488,7 +489,7 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_primitive_part_basis_matches_reference(self, n):
         columns = split_columns(canonical_set(n))
-        mapping = [(F, LinComb({p: QI_ONE for p in pids})) for F, pids in columns]
+        mapping = [(F, v.scale(QI_ONE)) for F, v in columns]
         expected = _terms(reference_kernel_basis(mapping, [F for F, _ in columns]))
         assert _terms(e.lc for e in primitive_part_basis(n)) == expected
 

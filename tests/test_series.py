@@ -6,7 +6,20 @@ import pytest
 
 from sethopf.compositions import canonical_set, compositions_of, ordered_splits, proper_splits
 from sethopf.errors import DomainError
-from sethopf.hopf import _tensor, antipode, delta_split, h_elem, mu, q_elem, relabel, to_h, unit_elem
+from sethopf.hopf import (
+    DecoratedElem,
+    SigmaElem,
+    _tensor,
+    antipode,
+    delta_split,
+    h_elem,
+    mu,
+    q_elem,
+    relabel,
+    to_h,
+    unit_elem,
+)
+from sethopf.lincomb import LinComb
 from sethopf.scalars import C_QFT, HBAR_ONE, QI, HbarPoly, as_hbar
 from sethopf.series import (
     ProductSystem,
@@ -62,6 +75,14 @@ def relabel_is_group_like(s):
             if delta_split(s.term(n), S, T) != _tensor(left, right):
                 return False
     return True
+
+
+def fold_eval_system(sys, x, dec):
+    """Reference: the linear extension of the evaluator as a fold of ``+``."""
+    out = WordElem.zero()
+    for F, c in x.lc:
+        out = out + sys.eval_comp(F, dec).scale(c)
+    return out
 
 
 class TestSigmaSeries:
@@ -172,6 +193,24 @@ class TestEvalSystem:
                 lifted = lifted * as_hbar(values[dec[l]])
             for F in compositions_of(canonical_set(n)):
                 assert sys.eval_comp(F, dec) == WordElem.scalar(lifted)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_equals_the_fold_in_key_order(self, n):
+        rng = random.Random(n)
+        ground = canonical_set(n)
+        poly = polynomial_system({"A": Fraction(2, 3), "B": C_QFT})
+        poly_dec = {l: "AB"[l % 2] for l in ground}
+        causal_dec = {l: TimedObservable(f"x{l}", Fraction(rng.randint(0, 2))) for l in ground}
+        for sys, dec in ((poly, poly_dec), (CAUSAL_SYSTEM, causal_dec)):
+            for _ in range(4):
+                x = SigmaElem(ground, LinComb({
+                    F: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                    for F in compositions_of(ground) if rng.random() < 0.6
+                }))
+                got, want = eval_system(sys, x, dec), fold_eval_system(sys, x, dec)
+                assert got == want
+                assert list(got.lc.keys()) == list(want.lc.keys())
+        assert eval_system(CAUSAL_SYSTEM, DecoratedElem(x, causal_dec)) == want
 
     def test_causal_word(self):
         a = TimedObservable("a", 0)
