@@ -3,14 +3,13 @@
 with the wall time of that line after its status, then the total.
 
 Default bounds keep this under a minute; --heavy runs the same suites one
-step up (the exact primitive kernel and the Dynkin rank at n=5, with two
-oracles for its certificate: every n=5 Dynkin element checked primitive
-directly, against the orbit representatives, and the exact rank of the n=5
-Dynkin rows, against the modular squeeze; the tree-image squeeze of the
-primitive dimension at n=5; the Steinmann span at n=5, n=6
-cells by insertion, and the orbit walk at n=6 against them; Ruelle's
-identity on its 4822 configurations up to n=6; order-3 series), which takes
-minutes.
+step up (the Hopf axioms, the exact primitive kernel and the Dynkin rank at
+n=5, with two oracles for its certificate: every n=5 Dynkin element checked
+primitive directly, against the orbit representatives, and the exact rank
+of the n=5 Dynkin rows, against the modular squeeze; the tree-image squeeze
+of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells by
+insertion, and the orbit walk at n=6 against them; Ruelle's identity on its
+4822 configurations up to n=6; order-3 series), which takes minutes.
 """
 
 import argparse
@@ -64,6 +63,7 @@ def main() -> int:
     line("criterion 11 : causal factorization, supports, Bogoliubov (order 2)", verify.causal_suite(4, 2))
 
     if args.heavy:
+        line("heavy: Hopf axioms at n=5", verify.hopf_suite(5))
         line("heavy: primitive dimension 150 at n=5, exact kernel", verify.dimension_suite(5))
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")

@@ -9,6 +9,7 @@ formula and the factorization identity, all exactly.
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 from sethopf.causal import (
@@ -38,12 +39,27 @@ def _time(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational time, got {text!r}") from None
 
 
+TIME_OPTIONS = ("--interaction-time", "--observable-time")
+
+
+def _joined_times(argv: list) -> list:
+    """argv with each time option joined to the value after it, as
+    --interaction-time=-1/2: argparse reads a separate -1/2 as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in TIME_OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=_order, default=2)
     parser.add_argument("--interaction-time", type=_time, default="0")
     parser.add_argument("--observable-time", type=_time, default="1")
-    args = parser.parse_args()
+    args = parser.parse_args(_joined_times(sys.argv[1:]))
     try:
         check_size("toy demo", args.order)
     except SizeLimitError as e:

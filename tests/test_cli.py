@@ -34,6 +34,10 @@ ENUMERATE_DIGESTS = {
     6: "e6b9ee8f709c3842cab5300432e092869985164ffc18744a2c99790ef4d08d8a",
 }
 
+# sha256 of the stdout of `hopf check --n 5`: the counters of its 277,060
+# Hopf-axiom checks and the Tits checks at m = 3.
+HOPF_CHECK_N5_DIGEST = "f88ee2e069edfea35ba3117b0c09f9ad0f87cfd6e011bac7a29f6ba455357a12"
+
 # The stdout of `ruelle verify --n 4` and `glz verify --n 4`.
 LIE_REPORTS_N4 = {
     "ruelle": '{"command":"ruelle verify","parameters":{"n":4},"status":"pass",'
@@ -223,6 +227,12 @@ class TestVerifyCommands:
         assert report["counters"]["failures"] == 0
         assert report["counters"]["checked"] > 0
 
+    @pytest.mark.heavy
+    def test_hopf_check_n5_output_pinned(self):
+        proc = run_cli("hopf", "check", "--n", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == HOPF_CHECK_N5_DIGEST
+
     def test_steinmann_verify(self):
         proc = run_cli("steinmann", "verify", "--n", "4")
         assert proc.returncode == 0
@@ -340,6 +350,16 @@ class TestToyCommands:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.endswith(message) and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("option", ["--interaction-time", "--observable-time"])
+    def test_demo_script_takes_a_negative_time(self, option):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "toy_model_demo.py"
+        proc = subprocess.run([sys.executable, str(script), "--order", "1", option, "-1/2"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        model = {"--interaction-time": "s@-1/2, observable a@1",
+                 "--observable-time": "s@0, observable a@-1/2"}[option]
+        assert proc.stdout.startswith(f"# model: interaction {model}, order 1\n")
 
     def test_out_file(self, model_file, tmp_path):
         out = tmp_path / "report.json"

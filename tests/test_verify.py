@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from sethopf import cells as cells_module, cli, verify
-from sethopf.compositions import fubini, zie_dimension
+from sethopf.compositions import Composition, fubini, zie_dimension
+from sethopf.hopf import H, SigmaElem
 from sethopf.verify import SuiteResult
 
 # lie_suite(4) counters, in their order of first appearance.
@@ -67,6 +68,30 @@ FORCED_FAILURE_SAMPLES = [
 ]
 
 
+# The failures of hopf_suite(3) when delta_split doubles its value on
+# H_(2)(13) split as (1,2)|(3,), and of tits_suite(3) when tits doubles its
+# value on H_(1)(23) |> H_(3)(12); each as the suite gives them when every
+# call is evaluated directly, so a memo hides no failure.
+WRONG_SPLIT_FAILURES = [
+    "coassociativity: (1)*H(2,13) (1,)|(2,)|(3,)",
+    "coassociativity: (1)*H(2,13) (2,)|(1,)|(3,)",
+    "compatibility: (1)*H(2) (1)*H(13) (1, 2)|(3,)",
+    "antipode-convolution: (1)*H(2,13)",
+    "cocommutativity",
+    "cocommutativity",
+    "q-coproduct",
+]
+WRONG_TITS_FAILURES = (
+    ["tits-associativity"] * 22 + ["tits-vs-hopf-power"] + ["tits-action-compat"] * 13
+)
+
+
+def _exact_key(args):
+    return tuple(
+        (a.ground, a.basis, tuple(a.lc)) if isinstance(a, SigmaElem) else a for a in args
+    )
+
+
 def test_merge_sums_counters_and_keeps_order():
     a = SuiteResult("a", {"x": 1, "y": 2}, ["x: bad"], {"p": 1})
     b = SuiteResult("b", {"z": 3, "x": 4}, ["z: bad"], {"p": 2, "q": 3})
@@ -101,6 +126,68 @@ def test_hopf_suite_counters_at_three():
     res = verify.hopf_suite(3)
     assert res.passed
     assert list(res.counters.items()) == list(HOPF_COUNTERS_N3.items())
+
+
+@pytest.mark.parametrize("suite, n, names", [
+    ("hopf_suite", 3, ["mu", "delta_split", "antipode", "to_q"]),
+    ("tits_suite", 3, ["tits", "hopf_power_elem"]),
+])
+def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite, n, names):
+    real_once = verify._once
+    memos = []
+
+    def spying_once(f):
+        calls, evaluated = [], []
+        memos.append((f.__name__, calls, evaluated))
+
+        def evaluate(*args):
+            evaluated.append(_exact_key(args))
+            return f(*args)
+
+        memo = real_once(evaluate)
+
+        def call(*args):
+            calls.append(_exact_key(args))
+            return memo(*args)
+
+        return call
+
+    monkeypatch.setattr(verify, "_once", spying_once)
+    res = getattr(verify, suite)(n)
+    expected = HOPF_COUNTERS_N3 if suite == "hopf_suite" else TITS_COUNTERS_N3
+    assert res.passed and res.counters == expected
+    degrees = range(n + 1) if suite == "hopf_suite" else range(1, n + 1)
+    assert [name for name, _, _ in memos] == names * len(degrees)
+    for name, calls, evaluated in memos:
+        assert len(set(evaluated)) == len(evaluated), name
+        assert set(evaluated) == set(calls), name
+    assert sum(len(c) for _, c, _ in memos) > 3 * sum(len(e) for _, _, e in memos)
+
+
+def test_wrong_split_fails_the_same_checks(monkeypatch):
+    real = verify.delta_split
+    wrong_on = Composition(((2,), (1, 3)))
+
+    def wrong(a, S, T):
+        out = real(a, S, T)
+        if a.basis == H and list(a.lc.keys()) == [wrong_on] and (S, T) == ((1, 2), (3,)):
+            return out + out
+        return out
+
+    monkeypatch.setattr(verify, "delta_split", wrong)
+    assert verify.hopf_suite(3).failures == WRONG_SPLIT_FAILURES
+
+
+def test_wrong_tits_fails_the_same_checks(monkeypatch):
+    real = verify.tits
+    pair = [Composition(((1,), (2, 3)))], [Composition(((3,), (1, 2)))]
+
+    def wrong(a, b):
+        out = real(a, b)
+        return out + out if (list(a.lc.keys()), list(b.lc.keys())) == pair else out
+
+    monkeypatch.setattr(verify, "tits", wrong)
+    assert verify.tits_suite(3).failures == WRONG_TITS_FAILURES
 
 
 def test_steinmann_suite_finds_the_quadruples_once(monkeypatch):
@@ -172,6 +259,16 @@ def test_bump_formats_details_only_on_failure():
     res.bump("k", False)
     assert res.counters == {"k": 3}
     assert res.failures == ["k: 1 (2, 3) x|y", "k"]
+
+
+def test_hopf_suite_formats_no_split_on_a_pass(monkeypatch):
+    def unprintable(self):
+        raise AssertionError("split formatted for a passing check")
+
+    assert str(verify._SplitDetail((1,), (), (2, 3))) == "(1,)|()|(2, 3)"
+    monkeypatch.setattr(verify._SplitDetail, "__str__", unprintable)
+    res = verify.hopf_suite(2)
+    assert res.passed and res.counters["coassociativity"] and res.counters["compatibility"]
 
 
 def test_failure_samples_of_a_forced_failure(monkeypatch, capsys):
