@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(gl.add_parser("verify"), n=3).set_defaults(fn=_cmd_glz, limit="cells")
 
     ar = sub.add_parser("arrows").add_subparsers(dest="action", required=True)
-    add(ar.add_parser("verify"), n=3).set_defaults(fn=_cmd_arrows, limit="primitive part")
+    add(ar.add_parser("verify"), n=3).set_defaults(fn=_cmd_arrows, limit="arrows verify")
 
     se = sub.add_parser("series").add_subparsers(dest="action", required=True)
     add(se.add_parser("identities"), order=4).set_defaults(

@@ -23,7 +23,8 @@ SIZE_BOUNDS = {
     "cells": 6,
     "dynkin rank": 5,
     "primitive part": 5,
-    "hopf check": 5,
+    "arrows verify": 5,
+    "hopf check": 6,
     "steinmann verify": 5,
     "series identities": 6,
     "toy demo": 8,

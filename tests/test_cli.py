@@ -38,6 +38,35 @@ ENUMERATE_DIGESTS = {
 # Hopf-axiom checks and the Tits checks at m = 3.
 HOPF_CHECK_N5_DIGEST = "f88ee2e069edfea35ba3117b0c09f9ad0f87cfd6e011bac7a29f6ba455357a12"
 
+# The counters of `hopf check --n 6`, in their order of first appearance:
+# its 6,076,113 Hopf-axiom checks, then the Tits checks at m = 3.
+HOPF_CHECK_N6_COUNTERS = {
+    "checked": 6080977,
+    "failures": 0,
+    "associativity": 95863,
+    "coassociativity": 3551827,
+    "compatibility": 1752133,
+    "unit": 5317,
+    "counit": 5317,
+    "cocommutativity": 318343,
+    "antipode-takeuchi": 5317,
+    "h-q-roundtrip": 5317,
+    "q-h-roundtrip": 5317,
+    "antipode-convolution": 5316,
+    "q-top-primitive": 6,
+    "q-product": 18330,
+    "q-coproduct": 307710,
+    "tits-unit": 17,
+    "tits-idempotent": 17,
+    "tits-associativity": 2225,
+    "tits-vs-hopf-power": 179,
+    "tits-action-compat": 2225,
+    "tits-associativity-n4": 25,
+    "tits-vs-hopf-power-n4": 25,
+    "tits-idempotent-n4": 75,
+    "hopf-power-kills-primitive": 76,
+}
+
 # The stdout of `ruelle verify --n 4` and `glz verify --n 4`.
 LIE_REPORTS_N4 = {
     "ruelle": '{"command":"ruelle verify","parameters":{"n":4},"status":"pass",'
@@ -110,7 +139,7 @@ ARROWS_STDOUT_N3 = (
 
 # Each command one past the bound of its --n or --order.
 OVER_BOUND = [
-    ("hopf", "check", "--n", "6"),
+    ("hopf", "check", "--n", "7"),
     ("cells", "count", "--n", "7"),
     ("cells", "enumerate", "--n", "7"),
     ("dynkin", "rank", "--n", "6"),
@@ -232,6 +261,15 @@ class TestVerifyCommands:
         proc = run_cli("hopf", "check", "--n", "5")
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == HOPF_CHECK_N5_DIGEST
+
+    @pytest.mark.heavy
+    def test_hopf_check_n6_counters(self):
+        # at the bound: about 2 minutes on a 2-core machine
+        proc = run_cli("hopf", "check", "--n", "6", timeout=1200)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["status"] == "pass"
+        assert list(report["counters"].items()) == list(HOPF_CHECK_N6_COUNTERS.items())
 
     def test_steinmann_verify(self):
         proc = run_cli("steinmann", "verify", "--n", "4")

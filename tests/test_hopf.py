@@ -283,10 +283,23 @@ class TestAntipode:
     def test_unit_fixed(self):
         assert antipode(unit_elem()) == unit_elem()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.heavy)])
     def test_agrees_with_takeuchi(self, n):
+        # element by element: the oracle for hopf_suite, which takes
+        # Takeuchi's sum once per S_n orbit and relabels it
         for a in sigma_basis(canonical_set(n)):
             assert antipode(a) == takeuchi_antipode(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("antipode_of", [antipode, takeuchi_antipode])
+    def test_commutes_with_relabelling(self, n, antipode_of):
+        # every adjacent transposition, so every permutation of the labels:
+        # what hopf_suite's orbit step relies on
+        ground = canonical_set(n)
+        for i in range(1, n):
+            tau = {**dict(zip(ground, ground)), i: i + 1, i + 1: i}
+            for a in sigma_basis(ground):
+                assert antipode_of(relabel(a, tau)) == relabel(antipode_of(a), tau)
 
     def test_agrees_with_takeuchi_n5_spot(self):
         import random

@@ -81,6 +81,14 @@ WRONG_SPLIT_FAILURES = [
     "cocommutativity",
     "q-coproduct",
 ]
+
+# The failures of hopf_suite(3) when antipode doubles its value on H_(2)(13),
+# which is not the first composition of its S_3 orbit, so the Takeuchi check
+# sees it only through the relabelled value of H_(1)(23).
+WRONG_ANTIPODE_FAILURES = [
+    "antipode-convolution: (1)*H(2,13)",
+    "antipode-takeuchi: (1)*H(2,13)",
+]
 WRONG_TITS_FAILURES = (
     ["tits-associativity"] * 22 + ["tits-vs-hopf-power"] + ["tits-action-compat"] * 13
 )
@@ -129,7 +137,7 @@ def test_hopf_suite_counters_at_three():
 
 
 @pytest.mark.parametrize("suite, n, names", [
-    ("hopf_suite", 3, ["mu", "delta_split", "antipode", "to_q"]),
+    ("hopf_suite", 3, ["product_of", "split_of", "antipode_of", "q_of"]),
     ("tits_suite", 3, ["tits", "hopf_power_elem"]),
 ])
 def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite, n, names):
@@ -176,6 +184,18 @@ def test_wrong_split_fails_the_same_checks(monkeypatch):
 
     monkeypatch.setattr(verify, "delta_split", wrong)
     assert verify.hopf_suite(3).failures == WRONG_SPLIT_FAILURES
+
+
+def test_wrong_antipode_off_an_orbit_representative_fails(monkeypatch):
+    real = verify.antipode
+    wrong_on = Composition(((2,), (1, 3)))
+
+    def wrong(a):
+        out = real(a)
+        return out + out if list(a.lc.keys()) == [wrong_on] else out
+
+    monkeypatch.setattr(verify, "antipode", wrong)
+    assert verify.hopf_suite(3).failures == WRONG_ANTIPODE_FAILURES
 
 
 def test_wrong_tits_fails_the_same_checks(monkeypatch):
@@ -225,7 +245,7 @@ def test_tits_suite_follows_its_size(n):
 
 @pytest.mark.parametrize(
     "call",
-    ["hopf_suite(6)", "series_suite(7)", "steinmann_suite(6)", "ruelle_suite(7)",
+    ["hopf_suite(7)", "series_suite(7)", "steinmann_suite(6)", "ruelle_suite(7)",
      "glz_suite(7)", "arrows_suite(6)"],
 )
 def test_suite_checks_its_bound_before_work(call):
