@@ -7,9 +7,10 @@ step up (the Hopf axioms, the exact primitive kernel and the Dynkin rank at
 n=5, with two oracles for its certificate: every n=5 Dynkin element checked
 primitive directly, against the orbit representatives, and the exact rank
 of the n=5 Dynkin rows, against the modular squeeze; the tree-image squeeze
-of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells by
-insertion, and the orbit walk at n=6 against them; Ruelle's identity on its
-4822 configurations up to n=6; order-3 series), which takes minutes.
+of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells with
+their moved witnesses, and the orbit walk at n=6 against the insertion
+enumeration, its oracle; Ruelle's identity on its 4822 configurations up
+to n=6; order-3 series), which takes minutes.
 """
 
 import argparse
@@ -19,10 +20,10 @@ import time
 from sethopf import verify
 from sethopf.cells import (
     _cell_orbits,
+    _insertion_enumeration,
     dynkin,
     dynkin_rank,
     enumerate_cells,
-    enumerate_cells_with_witnesses,
     primitive_dimension_certified,
 )
 from sethopf.compositions import canonical_set
@@ -79,7 +80,7 @@ def main() -> int:
         line("heavy: Steinmann relation span 220 at n=5", span_ok)
         line("heavy: 11292 cells at n=6", verify.cells_suite(6))
         walked = _cell_orbits(6)
-        same = enumerate_cells(canonical_set(6)) == [c for c, _ in enumerate_cells_with_witnesses(canonical_set(6))]
+        same = enumerate_cells(canonical_set(6)) == [c for c, _, _ in _insertion_enumeration(canonical_set(6))]
         line("heavy: 56 orbits at n=6 expand to the insertion enumeration's cells", same and len(walked) == 56,
              f" -> {len(walked)} orbits")
         ruelle6 = verify.ruelle_suite(6)

@@ -7,11 +7,14 @@ positive sides are simultaneously realizable by a sum-zero rational vector
 programming; a rejection may reuse a Gordan certificate, re-checked exactly,
 that the same enumeration call found on a subset of the sides.
 ``_cell_orbits`` walks the flip graph one S_n orbit at a time and expands
-each orbit once, keeping its members; ``enumerate_cells`` lists them and
-``dynkin_rank`` builds its rows from them.  The insertion enumeration, which
-adds one channel hyperplane at a time and prunes infeasible sign prefixes,
-keeps a witness per cell for ``enumerate_cells_with_witnesses`` and is the
-oracle for the walk.  Both decide a flipped side with ``_flip_witness``.
+each orbit once, keeping its members; ``enumerate_cells`` lists them,
+``enumerate_cells_with_witnesses`` gives each the witness of its orbit's
+representative moved by the member's permutation and checked on ints, and
+``dynkin_rank`` builds its rows from them.  The insertion enumeration
+(``_insertion_enumeration``), which adds one channel hyperplane at a time
+and prunes infeasible sign prefixes, is the oracle for the walk; only the
+tests and the heavy acceptance run call it.  Both decide a flipped side with
+``_flip_witness``.
 A cell is its ground and one int, its side bitset: bit m is set iff the
 side at the positions of the set bits of m, in the sorted ground, is
 positive.  The walk, the Dynkin elements, the Steinmann quadruples and the
@@ -234,10 +237,10 @@ def _flip_witness(
     return _int_witness(strict_positive_witness(pos, sides + [other]), n)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...], int], ...]:
+def _insertion_enumeration(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...], int], ...]:
     """Each cell over ground with its witness (a, D), x[ground[i]] = a[i] / D,
-    by the insertion enumeration.
+    by the insertion enumeration.  It is the oracle for the orbit walk; only
+    the tests and the heavy acceptance run call it.
 
     The enumeration runs on the positions 0..n-1, whose order is the labels'
     order, so every LP sees the rows it would see on the labels.  Its Gordan
@@ -355,6 +358,39 @@ def _cell_orbits(n: int) -> tuple[tuple, ...]:
     return tuple(
         (bits, tuple(a), D, stab, tuple(orbit.items())) for bits, a, D, stab, orbit in reps
     )
+
+
+@lru_cache(maxsize=None)
+def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...], int], ...]:
+    """Each cell over ground with its witness (a, D), x[ground[i]] = a[i] / D,
+    from the orbits of ``_cell_orbits``, in the order of ``enumerate_cells``.
+
+    A member reached from its representative by the permutation p of the
+    positions takes the representative's witness moved by p, b[p[i]] = a[i],
+    with the same D: side p(S) of the member sums to a(S).  Every moved
+    witness is checked on ints, by its subset sums over all position masks:
+    D > 0, the whole ground sums to 0 and every positive side to more than 0.
+    A failed check raises ArithmeticError.
+    """
+    n = len(ground)
+    full = (1 << n) - 1
+    perms = list(itertools.permutations(range(n)))  # the order of _mask_permutations(n)
+    out = []
+    for _, a, D, _, orbit in _cell_orbits(n):
+        for bits, k in orbit:
+            b = [0] * n
+            for i, x in zip(perms[k], a):
+                b[i] = x
+            sums = [0] * (full + 1)
+            for m in range(1, full + 1):
+                low = m & -m
+                sums[m] = sums[m ^ low] + b[low.bit_length() - 1]
+            if D <= 0 or sums[full] or any(sums[m] <= 0 for m in _set_bits(bits)):
+                raise ArithmeticError(f"the moved witness does not realise {Cell._of(ground, bits)}")
+            out.append((Cell._of(ground, bits), tuple(b), D))
+    order = _sort_key_order(n)
+    out.sort(key=lambda c: order(c[0].bits))
+    return tuple(out)
 
 
 def enumerate_cells(I: Iterable[int]) -> list[Cell]:

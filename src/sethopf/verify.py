@@ -151,17 +151,20 @@ class SuiteResult:
         return out
 
 
-def _once(f):
+def _once(f, by_content: bool = False):
     """f evaluated once per distinct argument key, the value kept for every
-    later call with equal keys.  The key of a ``SigmaElem`` is exact: its
-    ground, its basis and its terms in order; any other argument is its own
-    key.  The suites wrap the operations they repeat once per degree, so a
-    memo lives for one degree of one suite call."""
+    later call with equal keys.  The key is the tuple of arguments, as
+    ``hopf_suite`` passes them: compositions and label tuples (a
+    ``SigmaElem`` is not hashable, so that memo refuses one).  With
+    ``by_content``, the key of a ``SigmaElem`` is exact: its ground, its basis
+    and its terms in order; any other argument is its own key.  The suites
+    wrap the operations they repeat once per degree, so a memo lives for one
+    degree of one suite call."""
     memo = {}
 
     def once(*args):
         key = tuple([(a.ground, a.basis, tuple(a.lc)) if isinstance(a, SigmaElem) else a
-                     for a in args])
+                     for a in args]) if by_content else args
         value = memo.get(key, memo)
         if value is memo:  # not yet evaluated
             value = memo[key] = f(*args)
@@ -934,7 +937,7 @@ def tits_suite(n: int = 3, seed: int = 11) -> SuiteResult:
         ground = canonical_set(m)
         basis = sigma_basis(ground)
         unit = tits_unit(ground)
-        tits1, power1 = _once(tits), _once(hopf_power_elem)  # as in hopf_suite
+        tits1, power1 = _once(tits, by_content=True), _once(hopf_power_elem, by_content=True)
         for a in basis:
             res.bump("tits-unit", tits(unit, a) == a and tits(a, unit) == a)
             F = next(iter(a.lc.keys()))

@@ -40,6 +40,7 @@ from sethopf.cells import (
     _dynkin_masks,
     _dynkin_row,
     _enumerate_cells_cached,
+    _insertion_enumeration,
     _left_normed_tree_images,
     _mask_permutations,
     _refuted,
@@ -314,7 +315,7 @@ def fresh_orbits():
 
 
 def insertion_cells(ground):
-    return [c for c, _, _ in _enumerate_cells_cached(labelset(ground))]
+    return [c for c, _, _ in _insertion_enumeration(labelset(ground))]
 
 
 def masks(bits):
@@ -417,6 +418,52 @@ class TestCellOrbits:
         assert enumerate_cells(canonical_set(6)) == insertion_cells(canonical_set(6))
 
 
+class TestMovedWitnesses:
+    """Each cell's witness is its orbit representative's, moved by the
+    member's permutation and checked on ints."""
+
+    @pytest.mark.parametrize("ground", BIT_GROUNDS + [(17, 203, 388, 512, 940)])
+    def test_each_witness_is_the_representatives_moved(self, ground):
+        n = len(ground)
+        images = list(itertools.permutations(range(n)))
+        rep_witness = {bits: (a, D, k) for _, a, D, _, orbit in _cell_orbits(n) for bits, k in orbit}
+        out = _enumerate_cells_cached(labelset(ground))
+        assert [c for c, _, _ in out] == enumerate_cells(ground)
+        for c, b, D in out:
+            a, rep_D, k = rep_witness[c.bits]
+            assert D == rep_D and [b[images[k][i]] for i in range(n)] == list(a)
+            x = {label: Fraction(v, D) for label, v in zip(ground, b)}
+            assert sum(x.values()) == 0
+            assert all(sum(x[label] for label in S) > 0 for S in c.positive)
+
+    @staticmethod
+    def mutated(n, change):
+        """_cell_orbits(n) with the first orbit of more than one member changed."""
+        orbits = list(_cell_orbits(n))
+        j = next(j for j, orbit in enumerate(orbits) if len(orbit[4]) > 1)
+        orbits[j] = change(*orbits[j])
+        return tuple(orbits)
+
+    def test_wrong_permutation_index_raises(self, monkeypatch):
+        # the second member keeps the representative's witness unmoved
+        def identity_for_second(bits, a, D, stab, members):
+            return bits, a, D, stab, (members[0], (members[1][0], 0)) + members[2:]
+
+        wrong = self.mutated(4, identity_for_second)
+        monkeypatch.setattr(cells_module, "_cell_orbits", lambda n: wrong)
+        with pytest.raises(ArithmeticError, match="moved witness does not realise"):
+            _enumerate_cells_cached.__wrapped__(canonical_set(4))
+
+    def test_representative_witness_off_by_one_raises(self, monkeypatch):
+        def off_by_one(bits, a, D, stab, members):
+            return bits, (a[0] + 1,) + a[1:], D, stab, members
+
+        wrong = self.mutated(4, off_by_one)
+        monkeypatch.setattr(cells_module, "_cell_orbits", lambda n: wrong)
+        with pytest.raises(ArithmeticError, match="moved witness does not realise"):
+            _enumerate_cells_cached.__wrapped__(canonical_set(4))
+
+
 def count_gordan_lps(monkeypatch):
     """The argument lists of every balanced_combination_exists call cells makes."""
     calls = []
@@ -433,7 +480,7 @@ def count_gordan_lps(monkeypatch):
 class TestGordanReuse:
     def test_insertion_enumeration_reuses_certificates(self, monkeypatch):
         calls = count_gordan_lps(monkeypatch)
-        _enumerate_cells_cached.__wrapped__(canonical_set(5))
+        _insertion_enumeration(canonical_set(5))
         assert len(calls) <= 100  # 645 with an LP per refutation
 
     def test_orbit_walk_reuses_certificates(self, fresh_orbits, monkeypatch):
@@ -452,7 +499,7 @@ class TestGordanReuse:
 
         monkeypatch.setattr(cells_module, "_refuted", recording)
         for _ in range(2):
-            _enumerate_cells_cached.__wrapped__(canonical_set(4))
+            _insertion_enumeration(canonical_set(4))
             _cell_orbits.cache_clear()
             _cell_orbits(5)
         assert [size for _, size in first_seen.values()] == [0, 0, 0, 0]
@@ -460,7 +507,7 @@ class TestGordanReuse:
     def test_failed_recheck_raises(self, fresh_orbits, monkeypatch):
         monkeypatch.setattr(cells_module, "is_gordan_certificate", lambda *args: False)
         with pytest.raises(ArithmeticError, match="stored Gordan certificate"):
-            _enumerate_cells_cached.__wrapped__(canonical_set(4))
+            _insertion_enumeration(canonical_set(4))
         with pytest.raises(ArithmeticError, match="stored Gordan certificate"):
             _cell_orbits(5)
 

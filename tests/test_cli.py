@@ -16,14 +16,27 @@ def run_cli(*args, timeout=600):
     return proc
 
 
-# sha256 of the stdout of `cells enumerate --n N --witnesses`. It does not
-# depend on PYTHONHASHSEED: the LP pivot sequence fixes every witness.
+# sha256 of the stdout of `cells enumerate --n N --witnesses`: each cell's
+# witness is its orbit representative's, moved by the member's permutation.
+# It does not depend on PYTHONHASHSEED: the walk's order and the LP pivot
+# sequence fix every witness.
 WITNESS_DIGESTS = {
     2: "ba29a380695f5562a8178aed0aa18773eadf9d0b9ebf5e9853c20827fbea7951",
-    3: "2f3a3be8d3729d08be3f9820f91af1bb04188dcaa4ba5d389c10075691b7fce5",
-    4: "8488cbc0e2769e00117eb91ac370924f0487cc0f6612e1a5000681f8b5428bb7",
-    5: "a40786ac51988e80adce4acf77bc69438dbe42a3e801db70686fecf25532a104",
-    6: "f9ac378ee567faa70476faf38d3e6cb8c41eaf19e13255d516ce54b57080cfac",
+    3: "701ed35ec420866fdb194f52b0a8e3d286f15e8c0fcdec651ed0e71326780ce8",
+    4: "b1e93ca37ba55c487f7bef2d88c8be2cf17f8d70be36cd4b5cd6cba2578674dc",
+    5: "b1abe8ef024015b51a856129e244ba83d18436014aa357b7f140bbe2be186142",
+    6: "c3c17d55d504e7682fe60f27e8d840499868874c30b62ed9087122503f827741",
+}
+
+# sha256 of the same stdout with every "witness" field removed and the rest
+# written back as the CLI writes it: the cells and their order, as the
+# insertion enumeration gave them with its own witnesses.
+WITNESS_STRIPPED_DIGESTS = {
+    2: "5e46dcdd79a8d0d322534c24b2550562c22239ee1ff38ac4fa669678512db141",
+    3: "658feccd2276420bae482093041bdae0c49caad3fd5f8ff19717cd9eb1b9e0d9",
+    4: "de4fb9107f926903d93cad5cc4c18f2f926d822d48ef86c3c3633bfe8deb54af",
+    5: "136e532137b6c40801cf441527f5efe761bc8f9de1feaeef0234308d32104aee",
+    6: "e6b9ee8f709c3842cab5300432e092869985164ffc18744a2c99790ef4d08d8a",
 }
 
 # sha256 of the stdout of `cells enumerate --n N`, without witnesses: the
@@ -190,6 +203,19 @@ class TestDataCommands:
 
     @pytest.mark.parametrize(
         "n",
+        [pytest.param(n, marks=pytest.mark.heavy) if n >= 6 else n for n in sorted(WITNESS_STRIPPED_DIGESTS)],
+    )
+    def test_witness_output_without_witnesses_pinned(self, n):
+        proc = run_cli("cells", "enumerate", "--n", str(n), "--witnesses")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        data = json.loads(proc.stdout)
+        for cell in data["cells"]:
+            del cell["witness"]
+        text = json.dumps(data, separators=(",", ":")) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_STRIPPED_DIGESTS[n]
+
+    @pytest.mark.parametrize(
+        "n",
         [pytest.param(n, marks=pytest.mark.heavy) if n >= 6 else n for n in sorted(ENUMERATE_DIGESTS)],
     )
     def test_witness_free_output_pinned(self, n):
@@ -201,12 +227,26 @@ class TestDataCommands:
         from sethopf import cli
 
         def no_insertion(ground):
-            raise AssertionError("cells enumerate without --witnesses ran the insertion enumeration")
+            raise AssertionError("cells enumerate without --witnesses built witnesses")
 
         monkeypatch.setattr(cli, "enumerate_cells_with_witnesses", no_insertion)
         assert cli.run(["cells", "enumerate", "--n", "4"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[4]
+
+    def test_witness_enumeration_runs_no_insertion(self, monkeypatch, capsys):
+        # the witnesses come from an uncached orbit walk, not the oracle
+        from sethopf import cells, cli
+
+        def no_insertion(ground):
+            raise AssertionError("cells enumerate --witnesses ran the insertion enumeration")
+
+        monkeypatch.setattr(cells, "_insertion_enumeration", no_insertion)
+        monkeypatch.setattr(cells, "_enumerate_cells_cached", cells._enumerate_cells_cached.__wrapped__)
+        monkeypatch.setattr(cells, "_cell_orbits", cells._cell_orbits.__wrapped__)
+        assert cli.run(["cells", "enumerate", "--n", "5", "--witnesses"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_DIGESTS[5]
 
     def test_cells_count_builds_no_cell(self, monkeypatch, capsys):
         # the count is the number of orbit members of an uncached walk, with

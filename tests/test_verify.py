@@ -144,7 +144,7 @@ def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite
     real_once = verify._once
     memos = []
 
-    def spying_once(f):
+    def spying_once(f, **kwargs):
         calls, evaluated = [], []
         memos.append((f.__name__, calls, evaluated))
 
@@ -152,7 +152,7 @@ def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite
             evaluated.append(_exact_key(args))
             return f(*args)
 
-        memo = real_once(evaluate)
+        memo = real_once(evaluate, **kwargs)
 
         def call(*args):
             calls.append(_exact_key(args))
