@@ -9,8 +9,8 @@ primitive directly, against the orbit representatives, and the exact rank
 of the n=5 Dynkin rows, against the modular squeeze; the tree-image squeeze
 of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells with
 their moved witnesses, and the orbit walk at n=6 against the insertion
-enumeration, its oracle; Ruelle's identity on its 4822 configurations up
-to n=6; order-3 series), which takes minutes.
+enumeration, its oracle; the Dynkin rank at n=6; Ruelle's identity on its
+4822 configurations up to n=6; order-3 series), which takes minutes.
 """
 
 import argparse
@@ -83,6 +83,8 @@ def main() -> int:
         same = enumerate_cells(canonical_set(6)) == [c for c, _, _ in _insertion_enumeration(canonical_set(6))]
         line("heavy: 56 orbits at n=6 expand to the insertion enumeration's cells", same and len(walked) == 56,
              f" -> {len(walked)} orbits")
+        got = dynkin_rank(canonical_set(6))
+        line("heavy: Dynkin rank (11292, 1082, 1082) at n=6", got == (11292, 1082, 1082), f" -> {got}")
         ruelle6 = verify.ruelle_suite(6)
         line("heavy: Ruelle's identity on 4822 configurations at n<=6", ruelle6.passed and ruelle6.checked == 4822,
              f" [{ruelle6.checked} checks]")

@@ -29,9 +29,10 @@ coarsenings' sides lie in its side bitset.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -55,10 +56,9 @@ from .hopf import (
     basis_elem,
     is_primitive,
     mu,
-    split_columns,
 )
 from .lincomb import LinComb, lincomb_sum, sparse_sum
-from .linalg import pivot_rows_mod_prime, rank_mod_prime
+from .linalg import rank_mod_prime
 from .lp import (
     balanced_combination_exists,
     is_gordan_certificate,
@@ -719,19 +719,64 @@ def _left_normed_tree_images(n: int) -> list[SigmaElem]:
     return out
 
 
+def _shuffle_columns(k: int) -> list[LinComb]:
+    """The index-form shuffle matrix Sh_k, one column per word w, a
+    permutation of range(k) in ``itertools.permutations`` order: coefficient
+    1 on the pair (w|A, w|A'), as two tuples, of every proper nonempty
+    subset A of range(k), with A' its complement."""
+    out = []
+    for w in itertools.permutations(range(k)):
+        pairs = (
+            (tuple([x for x in w if A >> x & 1]), tuple([x for x in w if not A >> x & 1]))
+            for A in range(1, (1 << k) - 1)
+        )
+        out.append(LinComb._of(dict.fromkeys(pairs, 1)))
+    return out
+
+
+def _shuffle_nullity(k: int) -> int:
+    """The GF(p) nullity of Sh_k, (k - 1)! when p misses no rank."""
+    columns = _shuffle_columns(k)
+    return len(columns) - rank_mod_prime(columns)
+
+
+def _split_nullity(n: int) -> int:
+    """The GF(p) nullity of the stacked-split matrix on the Q-basis over n
+    labels: an upper bound on the primitive dimension, since its kernel
+    contains the rational kernel, which is the primitive part.
+
+    On the Q-basis, Delta_{S,T}(Q_F) is Q_{F|S} (x) Q_{F|T} when S is a union
+    of lumps of F, and 0 otherwise.  A pair (F|S, F|T) has the lumps of F
+    between its two sides, so it names F's set partition, and the matrix is
+    block-diagonal over set partitions.  The block of a partition with k
+    parts, its lumps numbered in a fixed order, is Sh_k
+    (``_shuffle_columns``): each lump order w is a column and each entry is
+    1.  So the nullity is the sum over k of (number of set partitions with
+    k parts) * nullity_p(Sh_k).  The partitions are counted on the lump
+    masks of ``_dynkin_masks(n)``, grouped by the sorted masks; a group that
+    does not hold k! compositions raises ArithmeticError.
+    """
+    sizes = Counter(tuple(sorted(key)) for key in _dynkin_masks(n)[0])
+    for lumps, size in sizes.items():
+        if size != factorial(len(lumps)):
+            raise ArithmeticError(f"the set partition {lumps} holds {size} compositions, not {len(lumps)}!")
+    parts = Counter(map(len, sizes))  # k -> the number of set partitions with k parts
+    return sum([count * _shuffle_nullity(k) for k, count in parts.items()])
+
+
 def primitive_dimension_certified(n: int) -> int:
     """dim of the primitive part over [n], by a certified modular squeeze.
 
     The squeeze: explicit tree images, kept in the Q-basis, are checked
     primitive exactly on their deshuffle rows, and their Q-coordinates are
     independent over GF(p); since the Q-basis is a basis, that bounds the
-    dimension from below.  The GF(p) nullity of the stacked-split matrix
-    bounds it from above (its kernel contains the rational kernel).
-    Equality of the two bounds pins the exact value without an exact
-    elimination; the exact kernel, ``hopf.primitive_part_basis``, is the
-    oracle the tests compare with.  ``dynkin_rank`` has its own lower side,
-    the Dynkin rows, and does not call this.  The degree-0 part is 0, since
-    the monoid is connected.
+    dimension from below.  ``_split_nullity``, the GF(p) nullity of the
+    Q-basis split matrix from its shuffle blocks, bounds it from above; it
+    is ``dynkin_rank``'s upper side too.  Equality of the two bounds pins
+    the exact value without an exact elimination; the exact kernel,
+    ``hopf.primitive_part_basis``, is the oracle the tests compare with.
+    ``dynkin_rank`` has its own lower side, the Dynkin rows, and does not
+    call this.  The degree-0 part is 0, since the monoid is connected.
     """
     check_size("primitive part", n)
     if n == 0:
@@ -743,10 +788,7 @@ def primitive_dimension_certified(n: int) -> int:
     low = rank_mod_prime([v.lc for v in candidates])
     if low != len(candidates):
         raise ArithmeticError("tree images are dependent mod p")
-
-    columns = [v for _, v in split_columns(canonical_set(n))]
-    up = len(columns) - rank_mod_prime(columns)
-    if low != up:
+    if low != _split_nullity(n):
         raise ArithmeticError("modular bounds on the primitive dimension disagree")
     return low
 
@@ -777,11 +819,11 @@ def _composition_permutations(n: int) -> list[list[int]]:
     return out
 
 
-def _dynkin_rows(ground: LabelSet, pivots: set[int]) -> list[LinComb]:
+def _dynkin_rows(ground: LabelSet, columns: set[int]) -> list[LinComb]:
     """The Dynkin row of every cell over ground, orbit by orbit from
-    ``_cell_orbits``, keyed on lump bitmasks and without the entries of
-    ``_dynkin_masks`` in pivots; each certified primitive as ``dynkin_rank``
-    says.  A failed check raises ArithmeticError."""
+    ``_cell_orbits``, keyed on lump bitmasks and restricted to the entries
+    of ``_dynkin_masks`` in columns; each certified primitive as
+    ``dynkin_rank`` says.  A failed check raises ArithmeticError."""
     n = len(ground)
     comps = compositions_of(ground)
     keys = _dynkin_masks(n)[0]
@@ -793,14 +835,14 @@ def _dynkin_rows(ground: LabelSet, pivots: set[int]) -> list[LinComb]:
         d = SigmaElem._of(ground, LinComb._of({comps[j]: c for j, c in rep_row.items()}), H)
         if not is_primitive(d):
             raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
-        rows.append(LinComb._of({keys[j]: c for j, c in rep_row.items() if j not in pivots}))
+        rows.append(LinComb._of({keys[j]: c for j, c in rep_row.items() if j in columns}))
         for bits, k in others:
             row = _dynkin_row(n, bits)
             move = moves[k]
             if row != {move[j]: c for j, c in rep_row.items()}:
                 cell, rep = (Cell._of(ground, b) for b in (bits, rep_bits))
                 raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
-            rows.append(LinComb._of({keys[j]: c for j, c in row.items() if j not in pivots}))
+            rows.append(LinComb._of({keys[j]: c for j, c in row.items() if j in columns}))
     return rows
 
 
@@ -817,31 +859,29 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     relabelling, so relabelling keeps primitivity.  The rows reach the rank
     keyed on lump bitmasks.
 
-    One GF(p) elimination of the stacked-split matrix M, one vector per
-    composition, gives the upper bound up = (number of compositions) -
-    rank_p(M) on the primitive dimension, and its free compositions N: those
-    it did not pivot on, carried to the ground on lump bitmasks.  The lower
-    bound is the GF(p) rank of the Dynkin rows restricted to N, and
-    rank_p(D|N) <= rank_p(D) <= rank_Q(D) <= dim P <= up holds for any N;
-    when the ends meet, all are equal.  They meet by construction: a vector
-    the elimination zeroed was reduced by pivot vectors only, so ker_p(M)
-    has a basis e_F - sum_G lambda_G e_G, one per F in N, with G over the
-    pivots; ker_p(M) projects injectively onto the N coordinates, and every
-    primitive integer row lies in it.  A shortfall raises ArithmeticError.
-    The result must also equal the partition-count dimension formula.  The
-    empty ground is rejected: its one cell's Dynkin element is the unit,
-    which is not primitive.
+    The upper side is up = ``_split_nullity(n)``, the GF(p) nullity of the
+    Q-basis split matrix, one shuffle block per part count.  The lower side
+    is the GF(p) rank of the Dynkin rows restricted to the first-lump
+    columns N, the compositions whose first lump holds the least label;
+    there are sum over set partitions of (parts - 1)! of them, the
+    primitive dimension.  rank_p(D|N) <= rank_p(D) <= rank_Q(D) <= dim P <=
+    up holds for any N; when the ends meet, all are equal.  They meet
+    because the primitives project injectively onto N: H -> Q is
+    unitriangular under refinement and N is closed under coarsening, and in
+    each shuffle block the words that start with the least letter detect
+    Lie(k).  The run checks this rather than assuming it: a shortfall
+    raises ArithmeticError.  The result must also equal the partition-count
+    dimension formula.  The empty ground is rejected: its one cell's Dynkin
+    element is the unit, which is not primitive.
     """
     ground = labelset(I)
     n = len(ground)
     check_size("dynkin rank", n)
     if n == 0:
         raise DomainError("dynkin rank needs a nonempty ground set")
-    # one vector per composition, in the order of compositions_of and of _dynkin_masks
-    split = split_columns(canonical_set(n))
-    pivots = set(pivot_rows_mod_prime([v for _, v in split]))
-    up = len(split) - len(pivots)
-    rows = _dynkin_rows(ground, pivots)  # its n! index permutations are freed before the rank
+    up = _split_nullity(n)
+    first = {j for j, key in enumerate(_dynkin_masks(n)[0]) if key[0] & 1}
+    rows = _dynkin_rows(ground, first)  # its n! index permutations are freed before the rank
     r = rank_mod_prime(rows)
     if r != up:
         raise ArithmeticError("modular bounds on the Dynkin rank disagree")

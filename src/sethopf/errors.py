@@ -21,7 +21,7 @@ class SizeLimitError(ValueError):
 SIZE_BOUNDS = {
     "compositions": 8,
     "cells": 6,
-    "dynkin rank": 5,
+    "dynkin rank": 6,
     "primitive part": 5,
     "arrows verify": 5,
     "hopf check": 6,

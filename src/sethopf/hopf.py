@@ -475,9 +475,7 @@ def split_columns(ground: Iterable[int]) -> list[tuple[Composition, LinComb]]:
     Distinct splits give distinct pair ids.
     """
     table = _split_table(labelset(ground))
-    # every row slice before any column: built interleaved, dynkin_rank(5) ran 5% slower
-    rows = [(F, table.row(F, H)[1:-1]) for F in compositions_of(ground)]
-    return [(F, LinComb._of(dict.fromkeys(pids, 1))) for F, pids in rows]
+    return [(F, LinComb._of(dict.fromkeys(table.row(F, H)[1:-1], 1))) for F in compositions_of(ground)]
 
 
 def primitive_part_basis(n: int) -> list[SigmaElem]:

@@ -15,9 +15,9 @@ QI with a zero imaginary part.
 
 ``rank_mod_prime`` is a sparse rank over GF(P) of the same ``LinComb`` input:
 a lower bound only, so its callers certify every conclusion drawn from it.
-``pivot_rows_mod_prime`` runs the same elimination and names the vectors it
-pivoted on, so a caller can read off the free columns of a matrix given by
-its columns.
+``cells.dynkin_rank`` squeezes the Dynkin rank between its results: the
+nullities of the split matrix's shuffle blocks above, the rank of the
+Dynkin rows below.
 
 The module never inspects key structure: keys only need to be hashable and
 deterministically sortable.
@@ -142,27 +142,9 @@ def rank_mod_prime(vectors: Sequence[LinComb]) -> int:
     0.10 M), at that row's first column, and drops the rows that reduce to
     zero.  The pivots, and so the rank, do not depend on the numbering.
     """
-    return len(_pivot_rows(vectors))
-
-
-def pivot_rows_mod_prime(vectors: Sequence[LinComb]) -> list[int]:
-    """The indices, in pivot order, of the vectors that ``rank_mod_prime``'s
-    elimination pivots on.
-
-    Their GF(P) rank is their count, and every other vector lies in their
-    span mod P: a vector the elimination zeroed was reduced by pivot rows
-    only.
-    """
-    return _pivot_rows(vectors)
-
-
-def _pivot_rows(vectors: Sequence[LinComb]) -> list[int]:
-    # the one GF(P) elimination behind both public views, which stay
-    # separate functions so that each is timed on its own when traced
     index: dict = {}
     rows = []
-    origin = {}  # id of each row -> the index of its vector
-    for i, v in enumerate(vectors):
+    for v in vectors:
         row = {}
         for k, x in zip(v.keys(), _numerators(c for _, c in v)[0]):
             x %= P
@@ -170,12 +152,11 @@ def _pivot_rows(vectors: Sequence[LinComb]) -> list[int]:
                 row[index.setdefault(k, len(index))] = x
         if row:
             rows.append(row)
-            origin[id(row)] = i
-    pivots = []
+    r = 0
     while rows:
         prow = min(reversed(rows), key=len)
         rows = [row for row in rows if row is not prow]
-        pivots.append(origin[id(prow)])
+        r += 1
         col, x = next(iter(prow.items()))
         inv = pow(x, -1, P)
         pivot = {k: y * inv % P for k, y in prow.items()}
@@ -189,7 +170,7 @@ def _pivot_rows(vectors: Sequence[LinComb]) -> list[int]:
                     else:
                         del row[k]
         rows = [row for row in rows if row]
-    return pivots
+    return r
 
 
 def kernel_basis(

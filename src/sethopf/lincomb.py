@@ -16,7 +16,7 @@ elements is one ``lincomb_sum`` over their ``LinComb``s, in the key order
 of a pass of ``+`` over the same parts.
 
 Five sums stay apart on purpose: ``HbarPoly`` arithmetic, a coefficient
-ring below this module; the GF(p) row update of ``linalg._pivot_rows``,
+ring below this module; the GF(p) row update of ``linalg.rank_mod_prime``,
 which reduces mod P; ``hopf.delta_split``'s int scatter-add over pair ids;
 the expected sides that ``verify.hopf_suite`` builds by hand, which keep
 its checks independent of the code they check; and the two folds of

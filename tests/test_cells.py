@@ -44,6 +44,8 @@ from sethopf.cells import (
     _left_normed_tree_images,
     _mask_permutations,
     _refuted,
+    _shuffle_columns,
+    _split_nullity,
 )
 from sethopf.compositions import (
     canonical_set,
@@ -62,6 +64,7 @@ from sethopf.hopf import (
     H,
     Q,
     SigmaElem,
+    _split_table,
     antipode,
     basis_elem,
     delta_split,
@@ -77,7 +80,7 @@ from sethopf.hopf import (
 )
 from sethopf.lincomb import LinComb, lincomb_sum
 from sethopf.scalars import QI
-from sethopf.linalg import pivot_rows_mod_prime, rank, rank_mod_prime
+from sethopf.linalg import rank, rank_mod_prime
 
 
 def brute_force_cells(ground):
@@ -634,18 +637,80 @@ class TestDynkinRank:
 
     @pytest.mark.parametrize("ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (-3, 2, 5, 9)])
     def test_rows_on_the_free_columns(self, ground, monkeypatch):
+        # the free columns are the first-lump ones, N: the compositions whose
+        # first lump holds the least label.  The rows restricted to N keep
+        # the rank of the whole Dynkin span, which is the upper side.
         seen = []
+        original = cells_module._dynkin_rows
         monkeypatch.setattr(
-            cells_module, "rank_mod_prime", lambda rows: seen.append(rows) or rank_mod_prime(rows)
+            cells_module, "_dynkin_rows", lambda g, columns: seen.append(original(g, columns)) or seen[-1]
         )
         n = len(ground)
         assert dynkin_rank(ground)[1] == zie_dimension(n)
         (rows,) = seen
-        columns = [v for _, v in split_columns(canonical_set(n))]
-        up = len(columns) - len(pivot_rows_mod_prime(columns))
-        assert len({k for v in rows for k in v.keys()}) <= up
+        first = {
+            tuple([sum([1 << ground.index(x) for x in L]) for L in F.lumps])
+            for F in compositions_of(ground)
+            if ground[0] in F.lumps[0]
+        }
+        assert {k for v in rows for k in v.keys()} <= first
+        assert len(first) == zie_dimension(n)
         full = [dynkin(c).lc for c in enumerate_cells(ground)]
-        assert rank(rows) == rank(full) == up
+        assert rank(rows) == rank(full) == _split_nullity(n)
+
+    def test_lost_free_column_raises(self, monkeypatch):
+        # the rows lose one first-lump column and fall short of the
+        # unchanged upper side
+        original = cells_module._dynkin_rows
+        monkeypatch.setattr(
+            cells_module, "_dynkin_rows", lambda g, columns: original(g, columns - {max(columns)})
+        )
+        with pytest.raises(ArithmeticError, match="modular bounds on the Dynkin rank disagree"):
+            dynkin_rank(canonical_set(4))
+
+    @pytest.mark.parametrize(
+        "squeeze,message",
+        [
+            (lambda: dynkin_rank(canonical_set(4)), "modular bounds on the Dynkin rank disagree"),
+            (lambda: primitive_dimension_certified(4), "modular bounds on the primitive dimension disagree"),
+        ],
+        ids=["dynkin_rank", "primitive_dimension_certified"],
+    )
+    def test_raised_nullity_raises(self, squeeze, message, monkeypatch):
+        # one shuffle block's nullity one too high lifts the upper side off
+        # the unchanged lower side
+        original = cells_module._shuffle_nullity
+        monkeypatch.setattr(cells_module, "_shuffle_nullity", lambda k: original(k) + (k == 2))
+        with pytest.raises(ArithmeticError, match=message):
+            squeeze()
+
+    def test_short_set_partition_raises(self, monkeypatch):
+        # a set partition that does not hold k! compositions is refused
+        original = cells_module._dynkin_masks
+        monkeypatch.setattr(cells_module, "_dynkin_masks", lambda n: (original(n)[0][:-1],) + original(n)[1:])
+        with pytest.raises(ArithmeticError, match="holds 23 compositions, not 4!"):
+            _split_nullity(4)
+
+    @pytest.mark.parametrize("ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (-3, 2, 5, 9)])
+    def test_shuffle_block_is_the_q_coproduct(self, ground):
+        # each composition's deshuffle pairs in the library's Q-basis split
+        # table, with the lumps numbered by their place in the sorted set
+        # partition, are the pairs of its word's column of Sh_k
+        table = _split_table(ground)
+        for F in compositions_of(ground):
+            k = len(F)
+            number = {L: i for i, L in enumerate(sorted(F.lumps))}
+            word = tuple([number[L] for L in F.lumps])
+            column = _shuffle_columns(k)[list(itertools.permutations(range(k))).index(word)]
+            pairs = [table.pairs[pid] for pid in table.row(F, Q)[1:-1] if pid >= 0]
+            got = [tuple([tuple([number[L] for L in G.lumps]) for G in pair]) for pair in pairs]
+            assert len(got) == 2**k - 2
+            assert sorted(got) == sorted(column.keys())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.heavy)])
+    def test_block_nullity_is_the_h_basis_nullity(self, n):
+        columns = [v for _, v in split_columns(canonical_set(n))]
+        assert _split_nullity(n) == len(columns) - rank_mod_prime(columns) == zie_dimension(n)
 
     def test_lower_side_is_the_dynkin_rows_alone(self, monkeypatch):
         checked = []
@@ -659,20 +724,6 @@ class TestDynkinRank:
         assert dynkin_rank(canonical_set(5)) == (370, 150, 150)
         assert len(checked) == 12  # one per orbit representative
         assert trees == []
-
-    def test_lost_free_column_raises(self, monkeypatch):
-        # the pivots name the last free column in place of their first, so
-        # the rows lose that column and fall short of the unchanged upper side
-        original = cells_module.pivot_rows_mod_prime
-
-        def lossy(vectors):
-            pivots = original(vectors)
-            last_free = max(set(range(len(vectors))) - set(pivots))
-            return [last_free] + pivots[1:]
-
-        monkeypatch.setattr(cells_module, "pivot_rows_mod_prime", lossy)
-        with pytest.raises(ArithmeticError, match="modular bounds on the Dynkin rank disagree"):
-            dynkin_rank(canonical_set(4))
 
     def test_degree_zero_has_no_primitives(self):
         # the monoid is connected, so P[empty] = 0, as zie_dimension(0) says
@@ -697,12 +748,15 @@ class TestDynkinRank:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mod_prime_rank_is_exact_rank(self, n):
-        # the two GF(p) ranks of the modular squeeze, against exact elimination
+        # the GF(p) ranks of the modular squeeze, and of the H-basis split
+        # matrix, against exact elimination
         columns = [v for _, v in split_columns(canonical_set(n))]
         dynkin_rows = [dynkin(c).lc for c in enumerate_cells(canonical_set(n))]
-        for vectors in (columns, dynkin_rows):
+        shuffles = _shuffle_columns(n)
+        for vectors in (columns, dynkin_rows, shuffles):
             assert rank_mod_prime(vectors) == rank(vectors)
         assert len(columns) - rank(columns) == zie_dimension(n)
+        assert len(shuffles) - rank(shuffles) == math.factorial(n - 1)
 
     def test_modular_path_leaves_numpy_unloaded(self):
         code = (
@@ -718,7 +772,7 @@ class TestDynkinRank:
 
     def test_bound(self):
         with pytest.raises(SizeLimitError):
-            dynkin_rank(canonical_set(6))
+            dynkin_rank(canonical_set(7))
 
 
 class TestRelabelOrbits:

@@ -103,6 +103,7 @@ DYNKIN_RANK_STDOUT = {
     3: '{"cells":6,"rank":6,"zieDim":6,"status":"pass"}\n',
     4: '{"cells":32,"rank":26,"zieDim":26,"status":"pass"}\n',
     5: '{"cells":370,"rank":150,"zieDim":150,"status":"pass"}\n',
+    6: '{"cells":11292,"rank":1082,"zieDim":1082,"status":"pass"}\n',
 }
 
 # sha256 of the stdout of `toy demo` and `toy bogoliubov --order N` on
@@ -155,7 +156,7 @@ OVER_BOUND = [
     ("hopf", "check", "--n", "7"),
     ("cells", "count", "--n", "7"),
     ("cells", "enumerate", "--n", "7"),
-    ("dynkin", "rank", "--n", "6"),
+    ("dynkin", "rank", "--n", "7"),
     ("steinmann", "verify", "--n", "6"),
     ("ruelle", "verify", "--n", "7"),
     ("glz", "verify", "--n", "7"),
@@ -187,7 +188,10 @@ class TestDataCommands:
             "status": "pass",
         }
 
-    @pytest.mark.parametrize("n", sorted(DYNKIN_RANK_STDOUT))
+    @pytest.mark.parametrize(
+        "n",
+        [pytest.param(n, marks=pytest.mark.heavy) if n >= 6 else n for n in sorted(DYNKIN_RANK_STDOUT)],
+    )
     def test_dynkin_rank_output_pinned(self, n):
         proc = run_cli("dynkin", "rank", "--n", str(n))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, DYNKIN_RANK_STDOUT[n], "")
