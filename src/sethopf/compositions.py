@@ -10,10 +10,12 @@ nonempty subsets ("lumps") covering it.  The empty composition ``()`` is
 the unique composition of the empty set.
 
 Input is validated once, at the boundary: ``Composition(...)``, ``comp``
-and ``one_lump`` sort the lumps and reject empty lumps and repeated labels,
-and ``concat``, ``restrict`` and ``deshuffle`` check their ground sets.
+and ``one_lump`` sort the lumps and reject empty lumps, repeated labels and
+non-int labels; ``concat``, ``restrict`` and ``deshuffle`` check their grounds.
 Past those checks the operations build their results unchecked, with
 ``Composition._of``, from lumps they keep sorted, disjoint and nonempty.
+Both constructors return the one composition of the given lumps, kept in
+``_interned`` for the life of the process: equal compositions are one object.
 """
 
 from __future__ import annotations
@@ -47,31 +49,33 @@ def star_labels(r: int) -> LabelSet:
 
 
 class Composition:
-    """An ordered sequence of disjoint nonempty label sets covering its ground."""
+    """An ordered sequence of disjoint nonempty label sets covering its ground (interned)."""
 
-    __slots__ = ("lumps", "ground", "_hash")
+    __slots__ = ("lumps", "ground")
 
-    def __init__(self, lumps: Iterable[Iterable[int]]):
+    def __new__(cls, lumps: Iterable[Iterable[int]]):
         ls = tuple(labelset(l) for l in lumps)
+        if ls in _interned:
+            return _interned[ls]
         seen: set[int] = set()
         for l in ls:
             if not l:
                 raise DomainError("empty lump in composition")
-            for x in l:
-                if x in seen:
-                    raise DomainError(f"label {x} appears in two lumps")
-                seen.add(x)
-        _set_lumps(self, ls)
-        _set_ground(self, tuple(sorted(seen)))
-        _set_hash(self, hash(ls))
+            if not seen.isdisjoint(l):
+                raise DomainError(f"label {min(seen.intersection(l))} appears in two lumps")
+            seen.update(l)
+        if any(type(x) is not int for x in seen):  # 1.0 == 1 would intern a float spelling
+            raise DomainError("labels must be ints")
+        return cls._of(ls, tuple(sorted(seen)))
 
     @classmethod
     def _of(cls, lumps: tuple, ground: LabelSet) -> "Composition":
         """Unchecked: lumps are sorted, disjoint, nonempty tuples, ground their sorted union."""
-        self = _new(cls)
-        _set_lumps(self, lumps)
-        _set_ground(self, ground)
-        _set_hash(self, hash(lumps))
+        self = _interned.get(lumps)
+        if self is None:
+            self = _interned[lumps] = _new(cls)
+            _set_lumps(self, lumps)
+            _set_ground(self, ground)
         return self
 
     def __setattr__(self, *a):
@@ -79,12 +83,6 @@ class Composition:
 
     def __len__(self):
         return len(self.lumps)
-
-    def __eq__(self, other):
-        return isinstance(other, Composition) and self.lumps == other.lumps
-
-    def __hash__(self):
-        return self._hash
 
     def sort_key(self):
         return (len(self.lumps), self.lumps)
@@ -101,10 +99,10 @@ class Composition:
         return "(" + ",".join(lump_str(l) for l in self.lumps) + ")"
 
 
+_interned: dict[tuple, Composition] = {}  # lump tuple -> its one composition, never evicted
 _new = object.__new__
 _set_lumps = Composition.lumps.__set__
 _set_ground = Composition.ground.__set__
-_set_hash = Composition._hash.__set__
 
 EMPTY_COMPOSITION = Composition(())
 

@@ -365,6 +365,7 @@ def dimension_suite(n: int = 4) -> SuiteResult:
 
 
 def cells_suite(n_max: int = 5) -> SuiteResult:
+    check_size("cells", n_max)
     res = SuiteResult("cells")
     counts = {}
     for m in range(2, n_max + 1):
@@ -385,6 +386,7 @@ def cells_suite(n_max: int = 5) -> SuiteResult:
 
 
 def dynkin_suite(n: int = 4) -> SuiteResult:
+    check_size("dynkin rank", n)
     res = SuiteResult("dynkin")
     for m in range(1, n + 1):
         ground = canonical_set(m)

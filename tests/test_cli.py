@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -534,3 +535,24 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("hopf", "check", "--n", "3"), ("series", "identities", "--order", "3"), ("toy", "demo", "--order", "3")],
+    ids=lambda a: "-".join(a[:2]),
+)
+def test_output_does_not_depend_on_hash_seed(tmp_path, args):
+    # compositions hash by identity, that is by address, and strings by the
+    # seed: no output may follow the iteration order of a set of either
+    if args[0] == "toy":
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(TOY_MODEL))
+        args += ("--model", str(path))
+    outs = []
+    for seed in ("0", "123"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=600, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sethopf import compositions as compositions_module
 from sethopf.compositions import (
     Composition,
     EMPTY_COMPOSITION,
@@ -14,6 +15,7 @@ from sethopf.compositions import (
     deshuffle,
     fubini,
     labelset,
+    one_lump,
     opposite,
     quotient_stats,
     refinements,
@@ -216,9 +218,12 @@ def test_labelset_sorted(labels):
 
 
 def assert_as_validated(K):
-    """K is what the validating constructor builds from K's lumps."""
-    ref = Composition(K.lumps)
-    assert (K.lumps, K.ground, hash(K)) == (ref.lumps, ref.ground, hash(ref)), K
+    """K is the one composition of its lumps, over the ground the validating
+    constructor derives.  The constructor returns an interned composition
+    unchecked, so the ground is recomputed here."""
+    labels = [x for l in K.lumps for x in l]
+    assert all(K.lumps) and K.ground == labelset(labels), K
+    assert Composition(K.lumps) is K, K
 
 
 def subsets(ground):
@@ -254,9 +259,64 @@ class TestTrustedConstructions:
                     for G in compositions_of(T):
                         assert_as_validated(concat(F, G))
 
+    def test_concat_builds_what_it_interns(self):
+        # labels no other test uses and only proper splits, so no other
+        # constructor has interned these lumps and concat builds each result
+        ground = (601, 602, 603, 604)
+        for S in subsets(ground)[1:-1]:
+            T = tuple(x for x in ground if x not in S)
+            for F in compositions_of(S):
+                for G in compositions_of(T):
+                    assert_as_validated(concat(F, G))
+
     def test_opposite_and_refinements(self):
         for ground in GROUNDS:
             for F in compositions_of(ground):
                 assert_as_validated(opposite(F))
                 for G in refinements(F):
                     assert_as_validated(G)
+
+
+class TestInterning:
+    """One Composition per lump tuple, so equality is identity."""
+
+    def test_one_object_per_lump_tuple(self):
+        for ground in GROUNDS:
+            for F in compositions_of(ground):
+                assert Composition(F.lumps) is F
+                assert Composition(F.lumps[::-1]) is opposite(F)
+                assert Composition._of(F.lumps, F.ground) is F
+                assert comp(*F.lumps) is F
+
+    def test_generator_input(self):
+        # the constructor consumes the outer iterable once; lumps may be iterators too
+        F = Composition(((1, 3), (2,)))
+        assert Composition(l for l in [(3, 1), (2,)]) is F
+        assert Composition(iter(l) for l in [[3, 1], [2]]) is F
+        assert Composition(x for x in ()) is EMPTY_COMPOSITION
+
+    def test_rejected_input_interns_nothing(self):
+        # labels no other test uses, so the valid composition is built here first
+        size = len(compositions_module._interned)
+        bad_inputs = [((101, 102), ()), ((), (101,)), ((101,), (102, 101)), ((101, 101), (102,)),
+                      ((102.0,), (101,)), ((102,), (True,))]
+        for bad in bad_inputs:
+            with pytest.raises(DomainError):
+                Composition(bad)
+        assert len(compositions_module._interned) == size
+        F = Composition(((102,), (101,)))
+        assert (F.lumps, F.ground, len(F)) == (((102,), (101,)), (101, 102), 2)
+        assert Composition([(102,), (101,)]) is F
+        assert Composition([(102.0,), (101,)]) is F  # equal input finds the int spelling
+        assert len(compositions_module._interned) == size + 1
+
+    def test_empty(self):
+        assert EMPTY_COMPOSITION is Composition(())
+        assert EMPTY_COMPOSITION is comp() is one_lump(())
+
+    def test_immutable(self):
+        F = comp((1, 2), (3,))
+        for name in ("lumps", "ground", "other"):
+            with pytest.raises(AttributeError):
+                setattr(F, name, ())
+        assert F.lumps == ((1, 2), (3,))

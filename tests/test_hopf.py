@@ -13,6 +13,7 @@ from sethopf.compositions import (
     comp,
     compositions_of,
     deshuffle,
+    labelset,
     ordered_splits,
     restrict,
     set_partitions,
@@ -582,9 +583,9 @@ def assert_as_validated(x):
     """x is what the validating constructors build from its ground, terms and basis."""
     assert type(x.ground) is tuple and x.ground == tuple(sorted(x.ground)), x.ground
     assert x == SigmaElem(x.ground, x.lc, x.basis)
-    for K in x.lc.keys():
-        ref = Composition(K.lumps)
-        assert (K.lumps, K.ground, hash(K)) == (ref.lumps, ref.ground, hash(ref)), K
+    for K in x.lc.keys():  # the one composition of its lumps, with the ground recomputed
+        assert all(K.lumps) and K.ground == labelset(y for l in K.lumps for y in l), K
+        assert Composition(K.lumps) is K, K
 
 
 def full_elem(ground, basis, shift=0):
