@@ -23,14 +23,9 @@ from .scalars import QI, HbarPoly, C_QFT
 from .lincomb import LinComb
 from .linalg import kernel_basis, rank
 from .hopf import (
-    DecoratedElem,
     SigmaElem,
     antipode,
     basis_elem,
-    decorated_antipode,
-    decorated_delta,
-    decorated_mu,
-    delta,
     delta_split,
     h_elem,
     is_primitive,
@@ -47,7 +42,6 @@ from .cells import (
     Cell,
     Tree,
     commutator,
-    debracketing,
     dynkin,
     dynkin_rank,
     dynkin_tits_factorization,

@@ -116,12 +116,6 @@ def advanced_element(Y: Iterable[int], I: Iterable[int]) -> SigmaElem:
     return _split_sum(Y, I, advanced=True)
 
 
-def reverse_convolution_element(Y: Iterable[int], mirror: bool = False) -> SigmaElem:
-    """sum over splits of  s(H_(Y1)) H_(Y2)  (H_(Y1) s(H_(Y2)) when mirrored);
-    the unit for Y empty, zero otherwise by the antipode axiom."""
-    return _split_sum(labelset(Y), (), advanced=mirror)
-
-
 def _arrow_cell(Y: Iterable[int], c: Cell, down: bool) -> Cell:
     Y = labelset(Y)
     if set(Y) & set(c.ground):

@@ -15,10 +15,9 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .arrows import retarded_element
-from .compositions import Composition, canonical_set, labelset, one_lump, set_partitions, star_labels
+from .compositions import Composition, labelset, one_lump, star_labels
 from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
-from .lincomb import lincomb_sum
 from .scalars import C_QFT, I_HBAR, as_hbar
 from .series import (
     ProductSystem,
@@ -218,32 +217,3 @@ class CausalModel:
             if oid != self.interaction:
                 return self.observables[oid]
         raise DomainError("model needs at least one non-interaction observable")
-
-
-def recompose_system(sys: ProductSystem, z_combine) -> ProductSystem:
-    """Renormalization-style recombination of one-lump products.
-
-    ``z_combine(labels, dec)`` maps a block of decorated labels to a new
-    decoration value, or None for a vanishing contribution.  The new
-    one-lump evaluator sums over set partitions, evaluating the block
-    values time-ordered; other compositions evaluate lumpwise as always.
-    Whether a nontrivial combiner preserves causal factorization is left
-    to the caller: rerun homomorphism_check and the causal suite on the result.
-    """
-
-    def eval_one_lump(labels: tuple, dec: Mapping) -> WordElem:
-        blocks = ([z_combine(block, dec) for block in P] for P in set_partitions(labels))
-        parts = (
-            sys.eval_comp(one_lump(canonical_set(len(values))), dict(enumerate(values, 1))).lc
-            for values in blocks
-            if all(v is not None for v in values)
-        )
-        return WordElem(lincomb_sum(parts))
-
-    def eval_comp(F: Composition, dec: Mapping) -> WordElem:
-        out = WordElem.unit()
-        for lump in F.lumps:
-            out = out * eval_one_lump(lump, dec)
-        return out
-
-    return ProductSystem(f"{sys.name}+recomposed", eval_comp)

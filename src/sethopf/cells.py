@@ -470,18 +470,8 @@ def total_retarded_cell(I: Iterable[int], i: int) -> Cell:
     return Cell._of(ground, sum([1 << m for m in range(1, full) if m & bit]))
 
 
-def total_advanced_cell(I: Iterable[int], i: int) -> Cell:
-    cell = total_retarded_cell(I, i)
-    full = (1 << len(cell.ground)) - 1
-    return Cell._of(cell.ground, sum([1 << (full ^ m) for m in _set_bits(cell.bits)]))
-
-
 def total_retarded_dynkin(I: Iterable[int], i: int) -> SigmaElem:
     return dynkin(total_retarded_cell(I, i))
-
-
-def total_advanced_dynkin(I: Iterable[int], i: int) -> SigmaElem:
-    return dynkin(total_advanced_cell(I, i))
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +565,6 @@ def leaf(labels: Iterable[int]) -> Tree:
 
 def node(left: Tree, right: Tree) -> Tree:
     return Tree(left=left, right=right)
-
-
-def debracketing(t: Tree) -> Composition:
-    lumps: list[LabelSet] = []
-
-    def walk(s: Tree):
-        if s.is_leaf():
-            lumps.append(s.block)
-        else:
-            walk(s.left)
-            walk(s.right)
-
-    walk(t)
-    return Composition(tuple(lumps))
 
 
 def _signed_debracketings(t: Tree) -> list[tuple[tuple, int]]:

@@ -9,9 +9,11 @@ A composition of a finite label set is an ordered sequence of disjoint
 nonempty subsets ("lumps") covering it.  The empty composition ``()`` is
 the unique composition of the empty set.
 
-Input is validated once, at the boundary: ``Composition(...)``, ``comp``
-and ``one_lump`` sort the lumps and reject empty lumps, repeated labels and
-non-int labels; ``concat``, ``restrict`` and ``deshuffle`` check their grounds.
+Input is validated once, at the boundary: ``labelset`` sorts a label set
+and rejects repeated and non-int labels, and every constructor that takes
+labels from outside goes through it.  ``Composition(...)``, ``comp`` and
+``one_lump`` also reject empty lumps and a label in two lumps; ``concat``,
+``restrict`` and ``deshuffle`` check their grounds.
 Past those checks the operations build their results unchecked, with
 ``Composition._of``, from lumps they keep sorted, disjoint and nonempty.
 Both constructors return the one composition of the given lumps, kept in
@@ -31,11 +33,19 @@ LabelSet = tuple  # sorted tuple of distinct ints
 
 
 def labelset(labels: Iterable[int]) -> LabelSet:
-    """Canonical (sorted, duplicate-checked) form of a finite label set."""
+    """Canonical (sorted, duplicate-checked) form of a finite label set.
+
+    Every label must be an int (a bool is not): 1.0 == 1, so a float label
+    would otherwise intern a composition that every later constructor of
+    the int lumps returns.
+    """
     out = tuple(sorted(labels))
     for a, b in zip(out, out[1:]):
         if a == b:
             raise DomainError(f"duplicate label {a}")
+    for x in out:
+        if type(x) is not int:
+            raise DomainError(f"label {x!r} is not an int")
     return out
 
 
@@ -64,8 +74,6 @@ class Composition:
             if not seen.isdisjoint(l):
                 raise DomainError(f"label {min(seen.intersection(l))} appears in two lumps")
             seen.update(l)
-        if any(type(x) is not int for x in seen):  # 1.0 == 1 would intern a float spelling
-            raise DomainError("labels must be ints")
         return cls._of(ls, tuple(sorted(seen)))
 
     @classmethod

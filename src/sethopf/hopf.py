@@ -33,10 +33,6 @@ ground, and ``basis_elem`` checks the tag.  The operations check only what
 their arguments can get wrong (the grounds, the basis, a bijective
 relabelling) and build their results unchecked, with ``SigmaElem._of`` and
 ``Composition._of``, keeping every term a composition of the sorted ground.
-``delta_iterated`` checks that its parts decompose the ground, then calls the
-unchecked ``_delta_iterated``; the Takeuchi antipode and
-``hadamard.hopf_power`` call that directly, with the lumps of a composition
-of the ground.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from .compositions import (
     EMPTY_COMPOSITION,
     canonical_set,
     compositions_of,
-    deshuffle,
     labelset,
     opposite,
     proper_splits,
@@ -186,10 +181,7 @@ def relabel(a: SigmaElem, mapping: dict[int, int]) -> SigmaElem:
     """Push a along a label bijection (applied lump-wise to every term)."""
     if set(mapping.keys()) != set(a.ground):
         raise DomainError("relabel mapping must be defined exactly on the ground set")
-    if len(set(mapping.values())) != len(mapping):
-        raise DomainError("relabel mapping must be injective")
-
-    ground = tuple(sorted(mapping.values()))
+    ground = labelset(mapping.values())  # rejects a repeated or non-int target
 
     def move(F: Composition) -> Composition:
         lumps = tuple(tuple(sorted(mapping[x] for x in l)) for l in F.lumps)
@@ -302,12 +294,11 @@ def _split_form(a: SigmaElem, table: _SplitTable) -> tuple:
 
 
 def _bad_split(S: tuple, T: tuple) -> NoReturn:
-    """Raise the DomainError that names what is wrong with the split (S, T)."""
-    try:
+    """Raise the DomainError that names what is wrong with the split (S, T):
+    a repeated label when every label is an int, else the decomposition."""
+    if all(type(x) is int for x in S + T):
         labelset(S)
         labelset(T)
-    except TypeError:  # labels that do not compare
-        pass
     raise DomainError("(S, T) must be an ordered disjoint decomposition of the ground set")
 
 
@@ -342,45 +333,13 @@ def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
     return LinComb._of(terms)
 
 
-def delta(S: Iterable[int], T: Iterable[int], a: SigmaElem) -> list[tuple[SigmaElem, SigmaElem]]:
-    """Delta_{S,T}(a) as an explicit finite sum of pure tensors."""
-    S = labelset(S)
-    T = labelset(T)
-    pairs = delta_split(a, S, T)
-    out = []
-    for (L, R), c in pairs.items_sorted():
-        out.append((basis_elem(L, a.basis, c), basis_elem(R, a.basis)))
-    return out
-
-
-def delta_iterated(a: SigmaElem, parts: Sequence[Iterable[int]]) -> LinComb:
-    """Iterated comultiplication along an ordered decomposition of the ground.
-
-    Returns a LinComb over tuples of compositions, one entry per part.  For
-    the H-basis this is simultaneous restriction; for the Q-basis iterated
-    deshuffling.
-    """
-    parts = [labelset(P) for P in parts]
-    flat = sorted(x for P in parts for x in P)
-    if tuple(flat) != a.ground or len(set(flat)) != len(flat):
-        raise DomainError("parts must decompose the ground set")
-    return _delta_iterated(a, parts)
-
-
 def _delta_iterated(a: SigmaElem, parts: Sequence[tuple]) -> LinComb:
-    """Unchecked: parts are sorted label tuples that decompose a.ground."""
-    if a.basis == H:
-        return sparse_sum((tuple(_restrict_cached(F, P) for P in parts), c) for F, c in a.lc)
-    keyed = ((tuple(deshuffle(F, P) for P in parts), c) for F, c in a.lc)
-    return sparse_sum((key, c) for key, c in keyed if None not in key)
+    """Iterated coproduct of an H-basis element: simultaneous restriction.
 
-
-def counit(a: SigmaElem):
-    """The counit: the coefficient of the empty composition on the empty ground."""
-    if a.ground:
-        return 0
-    c = a.lc.coeff(EMPTY_COMPOSITION)
-    return c if c is not None else 0
+    Unchecked: parts are sorted label tuples that decompose a.ground.
+    Returns a LinComb over tuples of compositions, one entry per part.
+    """
+    return sparse_sum((tuple(_restrict_cached(F, P) for P in parts), c) for F, c in a.lc)
 
 
 @lru_cache(maxsize=None)
@@ -492,51 +451,3 @@ def primitive_part_basis(n: int) -> list[SigmaElem]:
     vectors = kernel_basis(columns, [F for F, _ in columns])
     return [SigmaElem(ground, v, H) for v in vectors]
 
-
-class DecoratedElem:
-    """A composition-algebra element tensored with one decoration per label."""
-
-    __slots__ = ("elem", "decoration")
-
-    def __init__(self, elem: SigmaElem, decoration: dict):
-        if set(decoration.keys()) != set(elem.ground):
-            raise DomainError("decoration must assign exactly the ground labels")
-        object.__setattr__(self, "elem", elem)
-        object.__setattr__(self, "decoration", dict(decoration))
-
-    def __setattr__(self, *a):
-        raise AttributeError("DecoratedElem is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecoratedElem)
-            and self.elem == other.elem
-            and self.decoration == other.decoration
-        )
-
-    def __repr__(self):
-        return f"{self.elem} (x) {self.decoration}"
-
-
-def decorated_mu(x: DecoratedElem, y: DecoratedElem) -> DecoratedElem:
-    overlap = set(x.decoration) & set(y.decoration)
-    if overlap:
-        raise DomainError(f"decoration collision on labels {sorted(overlap)}")
-    return DecoratedElem(mu(x.elem, y.elem), {**x.decoration, **y.decoration})
-
-
-def decorated_delta(
-    x: DecoratedElem, S: Iterable[int], T: Iterable[int]
-) -> list[tuple[DecoratedElem, DecoratedElem]]:
-    S = labelset(S)
-    T = labelset(T)
-    dec_s = {i: x.decoration[i] for i in S}
-    dec_t = {i: x.decoration[i] for i in T}
-    return [
-        (DecoratedElem(left, dec_s), DecoratedElem(right, dec_t))
-        for left, right in delta(S, T, x.elem)
-    ]
-
-
-def decorated_antipode(x: DecoratedElem) -> DecoratedElem:
-    return DecoratedElem(antipode(x.elem), x.decoration)

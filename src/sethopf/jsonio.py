@@ -1,8 +1,9 @@
-"""Stable JSON encodings for every externally visible value.
+"""Stable JSON encodings of the values the CLI prints, and the decoder of
+the model files it reads.
 
 All orderings are canonical so that repeated runs produce byte-identical
-output: compositions sort by (length, lumps), cells by their positive
-sides, series terms by total degree then g-degree then word.
+output: cells by their positive sides, series terms by total degree then
+g-degree then word.
 """
 
 from __future__ import annotations
@@ -10,11 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .causal import CausalModel, TimedObservable
-from .compositions import Composition
 from .cells import Cell
 from .errors import DomainError
-from .hopf import SigmaElem
-from .scalars import HbarPoly, QI, as_qi
+from .scalars import HbarPoly, as_qi
 from .series import TruncSeries
 from .words import WordElem
 
@@ -31,41 +30,8 @@ def qi_to_json(x) -> dict:
     return {"re": frac_to_json(q.re), "im": frac_to_json(q.im)}
 
 
-def qi_from_json(d: dict) -> QI:
-    return QI(Fraction(d["re"]), Fraction(d["im"]))
-
-
 def hbar_to_json(p: HbarPoly) -> list:
     return [{"pow": k, "coeff": qi_to_json(p.c[k])} for k in sorted(p.c)]
-
-
-def hbar_from_json(items: list) -> HbarPoly:
-    return HbarPoly({d["pow"]: qi_from_json(d["coeff"]) for d in items})
-
-
-def lincomb_to_json(lc, key_to_json=lambda k: k) -> list:
-    return [
-        {"key": key_to_json(k), "coeff": qi_to_json(c)} for k, c in lc.items_sorted()
-    ]
-
-
-def comp_to_json(F: Composition) -> list:
-    return [list(l) for l in F.lumps]
-
-
-def comp_from_json(data: list) -> Composition:
-    return Composition(tuple(tuple(l) for l in data))
-
-
-def sigma_to_json(a: SigmaElem) -> dict:
-    return {
-        "ground": list(a.ground),
-        "basis": a.basis,
-        "terms": [
-            {"comp": comp_to_json(F), "coeff": qi_to_json(c)}
-            for F, c in a.lc.items_sorted()
-        ],
-    }
 
 
 def cell_to_json(cell: Cell, witness: dict | None = None) -> dict:
@@ -91,16 +57,6 @@ def truncseries_to_json(ts: TruncSeries) -> dict:
                 {"g": r, "j": n, "hbar": hbar_to_json(coeff), "value": word_to_json(word)}
             )
     return {"order": ts.order, "terms": terms}
-
-
-def model_to_json(m: CausalModel) -> dict:
-    return {
-        "observables": [
-            {"id": oid, "time": frac_to_json(m.observables[oid].time)}
-            for oid in sorted(m.observables)
-        ],
-        "interaction": m.interaction,
-    }
 
 
 def model_from_json(data: dict) -> CausalModel:

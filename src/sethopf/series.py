@@ -31,7 +31,6 @@ from .compositions import (
 from .errors import DomainError
 from .hopf import (
     H,
-    DecoratedElem,
     SigmaElem,
     _tensor,
     antipode,
@@ -205,13 +204,8 @@ def polynomial_system(pairings: Mapping[Any, object]) -> ProductSystem:
     return ProductSystem("polynomial", eval_comp)
 
 
-def eval_system(sys: ProductSystem, x: SigmaElem | DecoratedElem, dec: Mapping[int, Any] | None = None) -> WordElem:
-    """Linear extension of the evaluator over the H-basis."""
-    if isinstance(x, DecoratedElem):
-        if dec is not None:
-            raise DomainError("decorated elements carry their own decoration")
-        dec = x.decoration
-        x = x.elem
+def eval_system(sys: ProductSystem, x: SigmaElem, dec: Mapping[int, Any] | None = None) -> WordElem:
+    """Linear extension of the evaluator over the H-basis: x decorated by dec."""
     if x.basis != H:
         raise DomainError("eval_system expects an H-basis element")
     if dec is None:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sethopf.causal import (
-    CAUSAL_SYSTEM,
     CausalModel,
     TimedObservable,
     bogoliubov_check,
@@ -14,7 +13,6 @@ from sethopf.causal import (
     generalized_T,
     generating_function,
     interacting_observable,
-    recompose_system,
     respects,
     retarded_product,
     reverse_T,
@@ -27,7 +25,7 @@ from sethopf.compositions import canonical_set, comp, compositions_of, ordered_s
 from sethopf.errors import DomainError
 from sethopf.hopf import antipode, basis_elem, h_elem, sigma_basis
 from sethopf.scalars import C_QFT, QI
-from sethopf.series import TruncSeries, homomorphism_check
+from sethopf.series import TruncSeries
 from sethopf.words import WordElem
 
 A0 = TimedObservable("a", 0)
@@ -240,18 +238,3 @@ class TestModel:
             CausalModel([A0], "missing")
         with pytest.raises(DomainError):
             CausalModel([A0, TimedObservable("a", 5)], "a")
-
-
-class TestRecompose:
-    def test_trivial_combiner_is_identity(self):
-        # blocks of size >= 2 contribute nothing: only singleton partitions remain
-        def z(block, dec):
-            if len(block) == 1:
-                return dec[block[0]]
-            return None
-
-        sys2 = recompose_system(CAUSAL_SYSTEM, z)
-        dec = {1: A0, 2: B1, 3: C2}
-        for F in compositions_of(canonical_set(3)):
-            assert sys2.eval_comp(F, dec) == CAUSAL_SYSTEM.eval_comp(F, dec)
-        assert homomorphism_check(sys2, 3, dec)

@@ -11,7 +11,6 @@ from sethopf.cells import (
     Cell,
     channel_representatives,
     commutator,
-    debracketing,
     dynkin,
     dynkin_rank,
     dynkin_tits_factorization,
@@ -28,8 +27,6 @@ from sethopf.cells import (
     steinmann_quadruples,
     steinmann_relation_holds,
     steinmann_relation_vectors,
-    total_advanced_cell,
-    total_advanced_dynkin,
     total_retarded_cell,
     total_retarded_dynkin,
     tree_to_primitive,
@@ -306,7 +303,6 @@ class TestCellBits:
         for i in ground:
             retarded = total_retarded_cell(ground, i)
             assert retarded == Cell(ground, [S for S in sides if i in S])
-            assert total_advanced_cell(ground, i) == Cell(ground, [S for S in sides if i not in S])
 
 
 @pytest.fixture
@@ -536,9 +532,6 @@ class TestDynkin:
 
     def test_total_retarded_spec_example(self):
         assert total_retarded_dynkin((1, 2), 2) == h_elem((1, 2)) - h_elem((1,), (2,))
-
-    def test_total_advanced(self):
-        assert total_advanced_dynkin((1, 2), 2) == h_elem((1, 2)) - h_elem((2,), (1,))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_primitive(self, n):
@@ -936,10 +929,6 @@ class TestTrees:
             + q_elem((3,), (2,), (1,))
         )
         assert tree_to_primitive(t) == expected
-
-    def test_debracketing(self):
-        t = node(node(leaf((2, 4)), node(leaf((1,)), leaf((9,)))), leaf((6, 7, 8)))
-        assert debracketing(t) == comp((2, 4), (1,), (9,), (6, 7, 8))
 
     def test_images_primitive(self):
         t = node(leaf((1, 3)), leaf((2,)))

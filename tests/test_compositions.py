@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,8 +309,41 @@ class TestInterning:
         F = Composition(((102,), (101,)))
         assert (F.lumps, F.ground, len(F)) == (((102,), (101,)), (101, 102), 2)
         assert Composition([(102,), (101,)]) is F
-        assert Composition([(102.0,), (101,)]) is F  # equal input finds the int spelling
+        with pytest.raises(DomainError):  # equal to F's lumps, but not int labels
+            Composition([(102.0,), (101,)])
         assert len(compositions_module._interned) == size + 1
+
+    @pytest.mark.parametrize(
+        "setup,call",
+        [
+            ("F = comp((1, 2), (3,))", "restrict(F, (1.0, 3))"),
+            ("", "compositions_of((1.0, 9))"),
+            ("lc = LinComb({comp((1,), (7,)): 1})", "SigmaElem((1.0, 7), lc)"),
+            ("x = h_elem((1,), (2,))", "relabel(x, {1: 5.0, 2: 6})"),
+        ],
+        ids=["restrict", "compositions_of", "SigmaElem", "relabel"],
+    )
+    def test_float_label_interns_nothing(self, setup, call):
+        # in a fresh interpreter, so that a float ground interned by the
+        # call could not be met first by an earlier test's int lumps
+        code = (
+            "from sethopf.compositions import _interned, comp, compositions_of, restrict\n"
+            "from sethopf.errors import DomainError\n"
+            "from sethopf.hopf import SigmaElem, h_elem, relabel\n"
+            "from sethopf.lincomb import LinComb\n"
+            f"{setup}\n"
+            "size = len(_interned)\n"
+            "try:\n"
+            f"    {call}\n"
+            "    raised = False\n"
+            "except DomainError:\n"
+            "    raised = True\n"
+            "print(raised, len(_interned) - size,"
+            " all(type(x) is int for F in _interned.values() for x in F.ground))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True 0 True\n"
 
     def test_empty(self):
         assert EMPTY_COMPOSITION is Composition(())

@@ -22,19 +22,13 @@ from sethopf.errors import DomainError
 from sethopf.hadamard import _tits_basis, hopf_power, tits
 from sethopf.hopf import (
     _SplitTable,
+    _delta_iterated,
     _split_table,
-    DecoratedElem,
     H,
     Q,
     SigmaElem,
     antipode,
     basis_elem,
-    counit,
-    decorated_antipode,
-    decorated_delta,
-    decorated_mu,
-    delta,
-    delta_iterated,
     delta_split,
     h_elem,
     is_primitive,
@@ -101,12 +95,6 @@ class TestDelta:
         assert got == LinComb({(EMPTY_COMPOSITION, comp((1, 2))): QI(1)})
         # Q-basis deshuffle: {1} is not a union of lumps of (12,3)
         assert delta_split(q_elem((1, 2), (3,)), (1,), (2, 3)).is_zero()
-
-    def test_pure_tensor_view(self):
-        pairs = delta((1,), (2,), h_elem((1, 2)))
-        assert len(pairs) == 1
-        left, right = pairs[0]
-        assert left == h_elem((1,)) and right == h_elem((2,))
 
     def test_q_delta_deshuffle_hit(self):
         got = delta_split(q_elem((1,), (2,)), (2,), (1,))
@@ -378,60 +366,14 @@ class TestPrimitivePart:
         assert v.lc.keys() == {comp((1,))}
 
 
-class TestDecorated:
-    def test_mu(self):
-        x = DecoratedElem(h_elem((1,)), {1: "a"})
-        y = DecoratedElem(h_elem((2,)), {2: "b"})
-        z = decorated_mu(x, y)
-        assert z.elem == h_elem((1,), (2,)) and z.decoration == {1: "a", 2: "b"}
-
-    def test_antipode(self):
-        x = DecoratedElem(h_elem((1,), (2,)), {1: "a", 2: "b"})
-        s = decorated_antipode(x)
-        assert s.elem == h_elem((2,), (1,)) and s.decoration == {1: "a", 2: "b"}
-
-    def test_delta(self):
-        x = DecoratedElem(h_elem((1, 2)), {1: "a", 2: "b"})
-        [(left, right)] = decorated_delta(x, (1,), (2,))
-        assert left == DecoratedElem(h_elem((1,)), {1: "a"})
-        assert right == DecoratedElem(h_elem((2,)), {2: "b"})
-
-    def test_collision(self):
-        x = DecoratedElem(h_elem((1,)), {1: "a"})
-        with pytest.raises(DomainError):
-            decorated_mu(x, x)
-
-    def test_decoration_must_cover(self):
-        with pytest.raises(DomainError):
-            DecoratedElem(h_elem((1, 2)), {1: "a"})
-
-
 class TestIteratedDelta:
-    def test_q_basis_agrees_with_nested_splits(self):
-        from sethopf.hopf import delta_iterated
-
-        parts = ((2,), (1, 3))
-        for F in compositions_of(canonical_set(3)):
-            aq = basis_elem(F, Q)
-            got = delta_iterated(aq, parts)
-            nested = {}
-            for (x, y), c in delta_split(aq, parts[0], parts[1]):
-                nested[(x, y)] = c
-            assert got == LinComb(nested)
-
     def test_three_parts_h_basis(self):
-        from sethopf.hopf import delta_iterated
-
         a = h_elem((1, 3), (2,))
-        got = delta_iterated(a, ((1,), (2,), (3,)))
+        got = _delta_iterated(a, ((1,), (2,), (3,)))
         assert got == LinComb({(comp((1,)), comp((2,)), comp((3,))): QI(1)})
 
 
 class TestMisc:
-    def test_counit(self):
-        assert counit(unit_elem()) == QI(1)
-        assert counit(h_elem((1,))) == QI(0)
-
     def test_relabel(self):
         a = h_elem((1, 2), (3,))
         b = relabel(a, {1: 5, 2: 7, 3: 6})
@@ -517,22 +459,6 @@ class TestBoundary:
         a = basis_elem(comp((1,), (2,)), basis, coeff)
         with pytest.raises(DomainError, match=message):
             delta_split(a, S, T)
-
-    @pytest.mark.parametrize("basis", [H, Q])
-    @pytest.mark.parametrize(
-        "parts",
-        [
-            ((1,),),  # label 2 missing
-            ((1,), (2,), (1,)),  # label 1 repeated
-            ((1, 2), (2,)),
-            ((1,), (2, 3)),  # label 3 off the ground
-            ((1,), (2,), (3,)),
-        ],
-    )
-    def test_bad_iterated_parts(self, basis, parts):
-        a = basis_elem(comp((1,), (2,)), basis)
-        with pytest.raises(DomainError, match="decompose"):
-            delta_iterated(a, parts)
 
     @pytest.mark.parametrize("F", [comp((1,), (3,)), comp((1,)), comp((1,), (2,), (3,))])
     def test_hopf_power_other_ground(self, F):

@@ -7,7 +7,6 @@ import pytest
 from sethopf.compositions import canonical_set, compositions_of, ordered_splits, proper_splits
 from sethopf.errors import DomainError
 from sethopf.hopf import (
-    DecoratedElem,
     SigmaElem,
     _tensor,
     antipode,
@@ -210,7 +209,6 @@ class TestEvalSystem:
                 got, want = eval_system(sys, x, dec), fold_eval_system(sys, x, dec)
                 assert got == want
                 assert list(got.lc.keys()) == list(want.lc.keys())
-        assert eval_system(CAUSAL_SYSTEM, DecoratedElem(x, causal_dec)) == want
 
     def test_causal_word(self):
         a = TimedObservable("a", 0)
