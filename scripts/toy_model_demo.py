@@ -42,6 +42,13 @@ def _time(text: str) -> Fraction:
 TIME_OPTIONS = ("--interaction-time", "--observable-time")
 
 
+def _word_sum(x) -> str:
+    """The terms of a word-algebra element as ``((c))*a.s``, with each
+    coefficient in double parentheses, or 0."""
+    terms = (f"(({c}))*{'.'.join(w) or '1'}" for w, c in x.lc.items_sorted())
+    return " + ".join(terms) or "0"
+
+
 def _joined_times(argv: list) -> list:
     """argv with each time option joined to the value after it, as
     --interaction-time=-1/2: argparse reads a separate -1/2 as an option."""
@@ -71,7 +78,7 @@ def main():
     print(f"# model: interaction {s}, observable {a}, order {args.order}\n")
 
     print("retarded product R(s; a):")
-    print("   ", retarded_product({-1: s}, {1: a}))
+    print("   ", _word_sum(retarded_product({-1: s}, {1: a})))
 
     print("\nS-matrix scheme S(jA):")
     print(json.dumps(truncseries_to_json(smatrix(a, args.order)), indent=1))

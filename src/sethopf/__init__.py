@@ -19,7 +19,7 @@ from .compositions import (
     restrict,
     zie_dimension,
 )
-from .scalars import QI, HbarPoly, C_QFT
+from .scalars import QI
 from .lincomb import LinComb
 from .linalg import kernel_basis, rank
 from .hopf import (

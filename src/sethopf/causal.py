@@ -18,7 +18,6 @@ from .arrows import retarded_element
 from .compositions import Composition, labelset, one_lump, star_labels
 from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
-from .scalars import C_QFT, I_HBAR, as_hbar
 from .series import (
     ProductSystem,
     TruncSeries,
@@ -134,19 +133,19 @@ def retarded_product(
 def interacting_observable(
     A: TimedObservable, S_int: TimedObservable, order: int
 ) -> TruncSeries:
-    """sum_r (g^r / r!) (1/(i hbar))^r R_(r;1)(S^r; A), a series in g alone."""
+    """sum_r (g^r / r!) c^r R_(r;1)(S^r; A), a series in g alone, at c = 1;
+    the encoder applies c = 1/(i hbar) (see ``series``)."""
     terms: dict[tuple[int, int], WordElem] = {}
     for r in range(order + 1):
         stars = star_labels(r)
         val = generalized_T(retarded_element(stars, (1,)), {**dict.fromkeys(stars, S_int), 1: A})
-        scal = as_hbar(C_QFT**r) * Fraction(1, factorial(r))
-        terms[(r, 0)] = val.scale(scal)
+        terms[(r, 0)] = val.scale(Fraction(1, factorial(r)))
     return TruncSeries(order, terms)
 
 
 def smatrix(A: TimedObservable, order: int) -> TruncSeries:
-    """The T-exponential for the universal series at coupling 1/(i hbar)."""
-    return t_exponential(CAUSAL_SYSTEM, universal_series(C_QFT, order), A, order)
+    """The T-exponential for the universal series at coupling c = 1."""
+    return t_exponential(CAUSAL_SYSTEM, universal_series(1, order), A, order)
 
 
 def generating_function(
@@ -167,20 +166,21 @@ def _z_factorization_holds(z: TruncSeries, A: TimedObservable, S_int: TimedObser
     w = generating_function(A, S_int, order, "up")
     # S^(-1)(gS), the reverse T-exponential of the interaction alone, and
     # S(gS + jA), expanded exactly as a (g, j) double series
-    sinv = reverse_exponential(CAUSAL_SYSTEM, C_QFT, S_int, order)
-    stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(C_QFT, order), S_int, A, order)
+    sinv = reverse_exponential(CAUSAL_SYSTEM, 1, S_int, order)
+    stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(1, order), S_int, A, order)
     return z == sinv * stwo and w == stwo * sinv
 
 
 def bogoliubov_extract(A: TimedObservable, S_int: TimedObservable, order: int) -> TruncSeries:
-    """i hbar * d/dj at j = 0 of the generating function, to order - 1.
+    """i hbar * d/dj at j = 0 of the generating function, to order - 1: at
+    coupling c = 1, where i hbar * c = 1, plain d/dj at j = 0.
 
     Below order 1 the generating function has no j-term, so there is nothing
     to extract and the formula says nothing: a DomainError."""
     if order < 1:
         raise DomainError(f"Bogoliubov's formula needs order >= 1, got {order}")
     z = generating_function(A, S_int, order, "down")
-    return formal_diff(z, "j").at_j_zero().scale(I_HBAR)
+    return formal_diff(z, "j").at_j_zero()
 
 
 def bogoliubov_check(A: TimedObservable, S_int: TimedObservable, order: int) -> bool:

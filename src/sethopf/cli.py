@@ -128,7 +128,7 @@ def _load_model(path: str) -> CausalModel:
         data = json.load(fh)
     try:
         return model_from_json(data)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ArithmeticError) as e:  # "1/0" and Infinity times
         raise ValueError(f"malformed model file {path}: {e!r}") from e
 
 

@@ -8,9 +8,9 @@ form  s(H_F) = sum over refinements G of the reversed composition of
 (-1)^(number of lumps of G) H_G,  cross-checked against Takeuchi's
 alternating-sum formula.
 
-Coefficients are generic: ints and Fractions throughout this module (every
-closed form here is over Q), and whole HbarPoly coefficients from the series
-layer.  Mixed-basis arithmetic is rejected rather than silently converted.
+Coefficients are generic; the package passes ints and Fractions, the series
+layer included (every closed form here is over Q).  Mixed-basis arithmetic
+is rejected rather than silently converted.
 
 ``delta_split`` runs on integers and takes real coefficients only.  Each
 ground set has a split table that interns the coproduct terms of its

@@ -4,6 +4,11 @@ the model files it reads.
 All orderings are canonical so that repeated runs produce byte-identical
 output: cells by their positive sides, series terms by total degree then
 g-degree then word.
+
+``truncseries_to_json`` applies the causal coupling c = 1/(i*hbar): the
+series layer computes at c = 1, so the rational coefficient q at g^r j^n is
+written as q * c^(r+n), that is q * (-i)^(r+n) at the hbar power -(r+n)
+(``series`` says why that is exact).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from .causal import CausalModel, TimedObservable
 from .cells import Cell
 from .errors import DomainError
-from .scalars import HbarPoly, as_qi
+from .scalars import QI, as_qi
 from .series import TruncSeries
 from .words import WordElem
 
@@ -30,8 +35,10 @@ def qi_to_json(x) -> dict:
     return {"re": frac_to_json(q.re), "im": frac_to_json(q.im)}
 
 
-def hbar_to_json(p: HbarPoly) -> list:
-    return [{"pow": k, "coeff": qi_to_json(p.c[k])} for k in sorted(p.c)]
+def _coupled_to_json(q, k: int) -> list:
+    """q * (1/(i*hbar))^k = q * (-i)^k * hbar^(-k), for a rational q."""
+    re, im = ((q, 0), (0, -q), (-q, 0), (0, q))[k % 4]
+    return [{"pow": -k, "coeff": qi_to_json(QI(re, im))}]
 
 
 def cell_to_json(cell: Cell, witness: dict | None = None) -> dict:
@@ -54,11 +61,15 @@ def truncseries_to_json(ts: TruncSeries) -> dict:
         value: WordElem = ts.terms[(r, n)]
         for word, coeff in value.lc.items_sorted():
             terms.append(
-                {"g": r, "j": n, "hbar": hbar_to_json(coeff), "value": word_to_json(word)}
+                {"g": r, "j": n, "hbar": _coupled_to_json(coeff, r + n), "value": word_to_json(word)}
             )
     return {"order": ts.order, "terms": terms}
 
 
 def model_from_json(data: dict) -> CausalModel:
-    obs = [TimedObservable(d["id"], Fraction(d["time"])) for d in data["observables"]]
+    obs = []
+    for d in data["observables"]:
+        if isinstance(d["time"], bool):  # Fraction(True) is 1
+            raise DomainError(f"time of observable {d['id']!r} is a boolean, not a rational number")
+        obs.append(TimedObservable(d["id"], Fraction(d["time"])))
     return CausalModel(obs, data["interaction"])

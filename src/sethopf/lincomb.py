@@ -2,8 +2,7 @@
 
 Keys are opaque hashable values; coefficients are any exact ring elements
 supporting ``+``, ``*``, unary ``-``, ``==`` and truthiness as a zero test.
-The Hopf, cell and elimination layers use ints and Fractions; the series
-layer uses HbarPoly.  Zero coefficients are never stored.
+Every layer uses ints and Fractions.  Zero coefficients are never stored.
 
 Every linear extension of a map on basis keys -- the sum and ``map_keys``
 here, the products ``mu``, ``tits`` and the word product, the iterated
@@ -15,12 +14,12 @@ contract: the first key of a row picks its GF(p) pivot.  A sum of whole
 elements is one ``lincomb_sum`` over their ``LinComb``s, in the key order
 of a pass of ``+`` over the same parts.
 
-Five sums stay apart on purpose: ``HbarPoly`` arithmetic, a coefficient
-ring below this module; the GF(p) row update of ``linalg.rank_mod_prime``,
-which reduces mod P; ``hopf.delta_split``'s int scatter-add over pair ids;
-the expected sides that ``verify.hopf_suite`` builds by hand, which keep
-its checks independent of the code they check; and the two folds of
-``hadamard``, whose one-term inputs from ``tits_suite`` build no sum.
+Four sums stay apart on purpose: the GF(p) row update of
+``linalg.rank_mod_prime``, which reduces mod P; ``hopf.delta_split``'s int
+scatter-add over pair ids; the expected sides that ``verify.hopf_suite``
+builds by hand, which keep its checks independent of the code they check;
+and the two folds of ``hadamard``, whose one-term inputs from
+``tits_suite`` build no sum.
 """
 
 from __future__ import annotations

@@ -6,10 +6,23 @@ concatenation products over ordered splits.  A ``ProductSystem`` evaluates
 basis compositions with one decoration per label into the word algebra.
 T-exponentials and their coderivation/arrow perturbations assemble those
 evaluations into truncated formal power series in the symbols g and j with
-hbar-Laurent coefficients.  Each g^r j^n coefficient of each of them is one
+rational coefficients.  Each g^r j^n coefficient of each of them is one
 ``_gj_term``: an element over r interaction labels and n observable labels,
 evaluated with S on the first and A on the second and scaled by
 c^(r+n) / (r! n!).
+
+The causal constructions run at coupling c = 1, over ints and Fractions;
+the causal coupling c = 1/(i*hbar) is applied once, when
+``jsonio.truncseries_to_json`` writes a series.  That is exact because
+every series involved is homogeneous: its g^r j^n coefficient carries
+c^(r+n) and nothing else depends on c.  A product of two such series is
+again one, since it adds the degrees, and so the c-powers, of the
+coefficients it multiplies.  Two such series are equal at c = 1/(i*hbar)
+exactly when they are equal at c = 1, since each coefficient of either is
+its value at c = 1 times the same invertible c^(r+n).  In Bogoliubov's
+formula, i*hbar * d/dj at j = 0 takes the g^r j^1 coefficient, which
+carries c^(r+1), to g^r, and i*hbar * c = 1 leaves c^r there: at c = 1 the
+extraction is plain d/dj at j = 0.
 """
 
 from __future__ import annotations
@@ -42,7 +55,6 @@ from .hopf import (
     zero_elem,
 )
 from .lincomb import lincomb_sum
-from .scalars import C_QFT, as_hbar
 from .words import WordElem
 
 
@@ -192,10 +204,9 @@ def polynomial_system(pairings: Mapping[Any, object]) -> ProductSystem:
     """Pointwise products of linear functionals evaluated at a fixed point.
 
     ``pairings`` maps decoration symbols to the exact value of their pairing
-    with the chosen point (an int, Fraction, QI or HbarPoly); evaluation
-    multiplies the values of all labels in their own ring and lifts the
-    product to a scalar word once, so the target is commutative and the
-    system is algebraic.
+    with the chosen point (an int, Fraction or QI); evaluation multiplies
+    the values of all labels and lifts the product to a scalar word once, so
+    the target is commutative and the system is algebraic.
     """
 
     def eval_comp(F: Composition, dec: Mapping[int, Any]) -> WordElem:
@@ -312,9 +323,6 @@ class TruncSeries:
                     terms[(r, n)] = prod
         return TruncSeries(self.order, terms)
 
-    def scale(self, c) -> "TruncSeries":
-        return TruncSeries(self.order, {k: v.scale(c) for k, v in self.terms.items()})
-
     def at_g_zero(self) -> "TruncSeries":
         return TruncSeries(self.order, {k: v for k, v in self.terms.items() if k[0] == 0})
 
@@ -355,7 +363,7 @@ def _gj_term(
     Every g^r j^n coefficient built below is one such term."""
     r, n = len(stars), len(labels)
     dec = {**dict.fromkeys(stars, S_dec), **dict.fromkeys(labels, A_dec)}
-    scal = as_hbar(c ** (r + n)) * Fraction(1, factorial(r) * factorial(n))
+    scal = c ** (r + n) * Fraction(1, factorial(r) * factorial(n))
     return eval_system(sys, x, dec).scale(scal)
 
 
@@ -419,8 +427,8 @@ def perturb_arrow(
     order: int,
     direction: str = "down",
 ) -> TruncSeries:
-    """sum g^r j^n c^(r+n) / (r! n!)  eta(R_(r;n) (x) S^r A^n)  (or A_(r;n) up),
-    at c = C_QFT = 1/(i hbar), the coupling of the causal constructions.
+    """sum g^r j^n / (r! n!)  eta(R_(r;n) (x) S^r A^n)  (or A_(r;n) up), at
+    c = 1 like every causal construction (see the module docstring).
     At n = 0 the split sum is the reverse convolution element of the stars."""
     if direction not in ("down", "up"):
         raise DomainError("direction must be 'down' or 'up'")
@@ -430,5 +438,5 @@ def perturb_arrow(
         for n in range(order + 1 - r):
             labels = canonical_set(n)
             x = _split_sum(stars, labels, advanced=direction == "up")
-            terms[(r, n)] = _gj_term(sys, x, stars, labels, S_dec, A_dec, C_QFT)
+            terms[(r, n)] = _gj_term(sys, x, stars, labels, S_dec, A_dec, 1)
     return TruncSeries(order, terms)

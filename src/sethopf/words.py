@@ -1,8 +1,8 @@
 """The free word algebra: noncommutative polynomials in observable ids.
 
-Coefficients are Laurent polynomials in hbar over the Gaussian rationals.
-Concatenation is the product and the empty word is the unit, so scalars
-embed as multiples of the empty word.  No relations are imposed: any
+Coefficients are exact ring elements: ints and Fractions in the series and
+causal layers.  Concatenation is the product and the empty word is the
+unit, so scalars embed as multiples of the empty word.  No relations are imposed: any
 identity that holds here holds for purely combinatorial reasons.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .lincomb import LinComb, sparse_sum
-from .scalars import HBAR_ONE, as_hbar
 
 
 class WordElem:
@@ -31,12 +30,11 @@ class WordElem:
 
     @staticmethod
     def unit() -> "WordElem":
-        return WordElem(LinComb.single((), HBAR_ONE))
+        return WordElem(LinComb.single((), 1))
 
     @staticmethod
-    def word(ids: Iterable[str], coeff=HBAR_ONE) -> "WordElem":
-        c = as_hbar(coeff)
-        return WordElem(LinComb.single(tuple(ids), c))
+    def word(ids: Iterable[str], coeff=1) -> "WordElem":
+        return WordElem(LinComb.single(tuple(ids), coeff))
 
     @staticmethod
     def scalar(coeff) -> "WordElem":
@@ -65,9 +63,7 @@ class WordElem:
         return WordElem(-self.lc)
 
     def scale(self, c) -> "WordElem":
-        if type(c) is int and c == 1:  # immutable, so self is the product
-            return self
-        return WordElem(self.lc.scale(as_hbar(c)))
+        return WordElem(self.lc.scale(c))
 
     def __mul__(self, other: "WordElem") -> "WordElem":
         if not isinstance(other, WordElem):

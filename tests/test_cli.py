@@ -132,6 +132,26 @@ TOY_DIGESTS = {
     },
 }
 
+# The same on LATER_TOY_MODEL, where the interaction comes after the
+# observable, so the time orderings differ from TOY_MODEL's from order 2 on.
+LATER_TOY_DIGESTS = {
+    "demo": {
+        0: "129be5034e8ebb17c4ab94d77e83dd5d7ba430053c051f880a0889688b748422",
+        1: "f6be979528c66ad1143fb4a41898760ca06ee2d3452caf5d390d3d6f4cee1e85",
+        2: "f283e2da41af9b3bc600a291af3c1e2e4acaee900ceb5a09840551dbb866f3fb",
+        3: "cc7b4950e8575548acc9bb0fd092e19d6ab420f2f666eb130f2176d69d8268b1",
+        4: "21f536c4a1fbe0d158956e8875db7d26e3947b6fc6b3d0eb9b8f5999b51988fd",
+        5: "cca4d6473b7a9c8254931cfd87992570bdf93ce501f10f1a51a09bb6e4a469d4",
+    },
+    "bogoliubov": {
+        1: "b3e0b6afd4f290d78563c3dae7e0e81c7e1325ae82d2aae74f967811076de5e9",
+        2: "d2acdeead30488729d309af717a81abedfd5dd5ab14eda21cdda9940dc435df2",
+        3: "5a321adfb210529ccda676544a321c21ce89a3a5ea3c11a65dd345adb77e7b0e",
+        4: "3e1d79e01c0b1945261d3db8cb0a1fdce343ae7b2b708bf2caf381948fe9f1e1",
+        5: "122e42d4f89f2b934f55b86489d4e90eea4987e15c70eb4b061c65c517b7abfe",
+    },
+}
+
 # The stdout of `series identities --order 4` and `arrows verify --n 3`.
 SERIES_STDOUT_ORDER_4 = (
     '{"command":"series identities","parameters":{"order":4},"status":"pass",'
@@ -169,6 +189,10 @@ OVER_BOUND = [
 
 TOY_MODEL = {
     "observables": [{"id": "a", "time": "1"}, {"id": "s", "time": "0"}],
+    "interaction": "s",
+}
+LATER_TOY_MODEL = {
+    "observables": [{"id": "a", "time": "-1/2"}, {"id": "s", "time": "2"}],
     "interaction": "s",
 }
 
@@ -404,6 +428,16 @@ class TestToyCommands:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == TOY_DIGESTS[command][order]
 
+    @pytest.mark.parametrize(
+        "command, order", [(c, o) for c in sorted(LATER_TOY_DIGESTS) for o in sorted(LATER_TOY_DIGESTS[c])]
+    )
+    def test_later_interaction_output_pinned(self, tmp_path, command, order):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(LATER_TOY_MODEL))
+        proc = run_cli("toy", command, "--model", str(path), "--order", str(order))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == LATER_TOY_DIGESTS[command][order]
+
     def test_bogoliubov_order_zero_rejected(self, model_file):
         # the generating function has no j-term at order 0: a usage error,
         # not a failed identity
@@ -535,6 +569,22 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("time, message", [
+        pytest.param('"1/0"', "ZeroDivisionError", id="zero-denominator"),
+        pytest.param("Infinity", "OverflowError", id="infinity"),
+        pytest.param("true", "time of observable 'a' is a boolean, not a rational number", id="boolean"),
+    ])
+    @pytest.mark.parametrize("command", ["demo", "bogoliubov"])
+    def test_bad_model_time(self, tmp_path, command, time, message):
+        # a time the model cannot hold is bad input, not a failed identity
+        path = tmp_path / "model.json"
+        path.write_text('{"observables": [{"id": "a", "time": %s}, {"id": "s", "time": "0"}], '
+                        '"interaction": "s"}' % time)
+        proc = run_cli("toy", command, "--model", str(path), "--order", "1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
 
 
 @pytest.mark.parametrize(

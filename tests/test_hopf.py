@@ -44,7 +44,7 @@ from sethopf.hopf import (
     zero_elem,
 )
 from sethopf.lincomb import LinComb
-from sethopf.scalars import C_QFT, QI, as_hbar
+from sethopf.scalars import QI
 from sethopf.words import WordElem
 
 
@@ -64,7 +64,7 @@ class TestMu:
         # a factor over the empty ground is c times the unit: the product is
         # the other factor scaled by c, in both orders, with its own ground
         x = basis_elem(comp((2,), (1, 3)), basis, Fraction(-2, 3)) + basis_elem(comp((1, 2, 3)), basis, 5)
-        for c in (1, 3, Fraction(1, 2), QI(0, 1), C_QFT):
+        for c in (1, 3, Fraction(1, 2), QI(0, 1)):
             u = unit_elem(basis).scale(c)
             for got in (mu(u, x), mu(x, u)):
                 assert got == x.scale(c) and got.ground == x.ground and got.basis == basis
@@ -120,7 +120,7 @@ class TestDelta:
     def test_one_term_non_real_rejected(self, basis):
         ground = (1, 2, 3)
         for F in compositions_of(ground):
-            for c in (QI(0, 2), QI(1, 1), C_QFT):
+            for c in (QI(0, 2), QI(1, 1)):
                 a = basis_elem(F, basis, c)
                 for S, T in ordered_splits(ground):
                     with pytest.raises(DomainError):
@@ -211,9 +211,9 @@ class TestSplitTable:
         import random
 
         if complex_coeffs:
-            # splits are over Q: a complex or hbar coefficient is rejected
+            # splits are over Q: a complex coefficient is rejected
             comps = compositions_of(ground)
-            for c in COEFFS[4:] + (C_QFT,):
+            for c in COEFFS[4:]:
                 a = SigmaElem(ground, LinComb({comps[0]: QI(1), comps[-1]: c}), basis)
                 with pytest.raises(DomainError):
                     is_primitive(a)
@@ -494,8 +494,8 @@ class TestScale:
 
     @pytest.mark.parametrize("c", [1, -1, Fraction(1, 2), 0])
     def test_word_elem(self, c):
-        x = WordElem.word(("a", "b"), C_QFT) + WordElem.scalar(QI(2, -1)) + WordElem.word(("s",))
-        expected = WordElem(LinComb({w: as_hbar(c) * v for w, v in x.lc}))
+        x = WordElem.word(("a", "b"), Fraction(-1, 3)) + WordElem.scalar(QI(2, -1)) + WordElem.word(("s",))
+        expected = WordElem(LinComb({w: c * v for w, v in x.lc}))
         assert x.scale(c) == expected
         assert WordElem.zero().scale(c) == WordElem.zero()
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from sethopf.cells import Cell
 from sethopf.jsonio import (
     cell_to_json,
@@ -7,7 +9,7 @@ from sethopf.jsonio import (
     qi_to_json,
     truncseries_to_json,
 )
-from sethopf.scalars import C_QFT, QI
+from sethopf.scalars import QI
 from sethopf.series import TruncSeries
 from sethopf.words import WordElem
 
@@ -29,7 +31,7 @@ def test_truncseries_json():
         2,
         {
             (0, 0): WordElem.unit(),
-            (1, 1): WordElem.word(("a", "s"), C_QFT),
+            (1, 1): WordElem.word(("a", "s")),
         },
     )
     d = truncseries_to_json(ts)
@@ -40,7 +42,32 @@ def test_truncseries_json():
         "hbar": [{"pow": 0, "coeff": {"re": "1", "im": "0"}}],
         "value": [],
     }
-    assert d["terms"][1]["value"] == ["a", "s"]
+    assert d["terms"][1] == {
+        "g": 1,
+        "j": 1,
+        "hbar": [{"pow": -2, "coeff": {"re": "-1", "im": "0"}}],
+        "value": ["a", "s"],
+    }
+
+
+@pytest.mark.parametrize("r, n, re, im", [
+    (0, 0, "3/4", "0"),
+    (1, 0, "0", "-3/4"),
+    (1, 1, "-3/4", "0"),
+    (0, 3, "0", "3/4"),
+    (2, 2, "3/4", "0"),
+    (4, 1, "0", "-3/4"),
+])
+def test_truncseries_json_applies_the_coupling(r, n, re, im):
+    # the coefficient q at g^r j^n is written as q (1/(i hbar))^(r+n),
+    # that is q (-i)^(r+n) at the hbar power -(r+n)
+    ts = TruncSeries(5, {(r, n): WordElem.word(("a",), Fraction(3, 4))})
+    (term,) = truncseries_to_json(ts)["terms"]
+    assert term == {"g": r, "j": n, "hbar": [{"pow": -(r + n), "coeff": {"re": re, "im": im}}], "value": ["a"]}
+    for q in (1, -2, Fraction(-5, 3)):
+        ts = TruncSeries(5, {(r, n): WordElem.word(("a",), q)})
+        (term,) = truncseries_to_json(ts)["terms"]
+        assert term["hbar"] == [{"pow": -(r + n), "coeff": qi_to_json(QI(0, -1) ** (r + n) * q)}]
 
 
 def test_model_round_trip():

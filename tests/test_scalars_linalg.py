@@ -10,8 +10,9 @@ from sethopf.errors import DomainError
 from sethopf.hopf import primitive_part_basis, split_columns
 from sethopf.lincomb import LinComb, default_sort_key, sparse_sum
 from sethopf.linalg import P, _numerators, kernel_basis, rank, rank_mod_prime
-from sethopf.scalars import C_QFT, HBAR_ONE, HbarPoly, QI, QI_ONE, QI_ZERO, as_hbar, as_qi
+from sethopf.scalars import QI, as_qi
 
+QI_ZERO, QI_ONE = QI(0), QI(1)
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
@@ -57,28 +58,7 @@ class TestQI:
         assert i**-1 == QI(0, -1)
         assert QI(2) ** 0 == QI(1)
 
-
-class TestHbarPoly:
-    def test_coupling_constant(self):
-        # 1/(i hbar) squared is -hbar^(-2)
-        sq = C_QFT * C_QFT
-        assert sq == HbarPoly({-2: QI(-1)})
-        assert C_QFT * C_QFT.inverse() == HBAR_ONE
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.dictionaries(st.integers(-3, 3), fracs, max_size=4),
-           st.dictionaries(st.integers(-3, 3), fracs, max_size=4))
-    def test_mul_matches_convolution(self, c1, c2):
-        p = HbarPoly({k: QI(v) for k, v in c1.items()})
-        q = HbarPoly({k: QI(v) for k, v in c2.items()})
-        expected = {}
-        for k1, v1 in p.c.items():
-            for k2, v2 in q.c.items():
-                expected[k1 + k2] = expected.get(k1 + k2, QI(0)) + v1 * v2
-        assert (p * q).c == {k: v for k, v in expected.items() if v}
-
     def test_coercions(self):
-        assert as_hbar(Fraction(1, 2)) == HbarPoly.const(Fraction(1, 2))
         assert as_qi("3/4") == QI(Fraction(3, 4))
 
 
@@ -147,12 +127,6 @@ class TestLinComb:
         start = {"x": 1, "y": 2}
         v = sparse_sum([("y", -2), ("z", 5), ("x", 1)], start)
         assert v.t is start and list(start.items()) == [("x", 2), ("z", 5)]
-
-    def test_sparse_sum_of_hbar_polys(self):
-        h = HbarPoly({1: QI(0, 1)})
-        v = sparse_sum([((), HBAR_ONE), (("a",), h), ((), -HBAR_ONE), (("a",), C_QFT), (("a",), h)])
-        assert v.t == {("a",): h + h + C_QFT}
-        assert sparse_sum([(("a",), h), (("a",), -h)]).is_zero()
 
 
 def naive_rank(rows):

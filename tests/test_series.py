@@ -19,7 +19,7 @@ from sethopf.hopf import (
     unit_elem,
 )
 from sethopf.lincomb import LinComb
-from sethopf.scalars import C_QFT, HBAR_ONE, QI, HbarPoly, as_hbar
+from sethopf.scalars import QI
 from sethopf.series import (
     ProductSystem,
     SigmaSeries,
@@ -179,17 +179,17 @@ class TestEvalSystem:
         {"A": 2, "B": -3},
         {"A": Fraction(2, 3), "B": Fraction(-5, 7)},
         {"A": QI(1, 2), "B": QI(Fraction(1, 3), -1)},
-        {"A": C_QFT, "B": HbarPoly({0: QI(1), 2: QI(0, 3)})},
-        {"A": QI(0, 1), "B": C_QFT},
+        {"A": 3, "B": QI(0, -1)},
+        {"A": QI(0, 1), "B": Fraction(-1, 3)},
         {"A": Fraction(1, 2), "B": 0},
     ])
     def test_polynomial_equals_the_per_label_lift(self, values):
         sys = polynomial_system(values)
         for n in range(4):
             dec = {l: "AB"[l % 2] for l in canonical_set(n)}
-            lifted = HBAR_ONE
+            lifted = 1
             for l in canonical_set(n):
-                lifted = lifted * as_hbar(values[dec[l]])
+                lifted = lifted * values[dec[l]]
             for F in compositions_of(canonical_set(n)):
                 assert sys.eval_comp(F, dec) == WordElem.scalar(lifted)
 
@@ -197,7 +197,7 @@ class TestEvalSystem:
     def test_equals_the_fold_in_key_order(self, n):
         rng = random.Random(n)
         ground = canonical_set(n)
-        poly = polynomial_system({"A": Fraction(2, 3), "B": C_QFT})
+        poly = polynomial_system({"A": Fraction(2, 3), "B": QI(0, -1)})
         poly_dec = {l: "AB"[l % 2] for l in ground}
         causal_dec = {l: TimedObservable(f"x{l}", Fraction(rng.randint(0, 2))) for l in ground}
         for sys, dec in ((poly, poly_dec), (CAUSAL_SYSTEM, causal_dec)):
@@ -272,7 +272,7 @@ class TestTExponential:
 
     def test_inverse(self):
         a = TimedObservable("a", 0)
-        g = universal_series(C_QFT, 3)
+        g = universal_series(Fraction(-1, 3), 3)
         sinv = t_exponential(CAUSAL_SYSTEM, series_antipode(g), a, 3)
         s = t_exponential(CAUSAL_SYSTEM, g, a, 3)
         assert s * sinv == TruncSeries.unit(3)
@@ -351,23 +351,23 @@ class TestPerturbations:
         s = TimedObservable("s", 0)
         v = perturb_arrow(CAUSAL_SYSTEM, s, a, 2, "down")
         assert v.at_g_zero() == t_exponential(
-            CAUSAL_SYSTEM, universal_series(C_QFT, 2), a, 2
+            CAUSAL_SYSTEM, universal_series(1, 2), a, 2
         )
 
     def test_arrow_down_equals_factorized_product(self):
         a = TimedObservable("a", 1)
         s = TimedObservable("s", 0)
         v = perturb_arrow(CAUSAL_SYSTEM, s, a, 2, "down")
-        sinv = reverse_exponential(CAUSAL_SYSTEM, C_QFT, s, 2)
-        stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(C_QFT, 2), s, a, 2)
+        sinv = reverse_exponential(CAUSAL_SYSTEM, 1, s, 2)
+        stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(1, 2), s, a, 2)
         assert v == sinv * stwo
 
     def test_arrow_up_mirror(self):
         a = TimedObservable("a", 1)
         s = TimedObservable("s", 0)
         w = perturb_arrow(CAUSAL_SYSTEM, s, a, 2, "up")
-        sinv = reverse_exponential(CAUSAL_SYSTEM, C_QFT, s, 2)
-        stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(C_QFT, 2), s, a, 2)
+        sinv = reverse_exponential(CAUSAL_SYSTEM, 1, s, 2)
+        stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(1, 2), s, a, 2)
         assert w == stwo * sinv
 
     def test_exponential_splitting(self):
@@ -376,3 +376,42 @@ class TestPerturbations:
         lhs = t_exponential(sys, g, "A+B", 4)
         rhs = t_exponential(sys, g, "A", 4) * t_exponential(sys, g, "B", 4)
         assert lhs == rhs
+
+
+class TestCouplingIsAGrading:
+    """At coupling c the g^r j^n coefficient of a causal series is c^(r+n)
+    times its coefficient at c = 1, so the series layer runs at c = 1 and
+    the encoder applies c = 1/(i hbar)."""
+
+    S_INT = TimedObservable("s", Fraction(-1))
+    A = TimedObservable("a", 1)
+
+    @staticmethod
+    def assert_graded(at_c, at_one, c):
+        assert at_one.terms and set(at_c.terms) == set(at_one.terms)
+        for (r, n), v in at_one.terms.items():
+            assert at_c.coeff(r, n) == v.scale(c ** (r + n)), (r, n)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("c", [2, Fraction(-1, 3)])
+    def test_t_exponential(self, c, k):
+        def at(c):
+            return t_exponential(CAUSAL_SYSTEM, universal_series(c, k), self.A, k)
+
+        self.assert_graded(at(c), at(1), c)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("c", [2, Fraction(-1, 3)])
+    def test_perturb_coderivation(self, c, k):
+        def at(c):
+            return perturb_coderivation(CAUSAL_SYSTEM, universal_series(c, k), self.S_INT, self.A, k)
+
+        self.assert_graded(at(c), at(1), c)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("c", [2, Fraction(-1, 3)])
+    def test_reverse_exponential(self, c, k):
+        def at(c):
+            return reverse_exponential(CAUSAL_SYSTEM, c, self.S_INT, k)
+
+        self.assert_graded(at(c), at(1), c)
