@@ -45,7 +45,7 @@ TIME_OPTIONS = ("--interaction-time", "--observable-time")
 def _word_sum(x) -> str:
     """The terms of a word-algebra element as ``((c))*a.s``, with each
     coefficient in double parentheses, or 0."""
-    terms = (f"(({c}))*{'.'.join(w) or '1'}" for w, c in x.lc.items_sorted())
+    terms = (f"(({c}))*{'.'.join(w) or '1'}" for w, c in x.items_sorted())
     return " + ".join(terms) or "0"
 
 

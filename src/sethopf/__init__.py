@@ -65,7 +65,6 @@ from .arrows import (
     u_ab,
 )
 from .series import (
-    ProductSystem,
     SigmaSeries,
     TruncSeries,
     convolve,
@@ -79,8 +78,8 @@ from .series import (
     t_exponential,
     universal_series,
     unit_series,
+    word_product,
 )
-from .words import WordElem
 from .causal import (
     CAUSAL_SYSTEM,
     CausalModel,

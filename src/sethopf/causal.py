@@ -3,8 +3,10 @@
 Observables carry a single rational time instant; "later" means causally
 not-earlier, and the time-ordered product writes later factors to the left
 (ties broken by ascending id, a documented convention that makes every
-output deterministic).  The ambient algebra is the free word algebra, so
-any identity verified here holds by Hopf/causal combinatorics alone.
+output deterministic).  The ambient algebra is the free word algebra of
+``series``: an element is a ``LinComb`` keyed by tuples of ids, with no
+relations imposed, so any identity verified here holds by Hopf/causal
+combinatorics alone.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .arrows import retarded_element
-from .compositions import Composition, labelset, one_lump, star_labels
+from .compositions import Composition, labelset, star_labels
 from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
+from .lincomb import LinComb
 from .series import (
-    ProductSystem,
     TruncSeries,
     eval_system,
     formal_diff,
@@ -30,7 +32,6 @@ from .series import (
     universal_series,
 )
 from .hadamard import tits
-from .words import WordElem
 
 
 class TimedObservable:
@@ -67,27 +68,21 @@ def _sorted_ids(obs: Iterable[TimedObservable]) -> tuple[str, ...]:
     return tuple(o.id for o in ordered)
 
 
-def time_ordered(observables: Sequence[TimedObservable]) -> WordElem:
+def time_ordered(observables: Sequence[TimedObservable]) -> LinComb:
     """The single word with ids sorted by strictly decreasing time (later left)."""
-    return WordElem.word(_sorted_ids(observables))
+    return LinComb.single(_sorted_ids(observables), 1)
 
 
-def causal_word_system() -> ProductSystem:
-    """Lumpwise time-ordering followed by concatenation across lumps."""
-
-    def eval_comp(F: Composition, dec: Mapping[int, TimedObservable]) -> WordElem:
-        ids: tuple[str, ...] = ()
-        for lump in F.lumps:
-            ids = ids + _sorted_ids(dec[l] for l in lump)
-        return WordElem.word(ids)
-
-    return ProductSystem("causal-words", eval_comp)
+def CAUSAL_SYSTEM(F: Composition, dec: Mapping[int, TimedObservable]) -> LinComb:
+    """The causal evaluator: lumpwise time-ordering followed by
+    concatenation across lumps."""
+    ids: tuple[str, ...] = ()
+    for lump in F.lumps:
+        ids = ids + _sorted_ids(dec[l] for l in lump)
+    return LinComb.single(ids, 1)
 
 
-CAUSAL_SYSTEM = causal_word_system()
-
-
-def generalized_T(x: SigmaElem, dec: Mapping[int, TimedObservable]) -> WordElem:
+def generalized_T(x: SigmaElem, dec: Mapping[int, TimedObservable]) -> LinComb:
     return eval_system(CAUSAL_SYSTEM, x, dec)
 
 
@@ -113,19 +108,18 @@ def causal_factorization_check(
     return lhs == rhs
 
 
-def reverse_T(x: SigmaElem, dec: Mapping[int, TimedObservable]) -> WordElem:
+def reverse_T(x: SigmaElem, dec: Mapping[int, TimedObservable]) -> LinComb:
     """The reverse product: evaluation after the antipode."""
     return generalized_T(antipode(x), dec)
 
 
 def retarded_product(
     Y_dec: Mapping[int, TimedObservable], I_dec: Mapping[int, TimedObservable]
-) -> WordElem:
-    """Evaluation of the retarded element on interaction copies over Y."""
+) -> LinComb:
+    """Evaluation of the retarded element on interaction copies over Y; with
+    no interactions, the time-ordered product of I."""
     if set(Y_dec) & set(I_dec):
         raise DomainError("interaction and observable labels must be disjoint")
-    if not Y_dec:
-        return generalized_T(basis_elem(one_lump(labelset(I_dec))), I_dec)
     elem = retarded_element(labelset(Y_dec), labelset(I_dec))
     return generalized_T(elem, {**Y_dec, **I_dec})
 
@@ -135,7 +129,7 @@ def interacting_observable(
 ) -> TruncSeries:
     """sum_r (g^r / r!) c^r R_(r;1)(S^r; A), a series in g alone, at c = 1;
     the encoder applies c = 1/(i hbar) (see ``series``)."""
-    terms: dict[tuple[int, int], WordElem] = {}
+    terms: dict[tuple[int, int], LinComb] = {}
     for r in range(order + 1):
         stars = star_labels(r)
         val = generalized_T(retarded_element(stars, (1,)), {**dict.fromkeys(stars, S_int), 1: A})

@@ -20,7 +20,6 @@ from .cells import Cell
 from .errors import DomainError
 from .scalars import QI, as_qi
 from .series import TruncSeries
-from .words import WordElem
 
 
 def frac_to_json(x: Fraction) -> str:
@@ -51,17 +50,12 @@ def cell_to_json(cell: Cell, witness: dict | None = None) -> dict:
     return out
 
 
-def word_to_json(w) -> list:
-    return list(w)
-
-
 def truncseries_to_json(ts: TruncSeries) -> dict:
     terms = []
     for (r, n) in sorted(ts.terms, key=lambda k: (k[0] + k[1], k[0])):
-        value: WordElem = ts.terms[(r, n)]
-        for word, coeff in value.lc.items_sorted():
+        for word, coeff in ts.terms[(r, n)].items_sorted():
             terms.append(
-                {"g": r, "j": n, "hbar": _coupled_to_json(coeff, r + n), "value": word_to_json(word)}
+                {"g": r, "j": n, "hbar": _coupled_to_json(coeff, r + n), "value": list(word)}
             )
     return {"order": ts.order, "terms": terms}
 
@@ -71,5 +65,7 @@ def model_from_json(data: dict) -> CausalModel:
     for d in data["observables"]:
         if isinstance(d["time"], bool):  # Fraction(True) is 1
             raise DomainError(f"time of observable {d['id']!r} is a boolean, not a rational number")
+        if isinstance(d["time"], float):  # Fraction(0.1) is not 1/10
+            raise DomainError(f"time of observable {d['id']!r} is a float, not a rational number")
         obs.append(TimedObservable(d["id"], Fraction(d["time"])))
     return CausalModel(obs, data["interaction"])

@@ -5,7 +5,7 @@ supporting ``+``, ``*``, unary ``-``, ``==`` and truthiness as a zero test.
 Every layer uses ints and Fractions.  Zero coefficients are never stored.
 
 Every linear extension of a map on basis keys -- the sum and ``map_keys``
-here, the products ``mu``, ``tits`` and the word product, the iterated
+here, the products ``mu``, ``tits`` and ``series.word_product``, the iterated
 coproduct, the Takeuchi antipode, the arrows' insertions and the tree
 images -- sums its images through ``sparse_sum``: equal keys merge, zero
 sums drop, and keys keep the order of their first insertion (a key that

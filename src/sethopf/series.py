@@ -1,15 +1,23 @@
-"""Series of the composition algebra, product systems and T-exponentials.
+"""Series of the composition algebra, evaluators and T-exponentials.
 
 A ``SigmaSeries`` assigns to each degree n an element over the canonical
 set [n] (validated to be invariant under relabeling); convolution sums the
-concatenation products over ordered splits.  A ``ProductSystem`` evaluates
-basis compositions with one decoration per label into the word algebra.
+concatenation products over ordered splits.
+
+The target of evaluation is the free word algebra: an element is a
+``LinComb`` keyed by words, tuples of observable ids, with the empty word
+as the unit and ``word_product`` (concatenation) as the product.  No
+relations are imposed, so any identity that holds there holds for purely
+combinatorial reasons.  An evaluator is a function ``(F, dec) -> LinComb``
+of one basis composition F and one decoration per ground label;
+``eval_system`` is its linear extension.  Whether an evaluator is
+multiplicative is checked by ``homomorphism_check``, not assumed.
 T-exponentials and their coderivation/arrow perturbations assemble those
 evaluations into truncated formal power series in the symbols g and j with
-rational coefficients.  Each g^r j^n coefficient of each of them is one
-``_gj_term``: an element over r interaction labels and n observable labels,
-evaluated with S on the first and A on the second and scaled by
-c^(r+n) / (r! n!).
+word coefficients over the rationals.  Each g^r j^n coefficient of each of
+them is one ``_gj_term``: an element over r interaction labels and n
+observable labels, evaluated with S on the first and A on the second and
+scaled by c^(r+n) / (r! n!).
 
 The causal constructions run at coupling c = 1, over ints and Fractions;
 the causal coupling c = 1/(i*hbar) is applied once, when
@@ -54,8 +62,7 @@ from .hopf import (
     unit_elem,
     zero_elem,
 )
-from .lincomb import lincomb_sum
-from .words import WordElem
+from .lincomb import LinComb, lincomb_sum, sparse_sum
 
 
 # ---------------------------------------------------------------------------
@@ -175,65 +182,42 @@ def is_group_like(s: SigmaSeries) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# product systems
+# evaluators into the word algebra
 
 
-class ProductSystem:
-    """An evaluator of decorated basis compositions into the word algebra.
-
-    ``eval_comp(F, dec)`` must be linear-extension-ready: it receives a
-    single composition and a decoration for every ground label, and returns
-    a WordElem.  Whether it is multiplicative is checked by
-    homomorphism_check, not assumed.
-    """
-
-    __slots__ = ("name", "eval_comp")
-
-    def __init__(self, name: str, eval_comp: Callable):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "eval_comp", eval_comp)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ProductSystem is immutable")
-
-    def __repr__(self):
-        return f"ProductSystem({self.name})"
-
-
-def polynomial_system(pairings: Mapping[Any, object]) -> ProductSystem:
+def polynomial_system(pairings: Mapping[Any, object]) -> Callable:
     """Pointwise products of linear functionals evaluated at a fixed point.
 
     ``pairings`` maps decoration symbols to the exact value of their pairing
     with the chosen point (an int, Fraction or QI); evaluation multiplies
-    the values of all labels and lifts the product to a scalar word once, so
-    the target is commutative and the system is algebraic.
+    the values of all labels and lifts the product to a multiple of the
+    empty word once, so the target is commutative and the evaluator is
+    algebraic.
     """
 
-    def eval_comp(F: Composition, dec: Mapping[int, Any]) -> WordElem:
-        return WordElem.scalar(prod(pairings[dec[l]] for l in F.ground))
+    def eval_comp(F: Composition, dec: Mapping[int, Any]) -> LinComb:
+        return LinComb.single((), prod(pairings[dec[l]] for l in F.ground))
 
-    return ProductSystem("polynomial", eval_comp)
+    return eval_comp
 
 
-def eval_system(sys: ProductSystem, x: SigmaElem, dec: Mapping[int, Any] | None = None) -> WordElem:
+def eval_system(sys: Callable, x: SigmaElem, dec: Mapping[int, Any]) -> LinComb:
     """Linear extension of the evaluator over the H-basis: x decorated by dec."""
     if x.basis != H:
         raise DomainError("eval_system expects an H-basis element")
-    if dec is None:
-        dec = {}
     missing = [l for l in x.ground if l not in dec]
     if missing:
         raise DomainError(f"decoration missing for labels {missing}")
-    return WordElem(lincomb_sum(sys.eval_comp(F, dec).lc.scale(c) for F, c in x.lc))
+    return lincomb_sum(sys(F, dec).scale(c) for F, c in x.lc)
 
 
-def homomorphism_check(sys: ProductSystem, n: int, decorations: Mapping[int, Any]) -> bool:
+def homomorphism_check(sys: Callable, n: int, decorations: Mapping[int, Any]) -> bool:
     """eta(mu(x,y) (x) A_S A_T) = eta(x (x) A_S) * eta(y (x) A_T) on basis inputs."""
     ground = canonical_set(n)
     for l in ground:
         if l not in decorations:
             raise DomainError(f"decoration missing for label {l}")
-    if sys.eval_comp(Composition(()), {}) != WordElem.unit():
+    if sys(Composition(()), {}) != LinComb.single((), 1):
         return False
     for m in range(0, n + 1):
         sub = canonical_set(m)
@@ -244,8 +228,8 @@ def homomorphism_check(sys: ProductSystem, n: int, decorations: Mapping[int, Any
             for F in compositions_of(S):
                 for G in compositions_of(T):
                     lhs = eval_system(sys, mu(basis_elem(F, H), basis_elem(G, H)), dec)
-                    rhs = eval_system(sys, basis_elem(F, H), dec_s) * eval_system(
-                        sys, basis_elem(G, H), dec_t
+                    rhs = word_product(
+                        eval_system(sys, basis_elem(F, H), dec_s), eval_system(sys, basis_elem(G, H), dec_t)
                     )
                     if lhs != rhs:
                         return False
@@ -256,13 +240,18 @@ def homomorphism_check(sys: ProductSystem, n: int, decorations: Mapping[int, Any
 # truncated bivariate series with word-algebra coefficients
 
 
+def word_product(x: LinComb, y: LinComb) -> LinComb:
+    """The concatenation product of two word-algebra elements."""
+    return sparse_sum((w1 + w2, c1 * c2) for w1, c1 in x for w2, c2 in y)
+
+
 class TruncSeries:
-    """Truncated formal power series in (g, j) with WordElem coefficients."""
+    """Truncated formal power series in (g, j) with word-algebra coefficients."""
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order: int, terms: Mapping[tuple[int, int], WordElem] | None = None):
-        store: dict[tuple[int, int], WordElem] = {}
+    def __init__(self, order: int, terms: Mapping[tuple[int, int], LinComb] | None = None):
+        store: dict[tuple[int, int], LinComb] = {}
         if terms:
             for (r, n), v in terms.items():
                 if r < 0 or n < 0:
@@ -279,10 +268,10 @@ class TruncSeries:
 
     @staticmethod
     def unit(order: int) -> "TruncSeries":
-        return TruncSeries(order, {(0, 0): WordElem.unit()})
+        return TruncSeries(order, {(0, 0): LinComb.single((), 1)})
 
-    def coeff(self, r: int, n: int) -> WordElem:
-        return self.terms.get((r, n), WordElem.zero())
+    def coeff(self, r: int, n: int) -> LinComb:
+        return self.terms.get((r, n), LinComb())
 
     def __eq__(self, other):
         return (
@@ -291,32 +280,16 @@ class TruncSeries:
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.order != other.order:
-            raise DomainError("truncation orders differ")
-        keys = set(self.terms) | set(other.terms)
-        return TruncSeries(
-            self.order, {k: self.coeff(*k) + other.coeff(*k) for k in keys}
-        )
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.order != other.order:
-            raise DomainError("truncation orders differ")
-        keys = set(self.terms) | set(other.terms)
-        return TruncSeries(
-            self.order, {k: self.coeff(*k) - other.coeff(*k) for k in keys}
-        )
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.order != other.order:
             raise DomainError("truncation orders differ")
-        terms: dict[tuple[int, int], WordElem] = {}
+        terms: dict[tuple[int, int], LinComb] = {}
         for (r1, n1), v1 in self.terms.items():
             for (r2, n2), v2 in other.terms.items():
                 r, n = r1 + r2, n1 + n2
                 if r + n > self.order:
                     continue
-                prod = v1 * v2
+                prod = word_product(v1, v2)
                 if (r, n) in terms:
                     terms[(r, n)] = terms[(r, n)] + prod
                 else:
@@ -342,7 +315,7 @@ def formal_diff(ts: TruncSeries, symbol: str) -> TruncSeries:
     """The degree-lowering derivative d/dg or d/dj with the (n+1) shift."""
     if symbol not in ("g", "j"):
         raise DomainError("symbol must be 'g' or 'j'")
-    terms: dict[tuple[int, int], WordElem] = {}
+    terms: dict[tuple[int, int], LinComb] = {}
     for (r, n), v in ts.terms.items():
         if symbol == "g" and r >= 1:
             terms[(r - 1, n)] = v.scale(Fraction(r))
@@ -356,8 +329,8 @@ def formal_diff(ts: TruncSeries, symbol: str) -> TruncSeries:
 
 
 def _gj_term(
-    sys: ProductSystem, x: SigmaElem, stars: tuple, labels: tuple, S_dec, A_dec, c
-) -> WordElem:
+    sys: Callable, x: SigmaElem, stars: tuple, labels: tuple, S_dec, A_dec, c
+) -> LinComb:
     """c^(r+n) / (r! n!)  eta(x (x) S^r A^n), r = |stars|, n = |labels|: the
     evaluation of x with S_dec on the stars and A_dec on the labels, scaled.
     Every g^r j^n coefficient built below is one such term."""
@@ -367,7 +340,7 @@ def _gj_term(
     return eval_system(sys, x, dec).scale(scal)
 
 
-def t_exponential(sys: ProductSystem, s: SigmaSeries, A, order: int) -> TruncSeries:
+def t_exponential(sys: Callable, s: SigmaSeries, A, order: int) -> TruncSeries:
     """sum_n j^n / n!  eta(s_n (x) A^n), truncated at the given order; the
     coupling, if any, is inside the series."""
     if s.max_n < order:
@@ -391,7 +364,7 @@ def _universal_coupling(s: SigmaSeries):
 
 
 def perturb_coderivation(
-    sys: ProductSystem, s: SigmaSeries, S_dec, A_dec, order: int
+    sys: Callable, s: SigmaSeries, S_dec, A_dec, order: int
 ) -> TruncSeries:
     """The double series  sum g^r j^n c^(r+n) / (r! n!)  T^r_n(S^r A^n).
 
@@ -400,7 +373,7 @@ def perturb_coderivation(
     equals the two-argument expansion of the T-exponential at g S + j A.
     """
     c = _universal_coupling(s)
-    terms: dict[tuple[int, int], WordElem] = {}
+    terms: dict[tuple[int, int], LinComb] = {}
     for r in range(order + 1):
         stars = star_labels(r)
         for n in range(order + 1 - r):
@@ -410,9 +383,9 @@ def perturb_coderivation(
     return TruncSeries(order, terms)
 
 
-def reverse_exponential(sys: ProductSystem, c, S_dec, order: int) -> TruncSeries:
+def reverse_exponential(sys: Callable, c, S_dec, order: int) -> TruncSeries:
     """S^{-1}(g S): the T-exponential of the antipode-composed universal series."""
-    terms: dict[tuple[int, int], WordElem] = {}
+    terms: dict[tuple[int, int], LinComb] = {}
     for r in range(order + 1):
         stars = star_labels(r)
         x = antipode(basis_elem(one_lump(stars), H))
@@ -421,7 +394,7 @@ def reverse_exponential(sys: ProductSystem, c, S_dec, order: int) -> TruncSeries
 
 
 def perturb_arrow(
-    sys: ProductSystem,
+    sys: Callable,
     S_dec,
     A_dec,
     order: int,
@@ -432,7 +405,7 @@ def perturb_arrow(
     At n = 0 the split sum is the reverse convolution element of the stars."""
     if direction not in ("down", "up"):
         raise DomainError("direction must be 'down' or 'up'")
-    terms: dict[tuple[int, int], WordElem] = {}
+    terms: dict[tuple[int, int], LinComb] = {}
     for r in range(order + 1):
         stars = star_labels(r)
         for n in range(order + 1 - r):

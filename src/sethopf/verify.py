@@ -92,7 +92,6 @@ from .hopf import (
 from .lincomb import LinComb, lincomb_sum
 from .linalg import rank
 from .series import (
-    ProductSystem,
     SigmaSeries,
     TruncSeries,
     convolve,
@@ -107,9 +106,9 @@ from .series import (
     t_exponential,
     unit_series,
     universal_series,
+    word_product,
 )
 from .hadamard import hopf_power, hopf_power_elem, tits, tits_unit
-from .words import WordElem
 
 CELL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 6, 4: 32, 5: 370, 6: 11292}  # OEIS A034997
 
@@ -349,6 +348,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
 def dimension_suite(n: int = 4) -> SuiteResult:
     """The primitive dimensions by the exact kernel: the oracle for the
     modular squeeze of ``cells.primitive_dimension_certified``."""
+    check_size("primitive part", n)
     res = SuiteResult("dimensions")
     dims = {}
     for m in range(1, n + 1):
@@ -728,10 +728,10 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
     causal_dec = {i: TimedObservable(f"x{i}", t) for i, t in times.items()}
     res.bump("polynomial-homomorphism", homomorphism_check(poly, 3, {i: "A" for i in (1, 2, 3)}))
     res.bump("causal-homomorphism", homomorphism_check(CAUSAL_SYSTEM, 3, causal_dec))
-    broken = ProductSystem(
-        "broken",
-        lambda F, dec: WordElem.unit() if len(F.ground) <= 1 else WordElem.zero(),
-    )
+
+    def broken(F, dec):  # the unit on degrees 0 and 1, zero above
+        return LinComb.single((), 1) if len(F.ground) <= 1 else LinComb()
+
     res.bump("broken-system-detected", not homomorphism_check(broken, 2, {1: "A", 2: "A"}))
 
     # the series-to-function map is an algebra homomorphism (both systems)
@@ -762,7 +762,7 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
     # classical exponential recovery at <A, Phi> = 1, K = 6
     sexp = t_exponential(poly, universal_series(1, 6), "A", 6)
     ok = all(
-        sexp.coeff(0, k) == WordElem.scalar(Fraction(1, factorial(k))) for k in range(7)
+        sexp.coeff(0, k) == LinComb.single((), Fraction(1, factorial(k))) for k in range(7)
     )
     res.bump("classical-exponential", ok)
 
@@ -800,7 +800,7 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
     )
 
     # formal differentiation
-    x = WordElem.scalar(Fraction(5))
+    x = LinComb.single((), Fraction(5))
     ts = TruncSeries(3, {(0, 1): x, (0, 2): x.scale(Fraction(1, 2))})
     res.bump(
         "formal-diff",
@@ -814,6 +814,8 @@ def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:
 
 
 def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
+    check_size("compositions", n)
+    check_size("toy demo", order)
     res = SuiteResult("causal")
 
     # symmetry of T under relabeling
@@ -893,11 +895,13 @@ def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
         dec = {i: TimedObservable(f"x{i}", Fraction(i)) for i in ground}
         for F in compositions_of(ground):
             products = (
-                generalized_T(basis_elem(restrict(F, S), H), {i: dec[i] for i in S})
-                * reverse_T(basis_elem(restrict(F, T), H), {i: dec[i] for i in T})
+                word_product(
+                    generalized_T(basis_elem(restrict(F, S), H), {i: dec[i] for i in S}),
+                    reverse_T(basis_elem(restrict(F, T), H), {i: dec[i] for i in T}),
+                )
                 for S, T in ordered_splits(ground)
             )
-            res.bump("reverse-product-inverse", not lincomb_sum(p.lc for p in products), F)
+            res.bump("reverse-product-inverse", not lincomb_sum(products), F)
 
     # GLZ at the evaluated level
     for m in range(2, min(n, 3) + 1):
@@ -913,11 +917,11 @@ def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
                 acc = lincomb_sum(
                     generalized_T(
                         commutator(total_retarded_dynkin(S, i1), total_retarded_dynkin(T, i2)), dec
-                    ).lc
+                    )
                     for S, T in proper_splits(ground)
                     if i1 in S and i2 in T
                 )
-                res.bump("glz-evaluated", lhs.lc == acc, f"{i1},{i2}")
+                res.bump("glz-evaluated", lhs == acc, f"{i1},{i2}")
 
     # generating function factorization and Bogoliubov at the stated order
     a_obs = TimedObservable("a", Fraction(1))
@@ -932,6 +936,7 @@ def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
 
 
 def tits_suite(n: int = 3, seed: int = 11) -> SuiteResult:
+    check_size("compositions", n + 1)  # the spot checks one size up
     res = SuiteResult("tits")
     rng = random.Random(seed)
     for m in range(1, n + 1):

@@ -120,6 +120,7 @@ TOY_DIGESTS = {
         5: "ee731ad5ae6d8b76a36489fd119e175b9a7f7c62f09be60ac1a4c7508c2ecafe",
         6: "50f90759b4fed70ae456901927f2307fe7d36572c7507f71d7c0c68fd19e3b7e",
         7: "f9b0bbdf1e61da05ce4e41c3a804de566e8fb0996a439c068764a87781223e4e",
+        8: "470bb0fa5a331b8af8f5f0b04d4c881e9912e291e7053a8bb864689ca6c3a94d",
     },
     "bogoliubov": {
         1: "b3e0b6afd4f290d78563c3dae7e0e81c7e1325ae82d2aae74f967811076de5e9",
@@ -129,6 +130,7 @@ TOY_DIGESTS = {
         5: "ffef74d712965f20c414fa9dd86bf8266fc05056b304ca0efdb3f4a604df9a97",
         6: "2d0011aee8f2d10b2d2d41fa32abe5ef38130dd19caf16ffccc75cb51e93e1e9",
         7: "6edf36b5029de25c59138f2e8a92ab660f21b502e30ff353dfe2791136a3a46d",
+        8: "d4b3c656677121945695ed0152290752a6268dd903c5b7a99f736b56756ca800",
     },
 }
 
@@ -572,7 +574,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("time, message", [
         pytest.param('"1/0"', "ZeroDivisionError", id="zero-denominator"),
-        pytest.param("Infinity", "OverflowError", id="infinity"),
+        pytest.param("Infinity", "time of observable 'a' is a float, not a rational number", id="infinity"),
+        pytest.param("0.1", "time of observable 'a' is a float, not a rational number", id="float"),
         pytest.param("true", "time of observable 'a' is a boolean, not a rational number", id="boolean"),
     ])
     @pytest.mark.parametrize("command", ["demo", "bogoliubov"])
@@ -589,7 +592,8 @@ class TestUsageErrors:
 
 @pytest.mark.parametrize(
     "args",
-    [("hopf", "check", "--n", "3"), ("series", "identities", "--order", "3"), ("toy", "demo", "--order", "3")],
+    [("hopf", "check", "--n", "3"), ("series", "identities", "--order", "3"), ("toy", "demo", "--order", "3"),
+     ("toy", "bogoliubov", "--order", "3")],
     ids=lambda a: "-".join(a[:2]),
 )
 def test_output_does_not_depend_on_hash_seed(tmp_path, args):

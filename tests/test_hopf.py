@@ -45,7 +45,6 @@ from sethopf.hopf import (
 )
 from sethopf.lincomb import LinComb
 from sethopf.scalars import QI
-from sethopf.words import WordElem
 
 
 class TestMu:
@@ -494,10 +493,10 @@ class TestScale:
 
     @pytest.mark.parametrize("c", [1, -1, Fraction(1, 2), 0])
     def test_word_elem(self, c):
-        x = WordElem.word(("a", "b"), Fraction(-1, 3)) + WordElem.scalar(QI(2, -1)) + WordElem.word(("s",))
-        expected = WordElem(LinComb({w: c * v for w, v in x.lc}))
+        x = LinComb({("a", "b"): Fraction(-1, 3), (): QI(2, -1), ("s",): 1})
+        expected = LinComb({w: c * v for w, v in x})
         assert x.scale(c) == expected
-        assert WordElem.zero().scale(c) == WordElem.zero()
+        assert LinComb().scale(c) == LinComb()
 
     def test_one_keeps_every_term(self):
         x = full_elem((1, 2, 3), H)

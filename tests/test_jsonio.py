@@ -9,9 +9,9 @@ from sethopf.jsonio import (
     qi_to_json,
     truncseries_to_json,
 )
+from sethopf.lincomb import LinComb
 from sethopf.scalars import QI
 from sethopf.series import TruncSeries
-from sethopf.words import WordElem
 
 
 def test_scalar_round_trip():
@@ -30,8 +30,8 @@ def test_truncseries_json():
     ts = TruncSeries(
         2,
         {
-            (0, 0): WordElem.unit(),
-            (1, 1): WordElem.word(("a", "s")),
+            (0, 0): LinComb.single((), 1),
+            (1, 1): LinComb.single(("a", "s"), 1),
         },
     )
     d = truncseries_to_json(ts)
@@ -61,11 +61,11 @@ def test_truncseries_json():
 def test_truncseries_json_applies_the_coupling(r, n, re, im):
     # the coefficient q at g^r j^n is written as q (1/(i hbar))^(r+n),
     # that is q (-i)^(r+n) at the hbar power -(r+n)
-    ts = TruncSeries(5, {(r, n): WordElem.word(("a",), Fraction(3, 4))})
+    ts = TruncSeries(5, {(r, n): LinComb.single(("a",), Fraction(3, 4))})
     (term,) = truncseries_to_json(ts)["terms"]
     assert term == {"g": r, "j": n, "hbar": [{"pow": -(r + n), "coeff": {"re": re, "im": im}}], "value": ["a"]}
     for q in (1, -2, Fraction(-5, 3)):
-        ts = TruncSeries(5, {(r, n): WordElem.word(("a",), q)})
+        ts = TruncSeries(5, {(r, n): LinComb.single(("a",), q)})
         (term,) = truncseries_to_json(ts)["terms"]
         assert term["hbar"] == [{"pow": -(r + n), "coeff": qi_to_json(QI(0, -1) ** (r + n) * q)}]
 

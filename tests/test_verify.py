@@ -246,18 +246,21 @@ def test_tits_suite_follows_its_size(n):
 @pytest.mark.parametrize(
     "call",
     ["hopf_suite(7)", "series_suite(7)", "steinmann_suite(6)", "ruelle_suite(7)",
-     "glz_suite(7)", "arrows_suite(6)", "dynkin_suite(7)", "cells_suite(7)"],
+     "glz_suite(7)", "arrows_suite(6)", "dynkin_suite(7)", "cells_suite(7)",
+     "dimension_suite(6)", "tits_suite(8)", "causal_suite(9, 2)", "causal_suite(2, 9)"],
 )
 def test_suite_checks_its_bound_before_work(call):
-    # one past the SIZE_BOUNDS entry of the suite's CLI command; the sweep
-    # itself would take many minutes.  Every suite's work starts by building
-    # a ground set, so a canonical_set that raises proves nothing ran first.
+    # one past the SIZE_BOUNDS entry of the suite's CLI command or of what it
+    # enumerates; the sweep itself would take many minutes.  Every suite's
+    # work starts by building a ground set, or for dimension_suite by asking
+    # for a primitive basis, so a canonical_set and a primitive_part_basis
+    # that raise prove nothing ran first.
     code = (
         "from sethopf import verify\n"
         "from sethopf.errors import SizeLimitError\n"
         "def no_work(n):\n"
         "    raise AssertionError(f'work started on [{n}] before the size check')\n"
-        "verify.canonical_set = no_work\n"
+        "verify.canonical_set = verify.primitive_part_basis = no_work\n"
         "try:\n"
         f"    verify.{call}\n"
         "except SizeLimitError:\n"
