@@ -161,20 +161,24 @@ def _z_factorization_holds(z: TruncSeries, A: TimedObservable, S_int: TimedObser
     # S^(-1)(gS), the reverse T-exponential of the interaction alone, and
     # S(gS + jA), expanded exactly as a (g, j) double series
     sinv = reverse_exponential(CAUSAL_SYSTEM, 1, S_int, order)
-    stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(1, order), S_int, A, order)
+    stwo = perturb_coderivation(CAUSAL_SYSTEM, 1, S_int, A, order)
     return z == sinv * stwo and w == stwo * sinv
 
 
 def bogoliubov_extract(A: TimedObservable, S_int: TimedObservable, order: int) -> TruncSeries:
     """i hbar * d/dj at j = 0 of the generating function, to order - 1: at
-    coupling c = 1, where i hbar * c = 1, plain d/dj at j = 0.
+    coupling c = 1, where i hbar * c = 1, plain d/dj at j = 0.  It is read
+    from Z = S^(-1)(gS) * S(gS + jA), not from the arrows that build Z and
+    the interacting series.  S^(-1)(gS) has no j, so this is S^(-1)(gS)
+    times d/dj at j = 0 of S(gS + jA), both to order - 1.
 
     Below order 1 the generating function has no j-term, so there is nothing
     to extract and the formula says nothing: a DomainError."""
     if order < 1:
         raise DomainError(f"Bogoliubov's formula needs order >= 1, got {order}")
-    z = generating_function(A, S_int, order, "down")
-    return formal_diff(z, "j").at_j_zero()
+    sinv = reverse_exponential(CAUSAL_SYSTEM, 1, S_int, order - 1)
+    stwo = perturb_coderivation(CAUSAL_SYSTEM, 1, S_int, A, order)
+    return sinv * formal_diff(stwo, "j").at_j_zero()
 
 
 def bogoliubov_check(A: TimedObservable, S_int: TimedObservable, order: int) -> bool:

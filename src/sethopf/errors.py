@@ -26,7 +26,7 @@ SIZE_BOUNDS = {
     "arrows verify": 5,
     "hopf check": 6,
     "steinmann verify": 5,
-    "series identities": 6,
+    "series identities": 7,
     "toy demo": 8,
     "toy bogoliubov": 8,
 }

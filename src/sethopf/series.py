@@ -1,8 +1,17 @@
 """Series of the composition algebra, evaluators and T-exponentials.
 
-A ``SigmaSeries`` assigns to each degree n an element over the canonical
-set [n] (validated to be invariant under relabeling); convolution sums the
-concatenation products over ordered splits.
+A ``SigmaSeries`` assigns to each degree n an S_n-invariant H-basis
+element over [n].  Its coefficient on H_F depends only on F's shape, the
+tuple of its lump sizes, so a term is stored in shape form: a ``LinComb``
+keyed by the compositions of the integer n.  That is the term's image under
+the bosonic Fock functor, which sends set compositions to noncommutative
+symmetric functions (Aguiar and Mahajan 2010, Part III), and there
+convolution is the word product of shapes: a composition F of [n] arises
+in the sum of mu(s_S, t_T) over ordered splits once per cut of its lumps
+into a prefix, over S, and a suffix, so its coefficient is the sum over
+the cuts of s's coefficient on the prefix shape times t's on the suffix
+shape.  ``SigmaSeries.term`` expands a shape form, one composition per
+filling of each stored shape; ``shape_form`` reads an invariant element back.
 
 The target of evaluation is the free word algebra: an element is a
 ``LinComb`` keyed by words, tuples of observable ids, with the empty word
@@ -36,6 +45,7 @@ extraction is plain d/dj at j = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, prod
 from typing import Any, Callable, Mapping
 
@@ -46,7 +56,6 @@ from .compositions import (
     compositions_of,
     one_lump,
     ordered_splits,
-    proper_splits,
     star_labels,
 )
 from .errors import DomainError
@@ -58,9 +67,7 @@ from .hopf import (
     basis_elem,
     delta_split,
     mu,
-    relabel,
     unit_elem,
-    zero_elem,
 )
 from .lincomb import LinComb, lincomb_sum, sparse_sum
 
@@ -69,58 +76,60 @@ from .lincomb import LinComb, lincomb_sum, sparse_sum
 # series of the composition algebra
 
 
-def _onto(x: SigmaElem, side: tuple) -> SigmaElem:
-    """Unchecked: x is an H-basis element over [k] and side a sorted k-tuple.
-    Moves x onto side by the order embedding i -> side[i - 1], which keeps
-    every lump sorted."""
-    def move(F: Composition) -> Composition:
-        return Composition._of(tuple(tuple(side[i - 1] for i in l) for l in F.lumps), side)
+def _lumpings(labels: tuple, shape: tuple):
+    """The sorted lumps of each composition of the sorted labels with the
+    given lump sizes: successive combinations."""
+    if not shape:
+        yield ()
+        return
+    for first in combinations(labels, shape[0]):
+        rest = tuple(x for x in labels if x not in first)
+        yield from ((first,) + tail for tail in _lumpings(rest, shape[1:]))
 
-    return SigmaElem._of(side, x.lc.map_keys(move), H)
+
+def _expand(form: LinComb, ground: tuple) -> SigmaElem:
+    """The H-basis element over the sorted ground with form's coefficient
+    on the shape of F as its coefficient on each H_F."""
+    terms = {Composition._of(lumps, ground): c for shape, c in form for lumps in _lumpings(ground, shape)}
+    return SigmaElem._of(ground, LinComb._of(terms), H)
+
+
+def shape_form(x: SigmaElem) -> LinComb:
+    """The coefficients of an S_n-invariant H-basis element keyed by lump
+    shapes.  A DomainError if x is not invariant: if it has two
+    coefficients on one shape, or lacks a composition of a shape it has."""
+    form = LinComb._of({tuple(map(len, F.lumps)): c for F, c in x.lc})
+    if x.basis != H or _expand(form, x.ground) != x:
+        raise DomainError("not a relabeling-invariant H-basis element")
+    return form
 
 
 class SigmaSeries:
-    """Degreewise elements over [n], 0 <= n <= max_n, H-basis, S_n-invariant.
-
-    ``SigmaSeries(...)`` checks every term, relabeling invariance included;
-    the builders here, whose terms are invariant by construction, use the
-    unchecked ``SigmaSeries._of``.  Zero terms are not stored."""
+    """Degreewise S_n-invariant H-basis elements over [n], 0 <= n <= max_n,
+    in shape form: ``terms[n]`` is a LinComb keyed by lump shapes, the
+    compositions of the integer n, and its coefficient on a shape is the
+    coefficient of every H_F of that shape.  The constructor checks that
+    each key is a shape of its degree.  Zero terms are not stored."""
 
     __slots__ = ("terms", "max_n")
 
-    def __init__(self, terms: Mapping[int, SigmaElem], max_n: int):
-        for n, elem in terms.items():
+    def __init__(self, terms: Mapping[int, LinComb], max_n: int):
+        for n, form in terms.items():
             if n < 0 or n > max_n:
                 raise DomainError(f"degree {n} outside truncation 0..{max_n}")
-            if elem.basis != H:
-                raise DomainError("series terms must be in the H-basis")
-            if elem.ground != canonical_set(n):
-                raise DomainError(f"degree-{n} term must live over [{n}]")
-            for i in range(1, n):
-                swap = {j: j for j in elem.ground}
-                swap[i], swap[i + 1] = i + 1, i
-                if relabel(elem, swap) != elem:
-                    raise DomainError(f"degree-{n} term is not relabeling-invariant")
-        self._store(terms, max_n)
-
-    @classmethod
-    def _of(cls, terms: Mapping[int, SigmaElem], max_n: int) -> "SigmaSeries":
-        """Unchecked: each term is an S_n-invariant H-basis element over [n], n <= max_n."""
-        self = object.__new__(cls)
-        self._store(terms, max_n)
-        return self
-
-    def _store(self, terms: Mapping[int, SigmaElem], max_n: int) -> None:
-        object.__setattr__(self, "terms", {n: t for n, t in terms.items() if not t.is_zero()})
+            for shape, _ in form:
+                parts = type(shape) is tuple and all(type(a) is int and a > 0 for a in shape)
+                if not parts or sum(shape) != n:
+                    raise DomainError(f"degree-{n} key {shape!r} is not a lump shape of {n}")
+        object.__setattr__(self, "terms", {n: f for n, f in terms.items() if f})
         object.__setattr__(self, "max_n", max_n)
 
     def __setattr__(self, *a):
         raise AttributeError("SigmaSeries is immutable")
 
     def term(self, n: int) -> SigmaElem:
-        if n in self.terms:
-            return self.terms[n]
-        return zero_elem(canonical_set(n), H)
+        """The degree-n term as an element over [n]."""
+        return _expand(self.terms.get(n, LinComb()), canonical_set(n))
 
     def __eq__(self, other):
         return (
@@ -129,54 +138,49 @@ class SigmaSeries:
             and self.terms == other.terms
         )
 
-    def map_terms(self, f: Callable[[SigmaElem], SigmaElem]) -> "SigmaSeries":
-        return SigmaSeries._of({n: f(t) for n, t in self.terms.items()}, self.max_n)
-
     def __repr__(self):
         return "SigmaSeries{" + ", ".join(f"{n}: {t}" for n, t in sorted(self.terms.items())) + "}"
 
 
 def unit_series(max_n: int) -> SigmaSeries:
-    return SigmaSeries._of({0: unit_elem(H)}, max_n)
+    return SigmaSeries({0: LinComb.single((), 1)}, max_n)
 
 
 def universal_series(c, max_n: int) -> SigmaSeries:
     """Degree n |-> c^n * H_([n]) (the group-like exponential-type series)."""
-    terms = {}
-    for n in range(max_n + 1):
-        terms[n] = basis_elem(one_lump(canonical_set(n)), H, c**n)
-    return SigmaSeries._of(terms, max_n)
+    return SigmaSeries({n: LinComb.single((n,) if n else (), c**n) for n in range(max_n + 1)}, max_n)
 
 
 def series_antipode(s: SigmaSeries) -> SigmaSeries:
-    return s.map_terms(antipode)
+    """The antipode termwise, read back through ``shape_form``."""
+    return SigmaSeries({n: shape_form(antipode(s.term(n))) for n in s.terms}, s.max_n)
 
 
 def convolve(s: SigmaSeries, t: SigmaSeries) -> SigmaSeries:
-    """Degreewise sum over ordered splits of the concatenation products."""
+    """Degreewise sum over ordered splits of the concatenation products: in
+    shape form, the sum over k of the word products of s_k and t_(n-k)."""
     if s.max_n != t.max_n:
         raise DomainError("convolution requires matching truncation orders")
-    out: dict[int, SigmaElem] = {}
-    for n in range(s.max_n + 1):
-        ground = canonical_set(n)
-        pieces = (
-            mu(_onto(s.terms[len(S)], S), _onto(t.terms[len(T)], T)).lc
-            for S, T in ordered_splits(ground)
-            if len(S) in s.terms and len(T) in t.terms
-        )
-        out[n] = SigmaElem._of(ground, lincomb_sum(pieces), H)
-    return SigmaSeries._of(out, s.max_n)
+    zero = LinComb()
+    return SigmaSeries({
+        n: lincomb_sum(word_product(s.terms.get(k, zero), t.terms.get(n - k, zero)) for k in range(n + 1))
+        for n in range(s.max_n + 1)
+    }, s.max_n)
 
 
 def is_group_like(s: SigmaSeries) -> bool:
-    """Delta_{S,T}(s_n) = s_(|S|) (x) s_(|T|) under canonical relabeling, all splits."""
+    """Delta_{S,T}(s_n) = s_(|S|) (x) s_(|T|), each side over its own labels,
+    on every proper split.  Relabelling the split moves both sides alike and
+    fixes s_n, so one split per size k is enough: [k] and [n] - [k]."""
     if s.term(0) != unit_elem(H):
         return False
+    zero = LinComb()
     for n in range(1, s.max_n + 1):
-        ground = canonical_set(n)
-        sn = s.term(n)
-        for S, T in proper_splits(ground):
-            if delta_split(sn, S, T) != _tensor(_onto(s.term(len(S)), S), _onto(s.term(len(T)), T)):
+        ground, sn = canonical_set(n), s.term(n)
+        for k in range(1, n):
+            S, T = ground[:k], ground[k:]
+            left, right = _expand(s.terms.get(k, zero), S), _expand(s.terms.get(n - k, zero), T)
+            if delta_split(sn, S, T) != _tensor(left, right):
                 return False
     return True
 
@@ -352,27 +356,16 @@ def t_exponential(sys: Callable, s: SigmaSeries, A, order: int) -> TruncSeries:
     return TruncSeries(order, terms)
 
 
-def _universal_coupling(s: SigmaSeries):
-    """Extract c from a universal series, validating every degree."""
-    c1 = s.term(1).lc.coeff(one_lump((1,)))
-    c = c1 if c1 is not None else 0
-    for n in range(s.max_n + 1):
-        expected = basis_elem(one_lump(canonical_set(n)), H, c**n)
-        if s.term(n) != expected and not (s.term(n).is_zero() and expected.is_zero()):
-            raise DomainError("perturbation requires the universal series G(c)")
-    return c
-
-
 def perturb_coderivation(
-    sys: Callable, s: SigmaSeries, S_dec, A_dec, order: int
+    sys: Callable, c, S_dec, A_dec, order: int
 ) -> TruncSeries:
-    """The double series  sum g^r j^n c^(r+n) / (r! n!)  T^r_n(S^r A^n).
+    """The double series  sum g^r j^n c^(r+n) / (r! n!)  T^r_n(S^r A^n),
+    the perturbation of the universal series at coupling c.
 
     The r adjoined interaction labels extend the single lump, which is the
     up-coderivation perturbation of the one-lump products; the result
     equals the two-argument expansion of the T-exponential at g S + j A.
     """
-    c = _universal_coupling(s)
     terms: dict[tuple[int, int], LinComb] = {}
     for r in range(order + 1):
         stars = star_labels(r)

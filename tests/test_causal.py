@@ -218,6 +218,22 @@ class TestGeneratingFunction:
         assert bogoliubov_check(A0, s, 1)
         assert bogoliubov_extract(A0, s, 1) == interacting_observable(A0, s, 0)
 
+    def test_bogoliubov_detects_a_wrong_split_sum(self, monkeypatch):
+        # the interacting series is built from _split_sum at I = (1,); the
+        # extraction must not be, or a wrong split sum would agree with itself
+        from sethopf import arrows, series
+
+        real = arrows._split_sum
+
+        def doubled_at_one(Y, I, advanced):
+            x = real(Y, I, advanced)
+            return x.scale(2) if I == (1,) else x
+
+        monkeypatch.setattr(arrows, "_split_sum", doubled_at_one)
+        monkeypatch.setattr(series, "_split_sum", doubled_at_one)
+        s = TimedObservable("s", Fraction(-1))
+        assert not bogoliubov_check(A0, s, 2)
+
     def test_reverse_product_inverse(self):
         for n in (1, 2, 3):
             ground = canonical_set(n)

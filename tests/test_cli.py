@@ -184,7 +184,7 @@ OVER_BOUND = [
     ("ruelle", "verify", "--n", "7"),
     ("glz", "verify", "--n", "7"),
     ("arrows", "verify", "--n", "6"),
-    ("series", "identities", "--order", "7"),
+    ("series", "identities", "--order", "8"),
     ("toy", "demo", "--order", "9"),
     ("toy", "bogoliubov", "--order", "9"),
 ]

@@ -33,6 +33,7 @@ from sethopf.series import (
     polynomial_system,
     reverse_exponential,
     series_antipode,
+    shape_form,
     t_exponential,
     unit_series,
     universal_series,
@@ -53,7 +54,8 @@ def _embedding(side):
 
 
 def relabel_convolve(s, t):
-    """Reference: convolution that relabels each factor onto its split side."""
+    """Reference: convolution that relabels each factor onto its split side,
+    read back through ``shape_form``."""
     out = {}
     for n in range(s.max_n + 1):
         acc = None
@@ -64,7 +66,7 @@ def relabel_convolve(s, t):
             piece = mu(relabel(left, _embedding(S)), relabel(right, _embedding(T)))
             acc = piece if acc is None else acc + piece
         if acc is not None:
-            out[n] = acc
+            out[n] = shape_form(acc)
     return SigmaSeries(out, s.max_n)
 
 
@@ -97,16 +99,24 @@ class TestSigmaSeries:
         assert z.term(0) == unit_elem() and z.term(1).is_zero()
 
     def test_invariance_validated(self):
-        bad = h_elem((1,), (2,))  # not S_2-invariant
+        # the reader rejects a missing composition of a shape and a shape
+        # with two coefficients; the constructor takes only lump shapes
+        for bad in (h_elem((1,), (2,)), h_elem((1,), (2,)) + h_elem((2,), (1,)).scale(3)):
+            with pytest.raises(DomainError):
+                shape_form(bad)
+        assert shape_form(h_elem((1,), (2,)) + h_elem((2,), (1,)) + h_elem((1, 2)).scale(5)) == LinComb(
+            {(1, 1): 1, (2,): 5}
+        )
+        for form in ({(1,): 1}, {(2, 0): 1}, {(1, 1.0): 1}, {"11": 1}):
+            with pytest.raises(DomainError):
+                SigmaSeries({2: LinComb(form)}, 2)
         with pytest.raises(DomainError):
-            SigmaSeries({2: bad}, 2)
+            SigmaSeries({3: LinComb({(3,): 1})}, 2)
 
     def test_zero_degrees_not_stored(self):
-        # the unchecked builders drop zero terms as the constructor does
         z = universal_series(0, 3)
-        assert z.terms == {0: unit_elem()}
-        assert z == SigmaSeries({0: unit_elem(), 1: h_elem((1,)).scale(0)}, 3)
-        assert SigmaSeries._of({0: unit_elem(), 2: h_elem((1, 2)).scale(0)}, 2).terms == {0: unit_elem()}
+        assert z.terms == {0: UNIT}
+        assert z == SigmaSeries({0: UNIT, 1: LinComb({(1,): 0}), 2: LinComb()}, 3)
         assert series_antipode(universal_series(QI(0), 2)) == unit_series(2)
 
     def test_antipode_composition(self):
@@ -136,14 +146,28 @@ class TestConvolve:
         with pytest.raises(DomainError):
             convolve(unit_series(2), unit_series(3))
 
-    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("order", range(6))
     def test_equals_the_relabel_convolution(self, order):
-        rng = random.Random(order)
-        for _ in range(3):
+        # and the series antipode equals the termwise antipode
+        for seed in range(3):
+            rng = random.Random(10 * seed + order)
             s, t = _random_invariant_series(rng, order), _random_invariant_series(rng, order)
-            got, want = convolve(s, t), relabel_convolve(s, t)
-            assert got == want
-            assert all(list(got.term(n).lc.t) == list(want.term(n).lc.t) for n in range(order + 1))
+            assert convolve(s, t) == relabel_convolve(s, t)
+            sa = series_antipode(s)
+            assert all(sa.term(n) == antipode(s.term(n)) for n in range(order + 1))
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_random_series_draws_shapes_in_first_seen_order(self, order):
+        # one draw per shape, in the order compositions_of meets the shapes
+        got = _random_invariant_series(random.Random(order), order)
+        rng = random.Random(order)
+        for m in range(order + 1):
+            drawn = {}
+            for F in compositions_of(canonical_set(m)):
+                shape = tuple(map(len, F.lumps))
+                if shape not in drawn:
+                    drawn[shape] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            assert got.terms.get(m, LinComb()) == LinComb(drawn)
 
 
 class TestGroupLike:
@@ -154,17 +178,18 @@ class TestGroupLike:
         assert is_group_like(unit_series(3))
 
     def test_primitive_series_is_not(self):
-        s = SigmaSeries({n: to_h(q_elem(canonical_set(n))) for n in (1, 2)}, 2)
+        s = SigmaSeries({n: shape_form(to_h(q_elem(canonical_set(n)))) for n in (1, 2)}, 2)
         assert not is_group_like(s)
 
-    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("order", range(6))
     def test_equals_the_relabel_test(self, order):
-        rng = random.Random(100 + order)
         g = universal_series(Fraction(2, 3), order)
-        bent = g.map_terms(lambda x: x.scale(2) if len(x.ground) == order > 0 else x)
+        bent = SigmaSeries({n: f.scale(2) if n == order > 0 else f for n, f in g.terms.items()}, order)
         cases = [g, bent, unit_series(order)]
-        cases += [_random_invariant_series(rng, order) for _ in range(3)]
-        cases += [convolve(unit_series(order), c) for c in cases[3:]]
+        for seed in range(3):
+            rng = random.Random(100 + 10 * seed + order)
+            drawn = [_random_invariant_series(rng, order) for _ in range(2)]
+            cases += drawn + [convolve(unit_series(order), c) for c in drawn]
         for s in cases:
             assert is_group_like(s) == relabel_is_group_like(s)
         assert is_group_like(g) and is_group_like(bent) == (order < 2)
@@ -332,23 +357,18 @@ class TestTruncSeries:
 class TestPerturbations:
     def test_coderivation_zero_coupling_slice(self):
         sys = polynomial_system({"A": Fraction(1), "S": Fraction(1)})
-        got = perturb_coderivation(sys, universal_series(QI(1), 3), "S", "A", 3)
+        got = perturb_coderivation(sys, QI(1), "S", "A", 3)
         assert got.at_g_zero() == t_exponential(sys, universal_series(QI(1), 3), "A", 3)
 
     def test_coderivation_matches_binomial_expansion(self):
         sys = polynomial_system({"A": Fraction(2), "S": Fraction(3)})
-        got = perturb_coderivation(sys, universal_series(QI(1), 3), "S", "A", 3)
+        got = perturb_coderivation(sys, QI(1), "S", "A", 3)
         # S(gS + jA) expanded by hand: coefficient of g^r j^n is
         # C(r+n, r)/(r+n)! * 3^r * 2^n = 3^r 2^n / (r! n!)
         for r in range(4):
             for n in range(4 - r):
                 expected = Fraction(3**r * 2**n, factorial(r) * factorial(n))
                 assert got.coeff(r, n) == word((), expected)
-
-    def test_coderivation_requires_universal(self):
-        s = SigmaSeries({0: unit_elem(), 1: h_elem((1,)).scale(QI(2)), 2: h_elem((1, 2))}, 2)
-        with pytest.raises(DomainError):
-            perturb_coderivation(polynomial_system({"A": 1, "S": 1}), s, "S", "A", 2)
 
     def test_arrow_g0_slice(self):
         a = TimedObservable("a", 1)
@@ -363,7 +383,7 @@ class TestPerturbations:
         s = TimedObservable("s", 0)
         v = perturb_arrow(CAUSAL_SYSTEM, s, a, 2, "down")
         sinv = reverse_exponential(CAUSAL_SYSTEM, 1, s, 2)
-        stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(1, 2), s, a, 2)
+        stwo = perturb_coderivation(CAUSAL_SYSTEM, 1, s, a, 2)
         assert v == sinv * stwo
 
     def test_arrow_up_mirror(self):
@@ -371,7 +391,7 @@ class TestPerturbations:
         s = TimedObservable("s", 0)
         w = perturb_arrow(CAUSAL_SYSTEM, s, a, 2, "up")
         sinv = reverse_exponential(CAUSAL_SYSTEM, 1, s, 2)
-        stwo = perturb_coderivation(CAUSAL_SYSTEM, universal_series(1, 2), s, a, 2)
+        stwo = perturb_coderivation(CAUSAL_SYSTEM, 1, s, a, 2)
         assert w == stwo * sinv
 
     def test_exponential_splitting(self):
@@ -408,7 +428,7 @@ class TestCouplingIsAGrading:
     @pytest.mark.parametrize("c", [2, Fraction(-1, 3)])
     def test_perturb_coderivation(self, c, k):
         def at(c):
-            return perturb_coderivation(CAUSAL_SYSTEM, universal_series(c, k), self.S_INT, self.A, k)
+            return perturb_coderivation(CAUSAL_SYSTEM, c, self.S_INT, self.A, k)
 
         self.assert_graded(at(c), at(1), c)
 

@@ -245,7 +245,7 @@ def test_tits_suite_follows_its_size(n):
 
 @pytest.mark.parametrize(
     "call",
-    ["hopf_suite(7)", "series_suite(7)", "steinmann_suite(6)", "ruelle_suite(7)",
+    ["hopf_suite(7)", "series_suite(8)", "steinmann_suite(6)", "ruelle_suite(7)",
      "glz_suite(7)", "arrows_suite(6)", "dynkin_suite(7)", "cells_suite(7)",
      "dimension_suite(6)", "tits_suite(8)", "causal_suite(9, 2)", "causal_suite(2, 9)"],
 )
