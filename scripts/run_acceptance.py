@@ -10,8 +10,9 @@ of the n=5 Dynkin rows, against the modular squeeze; the tree-image squeeze
 of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells with
 their moved witnesses, and the orbit walk at n=6 against the insertion
 enumeration, its oracle; the Dynkin rank at n=6; Ruelle's identity on its
-4822 configurations up to n=6; order-3 Z factorization and Bogoliubov; the
-series identities at order 7), which takes minutes.
+4822 configurations up to n=6; Z factorization and Bogoliubov at order 3
+and at the `toy demo` bound; the series identities at their bound), which
+takes minutes.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from sethopf.cells import (
     primitive_dimension_certified,
 )
 from sethopf.compositions import canonical_set
+from sethopf.errors import SIZE_BOUNDS
 from sethopf.hopf import is_primitive
 from sethopf.linalg import rank
 
@@ -90,7 +92,9 @@ def main() -> int:
         line("heavy: Ruelle's identity on 4822 configurations at n<=6", ruelle6.passed and ruelle6.checked == 4822,
              f" [{ruelle6.checked} checks]")
         line("heavy: order-3 Z factorization and Bogoliubov", verify.causal_suite(2, 3))
-        line("heavy: series and T-exponential identities at order 7", verify.series_suite(7))
+        toy, order = SIZE_BOUNDS["toy demo"], SIZE_BOUNDS["series identities"]
+        line(f"heavy: order-{toy} Z factorization and Bogoliubov", verify.causal_suite(2, toy))
+        line(f"heavy: series and T-exponential identities at order {order}", verify.series_suite(order))
 
     print(f"total wall time: {time.perf_counter()-t0:.1f}s")
     return 1 if failures else 0

@@ -9,8 +9,7 @@ what makes the arrows an action of the exponential species.
 The retarded, advanced and reverse-convolution elements are one split sum,
 ``_split_sum``: over the splits Y1 | Y2 of the interaction labels Y, of
 s(H_(Y1)) H_(Y2 u I), or H_(Y1 u I) s(H_(Y2)) for the advanced side.  With
-I empty it is the reverse convolution, so ``series.perturb_arrow`` builds
-every coefficient of the generating function from it.
+I empty it is the reverse convolution.
 
 Fresh labels are always chosen by the caller (negative integers by
 convention); no operation invents names.

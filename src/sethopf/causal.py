@@ -12,24 +12,17 @@ combinatorics alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .arrows import retarded_element
-from .compositions import Composition, labelset, star_labels
+from .compositions import Composition, labelset
 from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
 from .lincomb import LinComb
 from .series import (
-    TruncSeries,
-    eval_system,
-    formal_diff,
-    perturb_arrow,
-    perturb_coderivation,
-    reverse_exponential,
-    t_exponential,
-    universal_series,
+    TruncSeries, _form_series, _split_form, eval_system, formal_diff, perturb_arrow,
+    perturb_coderivation, reverse_exponential, t_exponential, universal_series,
 )
 from .hadamard import tits
 
@@ -128,13 +121,12 @@ def interacting_observable(
     A: TimedObservable, S_int: TimedObservable, order: int
 ) -> TruncSeries:
     """sum_r (g^r / r!) c^r R_(r;1)(S^r; A), a series in g alone, at c = 1;
-    the encoder applies c = 1/(i hbar) (see ``series``)."""
-    terms: dict[tuple[int, int], LinComb] = {}
-    for r in range(order + 1):
-        stars = star_labels(r)
-        val = generalized_T(retarded_element(stars, (1,)), {**dict.fromkeys(stars, S_int), 1: A})
-        terms[(r, 0)] = val.scale(Fraction(1, factorial(r)))
-    return TruncSeries(order, terms)
+    the encoder applies c = 1/(i hbar) (see ``series``).  Its g^r term is
+    the g^r j^1 coefficient of the retarded split form of r stars and the
+    one label of A, evaluated once per two-coloured shape."""
+    forms = (((r, 1), _split_form(r, 1, False)) for r in range(order + 1))
+    z = _form_series(CAUSAL_SYSTEM, forms, S_int, A, 1, order + 1)
+    return TruncSeries(order, {(r, 0): v for (r, _), v in z.terms.items()})
 
 
 def smatrix(A: TimedObservable, order: int) -> TruncSeries:

@@ -21,12 +21,19 @@ combinatorial reasons.  An evaluator is a function ``(F, dec) -> LinComb``
 of one basis composition F and one decoration per ground label;
 ``eval_system`` is its linear extension.  Whether an evaluator is
 multiplicative is checked by ``homomorphism_check``, not assumed.
-T-exponentials and their coderivation/arrow perturbations assemble those
-evaluations into truncated formal power series in the symbols g and j with
-word coefficients over the rationals.  Each g^r j^n coefficient of each of
-them is one ``_gj_term``: an element over r interaction labels and n
-observable labels, evaluated with S on the first and A on the second and
-scaled by c^(r+n) / (r! n!).
+T-exponentials and their coderivation/arrow perturbations are truncated
+formal power series in the symbols g and j with word coefficients over the
+rationals.  Their g^r j^n coefficient is c^(r+n) / (r! n!) times the
+evaluation of an element over r stars (interaction labels, decorated by S)
+and n labels (decorated by A), whose coefficient on H_F depends only on the
+two-coloured shape of F, its (stars, labels) count per lump.  So each is
+given as a two-coloured shape form, a ``LinComb`` keyed by tuples of such
+pairs, and ``_form_series`` evaluates each shape once, on its first
+filling, for all r! n! / prod a_i! b_i! of its fillings.  That needs the
+evaluator to be natural, a morphism of species: relabelling F and its
+decoration together leaves the word unchanged.  ``CAUSAL_SYSTEM`` and
+``polynomial_system`` are, and relabelling stars among stars and labels
+among labels keeps the decoration, so every filling gives the same word.
 
 The causal constructions run at coupling c = 1, over ints and Fractions;
 the causal coupling c = 1/(i*hbar) is applied once, when
@@ -47,28 +54,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .arrows import _split_sum
-from .compositions import (
-    Composition,
-    canonical_set,
-    compositions_of,
-    one_lump,
-    ordered_splits,
-    star_labels,
-)
+from .compositions import Composition, canonical_set, compositions_of, ordered_splits, star_labels
 from .errors import DomainError
-from .hopf import (
-    H,
-    SigmaElem,
-    _tensor,
-    antipode,
-    basis_elem,
-    delta_split,
-    mu,
-    unit_elem,
-)
+from .hopf import H, SigmaElem, _tensor, antipode, basis_elem, delta_split, mu, unit_elem
 from .lincomb import LinComb, lincomb_sum, sparse_sum
 
 
@@ -85,6 +75,19 @@ def _lumpings(labels: tuple, shape: tuple):
     for first in combinations(labels, shape[0]):
         rest = tuple(x for x in labels if x not in first)
         yield from ((first,) + tail for tail in _lumpings(rest, shape[1:]))
+
+
+def lump_shapes(m: int) -> list[tuple]:
+    """The lump shapes of degree m, the compositions of the integer m, by
+    length and then by cut points: the order in which ``compositions_of``
+    of [m] first meets them."""
+    if not m:
+        return [()]
+    return [
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (m,)))
+        for k in range(m)
+        for cuts in combinations(range(1, m), k)
+    ]
 
 
 def _expand(form: LinComb, ground: tuple) -> SigmaElem:
@@ -329,80 +332,89 @@ def formal_diff(ts: TruncSeries, symbol: str) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# T-exponentials and perturbations
+# T-exponentials and perturbations, on two-coloured shape forms
 
 
-def _gj_term(
-    sys: Callable, x: SigmaElem, stars: tuple, labels: tuple, S_dec, A_dec, c
-) -> LinComb:
-    """c^(r+n) / (r! n!)  eta(x (x) S^r A^n), r = |stars|, n = |labels|: the
-    evaluation of x with S_dec on the stars and A_dec on the labels, scaled.
-    Every g^r j^n coefficient built below is one such term."""
-    r, n = len(stars), len(labels)
-    dec = {**dict.fromkeys(stars, S_dec), **dict.fromkeys(labels, A_dec)}
-    scal = c ** (r + n) * Fraction(1, factorial(r) * factorial(n))
-    return eval_system(sys, x, dec).scale(scal)
+def _reverse_form(r: int) -> LinComb:
+    """The two-coloured shape form of s(H_(r stars)) = sum_F (-1)^l(F) H_F:
+    (-1)^l on every shape of r stars."""
+    return LinComb({tuple((a, 0) for a in shape): (-1) ** len(shape) for shape in lump_shapes(r)})
+
+
+def _split_form(r: int, n: int, advanced: bool) -> LinComb:
+    """The two-coloured shape form of ``arrows._split_sum`` over r stars and
+    n labels: for each k, the reverse form of k stars before the lump
+    (r - k, n), or after it when advanced, that lump dropped when empty.  At
+    n = 0 they cancel but for the unit at r = 0: the reverse convolution."""
+    pairs = []
+    for k in range(r + 1):
+        lump = ((r - k, n),) if k < r or n else ()
+        pairs += [(lump + shape if advanced else shape + lump, q) for shape, q in _reverse_form(k)]
+    return sparse_sum(pairs)
+
+
+def _form_series(
+    sys: Callable, forms: Iterable[tuple[tuple[int, int], LinComb]], S_dec, A_dec, c, order: int
+) -> TruncSeries:
+    """sum g^r j^n c^(r+n) / (r! n!)  eta(x (x) S^r A^n) over the pairs
+    ((r, n), form) of forms, taken one at a time, where x is the element
+    over r stars and n labels whose two-coloured shape form is form.  Each
+    shape is evaluated once, on its first filling: stars -r..-1, then labels
+    1..n, dealt to its lumps in order.  Its r! n! / prod a_i! b_i! fillings
+    all give that word, since sys is natural, so the word is scaled by
+    c^(r+n) q / prod a_i! b_i!."""
+    terms = {}
+    for (r, n), form in forms:
+        stars, labels, cn = star_labels(r), canonical_set(n), c ** (r + n)
+        ground, dec = stars + labels, {**dict.fromkeys(stars, S_dec), **dict.fromkeys(labels, A_dec)}
+        parts = []
+        for shape, q in form:
+            lumps, i, j, w = [], 0, 0, 1
+            for a, b in shape:
+                lumps.append(stars[i : i + a] + labels[j : j + b])
+                i, j, w = i + a, j + b, w * factorial(a) * factorial(b)
+            parts.append(sys(Composition._of(tuple(lumps), ground), dec).scale(cn * q * Fraction(1, w)))
+        terms[(r, n)] = lincomb_sum(parts)
+    return TruncSeries(order, terms)
 
 
 def t_exponential(sys: Callable, s: SigmaSeries, A, order: int) -> TruncSeries:
     """sum_n j^n / n!  eta(s_n (x) A^n), truncated at the given order; the
-    coupling, if any, is inside the series."""
+    coupling, if any, is inside the series.  A shape b of s_n is the
+    two-coloured shape ((0, b_1), (0, b_2), ...)."""
     if s.max_n < order:
         raise DomainError("series truncation is below the requested order")
-    terms = {
-        (0, n): _gj_term(sys, s.term(n), (), canonical_set(n), None, A, 1)
-        for n in range(order + 1)
-    }
-    return TruncSeries(order, terms)
+    forms = (
+        ((0, n), f.map_keys(lambda b: tuple((0, a) for a in b))) for n, f in s.terms.items() if n <= order
+    )
+    return _form_series(sys, forms, None, A, 1, order)
 
 
-def perturb_coderivation(
-    sys: Callable, c, S_dec, A_dec, order: int
-) -> TruncSeries:
+def perturb_coderivation(sys: Callable, c, S_dec, A_dec, order: int) -> TruncSeries:
     """The double series  sum g^r j^n c^(r+n) / (r! n!)  T^r_n(S^r A^n),
     the perturbation of the universal series at coupling c.
 
-    The r adjoined interaction labels extend the single lump, which is the
-    up-coderivation perturbation of the one-lump products; the result
-    equals the two-argument expansion of the T-exponential at g S + j A.
+    The r adjoined interaction labels extend the single lump, the one shape
+    ((r, n),), which is the up-coderivation perturbation of the one-lump
+    products; the result equals the two-argument expansion of the
+    T-exponential at g S + j A.
     """
-    terms: dict[tuple[int, int], LinComb] = {}
-    for r in range(order + 1):
-        stars = star_labels(r)
-        for n in range(order + 1 - r):
-            labels = canonical_set(n)
-            x = basis_elem(one_lump(stars + labels), H)
-            terms[(r, n)] = _gj_term(sys, x, stars, labels, S_dec, A_dec, c)
-    return TruncSeries(order, terms)
+    pairs = ((r, n) for r in range(order + 1) for n in range(order + 1 - r))
+    forms = (((r, n), LinComb.single(((r, n),) if r + n else (), 1)) for r, n in pairs)
+    return _form_series(sys, forms, S_dec, A_dec, c, order)
 
 
 def reverse_exponential(sys: Callable, c, S_dec, order: int) -> TruncSeries:
     """S^{-1}(g S): the T-exponential of the antipode-composed universal series."""
-    terms: dict[tuple[int, int], LinComb] = {}
-    for r in range(order + 1):
-        stars = star_labels(r)
-        x = antipode(basis_elem(one_lump(stars), H))
-        terms[(r, 0)] = _gj_term(sys, x, stars, (), S_dec, None, c)
-    return TruncSeries(order, terms)
+    return _form_series(sys, (((r, 0), _reverse_form(r)) for r in range(order + 1)), S_dec, None, c, order)
 
 
-def perturb_arrow(
-    sys: Callable,
-    S_dec,
-    A_dec,
-    order: int,
-    direction: str = "down",
-) -> TruncSeries:
+def perturb_arrow(sys: Callable, S_dec, A_dec, order: int, direction: str = "down") -> TruncSeries:
     """sum g^r j^n / (r! n!)  eta(R_(r;n) (x) S^r A^n)  (or A_(r;n) up), at
-    c = 1 like every causal construction (see the module docstring).
-    At n = 0 the split sum is the reverse convolution element of the stars."""
+    c = 1 like every causal construction (see the module docstring), each
+    coefficient from the split form of r stars and n labels."""
     if direction not in ("down", "up"):
         raise DomainError("direction must be 'down' or 'up'")
-    terms: dict[tuple[int, int], LinComb] = {}
-    for r in range(order + 1):
-        stars = star_labels(r)
-        for n in range(order + 1 - r):
-            labels = canonical_set(n)
-            x = _split_sum(stars, labels, advanced=direction == "up")
-            terms[(r, n)] = _gj_term(sys, x, stars, labels, S_dec, A_dec, 1)
-    return TruncSeries(order, terms)
+    pairs = ((r, n) for r in range(order + 1) for n in range(order + 1 - r))
+    forms = (((r, n), _split_form(r, n, direction == "up")) for r, n in pairs)
+    return _form_series(sys, forms, S_dec, A_dec, 1, order)

@@ -99,6 +99,7 @@ from .series import (
     formal_diff,
     homomorphism_check,
     is_group_like,
+    lump_shapes,
     perturb_arrow,
     perturb_coderivation,
     polynomial_system,
@@ -676,17 +677,12 @@ def _ordered_partitions(Y: tuple, k: int):
 
 def _random_invariant_series(rng: random.Random, max_n: int) -> SigmaSeries:
     """A random series: one coefficient per lump shape of each degree m, in
-    the order in which ``compositions_of`` of [m] first meets the shapes: by
-    length, then lexicographic, which is the order of their cut points."""
-    terms = {}
-    for m in range(max_n + 1):
-        shapes = [()] if m == 0 else [
-            tuple(b - a for a, b in zip((0,) + cuts, cuts + (m,)))
-            for k in range(m)
-            for cuts in itertools.combinations(range(1, m), k)
-        ]
-        terms[m] = LinComb({a: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for a in shapes})
-    return SigmaSeries(terms, max_n)
+    the order of ``lump_shapes``, which is the order in which
+    ``compositions_of`` of [m] first meets the shapes."""
+    return SigmaSeries({
+        m: LinComb({a: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for a in lump_shapes(m)})
+        for m in range(max_n + 1)
+    }, max_n)
 
 
 def series_suite(order: int = 4, seed: int = 7) -> SuiteResult:

@@ -140,7 +140,8 @@ class TestRetardedAdvanced:
         assert retarded_element((), (1, 2)) == h_elem((1, 2))
 
     def test_reverse_convolution_vanishes(self):
-        # the split sum with no observable labels, which series.perturb_arrow builds
+        # the split sum with no observable labels, the j^0 column of the generating
+        # function, whose shape form series._split_form cancels to the unit
         assert _split_sum((), (), advanced=False) == unit_elem()
         assert _split_sum((-1,), (), advanced=False).is_zero()
         assert _split_sum((-2, -1), (), advanced=False).is_zero()

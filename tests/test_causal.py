@@ -219,18 +219,18 @@ class TestGeneratingFunction:
         assert bogoliubov_extract(A0, s, 1) == interacting_observable(A0, s, 0)
 
     def test_bogoliubov_detects_a_wrong_split_sum(self, monkeypatch):
-        # the interacting series is built from _split_sum at I = (1,); the
-        # extraction must not be, or a wrong split sum would agree with itself
-        from sethopf import arrows, series
+        # the interacting series is evaluated from the split form at n = 1;
+        # the extraction must not be, or a wrong split form would agree with
+        # itself
+        from sethopf import causal
 
-        real = arrows._split_sum
+        real = causal._split_form
 
-        def doubled_at_one(Y, I, advanced):
-            x = real(Y, I, advanced)
-            return x.scale(2) if I == (1,) else x
+        def doubled_at_one(r, n, advanced):
+            form = real(r, n, advanced)
+            return form.scale(2) if n == 1 else form
 
-        monkeypatch.setattr(arrows, "_split_sum", doubled_at_one)
-        monkeypatch.setattr(series, "_split_sum", doubled_at_one)
+        monkeypatch.setattr(causal, "_split_form", doubled_at_one)
         s = TimedObservable("s", Fraction(-1))
         assert not bogoliubov_check(A0, s, 2)
 

@@ -184,9 +184,9 @@ OVER_BOUND = [
     ("ruelle", "verify", "--n", "7"),
     ("glz", "verify", "--n", "7"),
     ("arrows", "verify", "--n", "6"),
-    ("series", "identities", "--order", "8"),
-    ("toy", "demo", "--order", "9"),
-    ("toy", "bogoliubov", "--order", "9"),
+    ("series", "identities", "--order", "9"),
+    ("toy", "demo", "--order", "18"),
+    ("toy", "bogoliubov", "--order", "20"),
 ]
 
 TOY_MODEL = {
@@ -458,13 +458,13 @@ class TestToyCommands:
         assert "needs order >= 1, got 0" in proc.stderr
 
     @pytest.mark.parametrize("argv, message", [
-        (["--order", "9"], "size limit: ground-set size 9 exceeds the toy demo bound 8\n"),
+        (["--order", "18"], "size limit: ground-set size 18 exceeds the toy demo bound 17\n"),
         (["--interaction-time", "x"], "expected a rational time, got 'x'\n"),
         (["--observable-time", "1/0"], "expected a rational time, got '1/0'\n"),
     ])
     def test_demo_script_rejects_bad_input_before_work(self, argv, message):
         script = Path(__file__).resolve().parent.parent / "scripts" / "toy_model_demo.py"
-        # order 9 would run for many minutes: the bound is checked before any work
+        # order 18 would take a minute and over 1 GB: the bound is checked before any work
         proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""

@@ -4,12 +4,23 @@ from math import factorial
 
 import pytest
 
-from sethopf.compositions import canonical_set, compositions_of, ordered_splits, proper_splits
+from sethopf.arrows import _split_sum
+from sethopf.compositions import (
+    Composition,
+    canonical_set,
+    compositions_of,
+    one_lump,
+    ordered_splits,
+    proper_splits,
+    star_labels,
+)
 from sethopf.errors import DomainError
 from sethopf.hopf import (
+    H,
     SigmaElem,
     _tensor,
     antipode,
+    basis_elem,
     delta_split,
     h_elem,
     mu,
@@ -28,6 +39,7 @@ from sethopf.series import (
     formal_diff,
     homomorphism_check,
     is_group_like,
+    lump_shapes,
     perturb_arrow,
     perturb_coderivation,
     polynomial_system,
@@ -439,3 +451,113 @@ class TestCouplingIsAGrading:
             return reverse_exponential(CAUSAL_SYSTEM, c, self.S_INT, k)
 
         self.assert_graded(at(c), at(1), c)
+
+
+# The composition path, the oracle of the shape forms: each g^r j^n
+# coefficient as an H-basis element over r stars and n labels, evaluated
+# composition by composition through ``eval_system``.
+
+SYSTEMS = {
+    # (evaluator, S decoration, A decoration): the causal evaluator on the
+    # two toy models of the CLI tests, and a polynomial one over Q(i)
+    "causal-toy": (CAUSAL_SYSTEM, TimedObservable("s", 0), TimedObservable("a", 1)),
+    "causal-later": (CAUSAL_SYSTEM, TimedObservable("s", 2), TimedObservable("a", Fraction(-1, 2))),
+    "poly": (polynomial_system({"S": QI(Fraction(1, 2), -1), "A": Fraction(-3, 2)}), "S", "A"),
+}
+
+ORACLE_ORDER = 6
+
+
+def reference_series(sys, element, columns, S_dec, A_dec, c, order):
+    """sum g^r j^n c^(r+n) / (r! n!)  eval_system(element(r, n)) over the
+    (r, n) in columns, each element over stars -r..-1 and labels 1..n."""
+    terms = {}
+    for r, n in columns:
+        dec = {**dict.fromkeys(star_labels(r), S_dec), **dict.fromkeys(canonical_set(n), A_dec)}
+        scal = c ** (r + n) * Fraction(1, factorial(r) * factorial(n))
+        terms[(r, n)] = eval_system(sys, element(r, n), dec).scale(scal)
+    return TruncSeries(order, terms)
+
+
+def all_columns(order):
+    return [(r, n) for r in range(order + 1) for n in range(order + 1 - r)]
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+class TestAgainstTheCompositionPath:
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("order", [ORACLE_ORDER, pytest.param(8, marks=pytest.mark.heavy)])
+    def test_perturb_arrow(self, system, order, direction):
+        sys, S, A = SYSTEMS[system]
+        want = reference_series(
+            sys,
+            lambda r, n: _split_sum(star_labels(r), canonical_set(n), advanced=direction == "up"),
+            all_columns(order), S, A, 1, order,
+        )
+        assert perturb_arrow(sys, S, A, order, direction) == want
+
+    @pytest.mark.parametrize("c", [1, Fraction(-2, 3)])
+    def test_reverse_exponential(self, system, c):
+        sys, S, _ = SYSTEMS[system]
+        want = reference_series(
+            sys,
+            lambda r, n: antipode(basis_elem(one_lump(star_labels(r)), H)),
+            [(r, 0) for r in range(ORACLE_ORDER + 1)], S, None, c, ORACLE_ORDER,
+        )
+        assert reverse_exponential(sys, c, S, ORACLE_ORDER) == want
+
+    @pytest.mark.parametrize("c", [1, Fraction(-2, 3)])
+    def test_perturb_coderivation(self, system, c):
+        sys, S, A = SYSTEMS[system]
+        want = reference_series(
+            sys,
+            lambda r, n: basis_elem(one_lump(star_labels(r) + canonical_set(n)), H),
+            all_columns(ORACLE_ORDER), S, A, c, ORACLE_ORDER,
+        )
+        assert perturb_coderivation(sys, c, S, A, ORACLE_ORDER) == want
+
+    @pytest.mark.parametrize("series", ["universal", "antipode", "random"])
+    def test_t_exponential(self, system, series):
+        sys, _, A = SYSTEMS[system]
+        s = {
+            "universal": universal_series(Fraction(3, 2), ORACLE_ORDER),
+            "antipode": series_antipode(universal_series(1, ORACLE_ORDER)),
+            "random": _random_invariant_series(random.Random(system), ORACLE_ORDER),
+        }[series]
+        want = reference_series(
+            sys, lambda r, n: s.term(n), [(0, n) for n in range(ORACLE_ORDER + 1)], None, A, 1, ORACLE_ORDER
+        )
+        assert t_exponential(sys, s, A, ORACLE_ORDER) == want
+
+
+def first_filling(shape):
+    """The composition with the given (stars, labels) count per lump whose
+    lumps take stars -r..-1, then labels 1..n, in order."""
+    stars = iter(star_labels(sum(a for a, _ in shape)))
+    labels = iter(canonical_set(sum(b for _, b in shape)))
+    return Composition([[next(stars) for _ in range(a)] + [next(labels) for _ in range(b)] for a, b in shape])
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@pytest.mark.parametrize("size", range(6))
+def test_every_filling_of_a_shape_gives_one_word(system, size):
+    # the naturality the shape forms rest on: under a decoration constant
+    # on the stars and on the labels, a composition evaluates to the word
+    # of its two-coloured shape's first filling
+    sys, S, A = SYSTEMS[system]
+    for r in range(size + 1):
+        stars, labels = star_labels(r), canonical_set(size - r)
+        dec = {**dict.fromkeys(stars, S), **dict.fromkeys(labels, A)}
+        for F in compositions_of(stars + labels):
+            shape = tuple((sum(l < 0 for l in lump), sum(l > 0 for l in lump)) for lump in F.lumps)
+            assert sys(F, dec) == sys(first_filling(shape), dec), F
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_lump_shapes_in_first_seen_order(m):
+    seen = []
+    for F in compositions_of(canonical_set(m)):
+        shape = tuple(map(len, F.lumps))
+        if shape not in seen:
+            seen.append(shape)
+    assert lump_shapes(m) == seen

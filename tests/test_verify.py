@@ -245,9 +245,9 @@ def test_tits_suite_follows_its_size(n):
 
 @pytest.mark.parametrize(
     "call",
-    ["hopf_suite(7)", "series_suite(8)", "steinmann_suite(6)", "ruelle_suite(7)",
+    ["hopf_suite(7)", "series_suite(9)", "steinmann_suite(6)", "ruelle_suite(7)",
      "glz_suite(7)", "arrows_suite(6)", "dynkin_suite(7)", "cells_suite(7)",
-     "dimension_suite(6)", "tits_suite(8)", "causal_suite(9, 2)", "causal_suite(2, 9)"],
+     "dimension_suite(6)", "tits_suite(8)", "causal_suite(9, 2)", "causal_suite(2, 18)"],
 )
 def test_suite_checks_its_bound_before_work(call):
     # one past the SIZE_BOUNDS entry of the suite's CLI command or of what it
