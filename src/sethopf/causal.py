@@ -21,7 +21,7 @@ from .errors import DomainError
 from .hopf import SigmaElem, antipode, basis_elem
 from .lincomb import LinComb
 from .series import (
-    TruncSeries, _form_series, _split_form, eval_system, formal_diff, perturb_arrow,
+    TruncSeries, _form_series, _reverse_form, _split_form, eval_system, formal_diff, perturb_arrow,
     perturb_coderivation, reverse_exponential, t_exponential, universal_series,
 )
 from .hadamard import tits
@@ -124,7 +124,8 @@ def interacting_observable(
     the encoder applies c = 1/(i hbar) (see ``series``).  Its g^r term is
     the g^r j^1 coefficient of the retarded split form of r stars and the
     one label of A, evaluated once per two-coloured shape."""
-    forms = (((r, 1), _split_form(r, 1, False)) for r in range(order + 1))
+    reverse = [_reverse_form(k) for k in range(order + 1)]
+    forms = (((r, 1), _split_form(r, 1, False, reverse)) for r in range(order + 1))
     z = _form_series(CAUSAL_SYSTEM, forms, S_int, A, 1, order + 1)
     return TruncSeries(order, {(r, 0): v for (r, _), v in z.terms.items()})
 

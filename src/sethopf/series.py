@@ -341,15 +341,17 @@ def _reverse_form(r: int) -> LinComb:
     return LinComb({tuple((a, 0) for a in shape): (-1) ** len(shape) for shape in lump_shapes(r)})
 
 
-def _split_form(r: int, n: int, advanced: bool) -> LinComb:
+def _split_form(r: int, n: int, advanced: bool, reverse: list[LinComb]) -> LinComb:
     """The two-coloured shape form of ``arrows._split_sum`` over r stars and
     n labels: for each k, the reverse form of k stars before the lump
     (r - k, n), or after it when advanced, that lump dropped when empty.  At
-    n = 0 they cancel but for the unit at r = 0: the reverse convolution."""
+    n = 0 they cancel but for the unit at r = 0: the reverse convolution.
+    reverse[k] is ``_reverse_form(k)``, which the caller builds once for
+    every k up to its order."""
     pairs = []
     for k in range(r + 1):
         lump = ((r - k, n),) if k < r or n else ()
-        pairs += [(lump + shape if advanced else shape + lump, q) for shape, q in _reverse_form(k)]
+        pairs += [(lump + shape if advanced else shape + lump, q) for shape, q in reverse[k]]
     return sparse_sum(pairs)
 
 
@@ -416,5 +418,6 @@ def perturb_arrow(sys: Callable, S_dec, A_dec, order: int, direction: str = "dow
     if direction not in ("down", "up"):
         raise DomainError("direction must be 'down' or 'up'")
     pairs = ((r, n) for r in range(order + 1) for n in range(order + 1 - r))
-    forms = (((r, n), _split_form(r, n, direction == "up")) for r, n in pairs)
+    reverse = [_reverse_form(k) for k in range(order + 1)]
+    forms = (((r, n), _split_form(r, n, direction == "up", reverse)) for r, n in pairs)
     return _form_series(sys, forms, S_dec, A_dec, 1, order)

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .arrows import (
     arrow_cell_down,
@@ -153,13 +153,14 @@ class SuiteResult:
 
 def _once(f, by_content: bool = False):
     """f evaluated once per distinct argument key, the value kept for every
-    later call with equal keys.  The key is the tuple of arguments, as
-    ``hopf_suite`` passes them: compositions and label tuples (a
-    ``SigmaElem`` is not hashable, so that memo refuses one).  With
-    ``by_content``, the key of a ``SigmaElem`` is exact: its ground, its basis
-    and its terms in order; any other argument is its own key.  The suites
-    wrap the operations they repeat once per degree, so a memo lives for one
-    degree of one suite call."""
+    later call with equal keys.  The key is the tuple of arguments, as the
+    suites pass them: compositions, label tuples, degrees and trees (a
+    ``Tree`` is its own key, by identity; a ``SigmaElem`` is not hashable, so
+    that memo refuses one).  With ``by_content``, the key of a ``SigmaElem``
+    is exact: its ground, its basis and its terms in order; any other
+    argument is its own key.  A suite wraps the operations it repeats when
+    it is called, or once per degree for ``hopf_suite`` and ``tits_suite``,
+    so a memo lives for one suite call at most."""
     memo = {}
 
     def once(*args):
@@ -223,6 +224,15 @@ def hopf_suite(n: int = 4) -> SuiteResult:
         def q_of(F):
             return to_q(elem[F])
 
+        @_once
+        def h_of_q(F):
+            return to_h(basis_elem(F, Q))
+
+        @_once
+        def convolution_of(x, y):
+            # the terms of both antipode convolution identities on H_x (x) H_y
+            return mu(elem[x], antipode_of(y)), mu(antipode_of(x), elem[y])
+
         # associativity over all ordered 3-part decompositions
         for S, T, U, _, _ in triples:
             for F in comps[S]:
@@ -283,8 +293,8 @@ def hopf_suite(n: int = 4) -> SuiteResult:
         if m >= 1:
             for F in basis:
                 terms = [(x, y, c) for S, T in splits for (x, y), c in split_of(F, S, T)]
-                left = lincomb_sum(mu(elem[x], antipode_of(y)).lc.scale(c) for x, y, c in terms)
-                right = lincomb_sum(mu(antipode_of(x), elem[y]).lc.scale(c) for x, y, c in terms)
+                left = lincomb_sum(convolution_of(x, y)[0].lc.scale(c) for x, y, c in terms)
+                right = lincomb_sum(convolution_of(x, y)[1].lc.scale(c) for x, y, c in terms)
                 res.bump("antipode-convolution", not left and not right, elem[F])
 
         # cocommutativity
@@ -300,10 +310,10 @@ def hopf_suite(n: int = 4) -> SuiteResult:
             for F in comps[S]:
                 for G in comps[T]:
                     direct = mu(basis_elem(F, Q), basis_elem(G, Q))
-                    via_h = to_q(mu(to_h(basis_elem(F, Q)), to_h(basis_elem(G, Q))))
+                    via_h = to_q(mu(h_of_q(F), h_of_q(G)))
                     res.bump("q-product", direct == via_h)
         for F in basis:
-            aq = to_q(elem[F])
+            aq = q_of(F)
             for S, T in proper:
                 direct = delta_split(aq, S, T)
                 converted = {}
@@ -333,13 +343,11 @@ def hopf_suite(n: int = 4) -> SuiteResult:
 
         # basis change round trips and Q_(I) primitivity (criterion 3)
         for F in basis:
-            res.bump("h-q-roundtrip", to_h(to_q(elem[F])) == elem[F])
+            res.bump("h-q-roundtrip", to_h(q_of(F)) == elem[F])
         for Fq in basis:
-            aq = basis_elem(Fq, Q)
-            res.bump("q-h-roundtrip", to_q(to_h(aq)) == aq)
+            res.bump("q-h-roundtrip", to_q(h_of_q(Fq)) == basis_elem(Fq, Q))
         if m >= 1:
-            qi = to_h(basis_elem(one_lump(ground), Q))
-            res.bump("q-top-primitive", is_primitive(qi))
+            res.bump("q-top-primitive", is_primitive(h_of_q(one_lump(ground))))
     return res
 
 
@@ -373,10 +381,15 @@ def cells_suite(n_max: int = 5) -> SuiteResult:
         cells = enumerate_cells_with_witnesses(canonical_set(m))
         counts[m] = len(cells)
         res.bump("cell-count", len(cells) == CELL_COUNTS[m], f"n={m}: {len(cells)}")
-        realized = all(
-            sum(w.values()) == 0 and all(sum(w[x] for x in S) > 0 for S in c.positive)
-            for c, w in cells
-        )
+        # each witness on ints: every value times the lcm of its denominators;
+        # that lcm is positive, so each sum keeps its sign and the test is exact
+        realized = True
+        for c, w in cells:
+            scale = lcm(*[x.denominator for x in w.values()])
+            v = {label: x.numerator * (scale // x.denominator) for label, x in w.items()}
+            if sum(v.values()) or not all(sum([v[x] for x in S]) > 0 for S in c.positive):
+                realized = False
+                break
         res.bump("cell-witnesses-realize", realized, f"n={m}")
     res.payload["counts"] = counts
     return res
@@ -475,27 +488,43 @@ def glz_suite(n: int = 4) -> SuiteResult:
 
 def tree_suite(n: int = 4) -> SuiteResult:
     res = SuiteResult("tree")
-    # antisymmetry and the bracket homomorphism on tree images
     ground = canonical_set(min(n, 4))
+    # each subset's trees are built once, so a tree is its own key, and each
+    # tree image is evaluated once per suite call
+    trees = _once(_all_trees)
+
+    @_once
+    def image(t):
+        return to_h(tree_to_primitive(t))
+
+    @_once
+    def bracket_image(t1, t2):
+        return to_h(tree_to_primitive(node(t1, t2)))
+
+    @_once
+    def jacobi_image(t1, t2, t3):
+        return to_h(tree_to_primitive(node(node(t1, t2), t3)))
+
+    # antisymmetry and the bracket homomorphism on tree images
     for S, T in proper_splits(ground):
-        for t1 in _all_trees(S):
-            for t2 in _all_trees(T):
-                img12 = to_h(tree_to_primitive(node(t1, t2)))
-                img21 = to_h(tree_to_primitive(node(t2, t1)))
+        for t1 in trees(S):
+            for t2 in trees(T):
+                img12 = bracket_image(t1, t2)
+                img21 = bracket_image(t2, t1)
                 res.bump("tree-antisymmetry", (img12 + img21).is_zero())
-                bracket = commutator(to_h(tree_to_primitive(t1)), to_h(tree_to_primitive(t2)))
+                bracket = commutator(image(t1), image(t2))
                 res.bump("tree-bracket-homomorphism", img12 == bracket)
 
     # Jacobi identity on trees over ordered 3-part decompositions
     for S, rest in proper_splits(ground):
         for T, U in proper_splits(rest):
-            for t1 in _all_trees(S):
-                for t2 in _all_trees(T):
-                    for t3 in _all_trees(U):
+            for t1 in trees(S):
+                for t2 in trees(T):
+                    for t3 in trees(U):
                         total = (
-                            to_h(tree_to_primitive(node(node(t1, t2), t3)))
-                            + to_h(tree_to_primitive(node(node(t3, t1), t2)))
-                            + to_h(tree_to_primitive(node(node(t2, t3), t1)))
+                            jacobi_image(t1, t2, t3)
+                            + jacobi_image(t3, t1, t2)
+                            + jacobi_image(t2, t3, t1)
                         )
                         res.bump("tree-jacobi", total.is_zero())
     return res
@@ -518,6 +547,14 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
     a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
+    # the operands the checks repeat, each evaluated once per suite call
+    @_once
+    def u_of(F):
+        return u_ab(a, b, star, basis_elem(F, H))
+
+    retarded_of, advanced_of = _once(retarded_element), _once(advanced_element)
+    primitives = _once(primitive_part_basis)
+
     # biderivation: derivation law on products over disjoint grounds
     for m1 in range(0, n + 1):
         for m2 in range(0, n + 1 - m1):
@@ -528,27 +565,20 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
                     x = basis_elem(F, H)
                     y = basis_elem(G, H)
                     lhs = u_ab(a, b, star, mu(x, y))
-                    rhs = mu(u_ab(a, b, star, x), y) + mu(x, u_ab(a, b, star, y))
+                    rhs = mu(u_of(F), y) + mu(x, u_of(G))
                     res.bump("biderivation-derivation", lhs == rhs, F, G)
 
     # coderivation law: Delta_(*S,T)(u(H_F)) = u(H_F|S) (x) H_F|T
     for m in range(1, n + 1):
         ground = canonical_set(m)
         for F in compositions_of(ground):
-            x = basis_elem(F, H)
-            ux = u_ab(a, b, star, x)
+            ux = u_of(F)
             for S, T in ordered_splits(ground):
                 got = delta_split(ux, tuple(sorted(S + (star,))), T)
-                expected = _tensor(
-                    u_ab(a, b, star, basis_elem(restrict(F, S), H)),
-                    basis_elem(restrict(F, T), H),
-                )
+                expected = _tensor(u_of(restrict(F, S)), basis_elem(restrict(F, T), H))
                 res.bump("biderivation-coderivation", got == expected, F, f"{S}|{T}")
                 got_r = delta_split(ux, S, tuple(sorted(T + (star,))))
-                expected_r = _tensor(
-                    basis_elem(restrict(F, S), H),
-                    u_ab(a, b, star, basis_elem(restrict(F, T), H)),
-                )
+                expected_r = _tensor(basis_elem(restrict(F, S), H), u_of(restrict(F, T)))
                 res.bump("biderivation-coderivation-right", got_r == expected_r, F, f"{S}|{T}")
 
     # order independence and the commutator identity
@@ -568,15 +598,15 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
 
     # primitivity preservation and the derivation law on the bracket
     for m in range(1, n + 1):
-        for p in primitive_part_basis(m):
+        for p in primitives(m):
             res.bump("arrow-preserves-primitive", is_primitive(arrow_down_single(star, p)))
             res.bump("arrow-preserves-primitive", is_primitive(arrow_up_single(star, p)))
     for m1 in range(1, 3):
         for m2 in range(1, 3):
             S = canonical_set(m1)
             T = tuple(range(m1 + 1, m1 + m2 + 1))
-            for p in primitive_part_basis(m1):
-                for q0 in primitive_part_basis(m2):
+            for p in primitives(m1):
+                for q0 in primitives(m2):
                     q = relabel(q0, {i + 1: m1 + i + 1 for i in range(m2)})
                     lhs = arrow_down_single(star, commutator(p, q))
                     rhs = commutator(arrow_down_single(star, p), q) + commutator(
@@ -628,8 +658,8 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
             for F in compositions_of(ground):
                 x = basis_elem(F, H)
                 for name, arrow, element in (
-                    ("retarded-expansion", arrow_down, retarded_element),
-                    ("advanced-expansion", arrow_up, advanced_element),
+                    ("retarded-expansion", arrow_down, retarded_of),
+                    ("advanced-expansion", arrow_up, advanced_of),
                 ):
                     products = (
                         mu_many([element(Yi, lump) if Yi else basis_elem(one_lump(lump), H)

@@ -226,8 +226,8 @@ class TestGeneratingFunction:
 
         real = causal._split_form
 
-        def doubled_at_one(r, n, advanced):
-            form = real(r, n, advanced)
+        def doubled_at_one(r, n, advanced, reverse):
+            form = real(r, n, advanced, reverse)
             return form.scale(2) if n == 1 else form
 
         monkeypatch.setattr(causal, "_split_form", doubled_at_one)

@@ -21,6 +21,28 @@ LIE_COUNTERS_N4 = {
     "tree-jacobi": 108,
 }
 
+# tree_suite(4) counters, the tree part of LIE_COUNTERS_N4.
+TREE_COUNTERS_N4 = {k: v for k, v in LIE_COUNTERS_N4.items() if k.startswith("tree-")}
+
+# arrows_suite(3) counters, as in the gate's perfbench/expected.json.
+ARROWS_COUNTERS_N3 = {
+    "biderivation-derivation": 42,
+    "biderivation-coderivation": 118,
+    "biderivation-coderivation-right": 118,
+    "arrow-order-independence": 36,
+    "arrow-updown-commutator": 18,
+    "arrow-preserves-primitive": 18,
+    "arrow-bracket-derivation": 9,
+    "arrow-dynkin-down": 18,
+    "arrow-dynkin-up": 18,
+    "arrow-product-law": 58,
+    "retarded-expansion": 34,
+    "advanced-expansion": 34,
+    "retarded-instance": 1,
+    "advanced-instance": 1,
+    "retarded-is-total-dynkin": 1,
+}
+
 # tits_suite(3) counters, as in the gate's perfbench/expected.json.
 TITS_COUNTERS_N3 = {
     "tits-unit": 17,
@@ -93,6 +115,36 @@ WRONG_TITS_FAILURES = (
     ["tits-associativity"] * 22 + ["tits-vs-hopf-power"] + ["tits-action-compat"] * 13
 )
 
+# The failures of tree_suite(4) when tree_to_primitive doubles its value on
+# one tree, keyed by the tree's repr: [1,2] is a factor of the bracket
+# homomorphism; [[1,2],[3,4]] is a bracket of two trees and a Jacobi term.
+WRONG_TREE_FAILURES = {
+    "[1,2]": ["tree-bracket-homomorphism"] * 6,
+    "[[1,2],[3,4]]": ["tree-antisymmetry", "tree-bracket-homomorphism", "tree-antisymmetry"]
+    + ["tree-jacobi"] * 3,
+}
+
+# The failures of arrows_suite(3) when u_ab doubles its value on H_(2)(1),
+# as a factor of the derivation law, as u(H_F) in the coderivation laws and
+# as a restriction of a composition of [3].
+WRONG_U_FAILURES = [
+    "biderivation-derivation: (2,1) (3)",
+    "biderivation-coderivation: (2,1) (1,)|(2,)",
+    "biderivation-coderivation-right: (2,1) (1,)|(2,)",
+    "biderivation-coderivation: (2,1) (2,)|(1,)",
+    "biderivation-coderivation-right: (2,1) (2,)|(1,)",
+    "biderivation-coderivation: (2,13) (1, 2)|(3,)",
+    "biderivation-coderivation-right: (2,13) (3,)|(1, 2)",
+    "biderivation-coderivation: (23,1) (1, 2)|(3,)",
+    "biderivation-coderivation-right: (23,1) (3,)|(1, 2)",
+    "biderivation-coderivation: (2,1,3) (1, 2)|(3,)",
+    "biderivation-coderivation-right: (2,1,3) (3,)|(1, 2)",
+    "biderivation-coderivation: (2,3,1) (1, 2)|(3,)",
+    "biderivation-coderivation-right: (2,3,1) (3,)|(1, 2)",
+    "biderivation-coderivation: (3,2,1) (1, 2)|(3,)",
+    "biderivation-coderivation-right: (3,2,1) (3,)|(1, 2)",
+]
+
 
 def _exact_key(args):
     return tuple(
@@ -137,8 +189,10 @@ def test_hopf_suite_counters_at_three():
 
 
 @pytest.mark.parametrize("suite, n, names", [
-    ("hopf_suite", 3, ["product_of", "split_of", "antipode_of", "q_of"]),
+    ("hopf_suite", 3, ["product_of", "split_of", "antipode_of", "q_of", "h_of_q", "convolution_of"]),
     ("tits_suite", 3, ["tits", "hopf_power_elem"]),
+    ("tree_suite", 4, ["_all_trees", "image", "bracket_image", "jacobi_image"]),
+    ("arrows_suite", 3, ["u_of", "retarded_element", "advanced_element", "primitive_part_basis"]),
 ])
 def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite, n, names):
     real_once = verify._once
@@ -162,10 +216,12 @@ def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite
 
     monkeypatch.setattr(verify, "_once", spying_once)
     res = getattr(verify, suite)(n)
-    expected = HOPF_COUNTERS_N3 if suite == "hopf_suite" else TITS_COUNTERS_N3
+    expected = {"hopf_suite": HOPF_COUNTERS_N3, "tits_suite": TITS_COUNTERS_N3,
+                "tree_suite": TREE_COUNTERS_N4, "arrows_suite": ARROWS_COUNTERS_N3}[suite]
     assert res.passed and res.counters == expected
-    degrees = range(n + 1) if suite == "hopf_suite" else range(1, n + 1)
-    assert [name for name, _, _ in memos] == names * len(degrees)
+    # hopf_suite and tits_suite wrap once per degree, the others once per call
+    copies = {"hopf_suite": n + 1, "tits_suite": n}.get(suite, 1)
+    assert [name for name, _, _ in memos] == names * copies
     for name, calls, evaluated in memos:
         assert len(set(evaluated)) == len(evaluated), name
         assert set(evaluated) == set(calls), name
@@ -208,6 +264,49 @@ def test_wrong_tits_fails_the_same_checks(monkeypatch):
 
     monkeypatch.setattr(verify, "tits", wrong)
     assert verify.tits_suite(3).failures == WRONG_TITS_FAILURES
+
+
+@pytest.mark.parametrize("target", sorted(WRONG_TREE_FAILURES))
+def test_wrong_tree_image_fails_the_same_checks(monkeypatch, target):
+    real = verify.tree_to_primitive
+
+    def wrong(t):
+        out = real(t)
+        return out + out if repr(t) == target else out
+
+    monkeypatch.setattr(verify, "tree_to_primitive", wrong)
+    assert verify.tree_suite(4).failures == WRONG_TREE_FAILURES[target]
+
+
+def test_wrong_u_fails_the_same_checks(monkeypatch):
+    real = verify.u_ab
+    wrong_on = Composition(((2,), (1,)))
+
+    def wrong(a, b, star, x):
+        out = real(a, b, star, x)
+        return out + out if x.basis == H and list(x.lc.keys()) == [wrong_on] else out
+
+    monkeypatch.setattr(verify, "u_ab", wrong)
+    assert verify.arrows_suite(3).failures == WRONG_U_FAILURES
+
+
+def test_a_wrong_witness_fails_to_realize(monkeypatch):
+    # label 1 of the first cell over [4] has the witness value 3; negated,
+    # the witness no longer sums to 0
+    real = verify.enumerate_cells_with_witnesses
+
+    def wrong(labels):
+        cells = real(labels)
+        if len(labels) == 4:
+            cell, w = cells[0]
+            assert w[1] == 3
+            cells[0] = cell, {**w, 1: -w[1]}
+        return cells
+
+    monkeypatch.setattr(verify, "enumerate_cells_with_witnesses", wrong)
+    res = verify.cells_suite(4)
+    assert res.counters == {"cell-count": 3, "cell-witnesses-realize": 3}
+    assert res.failures == ["cell-witnesses-realize: n=4"]
 
 
 def test_steinmann_suite_finds_the_quadruples_once(monkeypatch):
