@@ -6,7 +6,7 @@ Default bounds keep this under a minute; --heavy runs the same suites one
 step up (the Hopf axioms, the exact primitive kernel and the Dynkin rank at
 n=5, with two oracles for its certificate: every n=5 Dynkin element checked
 primitive directly, against the orbit representatives, and the exact rank
-of the n=5 Dynkin rows, against the modular squeeze; the tree-image squeeze
+of the n=5 Dynkin rows, against the modular squeeze; the tree-image certificate
 of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells with
 their moved witnesses, and the orbit walk at n=6 against the insertion
 enumeration, its oracle; the Dynkin rank at n=6; Ruelle's identity on its
@@ -72,7 +72,7 @@ def main() -> int:
         got = dynkin_rank(canonical_set(5))
         line("heavy: Dynkin rank (370, 150, 150) at n=5", got == (370, 150, 150), f" -> {got}")
         got = primitive_dimension_certified(5)
-        line("heavy: primitive dimension 150 at n=5, tree-image squeeze", got == 150, f" -> {got}")
+        line("heavy: primitive dimension 150 at n=5, tree-image certificate", got == 150, f" -> {got}")
         dynkin5 = [dynkin(c) for c in enumerate_cells(canonical_set(5))]
         got = sum(map(is_primitive, dynkin5))
         line("heavy: each of the 370 Dynkin elements at n=5 is primitive", got == 370, f" -> {got}")

@@ -24,12 +24,23 @@ the repr), and the validating ``Cell(...)`` takes them at the boundary.
 Dynkin elements are read from one table per n in mask form,
 ``_dynkin_masks``: a cell's element holds every composition whose reversed
 coarsenings' sides lie in its side bitset.
+The primitive dimension is certified over Q with no elimination.  Above: on
+the Q-basis, Delta_{S,T}(Q_F) is Q_{F|S} (x) Q_{F|T} when S is a union of
+lumps of F, and 0 otherwise, so the split matrix, whose kernel is the
+primitive part, is block-diagonal over set partitions; a block with k parts
+is the shuffle matrix Sh_k (``_shuffle_columns``).  A word w = u.0.v with u
+nonempty has the pivot row (u, 0v), held by the columns x that shuffle u and
+0v: 0 comes after at most |u| letters of x, and after exactly |u| only for
+x = w.  So the words not starting with 0 and their pivot rows form a
+unitriangular minor, and Sh_k has nullity at most (k - 1)!.  Below: each
+left-normed tree image has one +-1 term on the first-lump columns N, the
+compositions whose first lump holds the least label, a different one per
+image; so the images restricted to N are a signed permutation matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -710,63 +721,58 @@ def _shuffle_columns(k: int) -> list[LinComb]:
     return out
 
 
-def _shuffle_nullity(k: int) -> int:
-    """The GF(p) nullity of Sh_k, (k - 1)! when p misses no rank."""
-    columns = _shuffle_columns(k)
-    return len(columns) - rank_mod_prime(columns)
+def _shuffle_nullity_bound(k: int) -> int:
+    """(k - 1)!, a bound over Q on the nullity of Sh_k: every entry of
+    ``_shuffle_columns(k)`` in a pivot row is its word's diagonal 1 or lies
+    in a column whose 0 comes earlier, and every diagonal 1 is there.  A
+    failure raises ArithmeticError."""
+    words = list(itertools.permutations(range(k)))
+    pivot_of = {(w[:i], w[i:]): w for w in words if (i := w.index(0))}
+    diagonal = 0
+    for x, column in zip(words, _shuffle_columns(k)):
+        for pair, c in column:
+            w = pivot_of.get(pair)
+            if w == x and c == 1:
+                diagonal += 1
+            elif w is not None and x.index(0) >= w.index(0):
+                raise ArithmeticError(f"Sh_{k} is not unitriangular: column {x} in the pivot row of {w}")
+    if diagonal != len(pivot_of):
+        raise ArithmeticError(f"Sh_{k} misses {len(pivot_of) - diagonal} diagonal ones of its minor")
+    return factorial(k - 1)
 
 
 def _split_nullity(n: int) -> int:
-    """The GF(p) nullity of the stacked-split matrix on the Q-basis over n
-    labels: an upper bound on the primitive dimension, since its kernel
-    contains the rational kernel, which is the primitive part.
-
-    On the Q-basis, Delta_{S,T}(Q_F) is Q_{F|S} (x) Q_{F|T} when S is a union
-    of lumps of F, and 0 otherwise.  A pair (F|S, F|T) has the lumps of F
-    between its two sides, so it names F's set partition, and the matrix is
-    block-diagonal over set partitions.  The block of a partition with k
-    parts, its lumps numbered in a fixed order, is Sh_k
-    (``_shuffle_columns``): each lump order w is a column and each entry is
-    1.  So the nullity is the sum over k of (number of set partitions with
-    k parts) * nullity_p(Sh_k).  The partitions are counted on the lump
-    masks of ``_dynkin_masks(n)``, grouped by the sorted masks; a group that
-    does not hold k! compositions raises ArithmeticError.
-    """
-    sizes = Counter(tuple(sorted(key)) for key in _dynkin_masks(n)[0])
-    for lumps, size in sizes.items():
-        if size != factorial(len(lumps)):
-            raise ArithmeticError(f"the set partition {lumps} holds {size} compositions, not {len(lumps)}!")
-    parts = Counter(map(len, sizes))  # k -> the number of set partitions with k parts
-    return sum([count * _shuffle_nullity(k) for k, count in parts.items()])
+    """A bound over Q on the primitive dimension over n labels, the nullity
+    of the Q-basis split matrix: the sum over set partitions with k parts of
+    ``_shuffle_nullity_bound(k)``, ``zie_dimension(n)``, once the minor of
+    every k <= n is checked."""
+    for k in range(1, n + 1):
+        _shuffle_nullity_bound(k)
+    return zie_dimension(n)
 
 
 def primitive_dimension_certified(n: int) -> int:
-    """dim of the primitive part over [n], by a certified modular squeeze.
-
-    The squeeze: explicit tree images, kept in the Q-basis, are checked
-    primitive exactly on their deshuffle rows, and their Q-coordinates are
-    independent over GF(p); since the Q-basis is a basis, that bounds the
-    dimension from below.  ``_split_nullity``, the GF(p) nullity of the
-    Q-basis split matrix from its shuffle blocks, bounds it from above; it
-    is ``dynkin_rank``'s upper side too.  Equality of the two bounds pins
-    the exact value without an exact elimination; the exact kernel,
-    ``hopf.primitive_part_basis``, is the oracle the tests compare with.
-    ``dynkin_rank`` has its own lower side, the Dynkin rows, and does not
-    call this.  The degree-0 part is 0, since the monoid is connected.
-    """
+    """dim of the primitive part over [n], certified over Q with no
+    elimination.  Below: the left-normed tree images, in the Q-basis, each
+    checked primitive exactly and with its one +-1 term on N, a different
+    one per image; their count is a lower bound.  Above: ``_split_nullity``.
+    A failed check or unequal bounds raise ArithmeticError.  The tests
+    compare the result with the exact kernel, ``hopf.primitive_part_basis``.
+    The degree-0 part is 0, since the monoid is connected."""
     check_size("primitive part", n)
     if n == 0:
         return 0
-    candidates = _left_normed_tree_images(n)
-    for v in candidates:
+    on_n = set()  # the one first-lump term of each tree image
+    for v in _left_normed_tree_images(n):
         if not is_primitive(v):
             raise ArithmeticError("tree image unexpectedly fails primitivity")
-    low = rank_mod_prime([v.lc for v in candidates])
-    if low != len(candidates):
-        raise ArithmeticError("tree images are dependent mod p")
-    if low != _split_nullity(n):
-        raise ArithmeticError("modular bounds on the primitive dimension disagree")
-    return low
+        terms = [(F, c) for F, c in v.lc if 1 in F.lumps[0]]
+        if len(terms) != 1 or abs(terms[0][1]) != 1 or terms[0][0] in on_n:
+            raise ArithmeticError("tree images are not a signed permutation on the first-lump columns")
+        on_n.add(terms[0][0])
+    if len(on_n) != _split_nullity(n):
+        raise ArithmeticError("certified bounds on the primitive dimension disagree")
+    return len(on_n)
 
 
 def _composition_permutations(n: int) -> list[list[int]]:
@@ -835,20 +841,16 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     relabelling, so relabelling keeps primitivity.  The rows reach the rank
     keyed on lump bitmasks.
 
-    The upper side is up = ``_split_nullity(n)``, the GF(p) nullity of the
-    Q-basis split matrix, one shuffle block per part count.  The lower side
-    is the GF(p) rank of the Dynkin rows restricted to the first-lump
-    columns N, the compositions whose first lump holds the least label;
-    there are sum over set partitions of (parts - 1)! of them, the
-    primitive dimension.  rank_p(D|N) <= rank_p(D) <= rank_Q(D) <= dim P <=
-    up holds for any N; when the ends meet, all are equal.  They meet
-    because the primitives project injectively onto N: H -> Q is
-    unitriangular under refinement and N is closed under coarsening, and in
-    each shuffle block the words that start with the least letter detect
-    Lie(k).  The run checks this rather than assuming it: a shortfall
-    raises ArithmeticError.  The result must also equal the partition-count
-    dimension formula.  The empty ground is rejected: its one cell's Dynkin
-    element is the unit, which is not primitive.
+    The upper side is up = ``_split_nullity(n)``.  The lower side, the one
+    elimination, is the GF(p) rank of the Dynkin rows restricted to the
+    first-lump columns N; there are up of them.  rank_p(D|N) <= rank_p(D)
+    <= rank_Q(D) <= dim P <= up holds for any N; when the ends meet, all
+    are equal.  They meet because the primitives project injectively onto
+    N: H -> Q is unitriangular under refinement and N is closed under
+    coarsening, and in each shuffle block the words that start with the
+    least letter detect Lie(k).  The run checks this rather than assuming
+    it: a shortfall raises ArithmeticError.  The empty ground is rejected:
+    its one cell's Dynkin element is the unit, which is not primitive.
     """
     ground = labelset(I)
     n = len(ground)
@@ -861,9 +863,4 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     r = rank_mod_prime(rows)
     if r != up:
         raise ArithmeticError("modular bounds on the Dynkin rank disagree")
-    zdim = zie_dimension(n)
-    if r != zdim:
-        raise ArithmeticError(
-            f"rank {r} / primitive dim {up} do not match the dimension formula {zdim}"
-        )
-    return len(rows), r, zdim
+    return len(rows), r, up

@@ -15,9 +15,9 @@ QI with a zero imaginary part.
 
 ``rank_mod_prime`` is a sparse rank over GF(P) of the same ``LinComb`` input:
 a lower bound only, so its callers certify every conclusion drawn from it.
-``cells.dynkin_rank`` squeezes the Dynkin rank between its results: the
-nullities of the split matrix's shuffle blocks above, the rank of the
-Dynkin rows below.
+``cells.dynkin_rank`` takes the lower side of its squeeze from it, the
+rank of the Dynkin rows; the upper side, from the unitriangular minors of
+the shuffle blocks, runs no elimination.
 
 The module never inspects key structure: keys only need to be hashable and
 deterministically sortable.

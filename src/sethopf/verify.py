@@ -296,6 +296,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
                 left = lincomb_sum(convolution_of(x, y)[0].lc.scale(c) for x, y, c in terms)
                 right = lincomb_sum(convolution_of(x, y)[1].lc.scale(c) for x, y, c in terms)
                 res.bump("antipode-convolution", not left and not right, elem[F])
+        del convolution_of  # its pairs are read by no later check of this degree
 
         # cocommutativity
         for F in basis:
@@ -357,7 +358,7 @@ def hopf_suite(n: int = 4) -> SuiteResult:
 
 def dimension_suite(n: int = 4) -> SuiteResult:
     """The primitive dimensions by the exact kernel: the oracle for the
-    modular squeeze of ``cells.primitive_dimension_certified``."""
+    elimination-free certificate of ``cells.primitive_dimension_certified``."""
     check_size("primitive part", n)
     res = SuiteResult("dimensions")
     dims = {}

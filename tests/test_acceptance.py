@@ -87,11 +87,11 @@ def test_criterion_04_dimension_ladder_n5():
 
 @pytest.mark.heavy
 def test_criterion_04_certified_dimension_n5():
-    # the tree-image squeeze, which dynkin_rank no longer runs
+    # the tree-image certificate, which dynkin_rank does not run
     t0 = time.time()
     got = primitive_dimension_certified(5)
     _line(
-        "criterion 4 (heavy): primitive dimension 150 at n=5 by the tree-image squeeze",
+        "criterion 4 (heavy): primitive dimension 150 at n=5 by the tree-image certificate",
         got == 150,
         f"{time.time()-t0:.1f}s",
     )

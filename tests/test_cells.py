@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from sethopf.cells import (
     _mask_permutations,
     _refuted,
     _shuffle_columns,
+    _shuffle_nullity_bound,
     _split_nullity,
 )
 from sethopf.compositions import (
@@ -52,6 +54,7 @@ from sethopf.compositions import (
     opposite,
     ordered_splits,
     proper_splits,
+    set_partitions,
     two_lump_coarsenings,
     zie_dimension,
 )
@@ -662,27 +665,117 @@ class TestDynkinRank:
             dynkin_rank(canonical_set(4))
 
     @pytest.mark.parametrize(
-        "squeeze,message",
-        [
-            (lambda: dynkin_rank(canonical_set(4)), "modular bounds on the Dynkin rank disagree"),
-            (lambda: primitive_dimension_certified(4), "modular bounds on the primitive dimension disagree"),
-        ],
+        "certify",
+        [lambda: dynkin_rank(canonical_set(4)), lambda: primitive_dimension_certified(4)],
         ids=["dynkin_rank", "primitive_dimension_certified"],
     )
-    def test_raised_nullity_raises(self, squeeze, message, monkeypatch):
-        # one shuffle block's nullity one too high lifts the upper side off
-        # the unchanged lower side
-        original = cells_module._shuffle_nullity
-        monkeypatch.setattr(cells_module, "_shuffle_nullity", lambda k: original(k) + (k == 2))
-        with pytest.raises(ArithmeticError, match=message):
-            squeeze()
+    def test_raised_nullity_raises(self, certify, monkeypatch):
+        # the pivot row ((1,), (0, 2)) of the word (1, 0, 2) gains the column
+        # of (1, 2, 0), whose 0 comes later: the minor of Sh_3 is no longer
+        # triangular, and the upper side is refused
+        original = cells_module._shuffle_columns
 
-    def test_short_set_partition_raises(self, monkeypatch):
-        # a set partition that does not hold k! compositions is refused
-        original = cells_module._dynkin_masks
-        monkeypatch.setattr(cells_module, "_dynkin_masks", lambda n: (original(n)[0][:-1],) + original(n)[1:])
-        with pytest.raises(ArithmeticError, match="holds 23 compositions, not 4!"):
-            _split_nullity(4)
+        def raised(k):
+            columns = original(k)
+            if k == 3:
+                j = list(itertools.permutations(range(3))).index((1, 2, 0))
+                columns[j] = columns[j] + LinComb({((1,), (0, 2)): 1})
+            return columns
+
+        monkeypatch.setattr(cells_module, "_shuffle_columns", raised)
+        with pytest.raises(
+            ArithmeticError, match=r"Sh_3 is not unitriangular: column \(1, 2, 0\) in the pivot row of \(1, 0, 2\)"
+        ):
+            certify()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_shuffle_nullity_mod_p_is_the_minor_bound(self, k):
+        # the GF(p) elimination of Sh_k that the upper side used to run
+        columns = _shuffle_columns(k)
+        assert len(columns) - rank_mod_prime(columns) == _shuffle_nullity_bound(k) == math.factorial(k - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.heavy)])
+    def test_pivot_minor_is_unitriangular(self, k):
+        # an index from every pair of Sh_k that can be a pivot row, (x|A,
+        # x|A') with x|A nonempty and 0 first in x|A', to the words x whose
+        # column holds it; A holds the letters of x before its 0 and any of
+        # those after it
+        holders = {}
+        for x in itertools.permutations(range(k)):
+            i = x.index(0)
+            for keep in itertools.product((False, True), repeat=k - 1 - i):
+                after = list(zip(x[i + 1:], keep))
+                u = x[:i] + tuple([y for y, t in after if t])
+                if u:
+                    holders.setdefault((u, (0,) + tuple([y for y, t in after if not t])), []).append(x)
+        pivots = 0
+        for w in itertools.permutations(range(k)):
+            i = w.index(0)
+            if i:
+                pivots += 1
+                held = holders.pop((w[:i], w[i:]))
+                assert held.count(w) == 1
+                assert all(x.index(0) < i for x in held if x != w)
+        assert pivots == math.factorial(k) - math.factorial(k - 1)
+
+    def test_every_set_partition_holds_k_factorial_compositions(self):
+        # the block structure of the Q-basis split matrix, on the lump masks
+        # of the Dynkin table: each set partition with k parts holds its k!
+        # lump orders
+        for n in range(1, 7):
+            sizes = Counter(tuple(sorted(key)) for key in _dynkin_masks(n)[0])
+            partitions = {
+                tuple(sorted([sum([1 << x - 1 for x in block]) for block in P]))
+                for P in set_partitions(canonical_set(n))
+            }
+            assert set(sizes) == partitions
+            assert all(size == math.factorial(len(lumps)) for lumps, size in sizes.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_tree_images_are_diagonal_on_the_first_lump_columns(self, n):
+        # each image has one +-1 term whose first lump holds the least label,
+        # a different one per image; the GF(p) rank of the images, which the
+        # lower side used to run, is their count
+        images = _left_normed_tree_images(n)
+        on_n = []
+        for v in images:
+            (term,) = [(F, c) for F, c in v.lc if 1 in F.lumps[0]]
+            assert term[1] in (1, -1)
+            on_n.append(term[0])
+        assert len(set(on_n)) == len(images) == zie_dimension(n)
+        assert rank_mod_prime([v.lc for v in images]) == len(images)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda images: images + images[:1], lambda images: [images[0] + images[1]] + images[1:]],
+        ids=["repeated-image", "second-first-lump-term"],
+    )
+    def test_tree_images_off_the_diagonal_raise(self, spoil, monkeypatch):
+        original = cells_module._left_normed_tree_images
+        monkeypatch.setattr(cells_module, "_left_normed_tree_images", lambda n: spoil(original(n)))
+        with pytest.raises(ArithmeticError, match="not a signed permutation on the first-lump columns"):
+            primitive_dimension_certified(4)
+
+    def test_primitive_dimension_runs_no_elimination(self, monkeypatch):
+        ranks = []
+        real = cells_module.rank_mod_prime
+        for module in (cells_module, linalg_module):
+            monkeypatch.setattr(module, "rank_mod_prime", lambda vectors: ranks.append(vectors) or real(vectors))
+
+        def no_exact(*args):
+            raise AssertionError("an exact elimination ran")
+
+        monkeypatch.setattr(linalg_module, "_gauss_jordan", no_exact)
+        assert primitive_dimension_certified(5) == 150
+        assert ranks == []
+        # dynkin_rank keeps one elimination: the rank of its Dynkin rows
+        rows = []
+        original = cells_module._dynkin_rows
+        monkeypatch.setattr(
+            cells_module, "_dynkin_rows", lambda g, columns: rows.append(original(g, columns)) or rows[-1]
+        )
+        assert dynkin_rank(canonical_set(5)) == (370, 150, 150)
+        assert len(ranks) == 1 and ranks[0] is rows[0]
 
     @pytest.mark.parametrize("ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (-3, 2, 5, 9)])
     def test_shuffle_block_is_the_q_coproduct(self, ground):
