@@ -52,11 +52,9 @@ from .compositions import (
     canonical_set,
     compositions_of,
     labelset,
-    opposite,
     proper_splits,
     set_partitions,
     subsets_by_mask,
-    two_lump_coarsenings,
     zie_dimension,
 )
 from .errors import DomainError, check_size
@@ -433,15 +431,21 @@ def _dynkin_masks(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
     """The Dynkin table over the positions 0..n-1, one entry per composition
     F in the order of ``compositions_of``: F's lump bitmasks, the bitset over
     the 2^n side masks of the S-sides of the two-lump coarsenings of
-    opposite(F), and the coefficient of H_F in a Dynkin element.  An
-    order-preserving relabelling keeps that order, so entry j stands for the
-    j-th composition of any ground of size n."""
+    opposite(F), and the coefficient of H_F in a Dynkin element.  Those
+    S-sides are the proper suffix unions of F's lump masks, so the table is
+    built from the masks alone.  An order-preserving relabelling keeps the
+    order, so entry j stands for the j-th composition of any ground of size
+    n."""
     keys, sbs, coeffs = [], [], []
     for F in compositions_of(canonical_set(n)):  # label x is at position x - 1
-        keys.append(tuple([sum([1 << x - 1 for x in L]) for L in F.lumps]))
-        sides = [sum([1 << x - 1 for x in S]) for S, _ in two_lump_coarsenings(opposite(F))]
-        sbs.append(sum([1 << m for m in sides]))
-        coeffs.append(-1 if len(F) % 2 == 0 else 1)
+        key = tuple([sum([1 << x - 1 for x in L]) for L in F.lumps])
+        side = sb = 0
+        for m in reversed(key[1:]):
+            side |= m
+            sb |= 1 << side
+        keys.append(key)
+        sbs.append(sb)
+        coeffs.append(-1 if len(key) % 2 == 0 else 1)
     return tuple(keys), tuple(sbs), tuple(coeffs)
 
 
@@ -842,15 +846,17 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     keyed on lump bitmasks.
 
     The upper side is up = ``_split_nullity(n)``.  The lower side, the one
-    elimination, is the GF(p) rank of the Dynkin rows restricted to the
-    first-lump columns N; there are up of them.  rank_p(D|N) <= rank_p(D)
-    <= rank_Q(D) <= dim P <= up holds for any N; when the ends meet, all
-    are equal.  They meet because the primitives project injectively onto
-    N: H -> Q is unitriangular under refinement and N is closed under
-    coarsening, and in each shuffle block the words that start with the
-    least letter detect Lie(k).  The run checks this rather than assuming
-    it: a shortfall raises ArithmeticError.  The empty ground is rejected:
-    its one cell's Dynkin element is the unit, which is not primitive.
+    elimination, is the GF(2) rank of the Dynkin rows restricted to the
+    first-lump columns N; there are up of them.  rank_2(D|N) <= rank_Q(D|N)
+    <= rank_Q(D) <= dim P <= up holds for any N, since an odd minor is not
+    zero; when the ends meet, all are equal.  They meet because the
+    primitives project injectively onto N: H -> Q is unitriangular under
+    refinement and N is closed under coarsening, and in each shuffle block
+    the words that start with the least letter detect Lie(k).  That the
+    projection stays injective mod 2 is not proved: the run checks it
+    rather than assuming it, and a shortfall raises ArithmeticError.  The
+    empty ground is rejected: its one cell's Dynkin element is the unit,
+    which is not primitive.
     """
     ground = labelset(I)
     n = len(ground)

@@ -228,14 +228,6 @@ def refinements(F: Composition) -> Iterator[Composition]:
         yield Composition._of(tuple(l for c in choice for l in c.lumps), F.ground)
 
 
-def two_lump_coarsenings(F: Composition) -> Iterator[tuple[LabelSet, LabelSet]]:
-    """The (S, T) with (S, T) <= F: prefix/suffix splits of the lump sequence."""
-    for p in range(1, len(F.lumps)):
-        S = labelset(x for l in F.lumps[:p] for x in l)
-        T = labelset(x for l in F.lumps[p:] for x in l)
-        yield (S, T)
-
-
 def subsets_by_mask(ground: LabelSet) -> list[LabelSet]:
     """The labels of the sorted ground at the set bits of m, as a sorted
     tuple, for every position mask m (bit i is the i-th label)."""

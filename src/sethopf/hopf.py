@@ -16,10 +16,12 @@ is rejected rather than silently converted.
 ground set has a split table that interns the coproduct terms of its
 compositions as pair ids.  A split depends only on which positions go to S,
 so the table works on bitmasks: it interns each pair on the lump bitmasks of
-its two sides, and builds the pair's compositions from a table of the
-sorted labels of every mask.  The split (S, T) itself is checked on masks:
-the label bits of S and of T must be disjoint, cover the ground, and number
-len(S) + len(T) labels, which rejects a repeated label.  A one-term element
+its two sides, and builds the pair's compositions, from a table of the
+sorted labels of every mask, the first time a split outputs the pair.  A
+split whose terms all cancel, as every split of a primitive does, builds no
+composition.  The split (S, T) itself is checked on masks: the label bits
+of S and of T must be disjoint, cover the ground, and number len(S) +
+len(T) labels, which rejects a repeated label.  A one-term element
 with an int coefficient is then one row lookup.  Any other element clears
 its denominators once, on its first split, into int numerators over one
 denominator; a split is then one integer scatter-add over the element's
@@ -221,25 +223,25 @@ class _SplitTable:
     A split (S, T) of the ground is its mask: bit i is set when the i-th
     label goes to S.  labels[m] is the sorted tuple of the labels in mask m.
     A pair id names one pair (left, right) of compositions of (S, T),
-    interned on the lump bitmasks of its two sides.  The row of a
-    composition F in a basis holds, for every mask, the pair id of its
-    (S, T) term: (F|S, F|T) in the H-basis, the deshuffle pair in the
-    Q-basis, or -1 where the deshuffle is undefined.  Rows are built one
-    composition at a time, on first use, from the lump masks of F.
+    interned on the lump bitmasks of its two sides, which ``sides`` keeps.
+    The row of a composition F in a basis holds, for every mask, the pair
+    id of its (S, T) term: (F|S, F|T) in the H-basis, the deshuffle pair in
+    the Q-basis, or -1 where the deshuffle is undefined.  Rows are built one
+    composition at a time, on first use, from the lump masks of F.  The
+    pair of compositions is built only when ``pair`` is first asked for
+    it, so a split whose terms all cancel builds none.
     """
 
-    __slots__ = ("bit", "full", "labels", "pairs", "ids", "rows")
+    __slots__ = ("bit", "full", "labels", "pairs", "sides", "ids", "rows")
 
     def __init__(self, ground: tuple):
         self.bit = {x: 1 << i for i, x in enumerate(ground)}
         self.full = (1 << len(ground)) - 1  # the mask of the whole ground
         self.labels: list[tuple] = subsets_by_mask(ground)  # mask -> its sorted labels
-        self.pairs: list[tuple[Composition, Composition]] = []  # pair id -> pair
+        self.pairs: list = []  # pair id -> its pair of compositions, None until built
+        self.sides: list[tuple] = []  # pair id -> (left lump masks, right lump masks)
         self.ids: dict[tuple, int] = {}  # (left lump masks, right lump masks) -> pair id
         self.rows: dict[str, dict[Composition, tuple[int, ...]]] = {H: {}, Q: {}}
-
-    def mask(self, S: Iterable[int]) -> int:
-        return sum(map(self.bit.__getitem__, S))
 
     def row(self, F: Composition, basis: str) -> tuple[int, ...]:
         rows = self.rows[basis]
@@ -248,9 +250,22 @@ class _SplitTable:
             row = rows[F] = self._build_row(F, basis)
         return row
 
+    def pair(self, pid: int) -> tuple[Composition, Composition]:
+        """The pair (left, right) of compositions that pid names."""
+        p = self.pairs[pid]
+        if p is None:
+            labels = self.labels
+            left, right = self.sides[pid]
+            m = sum(left)
+            p = self.pairs[pid] = (
+                Composition._of(tuple([labels[l] for l in left]), labels[m]),
+                Composition._of(tuple([labels[l] for l in right]), labels[self.full ^ m]),
+            )
+        return p
+
     def _build_row(self, F: Composition, basis: str) -> tuple[int, ...]:
-        labels, ids, pairs, full = self.labels, self.ids, self.pairs, self.full
-        lms = [self.mask(l) for l in F.lumps]
+        ids, sides, full = self.ids, self.sides, self.full
+        lms = [sum(map(self.bit.__getitem__, l)) for l in F.lumps]
         row = []
         for m in range(full + 1):
             if basis == H:
@@ -265,11 +280,9 @@ class _SplitTable:
             key = (left, right)
             pid = ids.get(key)
             if pid is None:
-                pid = ids[key] = len(pairs)
-                pairs.append((
-                    Composition._of(tuple([labels[l] for l in left]), labels[m]),
-                    Composition._of(tuple([labels[l] for l in right]), labels[full ^ m]),
-                ))
+                pid = ids[key] = len(sides)
+                sides.append(key)
+                self.pairs.append(None)
             row.append(pid)
         return tuple(row)
 
@@ -321,15 +334,15 @@ def delta_split(a: SigmaElem, S: Iterable[int], T: Iterable[int]) -> LinComb:
         ((F, c),) = a.lc
         if type(c) is int:  # the scatter-add over one term
             p = table.row(F, a.basis)[m]
-            return LinComb._of({table.pairs[p]: c}) if p >= 0 else LinComb()
+            return LinComb._of({table.pair(p): c}) if p >= 0 else LinComb()
     rows, nums, den = _split_form(a, table)
     acc: dict[int, int] = {}
     for row, x in zip(rows, nums):
         p = row[m]
         if p >= 0:
             acc[p] = acc.get(p, 0) + x
-    pairs = table.pairs
-    terms = {pairs[p]: x if den == 1 else Fraction(x, den) for p, x in acc.items() if x}
+    pair = table.pair
+    terms = {pair(p): x if den == 1 else Fraction(x, den) for p, x in acc.items() if x}
     return LinComb._of(terms)
 
 

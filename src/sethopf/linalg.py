@@ -13,8 +13,9 @@ row by ``_numerators``, the package's one denominator-clearing function
 (``hopf.delta_split`` uses it too); they must be real: ints, Fractions, or
 QI with a zero imaginary part.
 
-``rank_mod_prime`` is a sparse rank over GF(P) of the same ``LinComb`` input:
-a lower bound only, so its callers certify every conclusion drawn from it.
+``rank_mod_prime`` is the rank over GF(2) of the same ``LinComb`` input,
+each row one int bitset of its odd numerators: a lower bound only, so its
+callers certify every conclusion drawn from it.
 ``cells.dynkin_rank`` takes the lower side of its squeeze from it, the
 rank of the Dynkin rows; the upper side, from the unitriangular minors of
 the shuffle blocks, runs no elimination.
@@ -33,7 +34,7 @@ from .errors import DomainError
 from .lincomb import LinComb, default_sort_key
 from .scalars import QI
 
-P = 46337  # the prime of rank_mod_prime
+P = 2  # the field of rank_mod_prime is GF(P)
 
 
 def _pivot(rows: list[list[int]], r: int, s: int, D: int) -> int:
@@ -131,46 +132,33 @@ def rank(vectors: Sequence[LinComb]) -> int:
 
 
 def rank_mod_prime(vectors: Sequence[LinComb]) -> int:
-    """Rank over GF(P) of the span of the given vectors: a sound lower bound
-    on the exact rank, so callers must certify what they conclude from it.
+    """Rank over GF(P), P = 2, of the span of the given vectors: a sound
+    lower bound on the exact rank, so callers must certify what they
+    conclude from it.
 
-    Sparse elimination on dict rows of the ``_numerators`` mod P, keyed by
-    column indices that number the keys in first-seen order, so the
-    elimination hashes ints only.  Each row keeps the key order of its
-    vector.  Each step pivots on the sparsest row, the last one on ties (on
-    the n=5 split columns that cuts the row updates from 1.06 M entries to
-    0.10 M), at that row's first column, and drops the rows that reduce to
-    zero.  The pivots, and so the rank, do not depend on the numbering.
+    Each vector's ``_numerators`` are an int row with the same rational
+    span, and a minor that is odd is not zero, so the GF(2) rank of the
+    rows is at most their rank over Q.  The field is 2 because a row is
+    then one int bitset: bit i is set when the numerator in column i is
+    odd, with the columns numbered in first-seen order.  The elimination
+    is an XOR basis keyed by each row's highest set bit; a row that XORs
+    down to zero adds nothing.  The rank does not depend on the numbering.
     """
     index: dict = {}
-    rows = []
+    basis: dict[int, int] = {}  # highest set bit -> the basis row that holds it
     for v in vectors:
-        row = {}
+        row = 0
         for k, x in zip(v.keys(), _numerators(c for _, c in v)[0]):
-            x %= P
-            if x:
-                row[index.setdefault(k, len(index))] = x
-        if row:
-            rows.append(row)
-    r = 0
-    while rows:
-        prow = min(reversed(rows), key=len)
-        rows = [row for row in rows if row is not prow]
-        r += 1
-        col, x = next(iter(prow.items()))
-        inv = pow(x, -1, P)
-        pivot = {k: y * inv % P for k, y in prow.items()}
-        for row in rows:
-            f = row.get(col)
-            if f:
-                for k, y in pivot.items():
-                    z = (row.get(k, 0) - f * y) % P
-                    if z:
-                        row[k] = z
-                    else:
-                        del row[k]
-        rows = [row for row in rows if row]
-    return r
+            if x & 1:
+                row |= 1 << index.setdefault(k, len(index))
+        while row:
+            top = row.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = row
+                break
+            row ^= b
+    return len(basis)
 
 
 def kernel_basis(

@@ -9,17 +9,15 @@ here, the products ``mu``, ``tits`` and ``series.word_product``, the iterated
 coproduct, the Takeuchi antipode, the arrows' insertions and the tree
 images -- sums its images through ``sparse_sum``: equal keys merge, zero
 sums drop, and keys keep the order of their first insertion (a key that
-cancels and comes back goes to the end).  That order is part of the
-contract: the first key of a row picks its GF(p) pivot.  A sum of whole
-elements is one ``lincomb_sum`` over their ``LinComb``s, in the key order
-of a pass of ``+`` over the same parts.
+cancels and comes back goes to the end), so every pass over a sum is
+deterministic.  A sum of whole elements is one ``lincomb_sum`` over their
+``LinComb``s, in the key order of a pass of ``+`` over the same parts.
 
-Four sums stay apart on purpose: the GF(p) row update of
-``linalg.rank_mod_prime``, which reduces mod P; ``hopf.delta_split``'s int
-scatter-add over pair ids; the expected sides that ``verify.hopf_suite``
-builds by hand, which keep its checks independent of the code they check;
-and the two folds of ``hadamard``, whose one-term inputs from
-``tits_suite`` build no sum.
+Three sums stay apart on purpose: ``hopf.delta_split``'s int scatter-add
+over pair ids; the expected sides that ``verify.hopf_suite`` builds by
+hand, which keep its checks independent of the code they check; and the
+two folds of ``hadamard``, whose one-term inputs from ``tits_suite`` build
+no sum.
 """
 
 from __future__ import annotations

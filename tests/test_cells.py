@@ -55,7 +55,6 @@ from sethopf.compositions import (
     ordered_splits,
     proper_splits,
     set_partitions,
-    two_lump_coarsenings,
     zie_dimension,
 )
 from sethopf.errors import DomainError, SizeLimitError
@@ -96,6 +95,31 @@ def brute_force_cells(ground):
         if ok:
             found.append(frozenset(sides))
     return found
+
+
+def two_lump_coarsenings(F):
+    """The (S, T) with (S, T) <= F: prefix/suffix splits of the lump sequence."""
+    for p in range(1, len(F.lumps)):
+        S = labelset(x for l in F.lumps[:p] for x in l)
+        T = labelset(x for l in F.lumps[p:] for x in l)
+        yield (S, T)
+
+
+def test_two_lump_coarsenings():
+    F = comp((1,), (2,), (3,))
+    assert list(two_lump_coarsenings(F)) == [((1,), (2, 3)), ((1, 2), (3,))]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_dynkin_masks_match_the_label_construction(n):
+    # the sides of the reversed two-lump coarsenings, read from label tuples
+    keys, sbs, coeffs = [], [], []
+    for F in compositions_of(canonical_set(n)):
+        keys.append(tuple([sum([1 << x - 1 for x in L]) for L in F.lumps]))
+        sides = [sum([1 << x - 1 for x in S]) for S, _ in two_lump_coarsenings(opposite(F))]
+        sbs.append(sum([1 << m for m in sides]))
+        coeffs.append(-1 if len(F) % 2 == 0 else 1)
+    assert _dynkin_masks(n) == (tuple(keys), tuple(sbs), tuple(coeffs))
 
 
 def closed_form_dynkin(cell):
@@ -690,7 +714,7 @@ class TestDynkinRank:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_shuffle_nullity_mod_p_is_the_minor_bound(self, k):
-        # the GF(p) elimination of Sh_k that the upper side used to run
+        # the GF(2) elimination of Sh_k, the oracle of the minor bound
         columns = _shuffle_columns(k)
         assert len(columns) - rank_mod_prime(columns) == _shuffle_nullity_bound(k) == math.factorial(k - 1)
 
@@ -734,8 +758,8 @@ class TestDynkinRank:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_tree_images_are_diagonal_on_the_first_lump_columns(self, n):
         # each image has one +-1 term whose first lump holds the least label,
-        # a different one per image; the GF(p) rank of the images, which the
-        # lower side used to run, is their count
+        # a different one per image; the GF(2) rank of the images is their
+        # count
         images = _left_normed_tree_images(n)
         on_n = []
         for v in images:
@@ -788,7 +812,7 @@ class TestDynkinRank:
             number = {L: i for i, L in enumerate(sorted(F.lumps))}
             word = tuple([number[L] for L in F.lumps])
             column = _shuffle_columns(k)[list(itertools.permutations(range(k))).index(word)]
-            pairs = [table.pairs[pid] for pid in table.row(F, Q)[1:-1] if pid >= 0]
+            pairs = [table.pair(pid) for pid in table.row(F, Q)[1:-1] if pid >= 0]
             got = [tuple([tuple([number[L] for L in G.lumps]) for G in pair]) for pair in pairs]
             assert len(got) == 2**k - 2
             assert sorted(got) == sorted(column.keys())
@@ -834,7 +858,7 @@ class TestDynkinRank:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mod_prime_rank_is_exact_rank(self, n):
-        # the GF(p) ranks of the modular squeeze, and of the H-basis split
+        # the GF(2) ranks of the modular squeeze, and of the H-basis split
         # matrix, against exact elimination
         columns = [v for _, v in split_columns(canonical_set(n))]
         dynkin_rows = [dynkin(c).lc for c in enumerate_cells(canonical_set(n))]

@@ -25,7 +25,6 @@ from sethopf.compositions import (
     ordered_splits,
     set_partitions,
     subsets_by_mask,
-    two_lump_coarsenings,
     zie_dimension,
 )
 from sethopf.errors import DomainError, OrderError, SizeLimitError
@@ -185,10 +184,6 @@ class TestRefinements:
         F = comp((1, 2), (3, 4))
         for G in refinements(F):
             assert coarsens(F, G)
-
-    def test_two_lump_coarsenings(self):
-        F = comp((1,), (2,), (3,))
-        assert list(two_lump_coarsenings(F)) == [((1,), (2, 3)), ((1, 2), (3,))]
 
 
 class TestPartitions:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sethopf import compositions as compositions_module
 from sethopf.arrows import arrow_down_single, u_ab
 from sethopf.cells import Tree, tree_to_primitive
 from sethopf.compositions import (
@@ -193,8 +194,21 @@ class TestSplitTable:
             for F in compositions_of(ground):
                 assert table.row(F, basis) == reference_split_row(ground, F, basis, ids, pairs)
         assert len(table.pairs) == len(pairs)
-        for (L, R), (RL, RR) in zip(table.pairs, pairs):
+        for pid, (RL, RR) in enumerate(pairs):
+            L, R = table.pair(pid)
             assert (L.lumps, L.ground, R.lumps, R.ground) == (RL.lumps, RL.ground, RR.lumps, RR.ground)
+
+    def test_primitivity_check_builds_no_composition(self):
+        # every split of a Dynkin element cancels, so no pair is output and
+        # none is built, even on a ground whose split table is new
+        from sethopf.cells import dynkin, enumerate_cells
+
+        ground = (-3, 2, 5, 9, 11)
+        d = dynkin(enumerate_cells(ground)[7])
+        size = len(compositions_module._interned)
+        assert is_primitive(d)
+        assert len(compositions_module._interned) == size
+        assert _split_table(ground).pairs and not any(_split_table(ground).pairs)
 
     @pytest.mark.parametrize("ground", [(), (4,), (-3, 2, 5, 9)])
     def test_labels_of_each_mask(self, ground):
@@ -612,6 +626,7 @@ class TestTrustedConstructions:
             for F in compositions_of(ground):
                 table.row(F, H)
                 table.row(F, Q)
-            for left, right in table.pairs:
+            for pid in range(len(table.pairs)):
+                left, right = table.pair(pid)
                 assert_as_validated(basis_elem(left))
                 assert_as_validated(basis_elem(right))

@@ -264,9 +264,30 @@ class TestRankModPrime:
 
     def test_multiple_of_p_vanishes(self):
         # the direction the modular squeeze relies on: GF(P) rank <= exact rank
-        vectors = [LinComb({"x": 46337})]
+        vectors = [LinComb({"x": P})]
         assert rank_mod_prime(vectors) == 0
         assert rank(vectors) == 1
+
+    def test_even_minor_drops_the_rank(self):
+        # the minor is -2: nonzero over Q, zero over GF(2)
+        vectors = [LinComb({"x": 1, "y": 1}), LinComb({"x": 1, "y": -1})]
+        assert rank_mod_prime(vectors) == 1
+        assert rank(vectors) == 2
+
+    @pytest.mark.parametrize("n,expected", [(4, 6), (5, 220), pytest.param(6, 10210, marks=pytest.mark.heavy)])
+    def test_steinmann_relation_rank(self, n, expected):
+        # the Steinmann relations span the kernel of the map from cells to
+        # their Dynkin elements, of dimension cells - dim P; at n = 6 the
+        # exact rank is out of reach, and the GF(2) rank is the oracle
+        from sethopf.cells import enumerate_cells, steinmann_quadruples, steinmann_relation_vectors
+        from sethopf.compositions import zie_dimension
+
+        ground = canonical_set(n)
+        vectors = steinmann_relation_vectors(steinmann_quadruples(ground))
+        r = rank_mod_prime(vectors)
+        assert r == len(enumerate_cells(ground)) - zie_dimension(n) == expected
+        if n < 6:
+            assert r == rank(vectors)
 
     def test_complex_coefficient_rejected(self):
         with pytest.raises(DomainError):
