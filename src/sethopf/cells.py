@@ -23,14 +23,16 @@ readers outside the layer (``Cell.positive``, ``channels``, ``sort_key``,
 the repr), and the validating ``Cell(...)`` takes them at the boundary.
 Dynkin elements are read from one table per n in mask form,
 ``_dynkin_masks``: a cell's element holds every composition whose reversed
-coarsenings' sides lie in its side bitset.
+coarsenings' sides lie in its side bitset, so its row, an int bitset over
+the table, is every entry but those of Z_m (``_side_index``) for each mask
+m outside the cell.
 The primitive dimension is certified over Q with no elimination.  Above: on
 the Q-basis, Delta_{S,T}(Q_F) is Q_{F|S} (x) Q_{F|T} when S is a union of
 lumps of F, and 0 otherwise, so the split matrix, whose kernel is the
 primitive part, is block-diagonal over set partitions; a block with k parts
-is the shuffle matrix Sh_k (``_shuffle_columns``).  A word w = u.0.v with u
-nonempty has the pivot row (u, 0v), held by the columns x that shuffle u and
-0v: 0 comes after at most |u| letters of x, and after exactly |u| only for
+is the shuffle matrix Sh_k.  A word w = u.0.v with u nonempty has the pivot
+row (u, 0v), held by the columns x that shuffle u and 0v (``_pivot_pairs``):
+0 comes after at most |u| letters of x, and after exactly |u| only for
 x = w.  So the words not starting with 0 and their pivot rows form a
 unitriangular minor, and Sh_k has nullity at most (k - 1)!.  Below: each
 left-normed tree image has one +-1 term on the first-lump columns N, the
@@ -42,8 +44,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, lcm
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -167,23 +170,31 @@ def _side_mask(ground: LabelSet, S: Sequence[int]) -> int:
 
 
 def _sort_key_order(n: int):
-    """A key on the side bitsets of cells over one ground of size n that
-    orders them as ``Cell.sort_key`` does: the sorted places of their sides
-    in the order of position tuples, which is the order of label tuples."""
+    """A key on the side lists (``_set_bits``) of cells over one ground of
+    size n that orders them as ``Cell.sort_key`` does: the sorted places of
+    their sides in the order of position tuples, the order of label tuples."""
     place = [0] * (1 << n)
     for r, m in enumerate(sorted(range(1 << n), key=_set_bits)):
         place[m] = r
-    return lambda bits: sorted([place[m] for m in _set_bits(bits)])
+    return lambda sides: sorted([place[m] for m in sides])
 
 
-def _set_bits(x: int) -> list[int]:
-    """The positions of the set bits of x, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(x: int, items: Iterable | None = None) -> list:
+    """The positions of the set bits of x >= 0, ascending; or, given items,
+    the item at each of those positions."""
+    flags = bin(x)[:1:-1].encode().translate(_FLAG)  # byte t is bit t of x
+    return list(itertools.compress(itertools.count() if items is None else items, flags))
+
+
+def _bitset(positions: Iterable[int], size: int) -> int:
+    """The int whose set bits are the given positions, each below size."""
+    digits = bytearray(b"0") * size  # digit t, read reversed: bit t
+    for t in positions:
+        digits[t] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def channel_representatives(ground: LabelSet) -> list[LabelSet]:
@@ -287,7 +298,7 @@ def _insertion_enumeration(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ...
         for sides, a, D in states
     ]
     order = _sort_key_order(n)
-    out.sort(key=lambda c: order(c[0].bits))
+    out.sort(key=lambda c: order(_set_bits(c[0].bits)))
     return tuple(out)
 
 
@@ -384,6 +395,7 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
     n = len(ground)
     full = (1 << n) - 1
     perms = list(itertools.permutations(range(n)))  # the order of _mask_permutations(n)
+    order = _sort_key_order(n)
     out = []
     for _, a, D, _, orbit in _cell_orbits(n):
         for bits, k in orbit:
@@ -394,12 +406,12 @@ def _enumerate_cells_cached(ground: LabelSet) -> tuple[tuple[Cell, tuple[int, ..
             for m in range(1, full + 1):
                 low = m & -m
                 sums[m] = sums[m ^ low] + b[low.bit_length() - 1]
-            if D <= 0 or sums[full] or any(sums[m] <= 0 for m in _set_bits(bits)):
+            sides = _set_bits(bits)  # listed once, for the check and the order
+            if D <= 0 or sums[full] or any(sums[m] <= 0 for m in sides):
                 raise ArithmeticError(f"the moved witness does not realise {Cell._of(ground, bits)}")
-            out.append((Cell._of(ground, bits), tuple(b), D))
-    order = _sort_key_order(n)
-    out.sort(key=lambda c: order(c[0].bits))
-    return tuple(out)
+            out.append((order(sides), Cell._of(ground, bits), tuple(b), D))
+    out.sort(key=lambda c: c[0])  # distinct cells have distinct keys
+    return tuple([c[1:] for c in out])
 
 
 def enumerate_cells(I: Iterable[int]) -> list[Cell]:
@@ -409,7 +421,8 @@ def enumerate_cells(I: Iterable[int]) -> list[Cell]:
     n = len(ground)
     check_size("cells", n)
     members = [bits for *_, orbit in _cell_orbits(n) for bits, _ in orbit]
-    return [Cell._of(ground, bits) for bits in sorted(members, key=_sort_key_order(n))]
+    order = _sort_key_order(n)
+    return [Cell._of(ground, bits) for bits in sorted(members, key=lambda bits: order(_set_bits(bits)))]
 
 
 def enumerate_cells_with_witnesses(I: Iterable[int]) -> list[tuple[Cell, dict[int, Fraction]]]:
@@ -449,20 +462,29 @@ def _dynkin_masks(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
     return tuple(keys), tuple(sbs), tuple(coeffs)
 
 
-def _dynkin_row(n: int, pb: int) -> dict[int, int]:
+@lru_cache(maxsize=None)
+def _side_index(n: int) -> tuple[int, ...]:
+    """The side index of ``_dynkin_masks(n)``: for each side mask m over the
+    positions 0..n-1, Z_m, the bitset of the entries that have m as a side."""
+    sbs = _dynkin_masks(n)[1]
+    return tuple([_bitset([j for j, sb in enumerate(sbs) if sb >> m & 1], len(sbs)) for m in range(1 << n)])
+
+
+def _dynkin_row(n: int, pb: int) -> int:
     """The Dynkin element of the cell over the positions 0..n-1 whose
-    positive side masks are the set bits of pb, as {entry of
-    ``_dynkin_masks(n)``: coefficient}: F is a term iff its sides' bitset
-    lies in pb."""
-    _, sbs, coeffs = _dynkin_masks(n)
-    return {j: coeffs[j] for j, sb in enumerate(sbs) if sb & pb == sb}
+    positive side masks are the set bits of pb, as the bitset of its
+    entries of ``_dynkin_masks(n)``, entry j with that table's coefficient:
+    F is a term iff none of its sides is a mask outside pb, so the row is
+    every entry but those of Z_m (``_side_index``) for each such m."""
+    off = reduce(or_, [z for m, z in enumerate(_side_index(n)) if not pb >> m & 1], 0)
+    return (1 << len(_dynkin_masks(n)[1])) - 1 & ~off
 
 
 def dynkin(cell: Cell) -> SigmaElem:
     """- sum over compositions F whose reversed two-lump coarsenings lie in
-    the cell of (-1)^(number of lumps) H_F, read from ``_dynkin_masks``."""
-    comps = compositions_of(cell.ground)
-    terms = {comps[j]: c for j, c in _dynkin_row(len(cell.ground), cell.bits).items()}
+    the cell of (-1)^(number of lumps) H_F, read from ``_dynkin_row``."""
+    comps, coeffs = compositions_of(cell.ground), _dynkin_masks(len(cell.ground))[2]
+    terms = {comps[j]: coeffs[j] for j in _set_bits(_dynkin_row(len(cell.ground), cell.bits))}
     return SigmaElem._of(cell.ground, LinComb._of(terms), H)
 
 
@@ -710,33 +732,30 @@ def _left_normed_tree_images(n: int) -> list[SigmaElem]:
     return out
 
 
-def _shuffle_columns(k: int) -> list[LinComb]:
-    """The index-form shuffle matrix Sh_k, one column per word w, a
-    permutation of range(k) in ``itertools.permutations`` order: coefficient
-    1 on the pair (w|A, w|A'), as two tuples, of every proper nonempty
-    subset A of range(k), with A' its complement."""
-    out = []
-    for w in itertools.permutations(range(k)):
-        pairs = (
-            (tuple([x for x in w if A >> x & 1]), tuple([x for x in w if not A >> x & 1]))
-            for A in range(1, (1 << k) - 1)
-        )
-        out.append(LinComb._of(dict.fromkeys(pairs, 1)))
-    return out
+def _pivot_pairs(x: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The entries, each 1, of the column of the word x in Sh_k that can lie
+    in a pivot row (u, 0v): the pairs (x|A, x|A') whose A is nonempty, misses
+    0 and holds every letter of x before its 0."""
+    i = x.index(0)
+    after = x[i + 1:]
+    for A in range(1 << len(after)):
+        u = x[:i] + tuple([y for b, y in enumerate(after) if A >> b & 1])
+        if u:
+            yield u, (0,) + tuple([y for b, y in enumerate(after) if not A >> b & 1])
 
 
 def _shuffle_nullity_bound(k: int) -> int:
-    """(k - 1)!, a bound over Q on the nullity of Sh_k: every entry of
-    ``_shuffle_columns(k)`` in a pivot row is its word's diagonal 1 or lies
-    in a column whose 0 comes earlier, and every diagonal 1 is there.  A
-    failure raises ArithmeticError."""
+    """(k - 1)!, a bound over Q on the nullity of Sh_k: every entry of a
+    column in a pivot row (``_pivot_pairs``) is its word's diagonal 1 or
+    lies in a column whose 0 comes earlier, and every diagonal 1 is there.
+    No other entry is built.  A failure raises ArithmeticError."""
     words = list(itertools.permutations(range(k)))
     pivot_of = {(w[:i], w[i:]): w for w in words if (i := w.index(0))}
     diagonal = 0
-    for x, column in zip(words, _shuffle_columns(k)):
-        for pair, c in column:
+    for x in words:
+        for pair in _pivot_pairs(x):
             w = pivot_of.get(pair)
-            if w == x and c == 1:
+            if w == x:
                 diagonal += 1
             elif w is not None and x.index(0) >= w.index(0):
                 raise ArithmeticError(f"Sh_{k} is not unitriangular: column {x} in the pivot row of {w}")
@@ -805,30 +824,32 @@ def _composition_permutations(n: int) -> list[list[int]]:
     return out
 
 
-def _dynkin_rows(ground: LabelSet, columns: set[int]) -> list[LinComb]:
+def _dynkin_rows(ground: LabelSet, columns: int) -> list[LinComb]:
     """The Dynkin row of every cell over ground, orbit by orbit from
-    ``_cell_orbits``, keyed on lump bitmasks and restricted to the entries
-    of ``_dynkin_masks`` in columns; each certified primitive as
-    ``dynkin_rank`` says.  A failed check raises ArithmeticError."""
+    ``_cell_orbits``, restricted to the entries of ``_dynkin_masks`` in the
+    bitset columns, as a ``LinComb`` keyed on lump bitmasks; each certified
+    primitive as ``dynkin_rank`` says, on the whole ``_dynkin_row`` bitsets.
+    A failed check raises ArithmeticError."""
     n = len(ground)
     comps = compositions_of(ground)
-    keys = _dynkin_masks(n)[0]
+    keys, _, coeffs = _dynkin_masks(n)
+    terms = list(zip(keys, coeffs))  # the LinComb item of each entry
+    odd = _bitset([j for j, c in enumerate(coeffs) if c == 1], len(keys))  # an odd number of lumps
     moves = _composition_permutations(n)
     rows = []
     for *_, orbit in _cell_orbits(n):
-        (rep_bits, _), *others = orbit  # the representative, then its images
-        rep_row = _dynkin_row(n, rep_bits)
-        d = SigmaElem._of(ground, LinComb._of({comps[j]: c for j, c in rep_row.items()}), H)
-        if not is_primitive(d):
-            raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
-        rows.append(LinComb._of({keys[j]: c for j, c in rep_row.items() if j in columns}))
-        for bits, k in others:
+        for bits, k in orbit:  # the representative first, with the identity, k = 0
             row = _dynkin_row(n, bits)
-            move = moves[k]
-            if row != {move[j]: c for j, c in rep_row.items()}:
-                cell, rep = (Cell._of(ground, b) for b in (bits, rep_bits))
-                raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep}'s")
-            rows.append(LinComb._of({keys[j]: c for j, c in row.items() if j in columns}))
+            if not k:
+                rep = bits
+                parts = [(part, _set_bits(row & part)) for part in (odd, ~odd)]  # coefficients +1, -1
+                d = SigmaElem._of(ground, LinComb._of({comps[j]: coeffs[j] for j in _set_bits(row)}), H)
+                if not is_primitive(d):
+                    raise ArithmeticError("Dynkin element unexpectedly fails primitivity")
+            elif any(row & part != _bitset(map(moves[k].__getitem__, js), len(keys)) for part, js in parts):
+                cell, rep_cell = (Cell._of(ground, b) for b in (bits, rep))
+                raise ArithmeticError(f"the row of {cell} is not a relabelling of {rep_cell}'s")
+            rows.append(LinComb._of(dict(_set_bits(row & columns, terms))))
     return rows
 
 
@@ -836,14 +857,14 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     """(number of cells, rank of their Dynkin span, primitive-part dimension).
 
     Certified by a squeeze for every n.  Every Dynkin row is primitive: the
-    rows are built orbit by orbit from ``_cell_orbits``, on ints, each by
-    ``_dynkin_row`` from its cell's side bitmasks; the element of each
-    representative is built and checked primitive exactly, and the row of
-    every other member is checked equal, exactly and coefficients included,
-    to the representative's row moved by the member's recorded permutation
+    rows are built orbit by orbit from ``_cell_orbits``, each an int bitset
+    by ``_dynkin_row``; the element of each representative is built and
+    checked primitive exactly, and the row of every other member is checked
+    equal, coefficients included (its +1 and -1 entries apart), to the
+    representative's row moved by the member's recorded permutation
     (``_composition_permutations``).  The coproduct commutes with
     relabelling, so relabelling keeps primitivity.  The rows reach the rank
-    keyed on lump bitmasks.
+    as ``LinComb``s on N, keyed on lump bitmasks.
 
     The upper side is up = ``_split_nullity(n)``.  The lower side, the one
     elimination, is the GF(2) rank of the Dynkin rows restricted to the
@@ -864,7 +885,8 @@ def dynkin_rank(I: Iterable[int]) -> tuple[int, int, int]:
     if n == 0:
         raise DomainError("dynkin rank needs a nonempty ground set")
     up = _split_nullity(n)
-    first = {j for j, key in enumerate(_dynkin_masks(n)[0]) if key[0] & 1}
+    keys = _dynkin_masks(n)[0]
+    first = _bitset([j for j, key in enumerate(keys) if key[0] & 1], len(keys))
     rows = _dynkin_rows(ground, first)  # its n! index permutations are freed before the rank
     r = rank_mod_prime(rows)
     if r != up:

@@ -33,6 +33,7 @@ from sethopf.cells import (
     tree_to_primitive,
 )
 from sethopf.cells import (
+    _bitset,
     _cell_orbits,
     _composition_permutations,
     _dynkin_masks,
@@ -41,9 +42,11 @@ from sethopf.cells import (
     _insertion_enumeration,
     _left_normed_tree_images,
     _mask_permutations,
+    _pivot_pairs,
     _refuted,
-    _shuffle_columns,
+    _set_bits,
     _shuffle_nullity_bound,
+    _side_index,
     _split_nullity,
 )
 from sethopf.compositions import (
@@ -120,6 +123,65 @@ def test_dynkin_masks_match_the_label_construction(n):
         sbs.append(sum([1 << m for m in sides]))
         coeffs.append(-1 if len(F) % 2 == 0 else 1)
     assert _dynkin_masks(n) == (tuple(keys), tuple(sbs), tuple(coeffs))
+
+
+def scan_dynkin_row(n, pb):
+    """The Dynkin row by a scan of the whole table: {entry: coefficient} of
+    every entry of ``_dynkin_masks(n)`` whose sides' bitset lies in pb."""
+    _, sbs, coeffs = _dynkin_masks(n)
+    return {j: coeffs[j] for j, sb in enumerate(sbs) if sb & pb == sb}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.heavy)])
+def test_side_index_rows_match_the_scan(n):
+    coeffs = _dynkin_masks(n)[2]
+    for *_, orbit in _cell_orbits(n):
+        for pb, _ in orbit:
+            assert {j: coeffs[j] for j in _set_bits(_dynkin_row(n, pb))} == scan_dynkin_row(n, pb)
+
+
+def test_set_bits_and_bitset_round_trip():
+    for x in (0, 1, 2, 5, 1 << 70 | 3, (1 << 4683) - 1):
+        bits = _set_bits(x)
+        assert bits == [i for i in range(x.bit_length()) if x >> i & 1]
+        assert _bitset(bits, max(x.bit_length(), 1)) == x
+        assert _set_bits(x, "abcdefgh") == ["abcdefgh"[i] for i in bits if i < 8]
+
+
+def test_side_index_holds_each_side_of_each_entry():
+    for n in range(6):
+        sbs = _dynkin_masks(n)[1]
+        index = _side_index(n)
+        assert len(index) == 1 << n and index[0] == index[-1] == 0  # no side is empty or whole
+        for m, z in enumerate(index):
+            assert _set_bits(z) == [j for j, sb in enumerate(sbs) if sb >> m & 1]
+
+
+def shuffle_columns(k):
+    """The index-form shuffle matrix Sh_k, one column per word w, a
+    permutation of range(k) in ``itertools.permutations`` order: coefficient
+    1 on the pair (w|A, w|A'), as two tuples, of every proper nonempty
+    subset A of range(k), with A' its complement."""
+    out = []
+    for w in itertools.permutations(range(k)):
+        pairs = (
+            (tuple([x for x in w if A >> x & 1]), tuple([x for x in w if not A >> x & 1]))
+            for A in range(1, (1 << k) - 1)
+        )
+        out.append(LinComb._of(dict.fromkeys(pairs, 1)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_pivot_pairs_are_the_pivot_row_entries_of_each_column(k):
+    # the walk of the minor check reads, of each column of Sh_k, exactly the
+    # entries that lie in a pivot row (u, 0v), u nonempty
+    words = list(itertools.permutations(range(k)))
+    pivots = {(w[:i], w[i:]) for w in words if (i := w.index(0))}
+    for x, column in zip(words, shuffle_columns(k), strict=True):
+        walked = list(_pivot_pairs(x))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {pair for pair in column.keys() if pair in pivots}
 
 
 def closed_form_dynkin(cell):
@@ -683,7 +745,7 @@ class TestDynkinRank:
         # unchanged upper side
         original = cells_module._dynkin_rows
         monkeypatch.setattr(
-            cells_module, "_dynkin_rows", lambda g, columns: original(g, columns - {max(columns)})
+            cells_module, "_dynkin_rows", lambda g, columns: original(g, columns ^ 1 << columns.bit_length() - 1)
         )
         with pytest.raises(ArithmeticError, match="modular bounds on the Dynkin rank disagree"):
             dynkin_rank(canonical_set(4))
@@ -697,16 +759,14 @@ class TestDynkinRank:
         # the pivot row ((1,), (0, 2)) of the word (1, 0, 2) gains the column
         # of (1, 2, 0), whose 0 comes later: the minor of Sh_3 is no longer
         # triangular, and the upper side is refused
-        original = cells_module._shuffle_columns
+        original = cells_module._pivot_pairs
 
-        def raised(k):
-            columns = original(k)
-            if k == 3:
-                j = list(itertools.permutations(range(3))).index((1, 2, 0))
-                columns[j] = columns[j] + LinComb({((1,), (0, 2)): 1})
-            return columns
+        def raised(x):
+            yield from original(x)
+            if x == (1, 2, 0):
+                yield (1,), (0, 2)
 
-        monkeypatch.setattr(cells_module, "_shuffle_columns", raised)
+        monkeypatch.setattr(cells_module, "_pivot_pairs", raised)
         with pytest.raises(
             ArithmeticError, match=r"Sh_3 is not unitriangular: column \(1, 2, 0\) in the pivot row of \(1, 0, 2\)"
         ):
@@ -715,7 +775,7 @@ class TestDynkinRank:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_shuffle_nullity_mod_p_is_the_minor_bound(self, k):
         # the GF(2) elimination of Sh_k, the oracle of the minor bound
-        columns = _shuffle_columns(k)
+        columns = shuffle_columns(k)
         assert len(columns) - rank_mod_prime(columns) == _shuffle_nullity_bound(k) == math.factorial(k - 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.heavy)])
@@ -811,7 +871,7 @@ class TestDynkinRank:
             k = len(F)
             number = {L: i for i, L in enumerate(sorted(F.lumps))}
             word = tuple([number[L] for L in F.lumps])
-            column = _shuffle_columns(k)[list(itertools.permutations(range(k))).index(word)]
+            column = shuffle_columns(k)[list(itertools.permutations(range(k))).index(word)]
             pairs = [table.pair(pid) for pid in table.row(F, Q)[1:-1] if pid >= 0]
             got = [tuple([tuple([number[L] for L in G.lumps]) for G in pair]) for pair in pairs]
             assert len(got) == 2**k - 2
@@ -862,7 +922,7 @@ class TestDynkinRank:
         # matrix, against exact elimination
         columns = [v for _, v in split_columns(canonical_set(n))]
         dynkin_rows = [dynkin(c).lc for c in enumerate_cells(canonical_set(n))]
-        shuffles = _shuffle_columns(n)
+        shuffles = shuffle_columns(n)
         for vectors in (columns, dynkin_rows, shuffles):
             assert rank_mod_prime(vectors) == rank(vectors)
         assert len(columns) - rank(columns) == zie_dimension(n)
@@ -916,9 +976,9 @@ class TestRelabelOrbits:
 
         def corrupted(n, pb):
             row = original(n, pb)
-            if pb == side_bits(victim):  # + H_F for the last composition F
-                row[last] = row.get(last, 0) + 1
-            return {j: c for j, c in row.items() if c}
+            if pb == side_bits(victim):  # H_F for the last composition F comes or goes
+                row ^= 1 << last
+            return row
 
         monkeypatch.setattr(cells_module, "_dynkin_row", corrupted)
         assert not is_primitive(dynkin(victim))
@@ -932,15 +992,53 @@ class TestRelabelOrbits:
         assert compositions_of(ground)[0] == comp(ground)
         original = cells_module._dynkin_row
 
-        def doubled(n, pb):
+        def dropped(n, pb):
             row = original(n, pb)
-            row[0] += 1  # entry 0 is H_(I), a term of every Dynkin element
-            return row
+            assert row & 1  # entry 0 is H_(I), a term of every Dynkin element
+            return row & ~1
 
-        monkeypatch.setattr(cells_module, "_dynkin_row", doubled)
+        monkeypatch.setattr(cells_module, "_dynkin_row", dropped)
         assert not is_primitive(dynkin(total_retarded_cell(ground, 1)))
         with pytest.raises(ArithmeticError, match="fails primitivity"):
             dynkin_rank(ground)
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    @pytest.mark.parametrize(
+        "spoil", [lambda z: z & z - 1, lambda z: z | 1], ids=["lost-first-entry", "gained-h-of-i"]
+    )
+    def test_corrupted_side_index_raises(self, m, spoil, monkeypatch):
+        # Z_m loses its first entry, or gains entry 0, H_(I), which has no
+        # side: the rows of the cells without m among their positive sides
+        # gain or lose a term, and some row is then not primitive or not a
+        # relabelling of its representative's
+        original = cells_module._side_index
+        index = list(original(4))
+        index[m] = spoil(index[m])
+        assert index[m] != original(4)[m]
+        monkeypatch.setattr(cells_module, "_side_index", lambda n: tuple(index) if n == 4 else original(n))
+        with pytest.raises(ArithmeticError, match="fails primitivity|not a relabelling"):
+            dynkin_rank(canonical_set(4))
+
+    def test_relabelling_that_swaps_coefficients_raises(self, monkeypatch):
+        # the move of a member sends a +1 entry of its representative's row
+        # where a -1 entry should go, and back: the moved entries are the
+        # member's, but not their coefficients, which the check compares
+        # apart
+        n = 4
+        (rep, _), (_, k) = _cell_orbits(n)[0][4][:2]  # the first orbit's representative and a member
+        row, coeffs = _dynkin_row(n, rep), _dynkin_masks(n)[2]
+        plus = next(j for j in _set_bits(row) if coeffs[j] == 1)
+        minus = next(j for j in _set_bits(row) if coeffs[j] == -1)
+        original = cells_module._composition_permutations
+
+        def swapped(m):
+            moves = original(m)
+            moves[k][plus], moves[k][minus] = moves[k][minus], moves[k][plus]
+            return moves
+
+        monkeypatch.setattr(cells_module, "_composition_permutations", swapped)
+        with pytest.raises(ArithmeticError, match="not a relabelling"):
+            dynkin_rank(canonical_set(n))
 
     def test_one_dynkin_element_per_cell(self, monkeypatch):
         calls = []
@@ -958,9 +1056,10 @@ class TestRelabelOrbits:
         n = len(ground)
         keys = _dynkin_masks(n)[0]
         bit = {x: 1 << i for i, x in enumerate(ground)}
+        coeffs = _dynkin_masks(n)[2]
         for cell in enumerate_cells(ground):
             want = {tuple(sum(bit[x] for x in L) for L in F.lumps): c for F, c in dynkin(cell).lc}
-            assert {keys[j]: c for j, c in _dynkin_row(n, side_bits(cell)).items()} == want
+            assert {keys[j]: coeffs[j] for j in _set_bits(_dynkin_row(n, side_bits(cell)))} == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_composition_permutations_move_every_lump(self, n):
