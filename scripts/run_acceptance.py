@@ -8,7 +8,8 @@ n=5, with two oracles for its certificate: every n=5 Dynkin element checked
 primitive directly, against the orbit representatives, and the exact rank
 of the n=5 Dynkin rows, against the modular squeeze; the tree-image certificate
 of the primitive dimension at n=5; the Steinmann span at n=5, n=6 cells with
-their moved witnesses, and the orbit walk at n=6 against the insertion
+their moved witnesses, the exact rank of the n=6 Steinmann relation vectors,
+and the orbit walk at n=6 against the insertion
 enumeration, its oracle; the Dynkin rank at n=6; Ruelle's identity on its
 4822 configurations up to n=6; Z factorization and Bogoliubov at order 3
 and at the `toy demo` bound; the series identities at their bound), which
@@ -27,6 +28,8 @@ from sethopf.cells import (
     dynkin_rank,
     enumerate_cells,
     primitive_dimension_certified,
+    steinmann_quadruples,
+    steinmann_relation_vectors,
 )
 from sethopf.compositions import canonical_set
 from sethopf.errors import SIZE_BOUNDS
@@ -82,6 +85,8 @@ def main() -> int:
         span_ok = stein5.passed and stein5.payload["relationSpan"] == 220
         line("heavy: Steinmann relation span 220 at n=5", span_ok)
         line("heavy: 11292 cells at n=6", verify.cells_suite(6))
+        got = rank(steinmann_relation_vectors(steinmann_quadruples(canonical_set(6))))
+        line("heavy: Steinmann relation span 10210 at n=6, exact rank", got == 10210, f" -> {got}")
         walked = _cell_orbits(6)
         same = enumerate_cells(canonical_set(6)) == [c for c, _, _ in _insertion_enumeration(canonical_set(6))]
         line("heavy: 56 orbits at n=6 expand to the insertion enumeration's cells", same and len(walked) == 56,

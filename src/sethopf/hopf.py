@@ -202,9 +202,12 @@ def mu(a: SigmaElem, b: SigmaElem) -> SigmaElem:
         unit, x = (a, b) if not a.ground else (b, a)
         return x.scale(unit.lc.coeff(EMPTY_COMPOSITION) or 0)
     ground = tuple(sorted(a.ground + b.ground))
-    lc = sparse_sum(
-        (Composition._of(F.lumps + G.lumps, ground), cf * cg) for F, cf in a.lc for G, cg in b.lc
-    )
+    # no two terms merge: concatenation over disjoint grounds is injective,
+    # and a product of nonzero exact coefficients is nonzero
+    lc = LinComb._of({
+        Composition._of(F.lumps + G.lumps, ground): cf * cg
+        for F, cf in a.lc.t.items() for G, cg in b.lc.t.items()
+    })
     return SigmaElem._of(ground, lc, a.basis)
 
 

@@ -1,17 +1,22 @@
 """Exact sparse linear algebra over arbitrary basis keys.
 
-One exact elimination: integer Gauss-Jordan over one common divisor D, with
-the fraction-free pivot that ``lp.simplex_max`` also runs, there on the
-compact simplex tableau ``[A | b]`` plus its objective row.  The matrix is an
-int matrix M standing for M / D.  A pivot at (r, s) with p = M[r][s] maps
-every other row to (M[i][j] * p - M[i][s] * M[r][j]) // D and then sets
-D = p; the division is exact by Sylvester's identity, so every entry stays a
-minor of the starting matrix and no Fraction is ever built.  ``rank`` counts
-the pivots; ``kernel_basis`` reads the kernel off the reduced echelon form,
-as int and Fraction coefficients.  Inputs are cleared of denominators row by
-row by ``_numerators``, the package's one denominator-clearing function
-(``hopf.delta_split`` uses it too); they must be real: ints, Fractions, or
-QI with a zero imaginary part.
+One exact elimination, ``_gauss_jordan``: a sparse fraction-free forward
+pass over int rows ``{column: int}``.  The rows are cleared of
+denominators one by one by ``_numerators``, the package's one
+denominator-clearing function (``hopf.delta_split`` uses it too); the
+coefficients must be real: ints, Fractions, or QI with a zero imaginary
+part.  The pass walks the columns in order, with an index from each column
+to the live rows that hold it, so a pivot touches only those rows.  The
+pivot of a column is the live row with the fewest entries, the lowest index
+on a tie (Markowitz 1957).  Every other holder becomes a * row - b * prow,
+where p and f are the pivot row's and the holder's entries in the column,
+g = gcd(p, f), a = p / g and b = f / g, and is then divided by the gcd of
+its entries.  So every row step is exact over the integers, as in Bareiss
+(1968), and no common divisor is carried.  ``rank`` counts the pivots.
+``kernel_basis`` adds one back-substitution pass, which leaves each pivot
+row a multiple of its row of the reduced echelon form, and reads the kernel
+off it as int and Fraction coefficients.  The reduced echelon form is
+unique, so the basis depends neither on the row order nor on the pivots.
 
 ``rank_mod_prime`` is the rank over GF(2) of the same ``LinComb`` input,
 each row one int bitset of its odd numerators: a lower bound only, so its
@@ -20,65 +25,75 @@ callers certify every conclusion drawn from it.
 rank of the Dynkin rows; the upper side, from the unitriangular minors of
 the shuffle blocks, runs no elimination.
 
-The module never inspects key structure: keys only need to be hashable and
-deterministically sortable.
+The module never inspects key structure: keys only need to be hashable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .lincomb import LinComb, default_sort_key
+from .lincomb import LinComb
 from .scalars import QI
 
 P = 2  # the field of rank_mod_prime is GF(P)
 
 
-def _pivot(rows: list[list[int]], r: int, s: int, D: int) -> int:
-    """Fraction-free pivot of rows = M (over divisor D) at (r, s); returns p.
+def _combine(row: dict[int, int], prow: dict[int, int], s: int) -> dict[int, int]:
+    """a * row - b * prow divided by the gcd of its entries, which is zero
+    in column s; row is consumed.
 
-    Every row but r becomes (M[i] * p - M[i][s] * M[r]) // D with
-    p = M[r][s], rows with a zero in column s included: they still scale by
-    p / D, which keeps later divisions exact.  The new divisor is p.
+    With p = prow[s], f = row[s] and g = gcd(p, f): a = p / g, b = f / g,
+    both negated when p < 0 so that a > 0, and row is not copied when a = 1.
     """
-    prow = rows[r]
-    p = prow[s]
+    p, f = prow[s], row[s]
+    g = gcd(p, f) if p > 0 else -gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = {c: a * x for c, x in row.items()}
+    get = row.get
+    for c, y in prow.items():
+        x = get(c, 0) - b * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+    g = gcd(*row.values())
+    if g > 1:
+        row = {c: x // g for c, x in row.items()}
+    return row
+
+
+def _gauss_jordan(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The sparse forward pass over rows, which it consumes; returns the
+    pivot rows as (pivot column, row), in column order.
+
+    A pivot row holds its pivot column and later columns only.
+    """
+    index: list[set[int]] = [set() for _ in range(ncols)]  # column -> the live rows that hold it
     for i, row in enumerate(rows):
-        if i == r:
+        for c in row:
+            index[c].add(i)
+    pivots = []
+    for s, holders in enumerate(index):
+        if not holders:
             continue
-        f = row[s]
-        if f:
-            rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
-        elif p != D:
-            rows[i] = [x * p // D for x in row]
-    return p
-
-
-def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Reduce rows in place; returns (pivot columns, final divisor D).
-
-    Row k of the result has its pivot, equal to D, in column pivots[k] and a
-    zero in every other pivot column.  Zero rows are dropped as they appear,
-    so the rows past the pivots are gone.
-    """
-    rows[:] = [row for row in rows if any(row)]
-    pivots: list[int] = []
-    D = 1
-    for s in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][s]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        D = _pivot(rows, r, s, D)
-        pivots.append(s)
-        rows[r + 1 :] = [row for row in rows[r + 1 :] if any(row)]
-    return pivots, D
+        r = min(holders, key=lambda i: (len(rows[i]), i))
+        prow = rows[r]
+        for c in prow:
+            index[c].discard(r)
+        for h in holders:
+            rows[h] = row = _combine(rows[h], prow, s)
+            for c in prow:
+                if c in row:
+                    index[c].add(h)
+                elif c != s:
+                    index[c].discard(h)
+        holders.clear()
+        pivots.append((s, prow))
+    return pivots
 
 
 def _numerators(coeffs: Iterable) -> tuple[list[int], int]:
@@ -103,32 +118,24 @@ def _numerators(coeffs: Iterable) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in fracs], den
 
 
-def _clear_denominators(
-    row_entries: Iterable[Sequence[tuple[int, object]]], ncols: int
-) -> list[list[int]]:
-    """Dense int rows from sparse (column, coefficient) rows, each scaled by
-    the lcm of its own denominators.  Raises DomainError on a non-real value."""
-    rows = []
-    for entries in row_entries:
-        row = [0] * ncols
-        for (j, _), x in zip(entries, _numerators(c for _, c in entries)[0]):
-            row[j] = x
-        rows.append(row)
-    return rows
+def integer_rows(vectors: Sequence[LinComb]) -> tuple[list[dict[int, int]], list]:
+    """The sparse int rows of rational-valued vectors, each over the lcm of
+    its own denominators, and their column keys in first-seen order.
 
-
-def integer_rows(vectors: Sequence[LinComb]) -> tuple[list[list[int]], list]:
-    """Denominator-cleared integer row matrix for rational-valued vectors,
-    and its column keys."""
-    keys = sorted({k for v in vectors for k in v.keys()}, key=default_sort_key)
-    index = {k: i for i, k in enumerate(keys)}
-    return _clear_denominators(([(index[k], c) for k, c in v] for v in vectors), len(keys)), keys
+    Raises DomainError on a non-real coefficient.
+    """
+    index: dict = {}
+    rows = [
+        {index.setdefault(k, len(index)): x for k, x in zip(v.keys(), _numerators(c for _, c in v)[0])}
+        for v in vectors
+    ]
+    return rows, list(index)
 
 
 def rank(vectors: Sequence[LinComb]) -> int:
     """Exact rank of the span of the given vectors."""
     rows, keys = integer_rows(vectors)
-    return len(_gauss_jordan(rows, len(keys))[0])
+    return len(_gauss_jordan(rows, len(keys)))
 
 
 def rank_mod_prime(vectors: Sequence[LinComb]) -> int:
@@ -168,33 +175,40 @@ def kernel_basis(
     """Exact basis of the kernel of the map sending each domain key to its image.
 
     The result vectors are LinCombs over the domain keys with int and
-    Fraction coefficients, echelonized against the domain order (each has a
-    leading coefficient 1).
+    Fraction coefficients, echelonized against the domain order: the vector
+    of a free key has coefficient 1 there, then the pivot keys in domain
+    order.  Raises DomainError on a key the map misses and on a non-real
+    coefficient.
     """
     images = dict(linear_map)
     for k in domain:
         if k not in images:
             raise DomainError(f"linear map not defined on domain key {k!r}")
-    out_keys = sorted({k for v in images.values() for k in v.keys()}, key=default_sort_key)
-    out_index = {k: i for i, k in enumerate(out_keys)}
-    # row i is output key i; column j is the image of domain[j]
-    entries: list[list[tuple[int, object]]] = [[] for _ in out_keys]
+    # one row per output key, over the columns j of the images of domain[j];
+    # equal rows, such as those of the splits (S, T) and (T, S), are kept once
+    entries: dict[object, list] = {}
     for j, k in enumerate(domain):
         for ok, c in images[k]:
-            entries[out_index[ok]].append((j, c))
-    rows = _clear_denominators(entries, len(domain))
-    pivots, D = _gauss_jordan(rows, len(domain))
+            entries.setdefault(ok, []).append((j, c))
+    rows = dict.fromkeys(
+        tuple(zip([j for j, _ in e], _numerators(c for _, c in e)[0])) for e in entries.values()
+    )
+    pivots = _gauss_jordan([dict(row) for row in rows], len(domain))
 
-    # the reduced echelon form is rows / D, so free column j gives
-    # e_j - sum_k rows[k][j] / D * e_pivots[k]
-    pivot_set = set(pivots)
-    basis = []
-    for j, key in enumerate(domain):
-        if j in pivot_set:
-            continue
-        vec = {key: 1}
-        for row, pc in zip(rows, pivots):
-            if row[j]:
-                vec[domain[pc]] = Fraction(-row[j], D)
-        basis.append(LinComb(vec))
-    return basis
+    # back-substitution, last pivot first: each row is cleared in the pivot
+    # columns after its own against rows that are already reduced
+    reduced: dict[int, dict[int, int]] = {}
+    for s, row in reversed(pivots):
+        for c in [c for c in row if c in reduced]:
+            row = _combine(row, reduced[c], c)
+        reduced[s] = row
+
+    # free column j gives e_j - sum over pivot rows of row[j] / row[s] * e_s
+    free: dict[int, dict] = {j: {key: 1} for j, key in enumerate(domain) if j not in reduced}
+    for s, _ in pivots:
+        row = reduced[s]
+        p = row[s]
+        for j, x in row.items():
+            if j != s:
+                free[j][domain[s]] = Fraction(-x, p)
+    return [LinComb._of(vec) for vec in free.values()]

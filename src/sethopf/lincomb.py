@@ -5,7 +5,7 @@ supporting ``+``, ``*``, unary ``-``, ``==`` and truthiness as a zero test.
 Every layer uses ints and Fractions.  Zero coefficients are never stored.
 
 Every linear extension of a map on basis keys -- the sum and ``map_keys``
-here, the products ``mu``, ``tits`` and ``series.word_product``, the iterated
+here, the products ``tits`` and ``series.word_product``, the iterated
 coproduct, the Takeuchi antipode, the arrows' insertions and the tree
 images -- sums its images through ``sparse_sum``: equal keys merge, zero
 sums drop, and keys keep the order of their first insertion (a key that
@@ -13,11 +13,12 @@ cancels and comes back goes to the end), so every pass over a sum is
 deterministic.  A sum of whole elements is one ``lincomb_sum`` over their
 ``LinComb``s, in the key order of a pass of ``+`` over the same parts.
 
-Three sums stay apart on purpose: ``hopf.delta_split``'s int scatter-add
-over pair ids; the expected sides that ``verify.hopf_suite`` builds by
-hand, which keep its checks independent of the code they check; and the
-two folds of ``hadamard``, whose one-term inputs from ``tits_suite`` build
-no sum.
+Four sums stay apart on purpose: ``hopf.mu``, one dict comprehension,
+since concatenation over disjoint grounds is injective and no two of its
+terms can merge; ``hopf.delta_split``'s int scatter-add over pair ids; the
+expected sides that ``verify.hopf_suite`` builds by hand, which keep its
+checks independent of the code they check; and the two folds of
+``hadamard``, whose one-term inputs from ``tits_suite`` build no sum.
 """
 
 from __future__ import annotations

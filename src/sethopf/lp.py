@@ -14,9 +14,10 @@ label's; ``cells`` reuses them, re-checked, within one enumeration call.
 
 Both LPs run on ``simplex_max``, an integer primal simplex on the compact
 tableau ``[A | b]``: one column per nonbasic variable, no slack identity
-block.  Its pivot is ``linalg._pivot``; after it, the pivot column takes
-the leaving variable's column, and ties are broken by variable index, so
-the pivot sequence is that of the full ``[A | I | b]`` tableau.
+block.  Its pivot is ``_pivot``, a dense fraction-free step over one common
+divisor; after it, the pivot column takes the leaving variable's column,
+and ties are broken by variable index, so the pivot sequence is that of the
+full ``[A | I | b]`` tableau.
 """
 
 from __future__ import annotations
@@ -26,9 +27,27 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Collection, Sequence
 
-from .linalg import _pivot
-
 _BLAND_AFTER = 64  # pivot-rule switch that guarantees termination
+
+
+def _pivot(rows: list[list[int]], r: int, s: int, D: int) -> int:
+    """Fraction-free pivot of rows = M (over divisor D) at (r, s); returns p.
+
+    Every row but r becomes (M[i] * p - M[i][s] * M[r]) // D with
+    p = M[r][s], rows with a zero in column s included: they still scale by
+    p / D, which keeps later divisions exact.  The new divisor is p.
+    """
+    prow = rows[r]
+    p = prow[s]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[s]
+        if f:
+            rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+        elif p != D:
+            rows[i] = [x * p // D for x in row]
+    return p
 
 
 def simplex_max(
@@ -45,9 +64,8 @@ def simplex_max(
     row last, one column per nonbasic variable, no identity block.  It is an
     int matrix M over one positive common divisor D, tableau = M / D.
     ``basis[i]`` is the variable of row i, ``nonbasic[j]`` that of column j.
-    A pivot at (r, s) with p = M[r][s] is ``linalg._pivot``, the elimination
-    step shared with ``rank`` and ``kernel_basis``: it maps every other row
-    to (M[i][j] * p - M[i][s] * M[r][j]) // D and then D = p; the division
+    A pivot at (r, s) with p = M[r][s] is ``_pivot``: it maps every other
+    row to (M[i][j] * p - M[i][s] * M[r][j]) // D and then D = p; the division
     is exact by Sylvester's identity: D is the determinant of the current
     basis and every entry of M a minor of the starting integer tableau.
     Column s then takes the leaving variable, whose full-tableau column

@@ -193,6 +193,13 @@ class TestRank:
             rank([v])
         with pytest.raises(DomainError):
             kernel_basis([("a", v), ("b", LinComb({"x": QI(1)}))], ["a", "b"])
+        # also a float, and a bad value after a real row
+        real = LinComb({"x": 1, "y": Fraction(1, 2)})
+        for bad in (QI(1, 1), QI(0, -1), 0.5):
+            with pytest.raises(DomainError, match=r"^expected a real coefficient, got "):
+                rank([real, LinComb({"x": 2, "y": bad})])
+            with pytest.raises(DomainError, match=r"^expected a real coefficient, got "):
+                kernel_basis([("a", real), ("b", LinComb({"x": bad}))], ["a", "b"])
 
     def test_dynkin_span_n4(self):
         # oracle: dim of the primitive part by the partition-count formula
@@ -277,8 +284,8 @@ class TestRankModPrime:
     @pytest.mark.parametrize("n,expected", [(4, 6), (5, 220), pytest.param(6, 10210, marks=pytest.mark.heavy)])
     def test_steinmann_relation_rank(self, n, expected):
         # the Steinmann relations span the kernel of the map from cells to
-        # their Dynkin elements, of dimension cells - dim P; at n = 6 the
-        # exact rank is out of reach, and the GF(2) rank is the oracle
+        # their Dynkin elements, of dimension cells - dim P; the GF(2) rank
+        # and the exact rank both reach it
         from sethopf.cells import enumerate_cells, steinmann_quadruples, steinmann_relation_vectors
         from sethopf.compositions import zie_dimension
 
@@ -286,8 +293,7 @@ class TestRankModPrime:
         vectors = steinmann_relation_vectors(steinmann_quadruples(ground))
         r = rank_mod_prime(vectors)
         assert r == len(enumerate_cells(ground)) - zie_dimension(n) == expected
-        if n < 6:
-            assert r == rank(vectors)
+        assert rank(vectors) == expected
 
     def test_complex_coefficient_rejected(self):
         with pytest.raises(DomainError):
@@ -430,12 +436,14 @@ def _terms(basis):
 
 # sha256 of repr(_terms(primitive_part_basis(n))) with each coefficient
 # written as its str, which reads the same for an int, a Fraction and a real
-# QI; computed with the QI Gauss-Jordan kernel; keyed by n.
+# QI; keyed by n.  n <= 4 were computed with the QI Gauss-Jordan kernel, and
+# n = 5 with the dense integer Gauss-Jordan that the sparse one replaced.
 PRIMITIVE_BASIS_DIGESTS = {
     1: "d83abffaec1b5e7a015962931b383547caa653708b21eaf87861e833dcfbe5a1",
     2: "4689a52a3c73f6b8c447e1480558f0c32938a0c156615cdfdc51d6fda63d882a",
     3: "9647ea60dd23d24217e6c286d895ed43a561f195dd828e192b5dade2188e684f",
     4: "e69c3a41bfb500fc87fd4724dc8482f4c34ba45ee65b25b4d78bf934d8029f77",
+    5: "d2fcebc46aa2c741e35b0a4aaf24552bb5766ffe56a4521486d46acbed5cbdff",
 }
 
 sparse_fracs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fracs)
@@ -477,8 +485,77 @@ class TestKernelAgainstReference:
         expected = _terms(reference_kernel_basis(mapping, [F for F, _ in columns]))
         assert _terms(e.lc for e in primitive_part_basis(n)) == expected
 
-    @pytest.mark.parametrize("n", sorted(PRIMITIVE_BASIS_DIGESTS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.heavy)])
     def test_primitive_part_basis_pinned(self, n):
         basis = _terms(e.lc for e in primitive_part_basis(n))
         text = repr([[(k, str(c)) for k, c in v] for v in basis])
         assert hashlib.sha256(text.encode()).hexdigest() == PRIMITIVE_BASIS_DIGESTS[n]
+
+
+# entries whose pivots are not +-1, so that the gcd steps of the row
+# combinations run, and scalars that repeat a row or take a multiple of it
+gcd_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -6, 9])
+row_scalars = st.sampled_from([1, 1, -1, 2, -3, 6, Fraction(1, 6), Fraction(-3, 2)])
+COEFFICIENT_FORMS = {"exact": lambda x: x, "fraction": Fraction, "qi": QI}
+
+
+@st.composite
+def repeated_rows(draw):
+    """An int matrix, then copies of its rows, each times a scalar, in a
+    shuffled row order, with one coefficient form for every entry."""
+    ncols = draw(st.integers(1, 5))
+    mat = draw(st.lists(st.lists(gcd_ints, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    copies = draw(st.lists(st.tuples(st.integers(0, 4), row_scalars), max_size=4))
+    rows = mat + [[x * c for x in mat[i % len(mat)]] for i, c in copies]
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    form = COEFFICIENT_FORMS[draw(st.sampled_from(sorted(COEFFICIENT_FORMS)))]
+    return ncols, [[form(x) if x else 0 for x in row] for row in rows]
+
+
+class TestSparseElimination:
+    """rank and kernel_basis against the rational eliminations of this file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_rows(), st.randoms(use_true_random=False))
+    def test_rank_matches_naive_elimination(self, shape, rnd):
+        _, rows = shape
+        vectors = []
+        for row in rows:
+            items = [(f"k{j}", x) for j, x in enumerate(row) if x]
+            rnd.shuffle(items)  # the key order of a vector must not matter
+            vectors.append(LinComb(dict(items)))
+        expected = naive_rank([[Fraction(as_qi(x).re) for x in row] for row in rows])
+        assert rank(vectors) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_rows())
+    def test_kernel_matches_reference(self, shape):
+        ncols, rows = shape
+        domain = [f"d{j}" for j in range(ncols)]
+        mapping = [
+            (domain[j], LinComb({i: row[j] for i, row in enumerate(rows) if row[j]}))
+            for j in range(ncols)
+        ]
+        got = kernel_basis(mapping, domain)
+        assert _terms(got) == _terms(reference_kernel_basis(mapping, domain))
+        assert all(type(c) in (int, Fraction) for v in got for _, c in v)
+
+    def test_gcd_pivots(self):
+        # rows x = (2, 6, 4, 0) and y = (3, 3, 6, 9): the step at column a
+        # leaves 2y - 3x = (0, -12, 0, 18), divided by its gcd 6, and the
+        # back-substitution clears the 6 of row x against the pivot -2
+        # through gcd(-2, 6) = 2
+        domain = ["a", "b", "c", "d"]
+        mapping = [
+            ("a", LinComb({"x": 2, "y": 3})),
+            ("b", LinComb({"x": 6, "y": 3})),
+            ("c", LinComb({"x": 4, "y": 6})),
+            ("d", LinComb({"y": 9})),
+        ]
+        got = kernel_basis(mapping, domain)
+        assert _terms(got) == _terms(reference_kernel_basis(mapping, domain))
+        assert _terms(got) == [
+            [("c", 1), ("a", Fraction(-2))],
+            [("d", 1), ("a", Fraction(-9, 2)), ("b", Fraction(3, 2))],
+        ]
+        assert rank([v for _, v in mapping]) == 2
