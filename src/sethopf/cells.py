@@ -70,7 +70,7 @@ from .hopf import (
     mu,
 )
 from .lincomb import LinComb, lincomb_sum, sparse_sum
-from .linalg import rank_mod_prime
+from .linalg import _bitset, rank_mod_prime
 from .lp import (
     balanced_combination_exists,
     is_gordan_certificate,
@@ -187,14 +187,6 @@ def _set_bits(x: int, items: Iterable | None = None) -> list:
     the item at each of those positions."""
     flags = bin(x)[:1:-1].encode().translate(_FLAG)  # byte t is bit t of x
     return list(itertools.compress(itertools.count() if items is None else items, flags))
-
-
-def _bitset(positions: Iterable[int], size: int) -> int:
-    """The int whose set bits are the given positions, each below size."""
-    digits = bytearray(b"0") * size  # digit t, read reversed: bit t
-    for t in positions:
-        digits[t] = 49  # ord("1")
-    return int(digits[::-1], 2)
 
 
 def channel_representatives(ground: LabelSet) -> list[LabelSet]:

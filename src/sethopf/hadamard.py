@@ -4,45 +4,32 @@
 composes comultiplication and multiplication explicitly, so the agreement
 of the two is a meaningful regression test rather than a tautology.
 
-The Tits kernel ``_tits_basis`` never intersects sets: it indexes the labels
-by their lump of G once, then sorts each lump S of F by (lump of G, label)
-and cuts it into runs, which are the nonempty T_j cap S in order.  It shares
-no code with ``hopf_power``, which restricts a to each lump of F through the
-iterated coproduct and concatenates the pieces with ``mu``, so the two stay
-independent.  ``hopf_power`` hands the lumps of F to the unchecked
-``hopf._delta_iterated``, since it has already checked that F composes the
-ground of a.
+The Tits kernel ``_tits_basis`` intersects lump masks: with each lump a
+bitmask over the ground, as ``hopf._SplitTable.masks`` gives it, the lumps
+of the product are the nonzero s & t for the lumps s of F and t of G, in
+F-then-G order, and the table's ``labels`` turns each back into its sorted
+labels.  ``tits`` looks up the masks of each term of b once per call.  The
+kernel shares no code with ``hopf_power``, which restricts a to each lump
+of F through the iterated coproduct and concatenates the pieces with
+``mu``, so the two stay independent; the split table lends ``tits`` only
+its mask and label tables, not its rows.  ``hopf_power`` hands the lumps
+of F to the unchecked ``hopf._delta_iterated``, since it has already
+checked that F composes the ground of a.
 """
 
 from __future__ import annotations
 
 from .compositions import Composition, one_lump
 from .errors import DomainError
-from .hopf import H, SigmaElem, _delta_iterated, basis_elem, mu_many, zero_elem
+from .hopf import H, SigmaElem, _delta_iterated, _split_table, basis_elem, mu_many, zero_elem
 from .lincomb import sparse_sum
 
 
-def _tits_basis(F: Composition, G: Composition) -> Composition:
-    # (T_1 cap S_1, ..., T_kG cap S_1, ......, T_1 cap S_kF, ...)_+
-    # F and G compose one ground set: the nonempty T_j cap S are the runs of
-    # S sorted by (j, label), and together they are disjoint and cover it.
-    where = {x: j for j, T in enumerate(G.lumps) for x in T}
-    lumps = []
-    for S in F.lumps:
-        if len(S) == 1:
-            lumps.append(S)
-            continue
-        keyed = sorted([(where[x], x) for x in S])
-        j0 = keyed[0][0]
-        run = []
-        for j, x in keyed:
-            if j != j0:
-                lumps.append(tuple(run))
-                run = []
-                j0 = j
-            run.append(x)
-        lumps.append(tuple(run))
-    return Composition._of(tuple(lumps), G.ground)
+def _tits_basis(fs: tuple[int, ...], gs: tuple[int, ...], labels: list[tuple]) -> Composition:
+    # (T_1 cap S_1, ..., T_kG cap S_1, ......, T_1 cap S_kF, ...)_+ on the lump
+    # masks fs of F and gs of G, over one ground whose mask table is labels;
+    # labels[-1], the labels of the full mask, is that ground
+    return Composition._of(tuple([labels[x] for s in fs for t in gs if (x := s & t)]), labels[-1])
 
 
 def tits(a: SigmaElem, b: SigmaElem) -> SigmaElem:
@@ -51,7 +38,13 @@ def tits(a: SigmaElem, b: SigmaElem) -> SigmaElem:
         raise DomainError("tits requires equal ground sets")
     if a.basis != H or b.basis != H:
         raise DomainError("tits expects H-basis elements")
-    lc = sparse_sum((_tits_basis(F, G), cf * cg) for F, cf in a.lc for G, cg in b.lc)
+    table = _split_table(a.ground)
+    labels, masks = table.labels, table.masks
+    gterms = [(masks(G), cg) for G, cg in b.lc]
+    lc = sparse_sum(
+        (_tits_basis(fs, gs, labels), cf * cg)
+        for F, cf in a.lc for fs in (masks(F),) for gs, cg in gterms
+    )
     return SigmaElem._of(a.ground, lc, H)
 
 

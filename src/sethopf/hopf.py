@@ -225,17 +225,20 @@ class _SplitTable:
 
     A split (S, T) of the ground is its mask: bit i is set when the i-th
     label goes to S.  labels[m] is the sorted tuple of the labels in mask m.
-    A pair id names one pair (left, right) of compositions of (S, T),
-    interned on the lump bitmasks of its two sides, which ``sides`` keeps.
-    The row of a composition F in a basis holds, for every mask, the pair
-    id of its (S, T) term: (F|S, F|T) in the H-basis, the deshuffle pair in
-    the Q-basis, or -1 where the deshuffle is undefined.  Rows are built one
-    composition at a time, on first use, from the lump masks of F.  The
-    pair of compositions is built only when ``pair`` is first asked for
-    it, so a split whose terms all cancel builds none.
+    ``masks(F)`` is the tuple of the lump bitmasks of F, computed once per
+    composition and kept as long as the table.  A pair id names one pair
+    (left, right) of compositions of (S, T), interned on the lump bitmasks
+    of its two sides, which ``sides`` keeps.  The row of a composition F in
+    a basis holds, for every mask, the pair id of its (S, T) term: (F|S,
+    F|T) in the H-basis, the deshuffle pair in the Q-basis, or -1 where the
+    deshuffle is undefined.  Rows are built one composition at a time, on
+    first use.  An H row forms the restriction F|S of every mask once and
+    shares it: F|T is the restriction to the complement, full - m.  The
+    pair of compositions is built only when ``pair`` is first asked for it,
+    so a split whose terms all cancel builds none.
     """
 
-    __slots__ = ("bit", "full", "labels", "pairs", "sides", "ids", "rows")
+    __slots__ = ("bit", "full", "labels", "pairs", "sides", "ids", "rows", "lump_masks")
 
     def __init__(self, ground: tuple):
         self.bit = {x: 1 << i for i, x in enumerate(ground)}
@@ -245,6 +248,15 @@ class _SplitTable:
         self.sides: list[tuple] = []  # pair id -> (left lump masks, right lump masks)
         self.ids: dict[tuple, int] = {}  # (left lump masks, right lump masks) -> pair id
         self.rows: dict[str, dict[Composition, tuple[int, ...]]] = {H: {}, Q: {}}
+        self.lump_masks: dict[Composition, tuple[int, ...]] = {}
+
+    def masks(self, F: Composition) -> tuple[int, ...]:
+        """The bitmask of each lump of F, in lump order."""
+        lms = self.lump_masks.get(F)
+        if lms is None:
+            get = self.bit.__getitem__
+            lms = self.lump_masks[F] = tuple([sum(map(get, l)) for l in F.lumps])
+        return lms
 
     def row(self, F: Composition, basis: str) -> tuple[int, ...]:
         rows = self.rows[basis]
@@ -267,25 +279,31 @@ class _SplitTable:
         return p
 
     def _build_row(self, F: Composition, basis: str) -> tuple[int, ...]:
-        ids, sides, full = self.ids, self.sides, self.full
-        lms = [sum(map(self.bit.__getitem__, l)) for l in F.lumps]
-        row = []
-        for m in range(full + 1):
-            if basis == H:
-                left = tuple([x for l in lms if (x := l & m)])
-                right = tuple([x for l in lms if (x := l & ~m)])
-            else:
+        full = self.full
+        lms = self.masks(F)
+        if basis == H:
+            # F|S for every mask m; mask m takes (F|S, F|T), T = full - m
+            sub = [tuple([x for l in lms if (x := l & m)]) for m in range(full + 1)]
+            keys = zip(sub, reversed(sub))
+        else:
+            keys = []
+            for m in range(full + 1):
                 left = tuple([l for l in lms if l & m])
                 if sum(left) != m:  # a lump meets both S and T
-                    row.append(-1)
-                    continue
-                right = tuple([l for l in lms if not l & m])
-            key = (left, right)
+                    keys.append(None)
+                else:
+                    keys.append((left, tuple([l for l in lms if not l & m])))
+        ids, sides, pairs = self.ids, self.sides, self.pairs
+        row = []
+        for key in keys:
+            if key is None:
+                row.append(-1)
+                continue
             pid = ids.get(key)
             if pid is None:
                 pid = ids[key] = len(sides)
                 sides.append(key)
-                self.pairs.append(None)
+                pairs.append(None)
             row.append(pid)
         return tuple(row)
 

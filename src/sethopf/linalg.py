@@ -41,6 +41,14 @@ from .scalars import QI
 P = 2  # the field of rank_mod_prime is GF(P)
 
 
+def _bitset(positions: Iterable[int], size: int) -> int:
+    """The int whose set bits are the given positions, each below size."""
+    digits = bytearray(b"0") * size  # digit t, read reversed: bit t
+    for t in positions:
+        digits[t] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
 def _combine(row: dict[int, int], prow: dict[int, int], s: int) -> dict[int, int]:
     """a * row - b * prow divided by the gcd of its entries, which is zero
     in column s; row is consumed.
@@ -147,17 +155,19 @@ def rank_mod_prime(vectors: Sequence[LinComb]) -> int:
     span, and a minor that is odd is not zero, so the GF(2) rank of the
     rows is at most their rank over Q.  The field is 2 because a row is
     then one int bitset: bit i is set when the numerator in column i is
-    odd, with the columns numbered in first-seen order.  The elimination
-    is an XOR basis keyed by each row's highest set bit; a row that XORs
-    down to zero adds nothing.  The rank does not depend on the numbering.
+    odd, with the columns numbered in first-seen order.  Each row's odd
+    columns are listed first and its bitset built once, by ``_bitset``.
+    The elimination is an XOR basis keyed by each row's highest set bit; a
+    row that XORs down to zero adds nothing.  The rank does not depend on
+    the numbering.
     """
     index: dict = {}
     basis: dict[int, int] = {}  # highest set bit -> the basis row that holds it
     for v in vectors:
-        row = 0
-        for k, x in zip(v.keys(), _numerators(c for _, c in v)[0]):
-            if x & 1:
-                row |= 1 << index.setdefault(k, len(index))
+        terms = v.t
+        nums = _numerators(terms.values())[0]
+        odd = [index.setdefault(k, len(index)) for k, x in zip(terms, nums) if x & 1]
+        row = _bitset(odd, len(index)) if odd else 0
         while row:
             top = row.bit_length() - 1
             b = basis.get(top)

@@ -33,7 +33,6 @@ from sethopf.cells import (
     tree_to_primitive,
 )
 from sethopf.cells import (
-    _bitset,
     _cell_orbits,
     _composition_permutations,
     _dynkin_masks,
@@ -82,7 +81,7 @@ from sethopf.hopf import (
 )
 from sethopf.lincomb import LinComb, lincomb_sum
 from sethopf.scalars import QI
-from sethopf.linalg import rank, rank_mod_prime
+from sethopf.linalg import _bitset, rank, rank_mod_prime
 
 
 def brute_force_cells(ground):

@@ -4,8 +4,20 @@ import pytest
 
 from sethopf.compositions import Composition, canonical_set, comp, compositions_of
 from sethopf.errors import DomainError
+from sethopf import hadamard as hadamard_module
 from sethopf.hadamard import _tits_basis, hopf_power, hopf_power_elem, tits, tits_unit
-from sethopf.hopf import basis_elem, h_elem, primitive_part_basis, q_elem, sigma_basis, to_h
+from sethopf.hopf import (
+    H,
+    SigmaElem,
+    _SplitTable,
+    basis_elem,
+    h_elem,
+    primitive_part_basis,
+    q_elem,
+    sigma_basis,
+    to_h,
+)
+from sethopf.lincomb import LinComb
 
 
 class TestTits:
@@ -55,13 +67,69 @@ def tits_reference(F, G):
     return Composition(lumps)
 
 
-@pytest.mark.parametrize("ground", [canonical_set(n) for n in range(5)] + [(-3, 2, 5, 9)])
-def test_tits_kernel_is_the_lump_intersection_formula(ground):
+def swapped_kernel(fs, gs, labels):
+    """A wrong Tits kernel: the loops over the lumps of F and G swapped."""
+    return _tits_basis(gs, fs, labels)
+
+
+def kernel_mismatches(kernel, ground):
+    """The pairs (F, G) of compositions of ground where kernel, on the lump
+    masks of a fresh split table, differs from tits_reference."""
+    table = _SplitTable(ground)
     comps = compositions_of(ground)
+    out = []
     for F in comps:
         for G in comps:
-            got, ref = _tits_basis(F, G), tits_reference(F, G)
-            assert (got.lumps, got.ground) == (ref.lumps, ref.ground), (F, G)
+            got, ref = kernel(table.masks(F), table.masks(G), table.labels), tits_reference(F, G)
+            if (got.lumps, got.ground) != (ref.lumps, ref.ground):
+                out.append((F, G))
+    return out
+
+
+@pytest.mark.parametrize("ground", [canonical_set(n) for n in range(5)] + [(-3, 2, 5, 9)])
+def test_tits_kernel_is_the_lump_intersection_formula(ground):
+    assert kernel_mismatches(_tits_basis, ground) == []
+
+
+@pytest.mark.parametrize("ground", [canonical_set(3), (-3, 2, 5, 9)])
+def test_swapped_kernel_fails_the_reference(ground):
+    # mutation control: F-then-G order matters once both have two lumps
+    assert kernel_mismatches(swapped_kernel, ground)
+
+
+def multi_term_pair(ground):
+    """Two H-basis elements with several terms and positive coefficients,
+    so no coefficient of their Tits product cancels."""
+    comps = compositions_of(ground)
+    a = SigmaElem(ground, LinComb({F: i + 1 for i, F in enumerate(comps[::7])}), H)
+    b = SigmaElem(ground, LinComb({G: 2 * i + 3 for i, G in enumerate(comps[3::5])}), H)
+    return a, b
+
+
+def reference_tits(a, b):
+    """The bilinear sum of tits_reference, keys in first-seen order."""
+    terms = {}
+    for F, cf in a.lc:
+        for G, cg in b.lc:
+            K = tits_reference(F, G)
+            terms[K] = terms.get(K, 0) + cf * cg
+    return terms
+
+
+class TestTitsOfSums:
+    ground = (-3, 2, 5, 9)
+
+    def test_equals_the_bilinear_reference_in_key_order(self):
+        a, b = multi_term_pair(self.ground)
+        assert len(a.lc) > 10 and len(b.lc) > 10
+        got, want = tits(a, b), reference_tits(a, b)
+        assert list(got.lc.t.items()) == list(want.items())
+        assert got.ground == self.ground
+
+    def test_swapped_kernel_breaks_it(self, monkeypatch):
+        a, b = multi_term_pair(self.ground)
+        monkeypatch.setattr(hadamard_module, "_tits_basis", swapped_kernel)
+        assert list(tits(a, b).lc.t.items()) != list(reference_tits(a, b).items())
 
 
 class TestHopfPower:

@@ -198,6 +198,24 @@ class TestSplitTable:
             L, R = table.pair(pid)
             assert (L.lumps, L.ground, R.lumps, R.ground) == (RL.lumps, RL.ground, RR.lumps, RR.ground)
 
+    @pytest.mark.parametrize("ground", SPLIT_GROUNDS)
+    def test_h_row_of_the_complement_is_the_swapped_pair(self, ground):
+        # an H row shares each restriction: the term of T = full - m is (F|T, F|S)
+        table = _SplitTable(ground)
+        for F in compositions_of(ground):
+            row = table.row(F, H)
+            for m in range(table.full + 1):
+                left, right = table.pair(row[m])
+                assert table.pair(row[table.full - m]) == (right, left)
+                assert left.ground == table.labels[m] and right.ground == table.labels[table.full - m]
+
+    def test_masks_are_the_lump_bitmasks(self):
+        ground = (-3, 2, 5, 9)
+        table = _SplitTable(ground)
+        for F in compositions_of(ground):
+            assert table.masks(F) == tuple(sum(1 << ground.index(x) for x in l) for l in F.lumps)
+            assert table.masks(F) is table.masks(F)  # computed once per composition
+
     def test_primitivity_check_builds_no_composition(self):
         # every split of a Dynkin element cancels, so no pair is output and
         # none is built, even on a ground whose split table is new
@@ -550,9 +568,10 @@ class TestTrustedConstructions:
     def test_tits(self):
         for ground in TRUSTED_GROUNDS:
             comps = compositions_of(ground)
+            table = _split_table(ground)
             for F in comps:
                 for G in comps:
-                    K = _tits_basis(F, G)
+                    K = _tits_basis(table.masks(F), table.masks(G), table.labels)
                     assert_as_validated(basis_elem(K))
             assert_as_validated(tits(full_elem(ground, H), full_elem(ground, H, 3)))
 
