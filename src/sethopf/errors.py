@@ -17,12 +17,14 @@ class SizeLimitError(ValueError):
 # function checks its entry before any work, and so does every CLI command.
 # The command entries bound runs that enumerate far less than they compute:
 # each is the largest --n or --order whose default run took under 5 minutes
-# on a 2-core machine, or for `toy` under 3 minutes and 1 GB.
+# on a 2-core machine, or for `toy` under 3 minutes and 1 GB.  "tits suite"
+# bounds `verify.tits_suite` alike: n = 5 takes about 2 minutes, 6 about a day.
 SIZE_BOUNDS = {
     "compositions": 8,
     "cells": 6,
     "dynkin rank": 6,
     "primitive part": 5,
+    "tits suite": 5,
     "arrows verify": 5,
     "hopf check": 6,
     "steinmann verify": 5,

@@ -3,6 +3,9 @@
 ``tits`` implements the closed lump-intersection formula; ``hopf_power``
 composes comultiplication and multiplication explicitly, so the agreement
 of the two is a meaningful regression test rather than a tautology.
+``verify.tits_suite`` calls each once per pair of H-basis elements and
+checks the laws on the two product tables.  The linear extension of
+``hopf_power`` in H_F, the action of a sum, is formed only in the tests.
 
 The Tits kernel ``_tits_basis`` intersects lump masks: with each lump a
 bitmask over the ground, as ``hopf._SplitTable.masks`` gives it, the lumps
@@ -61,7 +64,7 @@ def hopf_power(F: Composition, a: SigmaElem) -> SigmaElem:
     if not F.lumps:
         return a
     pieces = _delta_iterated(a, F.lumps)  # F.lumps decompose a.ground, checked above
-    # a fold, as in hopf_power_elem: tits_suite's one-term inputs build no sum (lincomb_sum was slower)
+    # a fold: tits_suite's one-term inputs build no sum (lincomb_sum was slower)
     out = None
     for key, c in pieces:
         prod = mu_many([basis_elem(piece, H) for piece in key]).scale(c)
@@ -70,15 +73,3 @@ def hopf_power(F: Composition, a: SigmaElem) -> SigmaElem:
         return zero_elem(a.ground, H)
     return out
 
-
-def hopf_power_elem(x: SigmaElem, a: SigmaElem) -> SigmaElem:
-    """Linear extension of hopf_power in its first argument."""
-    if x.basis != H:
-        raise DomainError("hopf_power_elem expects an H-basis element")
-    out = None
-    for F, c in x.lc:
-        term = hopf_power(F, a).scale(c)
-        out = term if out is None else out + term
-    if out is None:
-        return zero_elem(a.ground, H)
-    return out

@@ -17,8 +17,9 @@ Four sums stay apart on purpose: ``hopf.mu``, one dict comprehension,
 since concatenation over disjoint grounds is injective and no two of its
 terms can merge; ``hopf.delta_split``'s int scatter-add over pair ids; the
 expected sides that ``verify.hopf_suite`` builds by hand, which keep its
-checks independent of the code they check; and the two folds of
-``hadamard``, whose one-term inputs from ``tits_suite`` build no sum.
+checks independent of the code they check; and the fold of
+``hadamard.hopf_power``, whose one-term inputs from ``tits_suite`` build no
+sum.
 """
 
 from __future__ import annotations

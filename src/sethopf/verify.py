@@ -72,7 +72,6 @@ from .errors import check_size
 from .hopf import (
     H,
     Q,
-    SigmaElem,
     _tensor,
     antipode,
     basis_elem,
@@ -110,7 +109,7 @@ from .series import (
     universal_series,
     word_product,
 )
-from .hadamard import hopf_power, hopf_power_elem, tits, tits_unit
+from .hadamard import hopf_power, tits, tits_unit
 
 CELL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 6, 4: 32, 5: 370, 6: 11292}  # OEIS A034997
 
@@ -151,24 +150,19 @@ class SuiteResult:
         return out
 
 
-def _once(f, by_content: bool = False):
-    """f evaluated once per distinct argument key, the value kept for every
-    later call with equal keys.  The key is the tuple of arguments, as the
-    suites pass them: compositions, label tuples, degrees and trees (a
-    ``Tree`` is its own key, by identity; a ``SigmaElem`` is not hashable, so
-    that memo refuses one).  With ``by_content``, the key of a ``SigmaElem``
-    is exact: its ground, its basis and its terms in order; any other
-    argument is its own key.  A suite wraps the operations it repeats when
-    it is called, or once per degree for ``hopf_suite`` and ``tits_suite``,
-    so a memo lives for one suite call at most."""
+def _once(f):
+    """f evaluated once per distinct argument tuple, the value kept for every
+    later call with an equal tuple.  The suites pass compositions, label
+    tuples, degrees and trees (a ``Tree`` is its own key, by identity; a
+    ``SigmaElem`` is not hashable, so the memo refuses one).  A suite wraps
+    the operations it repeats when it is called, or once per degree for
+    ``hopf_suite``, so a memo lives for one suite call at most."""
     memo = {}
 
     def once(*args):
-        key = tuple([(a.ground, a.basis, tuple(a.lc)) if isinstance(a, SigmaElem) else a
-                     for a in args]) if by_content else args
-        value = memo.get(key, memo)
+        value = memo.get(args, memo)
         if value is memo:  # not yet evaluated
-            value = memo[key] = f(*args)
+            value = memo[args] = f(*args)
         return value
 
     return once
@@ -960,33 +954,42 @@ def causal_suite(n: int = 4, order: int = 2) -> SuiteResult:
 # Tits algebra checks (exercised by `hopf check` and the unit tests)
 
 
+def _basis_index(x, index: dict):
+    """index[F] when x is H_F with coefficient 1, else None."""
+    if len(x.lc) != 1:
+        return None
+    ((F, c),) = x.lc
+    return index.get(F) if c == 1 else None
+
+
 def tits_suite(n: int = 3, seed: int = 11) -> SuiteResult:
-    check_size("compositions", n + 1)  # the spot checks one size up
+    check_size("tits suite", n)  # below the compositions bound, so the spot checks one size up pass
     res = SuiteResult("tits")
     rng = random.Random(seed)
     for m in range(1, n + 1):
         ground = canonical_set(m)
-        basis = sigma_basis(ground)
-        unit = tits_unit(ground)
-        tits1, power1 = _once(tits, by_content=True), _once(hopf_power_elem, by_content=True)
-        for a in basis:
-            res.bump("tits-unit", tits(unit, a) == a and tits(a, unit) == a)
-            F = next(iter(a.lc.keys()))
-            res.bump("tits-idempotent", tits(a, a) == a, F)
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    res.bump("tits-associativity", tits1(tits1(a, b), c) == tits1(a, tits1(b, c)))
-        for a in basis:
-            for b in basis:
-                Fa = next(iter(a.lc.keys()))
-                res.bump("tits-vs-hopf-power", tits(a, b) == hopf_power(Fa, b))
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    lhs = power1(a, power1(b, c))
-                    rhs = power1(tits1(a, b), c)
-                    res.bump("tits-action-compat", lhs == rhs)
+        comps = compositions_of(ground)
+        index = {F: i for i, F in enumerate(comps)}
+        basis = [basis_elem(F, H) for F in comps]
+        # H_F |> H_G and the Hopf power of F on H_G, once per pair, as the index of
+        # the basis element each equals, or None; a law through a None fails
+        T = [[_basis_index(tits(a, b), index) for b in basis] for a in basis]
+        P = [[_basis_index(hopf_power(F, b), index) for b in basis] for F in comps]
+        u = _basis_index(tits_unit(ground), index)
+        B = range(len(comps))
+        for a, F in enumerate(comps):
+            res.bump("tits-unit", T[u][a] == a and T[a][u] == a)
+            res.bump("tits-idempotent", T[a][a] == a, F)
+        for a, b, c in itertools.product(B, repeat=3):
+            ab, bc = T[a][b], T[b][c]
+            ok = ab is not None and bc is not None and T[ab][c] == T[a][bc] is not None
+            res.bump("tits-associativity", ok)
+        for a, b in itertools.product(B, repeat=2):
+            res.bump("tits-vs-hopf-power", T[a][b] == P[a][b] is not None)
+        for a, b, c in itertools.product(B, repeat=3):
+            ab, bc = T[a][b], P[b][c]
+            ok = ab is not None and bc is not None and P[a][bc] == P[ab][c] is not None
+            res.bump("tits-action-compat", ok)
     # randomized spot checks one size up
     ground = canonical_set(n + 1)
     comps = compositions_of(ground)

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from sethopf.compositions import Composition, canonical_set, comp, compositions_of
 from sethopf.errors import DomainError
 from sethopf import hadamard as hadamard_module
-from sethopf.hadamard import _tits_basis, hopf_power, hopf_power_elem, tits, tits_unit
+from sethopf.hadamard import _tits_basis, hopf_power, tits, tits_unit
 from sethopf.hopf import (
     H,
     SigmaElem,
@@ -17,7 +18,7 @@ from sethopf.hopf import (
     sigma_basis,
     to_h,
 )
-from sethopf.lincomb import LinComb
+from sethopf.lincomb import LinComb, lincomb_sum
 
 
 class TestTits:
@@ -47,8 +48,6 @@ class TestTits:
             assert tits(tits(a, b), c) == tits(a, tits(b, c))
 
     def test_associativity_randomized_n4(self):
-        import random
-
         rng = random.Random(5)
         comps = compositions_of(canonical_set(4))
         for _ in range(40):
@@ -132,6 +131,11 @@ class TestTitsOfSums:
         assert list(tits(a, b).lc.t.items()) != list(reference_tits(a, b).items())
 
 
+def power_of(x, a):
+    """The action of x on a: the linear extension of hopf_power(F, a) in H_F."""
+    return SigmaElem(a.ground, lincomb_sum(hopf_power(F, a).lc.scale(c) for F, c in x.lc), H)
+
+
 class TestHopfPower:
     def test_one_lump_is_identity(self):
         a = h_elem((2,), (1,), (3,))
@@ -153,8 +157,6 @@ class TestHopfPower:
                 assert hopf_power(F, b) == tits(a, b)
 
     def test_agrees_with_tits_n4_sample(self):
-        import random
-
         rng = random.Random(17)
         comps = compositions_of(canonical_set(4))
         for _ in range(30):
@@ -166,9 +168,27 @@ class TestHopfPower:
     def test_action_compatibility(self, n):
         basis = sigma_basis(canonical_set(n))
         for a, b, c in itertools.product(basis, repeat=3):
-            lhs = hopf_power_elem(a, hopf_power_elem(b, c))
-            rhs = hopf_power_elem(tits(a, b), c)
+            lhs = power_of(a, power_of(b, c))
+            rhs = power_of(tits(a, b), c)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_action_compatibility_on_sums(self, n):
+        # x . (y . z) = (x |> y) . z on the primitive basis and on seeded
+        # random sums with coefficients of both signs
+        ground = canonical_set(n)
+        comps = compositions_of(ground)
+        rng = random.Random(23 + n)
+        sums = [
+            SigmaElem(ground, LinComb({F: rng.choice((-3, -1, 1, 2, 5)) for F in
+                                       rng.sample(comps, min(len(comps), 4))}), H)
+            for _ in range(3)
+        ]
+        if n > 1:
+            assert all(len(x.lc) > 1 for x in sums)
+        elems = primitive_part_basis(n) + sums
+        for a, b, c in itertools.product(elems, repeat=3):
+            assert power_of(a, power_of(b, c)) == power_of(tits(a, b), c)
 
     def test_primitives_annihilated_exhaustive(self):
         for n in (2, 3):

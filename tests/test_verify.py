@@ -4,11 +4,13 @@ size bounds the suites check before work, and the failure details."""
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from sethopf import cells as cells_module, cli, verify
-from sethopf.compositions import Composition, fubini, zie_dimension
+from sethopf.compositions import Composition, compositions_of, fubini, zie_dimension
+from sethopf.errors import SIZE_BOUNDS
 from sethopf.hopf import H, SigmaElem
 from sethopf.verify import SuiteResult
 
@@ -56,6 +58,19 @@ TITS_COUNTERS_N3 = {
     "hopf-power-kills-primitive": 76,
 }
 
+# tits_suite(4) counters: the same laws one degree up, spot checks at n=5.
+TITS_COUNTERS_N4 = {
+    "tits-unit": 92,
+    "tits-idempotent": 92,
+    "tits-associativity": 424_100,
+    "tits-vs-hopf-power": 5804,
+    "tits-action-compat": 424_100,
+    "tits-associativity-n5": 25,
+    "tits-vs-hopf-power-n5": 25,
+    "tits-idempotent-n5": 541,
+    "hopf-power-kills-primitive": 2000,
+}
+
 # hopf_suite(3) counters, in their order of first appearance.
 HOPF_COUNTERS_N3 = {
     "associativity": 118,
@@ -91,9 +106,8 @@ FORCED_FAILURE_SAMPLES = [
 
 
 # The failures of hopf_suite(3) when delta_split doubles its value on
-# H_(2)(13) split as (1,2)|(3,), and of tits_suite(3) when tits doubles its
-# value on H_(1)(23) |> H_(3)(12); each as the suite gives them when every
-# call is evaluated directly, so a memo hides no failure.
+# H_(2)(13) split as (1,2)|(3,), as the suite gives them when every call is
+# evaluated directly, so a memo hides no failure.
 WRONG_SPLIT_FAILURES = [
     "coassociativity: (1)*H(2,13) (1,)|(2,)|(3,)",
     "coassociativity: (1)*H(2,13) (2,)|(1,)|(3,)",
@@ -111,9 +125,15 @@ WRONG_ANTIPODE_FAILURES = [
     "antipode-convolution: (1)*H(2,13)",
     "antipode-takeuchi: (1)*H(2,13)",
 ]
+
+# The failures of tits_suite(3) when tits, or the Hopf power, doubles its value
+# on the pair H_(1)(23), H_(3)(12).  The doubled product is no basis element,
+# so every law whose either side passes through it fails, also where both
+# sides carry the same doubled value.
 WRONG_TITS_FAILURES = (
-    ["tits-associativity"] * 22 + ["tits-vs-hopf-power"] + ["tits-action-compat"] * 13
+    ["tits-associativity"] * 28 + ["tits-vs-hopf-power"] + ["tits-action-compat"] * 13
 )
+WRONG_HOPF_POWER_FAILURES = ["tits-vs-hopf-power"] + ["tits-action-compat"] * 18
 
 # The failures of tree_suite(4) when tree_to_primitive doubles its value on
 # one tree, keyed by the tree's repr: [1,2] is a factor of the bracket
@@ -182,6 +202,43 @@ def test_tits_suite_counters_at_three():
     assert res.counters == TITS_COUNTERS_N3
 
 
+def test_tits_suite_counters_at_four():
+    res = verify.tits_suite(4)
+    assert res.passed
+    assert list(res.counters.items()) == list(TITS_COUNTERS_N4.items())
+
+
+def test_tits_suite_calls_each_kernel_once_per_basis_pair(monkeypatch):
+    # the table pass of degree m calls tits and hopf_power once on each pair
+    # of H-basis elements of [m]; the spot checks at n=4 and the primitives'
+    # Hopf powers make their own calls on top
+    calls = {"tits": [], "hopf_power": []}
+    real_tits, real_power = verify.tits, verify.hopf_power
+
+    def tits(a, b):
+        calls["tits"].append((a.ground, tuple(a.lc), tuple(b.lc)))
+        return real_tits(a, b)
+
+    def hopf_power(F, b):
+        calls["hopf_power"].append((F.ground, ((F, 1),), tuple(b.lc)))
+        return real_power(F, b)
+
+    monkeypatch.setattr(verify, "tits", tits)
+    monkeypatch.setattr(verify, "hopf_power", hopf_power)
+    assert verify.tits_suite(3).counters == TITS_COUNTERS_N3
+    pairs = 0
+    for m in range(1, 4):
+        ground = tuple(range(1, m + 1))
+        basis = [((F, 1),) for F in compositions_of(ground)]
+        every_pair = Counter((ground, x, y) for x in basis for y in basis)
+        for name, made in calls.items():
+            # the primitives are sums, so their Hopf powers have other keys
+            table = Counter(c for c in made if c[0] == ground and c[2] in basis)
+            assert table == every_pair, (name, m)
+        pairs += len(every_pair)
+    assert pairs == TITS_COUNTERS_N3["tits-vs-hopf-power"] == 179
+
+
 def test_hopf_suite_counters_at_three():
     res = verify.hopf_suite(3)
     assert res.passed
@@ -190,7 +247,6 @@ def test_hopf_suite_counters_at_three():
 
 @pytest.mark.parametrize("suite, n, names", [
     ("hopf_suite", 3, ["product_of", "split_of", "antipode_of", "q_of", "h_of_q", "convolution_of"]),
-    ("tits_suite", 3, ["tits", "hopf_power_elem"]),
     ("tree_suite", 4, ["_all_trees", "image", "bracket_image", "jacobi_image"]),
     ("arrows_suite", 3, ["u_of", "retarded_element", "advanced_element", "primitive_part_basis"]),
 ])
@@ -216,11 +272,11 @@ def test_repeated_calls_are_evaluated_once_per_key_and_degree(monkeypatch, suite
 
     monkeypatch.setattr(verify, "_once", spying_once)
     res = getattr(verify, suite)(n)
-    expected = {"hopf_suite": HOPF_COUNTERS_N3, "tits_suite": TITS_COUNTERS_N3,
-                "tree_suite": TREE_COUNTERS_N4, "arrows_suite": ARROWS_COUNTERS_N3}[suite]
+    expected = {"hopf_suite": HOPF_COUNTERS_N3, "tree_suite": TREE_COUNTERS_N4,
+                "arrows_suite": ARROWS_COUNTERS_N3}[suite]
     assert res.passed and res.counters == expected
-    # hopf_suite and tits_suite wrap once per degree, the others once per call
-    copies = {"hopf_suite": n + 1, "tits_suite": n}.get(suite, 1)
+    # hopf_suite wraps once per degree, the others once per call
+    copies = n + 1 if suite == "hopf_suite" else 1
     assert [name for name, _, _ in memos] == names * copies
     for name, calls, evaluated in memos:
         assert len(set(evaluated)) == len(evaluated), name
@@ -264,6 +320,18 @@ def test_wrong_tits_fails_the_same_checks(monkeypatch):
 
     monkeypatch.setattr(verify, "tits", wrong)
     assert verify.tits_suite(3).failures == WRONG_TITS_FAILURES
+
+
+def test_wrong_hopf_power_fails_the_same_checks(monkeypatch):
+    real = verify.hopf_power
+    pair = [Composition(((1,), (2, 3)))], [Composition(((3,), (1, 2)))]
+
+    def wrong(F, b):
+        out = real(F, b)
+        return out + out if ([F], list(b.lc.keys())) == pair else out
+
+    monkeypatch.setattr(verify, "hopf_power", wrong)
+    assert verify.tits_suite(3).failures == WRONG_HOPF_POWER_FAILURES
 
 
 @pytest.mark.parametrize("target", sorted(WRONG_TREE_FAILURES))
@@ -346,11 +414,12 @@ def test_tits_suite_follows_its_size(n):
     "call",
     ["hopf_suite(7)", "series_suite(9)", "steinmann_suite(6)", "ruelle_suite(7)",
      "glz_suite(7)", "arrows_suite(6)", "dynkin_suite(7)", "cells_suite(7)",
-     "dimension_suite(6)", "tits_suite(8)", "causal_suite(9, 2)", "causal_suite(2, 18)"],
+     "dimension_suite(6)", "tits_suite(6)", "causal_suite(9, 2)", "causal_suite(2, 18)"],
 )
 def test_suite_checks_its_bound_before_work(call):
-    # one past the SIZE_BOUNDS entry of the suite's CLI command or of what it
-    # enumerates; the sweep itself would take many minutes.  Every suite's
+    # one past the SIZE_BOUNDS entry of the suite's CLI command, of what it
+    # enumerates or, for tits_suite, of its own; the sweep itself would take
+    # many minutes.  Every suite's
     # work starts by building a ground set, or for dimension_suite by asking
     # for a primitive basis, so a canonical_set and a primitive_part_basis
     # that raise prove nothing ran first.
@@ -368,6 +437,12 @@ def test_suite_checks_its_bound_before_work(call):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_tits_suite_bound_leaves_room_for_its_spot_checks():
+    # tits_suite(n) checks only its own entry; its spot checks enumerate the
+    # compositions of n + 1 labels
+    assert SIZE_BOUNDS["tits suite"] < SIZE_BOUNDS["compositions"]
 
 
 def test_bump_formats_details_only_on_failure():
