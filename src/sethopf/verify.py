@@ -970,7 +970,7 @@ def tits_suite(n: int = 3, seed: int = 11) -> SuiteResult:
         ground = canonical_set(m)
         comps = compositions_of(ground)
         index = {F: i for i, F in enumerate(comps)}
-        basis = [basis_elem(F, H) for F in comps]
+        basis = sigma_basis(ground)
         # H_F |> H_G and the Hopf power of F on H_G, once per pair, as the index of
         # the basis element each equals, or None; a law through a None fails
         T = [[_basis_index(tits(a, b), index) for b in basis] for a in basis]
