@@ -15,7 +15,6 @@ from .compositions import (
     labelset,
     one_lump,
     opposite,
-    quotient_stats,
     restrict,
     zie_dimension,
 )

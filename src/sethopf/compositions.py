@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import DomainError, OrderError, check_size
+from .errors import DomainError, check_size
 
 LabelSet = tuple  # sorted tuple of distinct ints
 
@@ -188,19 +188,6 @@ def coarsens(G: Composition, F: Composition) -> bool:
     return i == len(F.lumps)
 
 
-def quotient_stats(F: Composition, G: Composition) -> tuple[int, int]:
-    """(l(F/G), (F/G)!) for G <= F: products of restricted lengths/factorials."""
-    if not coarsens(G, F):
-        raise OrderError(f"{G} is not a coarsening of {F}")
-    length = 1
-    fact = 1
-    for lump in G.lumps:
-        k = len(restrict(F, lump))
-        length *= k
-        fact *= factorial(k)
-    return length, fact
-
-
 def deshuffle(F: Composition, S: Iterable[int]) -> Composition | None:
     """F|_S when S is a union of (not necessarily contiguous) lumps of F, else None."""
     ground = labelset(S)
@@ -221,11 +208,12 @@ def deshuffle(F: Composition, S: Iterable[int]) -> Composition | None:
     return Composition._of(tuple(picked), ground)
 
 
-def refinements(F: Composition) -> Iterator[Composition]:
-    """All G >= F: refine each lump independently and concatenate in order."""
+def refinements(F: Composition) -> Iterator[tuple[Composition, tuple[int, ...]]]:
+    """All G >= F: refine each lump independently and concatenate in order.
+    Each G comes with the number of lumps of G inside each lump of F."""
     per_lump = [_compositions_cached(l) for l in F.lumps]
     for choice in itertools.product(*per_lump):
-        yield Composition._of(tuple(l for c in choice for l in c.lumps), F.ground)
+        yield Composition._of(tuple(l for c in choice for l in c.lumps), F.ground), tuple(map(len, choice))
 
 
 def subsets_by_mask(ground: LabelSet) -> list[LabelSet]:

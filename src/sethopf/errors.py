@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument breaks a structural precondition (wrong ground set, overlap, ...)."""
 
 
-class OrderError(DomainError):
-    """A coarsening-order precondition (G <= F) does not hold."""
-
-
 class SizeLimitError(ValueError):
     """A ground-set size exceeds its entry in SIZE_BOUNDS."""
 

@@ -17,15 +17,16 @@ of F through the iterated coproduct and concatenates the pieces with
 ``mu``, so the two stay independent; the split table lends ``tits`` only
 its mask and label tables, not its rows.  ``hopf_power`` hands the lumps
 of F to the unchecked ``hopf._delta_iterated``, since it has already
-checked that F composes the ground of a.
+checked that F composes the ground of a, and sums the products of the
+pieces with one ``lincomb_sum``.
 """
 
 from __future__ import annotations
 
 from .compositions import Composition, one_lump
 from .errors import DomainError
-from .hopf import H, SigmaElem, _delta_iterated, _split_table, basis_elem, mu_many, zero_elem
-from .lincomb import sparse_sum
+from .hopf import H, SigmaElem, _delta_iterated, _split_table, basis_elem, mu_many
+from .lincomb import lincomb_sum, sparse_sum
 
 
 def _tits_basis(fs: tuple[int, ...], gs: tuple[int, ...], labels: list[tuple]) -> Composition:
@@ -64,12 +65,5 @@ def hopf_power(F: Composition, a: SigmaElem) -> SigmaElem:
     if not F.lumps:
         return a
     pieces = _delta_iterated(a, F.lumps)  # F.lumps decompose a.ground, checked above
-    # a fold: tits_suite's one-term inputs build no sum (lincomb_sum was slower)
-    out = None
-    for key, c in pieces:
-        prod = mu_many([basis_elem(piece, H) for piece in key]).scale(c)
-        out = prod if out is None else out + prod
-    if out is None:
-        return zero_elem(a.ground, H)
-    return out
-
+    lc = lincomb_sum(mu_many([basis_elem(piece, H) for piece in key]).lc.scale(c) for key, c in pieces)
+    return SigmaElem._of(a.ground, lc, H)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Iterable, NoReturn, Sequence
 
 from .compositions import (
@@ -51,7 +52,6 @@ from .compositions import (
     labelset,
     opposite,
     proper_splits,
-    quotient_stats,
     refinements,
     restrict,
     subsets_by_mask,
@@ -378,11 +378,7 @@ def _delta_iterated(a: SigmaElem, parts: Sequence[tuple]) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _antipode_of_comp(F: Composition) -> LinComb:
-    rev = opposite(F)
-    terms = {}
-    for G in refinements(rev):
-        terms[G] = 1 if len(G) % 2 == 0 else -1
-    return LinComb._of(terms)
+    return LinComb._of({G: 1 if len(G) % 2 == 0 else -1 for G, _ in refinements(opposite(F))})
 
 
 def antipode(a: SigmaElem) -> SigmaElem:
@@ -409,21 +405,16 @@ def takeuchi_antipode(a: SigmaElem) -> SigmaElem:
 
 @lru_cache(maxsize=None)
 def _h_in_q(F: Composition) -> LinComb:
-    terms = {}
-    for G in refinements(F):
-        _, fact = quotient_stats(G, F)
-        terms[G] = Fraction(1, fact)
-    return LinComb._of(terms)
+    """H_F = sum over G >= F of Q_G / (G/F)!, where (G/F)! is the product of
+    k! over the lumps of F, each split into k lumps of G."""
+    return LinComb._of({G: Fraction(1, prod(map(factorial, ks))) for G, ks in refinements(F)})
 
 
 @lru_cache(maxsize=None)
 def _q_in_h(F: Composition) -> LinComb:
-    terms = {}
-    for G in refinements(F):
-        length, _ = quotient_stats(G, F)
-        sign = 1 if (len(G) - len(F)) % 2 == 0 else -1
-        terms[G] = Fraction(sign, length)
-    return LinComb._of(terms)
+    """Q_F = sum over G >= F of (-1)^(l(G) - l(F)) H_G / l(G/F), where
+    l(G/F) is the product of the number k of lumps of G in each lump of F."""
+    return LinComb._of({G: Fraction((-1) ** (len(G) - len(F)), prod(ks)) for G, ks in refinements(F)})
 
 
 def to_q(a: SigmaElem) -> SigmaElem:

@@ -13,13 +13,11 @@ cancels and comes back goes to the end), so every pass over a sum is
 deterministic.  A sum of whole elements is one ``lincomb_sum`` over their
 ``LinComb``s, in the key order of a pass of ``+`` over the same parts.
 
-Four sums stay apart on purpose: ``hopf.mu``, one dict comprehension,
+Three sums stay apart on purpose: ``hopf.mu``, one dict comprehension,
 since concatenation over disjoint grounds is injective and no two of its
-terms can merge; ``hopf.delta_split``'s int scatter-add over pair ids; the
-expected sides that ``verify.hopf_suite`` builds by hand, which keep its
-checks independent of the code they check; and the fold of
-``hadamard.hopf_power``, whose one-term inputs from ``tits_suite`` build no
-sum.
+terms can merge; ``hopf.delta_split``'s int scatter-add over pair ids; and
+the expected sides that ``verify.hopf_suite`` builds by hand, which keep its
+checks independent of the code they check.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ convolution is the word product of shapes: a composition F of [n] arises
 in the sum of mu(s_S, t_T) over ordered splits once per cut of its lumps
 into a prefix, over S, and a suffix, so its coefficient is the sum over
 the cuts of s's coefficient on the prefix shape times t's on the suffix
-shape.  ``SigmaSeries.term`` expands a shape form, one composition per
-filling of each stored shape; ``shape_form`` reads an invariant element back.
+shape.  ``SigmaSeries.term`` expands a shape form, keeping each composition
+of [n] whose shape it stores; ``shape_form`` reads an invariant element back.
 
 The target of evaluation is the free word algebra: an element is a
 ``LinComb`` keyed by words, tuples of observable ids, with the empty word
@@ -66,17 +66,6 @@ from .lincomb import LinComb, lincomb_sum, sparse_sum
 # series of the composition algebra
 
 
-def _lumpings(labels: tuple, shape: tuple):
-    """The sorted lumps of each composition of the sorted labels with the
-    given lump sizes: successive combinations."""
-    if not shape:
-        yield ()
-        return
-    for first in combinations(labels, shape[0]):
-        rest = tuple(x for x in labels if x not in first)
-        yield from ((first,) + tail for tail in _lumpings(rest, shape[1:]))
-
-
 def lump_shapes(m: int) -> list[tuple]:
     """The lump shapes of degree m, the compositions of the integer m, by
     length and then by cut points: the order in which ``compositions_of``
@@ -92,8 +81,10 @@ def lump_shapes(m: int) -> list[tuple]:
 
 def _expand(form: LinComb, ground: tuple) -> SigmaElem:
     """The H-basis element over the sorted ground with form's coefficient
-    on the shape of F as its coefficient on each H_F."""
-    terms = {Composition._of(lumps, ground): c for shape, c in form for lumps in _lumpings(ground, shape)}
+    on the shape of F as its coefficient on each H_F: the compositions of
+    the ground whose shape has a coefficient, in ``compositions_of`` order."""
+    coeff = form.coeff
+    terms = {F: c for F in compositions_of(ground) if (c := coeff(tuple(map(len, F.lumps)))) is not None}
     return SigmaElem._of(ground, LinComb._of(terms), H)
 
 

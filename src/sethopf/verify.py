@@ -682,18 +682,10 @@ def arrows_suite(n: int = 3, seed: int = 2024) -> SuiteResult:
 
 
 def _ordered_partitions(Y: tuple, k: int):
-    """All ways to distribute the labels of Y into k ordered (possibly empty) parts."""
-    if k == 0:
-        if not Y:
-            yield ()
-        return
-    if not Y:
-        yield ((),) * k
-        return
-    first, rest = Y[0], Y[1:]
-    for tail in _ordered_partitions(rest, k):
-        for i in range(k):
-            yield tail[:i] + (tuple(sorted(tail[i] + (first,))),) + tail[i + 1 :]
+    """All ways to distribute the sorted labels of Y into k ordered (possibly
+    empty) parts: one part index per label."""
+    for places in itertools.product(range(k), repeat=len(Y)):
+        yield tuple(tuple(y for y, i in zip(Y, places) if i == part) for part in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from sethopf.compositions import (
     labelset,
     one_lump,
     opposite,
-    quotient_stats,
     refinements,
     restrict,
     ordered_splits,
@@ -27,7 +26,7 @@ from sethopf.compositions import (
     subsets_by_mask,
     zie_dimension,
 )
-from sethopf.errors import DomainError, OrderError, SizeLimitError
+from sethopf.errors import DomainError, SizeLimitError
 
 
 def brute_force_count(n):
@@ -132,18 +131,6 @@ class TestCoarsens:
             coarsens(comp((1,)), comp((2,)))
 
 
-class TestQuotientStats:
-    def test_spec_examples(self):
-        assert quotient_stats(comp((1,), (2,), (3,)), comp((1, 2), (3,))) == (2, 2)
-        F = comp((1, 2), (3,))
-        assert quotient_stats(F, F) == (1, 1)
-        assert quotient_stats(comp((1,), (2,), (3,)), comp((1, 2, 3))) == (3, 6)
-
-    def test_order_error(self):
-        with pytest.raises(OrderError):
-            quotient_stats(comp((1, 2), (3,)), comp((1,), (2,), (3,)))
-
-
 class TestOpposite:
     def test_spec_examples(self):
         assert opposite(comp((1,), (2,))) == comp((2,), (1,))
@@ -178,12 +165,25 @@ class TestRefinements:
     def test_counts(self):
         # refinements of the one-lump composition are all compositions
         assert len(list(refinements(comp((1, 2, 3))))) == 13
-        assert len(list(refinements(comp((1,), (2,))))) == 1
+        assert list(refinements(comp((1,), (2,)))) == [(comp((1,), (2,)), (1, 1))]
+        assert list(refinements(EMPTY_COMPOSITION)) == [(EMPTY_COMPOSITION, ())]
 
     def test_all_refine(self):
         F = comp((1, 2), (3, 4))
-        for G in refinements(F):
+        for G, _ in refinements(F):
             assert coarsens(F, G)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_exactly_the_refinements_with_their_lump_counts(self, n):
+        # coarsens is the oracle for which G appear; each count is the
+        # number of lumps of G inside that lump of F
+        comps = compositions_of(canonical_set(n))
+        for F in comps:
+            got = list(refinements(F))
+            assert len({G for G, _ in got}) == len(got)
+            assert {G for G, _ in got} == {G for G in comps if coarsens(F, G)}
+            for G, ks in got:
+                assert ks == tuple(len(restrict(G, lump)) for lump in F.lumps)
 
 
 class TestPartitions:
@@ -270,7 +270,7 @@ class TestTrustedConstructions:
         for ground in GROUNDS:
             for F in compositions_of(ground):
                 assert_as_validated(opposite(F))
-                for G in refinements(F):
+                for G, _ in refinements(F):
                     assert_as_validated(G)
 
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,12 @@ from sethopf.compositions import (
     Composition,
     _compositions_cached,
     canonical_set,
+    coarsens,
     comp,
     compositions_of,
     deshuffle,
     labelset,
+    opposite,
     ordered_splits,
     restrict,
     set_partitions,
@@ -23,7 +26,10 @@ from sethopf.errors import DomainError
 from sethopf.hadamard import _tits_basis, hopf_power, tits
 from sethopf.hopf import (
     _SplitTable,
+    _antipode_of_comp,
     _delta_iterated,
+    _h_in_q,
+    _q_in_h,
     _split_table,
     H,
     Q,
@@ -382,6 +388,30 @@ class TestBasisChange:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_q_top_primitive(self, n):
         assert is_primitive(to_h(q_elem(canonical_set(n))))
+
+
+def reference_tables(F):
+    """The H-to-Q, Q-to-H and antipode rows of H_F from the coarsening
+    order: each G that coarsens refines, with the number of lumps of G
+    inside each lump of F read off by restriction."""
+    h_in_q, q_in_h = {}, {}
+    for G in compositions_of(F.ground):
+        if coarsens(F, G):
+            ks = [len(restrict(G, lump)) for lump in F.lumps]
+            h_in_q[G] = Fraction(1, prod(factorial(k) for k in ks))
+            q_in_h[G] = Fraction(1 if (len(G) - len(F)) % 2 == 0 else -1, prod(ks))
+    rev = opposite(F)
+    antipode_row = {G: (-1) ** len(G) for G in compositions_of(F.ground) if coarsens(rev, G)}
+    return h_in_q, q_in_h, antipode_row
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.heavy)])
+def test_basis_change_and_antipode_rows(n):
+    for F in compositions_of(canonical_set(n)):
+        for row, want, kind in zip((_h_in_q(F), _q_in_h(F), _antipode_of_comp(F)), reference_tables(F),
+                                   (Fraction, Fraction, int)):
+            assert row.t == want, F
+            assert all(type(c) is kind for _, c in row), F
 
 
 class TestPrimitivePart:

@@ -15,9 +15,11 @@ SRC = ROOT / "src" / "sethopf"
 
 # names the tests use as oracles or constructors, with nothing else calling them
 EXCEPTIONS = {
+    "coarsens": "oracle for refinements and the basis-change coefficients (tests/test_compositions.py, tests/test_hopf.py)",
     "deshuffle": "oracle for the Q-basis rows of the split table (tests/test_hopf.py)",
     "fubini": "oracle for the number of compositions of an n-set (tests/test_compositions.py)",
     "h_elem": "shorthand constructor of H-basis elements throughout the tests",
+    "zero_elem": "constructor of the zero element over a ground throughout the tests",
 }
 
 

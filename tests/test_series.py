@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -14,7 +15,7 @@ from sethopf.compositions import (
     proper_splits,
     star_labels,
 )
-from sethopf.errors import DomainError
+from sethopf.errors import SIZE_BOUNDS, DomainError, SizeLimitError
 from sethopf.hopf import (
     H,
     SigmaElem,
@@ -136,6 +137,47 @@ class TestSigmaSeries:
         sg = series_antipode(g)
         expected = antipode(h_elem((1, 2))).scale(QI(4))
         assert sg.term(2) == expected
+
+
+def lumpings(labels, shape):
+    """The lumps of each composition of the sorted labels with the given
+    lump sizes: successive combinations."""
+    if not shape:
+        yield ()
+        return
+    for first in combinations(labels, shape[0]):
+        rest = tuple(x for x in labels if x not in first)
+        yield from ((first,) + tail for tail in lumpings(rest, shape[1:]))
+
+
+def random_form(rng, n, sparse):
+    """Random nonzero coefficients on every lump shape of n, or on at most two."""
+    shapes = lump_shapes(n)
+    if sparse:
+        shapes = rng.sample(shapes, min(2, len(shapes)))
+    return LinComb({a: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for a in shapes})
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("n", range(7))
+def test_expansion_matches_the_successive_combinations(n, sparse):
+    rng = random.Random(10 * n + sparse)
+    for _ in range(3):
+        form = random_form(rng, n, sparse)
+        for ground in (canonical_set(n), tuple(range(3, 3 + n))):
+            want = SigmaElem(ground, LinComb(
+                {Composition(lumps): c for shape, c in form for lumps in lumpings(ground, shape)}
+            ), H)
+            if ground == canonical_set(n):
+                assert SigmaSeries({n: form}, n).term(n) == want
+            assert shape_form(want) == form
+
+
+def test_expansion_is_bounded_by_the_compositions_entry():
+    # term(n) enumerates the compositions of [n], so it checks their bound first
+    n = SIZE_BOUNDS["compositions"] + 1
+    with pytest.raises(SizeLimitError):
+        universal_series(1, n).term(n)
 
 
 class TestConvolve:

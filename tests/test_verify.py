@@ -45,6 +45,32 @@ ARROWS_COUNTERS_N3 = {
     "retarded-is-total-dynkin": 1,
 }
 
+# arrows_suite(n) counters for the other sizes; n=5 takes about half a minute.
+ARROWS_COUNTERS = {
+    2: {
+        "biderivation-derivation": 10, "biderivation-coderivation": 14,
+        "biderivation-coderivation-right": 14, "arrow-order-independence": 10,
+        "arrow-updown-commutator": 5, "arrow-preserves-primitive": 6, "arrow-bracket-derivation": 9,
+        "arrow-dynkin-down": 6, "arrow-dynkin-up": 6, "arrow-product-law": 20, "retarded-expansion": 8,
+        "advanced-expansion": 8, "retarded-instance": 1, "advanced-instance": 1, "retarded-is-total-dynkin": 1,
+    },
+    3: ARROWS_COUNTERS_N3,
+    4: {
+        "biderivation-derivation": 227, "biderivation-coderivation": 1318,
+        "biderivation-coderivation-right": 1318, "arrow-order-independence": 186,
+        "arrow-updown-commutator": 93, "arrow-preserves-primitive": 70, "arrow-bracket-derivation": 9,
+        "arrow-dynkin-down": 82, "arrow-dynkin-up": 82, "arrow-product-law": 58, "retarded-expansion": 184,
+        "advanced-expansion": 184, "retarded-instance": 1, "advanced-instance": 1, "retarded-is-total-dynkin": 1,
+    },
+    5: {
+        "biderivation-derivation": 1537, "biderivation-coderivation": 18630,
+        "biderivation-coderivation-right": 18630, "arrow-order-independence": 1268,
+        "arrow-updown-commutator": 634, "arrow-preserves-primitive": 370, "arrow-bracket-derivation": 9,
+        "arrow-dynkin-down": 822, "arrow-dynkin-up": 822, "arrow-product-law": 58, "retarded-expansion": 1266,
+        "advanced-expansion": 1266, "retarded-instance": 1, "advanced-instance": 1, "retarded-is-total-dynkin": 1,
+    },
+}
+
 # tits_suite(3) counters, as in the gate's perfbench/expected.json.
 TITS_COUNTERS_N3 = {
     "tits-unit": 17,
@@ -237,6 +263,24 @@ def test_tits_suite_calls_each_kernel_once_per_basis_pair(monkeypatch):
             assert table == every_pair, (name, m)
         pairs += len(every_pair)
     assert pairs == TITS_COUNTERS_N3["tits-vs-hopf-power"] == 179
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, pytest.param(5, marks=pytest.mark.heavy)])
+def test_arrows_suite_counters(n):
+    res = verify.arrows_suite(n)
+    assert res.passed
+    assert list(res.counters.items()) == list(ARROWS_COUNTERS[n].items())
+
+
+@pytest.mark.parametrize("size", range(4))
+@pytest.mark.parametrize("k", range(4))
+def test_ordered_partitions_place_each_label_once(size, k):
+    Y = tuple(range(-size, 0))
+    got = list(verify._ordered_partitions(Y, k))
+    assert len(set(got)) == len(got) == k**size
+    for parts in got:
+        assert len(parts) == k and all(list(p) == sorted(p) for p in parts)
+        assert sorted(y for p in parts for y in p) == list(Y)
 
 
 def test_hopf_suite_counters_at_three():
